@@ -1,49 +1,40 @@
-"""Hot numerical kernels.
-
-Every kernel has two implementations: a numba ``@njit`` version and a pure
-numpy/scipy fallback.  The fallback is selected automatically when numba is
-not importable, or explicitly by setting the environment variable
-``CONDENSATE_LAB_NO_NUMBA=1`` before import.  ``benchmarks/bench_kernels.py``
-compares the two paths.
+"""Hot numerical kernels (numpy/scipy).
 
 Kernels:
   * batched RK4 sweep for the radial equation u'' = (q(r) - k^2) u
   * RK4 sweep for the s-wave phase ODE
   * Crank-Nicolson (implicit midpoint) stepping of i u_t = (-d^2/dr^2 + q) u
-    on a Dirichlet grid, via a pre-factored Thomas solve
-  * pairwise exponential-cutoff sums over particle configurations
+    on a Dirichlet grid, via a pre-factored LAPACK tridiagonal solve
+
+``python3 perfbench/run.py --workload radial --trace 1`` times each kernel.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
+from scipy.linalg import lapack
 
-_DISABLE = os.environ.get("CONDENSATE_LAB_NO_NUMBA", "").strip().lower() in (
-    "1", "true", "yes", "on",
-)
-
-try:
-    if _DISABLE:
-        raise ImportError("numba disabled via CONDENSATE_LAB_NO_NUMBA")
-    from numba import njit, prange
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via env flag in CI
-    HAVE_NUMBA = False
+# Kept for callers that record the active kernel path; there is only one.
+HAVE_NUMBA = False
 
 
 # ---------------------------------------------------------------------------
 # RK4 sweep, batched over wavenumbers: u'' = (q(r) - k^2) u
 # q_half holds q at the integration nodes AND midpoints: length 2*nsteps + 1.
-# out has shape (nsteps + 1, nk); row 0 is the initial u.
 # ---------------------------------------------------------------------------
 
-def _rk4_radial_py(q_half, k2, h, u0, up0, out):
-    u = u0.astype(np.float64).copy()
-    up = up0.astype(np.float64).copy()
+def rk4_radial_batch(q_half, k2, h, u0, up0):
+    """Integrate u'' = (q - k^2) u for a batch of k values.
+
+    Returns (U, u_end, up_end) where U[j, i] is u at node j for column i;
+    row 0 is the initial u.
+    """
+    q_half = np.ascontiguousarray(q_half, dtype=np.float64)
+    k2 = np.ascontiguousarray(k2, dtype=np.float64)
     nsteps = (q_half.shape[0] - 1) // 2
+    out = np.empty((nsteps + 1, k2.shape[0]))
+    u = np.array(u0, dtype=np.float64)
+    up = np.array(up0, dtype=np.float64)
     out[0, :] = u
     for j in range(nsteps):
         qa = q_half[2 * j]
@@ -60,57 +51,6 @@ def _rk4_radial_py(q_half, k2, h, u0, up0, out):
         u = u + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
         up = up + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
         out[j + 1, :] = u
-    return u, up
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True, parallel=True)
-    def _rk4_radial_nb(q_half, k2, h, u0, up0, out):  # pragma: no cover
-        nk = k2.shape[0]
-        nsteps = (q_half.shape[0] - 1) // 2
-        uf = np.empty(nk)
-        upf = np.empty(nk)
-        for i in prange(nk):
-            u = u0[i]
-            up = up0[i]
-            kk = k2[i]
-            out[0, i] = u
-            for j in range(nsteps):
-                qa = q_half[2 * j]
-                qm = q_half[2 * j + 1]
-                qb = q_half[2 * j + 2]
-                k1u = up
-                k1p = (qa - kk) * u
-                k2u = up + 0.5 * h * k1p
-                k2p = (qm - kk) * (u + 0.5 * h * k1u)
-                k3u = up + 0.5 * h * k2p
-                k3p = (qm - kk) * (u + 0.5 * h * k2u)
-                k4u = up + h * k3p
-                k4p = (qb - kk) * (u + h * k3u)
-                u = u + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-                up = up + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-                out[j + 1, i] = u
-            uf[i] = u
-            upf[i] = up
-        return uf, upf
-
-
-def rk4_radial_batch(q_half, k2, h, u0, up0):
-    """Integrate u'' = (q - k^2) u for a batch of k values.
-
-    Returns (U, u_end, up_end) where U[j, i] is u at node j for column i.
-    """
-    q_half = np.ascontiguousarray(q_half, dtype=np.float64)
-    k2 = np.ascontiguousarray(k2, dtype=np.float64)
-    nsteps = (q_half.shape[0] - 1) // 2
-    out = np.empty((nsteps + 1, k2.shape[0]))
-    u0 = np.ascontiguousarray(u0, dtype=np.float64)
-    up0 = np.ascontiguousarray(up0, dtype=np.float64)
-    if HAVE_NUMBA:
-        u, up = _rk4_radial_nb(q_half, k2, h, u0, up0, out)
-    else:
-        u, up = _rk4_radial_py(q_half, k2, h, u0, up0, out)
     return out, u, up
 
 
@@ -118,8 +58,9 @@ def rk4_radial_batch(q_half, k2, h, u0, up0):
 # Variable-phase RK4: d'(r) = -(q(r)/k) sin^2(k r + d)
 # ---------------------------------------------------------------------------
 
-def _rk4_phase_py(q_half, k, h, r0, d0):
-    d = d0
+def rk4_phase(q_half, k, h, r0=0.0, d0=0.0):
+    q_half = np.ascontiguousarray(q_half, dtype=np.float64)
+    k, h, r0, d = float(k), float(h), float(r0), float(d0)
     nsteps = (q_half.shape[0] - 1) // 2
     for j in range(nsteps):
         r = r0 + j * h
@@ -131,56 +72,15 @@ def _rk4_phase_py(q_half, k, h, r0, d0):
         k3 = -(qm / k) * np.sin(k * (r + 0.5 * h) + d + 0.5 * h * k2) ** 2
         k4 = -(qb / k) * np.sin(k * (r + h) + d + h * k3) ** 2
         d = d + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return d
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _rk4_phase_nb(q_half, k, h, r0, d0):  # pragma: no cover
-        d = d0
-        nsteps = (q_half.shape[0] - 1) // 2
-        for j in range(nsteps):
-            r = r0 + j * h
-            qa = q_half[2 * j]
-            qm = q_half[2 * j + 1]
-            qb = q_half[2 * j + 2]
-            k1 = -(qa / k) * np.sin(k * r + d) ** 2
-            k2 = -(qm / k) * np.sin(k * (r + 0.5 * h) + d + 0.5 * h * k1) ** 2
-            k3 = -(qm / k) * np.sin(k * (r + 0.5 * h) + d + 0.5 * h * k2) ** 2
-            k4 = -(qb / k) * np.sin(k * (r + h) + d + h * k3) ** 2
-            d = d + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return d
-
-
-def rk4_phase(q_half, k, h, r0=0.0, d0=0.0):
-    q_half = np.ascontiguousarray(q_half, dtype=np.float64)
-    if HAVE_NUMBA:
-        return float(_rk4_phase_nb(q_half, float(k), float(h), float(r0), float(d0)))
-    return float(_rk4_phase_py(q_half, float(k), float(h), float(r0), float(d0)))
+    return float(d)
 
 
 # ---------------------------------------------------------------------------
 # Crank-Nicolson stepping on interior Dirichlet values.
 # A = tridiag(-1/h^2, 2/h^2 + q_j, -1/h^2);  (I + i dt/2 A) u+ = (I - i dt/2 A) u
-# The left-hand matrix is constant, so the Thomas elimination coefficients
-# are computed once and reused every step.
+# The left-hand matrix is constant, so it is LU-factored once and the
+# factors are reused every step.
 # ---------------------------------------------------------------------------
-
-def _cn_factor(q, h, dt):
-    m = q.shape[0]
-    theta = 0.5 * dt
-    b = 1j * theta * (-1.0 / h**2)
-    d = 1.0 + 1j * theta * (2.0 / h**2 + q)
-    cp = np.empty(m, dtype=np.complex128)
-    denom = np.empty(m, dtype=np.complex128)
-    denom[0] = 1.0 / d[0]
-    cp[0] = b * denom[0]
-    for j in range(1, m):
-        denom[j] = 1.0 / (d[j] - b * cp[j - 1])
-        cp[j] = b * denom[j]
-    return b, cp, denom
-
 
 def _cn_apply(u, q, h, coef):
     lap = np.empty_like(u)
@@ -190,18 +90,20 @@ def _cn_apply(u, q, h, coef):
     return u + coef * (lap + q * u)
 
 
-def _cn_evolve_py(u, q, h, dt, nsteps):
-    from scipy.linalg import lapack
-
+def cn_evolve(u_interior, q_interior, h, dt, nsteps):
+    """Advance interior Dirichlet values by nsteps Crank-Nicolson steps."""
+    q = np.ascontiguousarray(q_interior, dtype=np.float64)
+    u = np.array(u_interior, dtype=np.complex128)
+    if nsteps == 0:
+        return u
     m = u.shape[0]
-    theta = 0.5 * dt
+    theta = 0.5 * float(dt)
     off = 1j * theta * (-1.0 / h**2) * np.ones(m - 1, dtype=np.complex128)
     diag = 1.0 + 1j * theta * (2.0 / h**2 + q).astype(np.complex128)
     dl, dd, du, du2, ipiv, info = lapack.zgttrf(off, diag, off)
     if info != 0:
         raise RuntimeError("tridiagonal factorization failed")
-    u = u.astype(np.complex128).copy()
-    for _ in range(nsteps):
+    for _ in range(int(nsteps)):
         # Cayley map in resolvent form: u+ = 2 (I + i theta A)^{-1} u - u.
         # No amplifying matvec appears, so roundoff stays at the eps level.
         y, info = lapack.zgttrs(dl, dd, du, du2, ipiv, u)
@@ -211,103 +113,3 @@ def _cn_evolve_py(u, q, h, dt, nsteps):
         dy, info = lapack.zgttrs(dl, dd, du, du2, ipiv, resid)
         u = 2.0 * (y + dy) - u
     return u
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _cn_evolve_nb(u, q, h, dt, nsteps):  # pragma: no cover
-        m = u.shape[0]
-        theta = 0.5 * dt
-        b = 1j * theta * (-1.0 / h**2)
-        d = 1.0 + 1j * theta * (2.0 / h**2 + q)
-        cp = np.empty(m, dtype=np.complex128)
-        denom = np.empty(m, dtype=np.complex128)
-        denom[0] = 1.0 / d[0]
-        cp[0] = b * denom[0]
-        for j in range(1, m):
-            denom[j] = 1.0 / (d[j] - b * cp[j - 1])
-            cp[j] = b * denom[j]
-        w = u.astype(np.complex128).copy()
-        x = np.empty(m, dtype=np.complex128)
-        y = np.empty(m, dtype=np.complex128)
-        resid = np.empty(m, dtype=np.complex128)
-        inv_h2 = 1.0 / h**2
-        itheta = 1j * theta
-        for _ in range(nsteps):
-            # Cayley map in resolvent form: w+ = 2 (I + i theta A)^{-1} w - w,
-            # with one iterative-refinement pass on the solve.
-            y[0] = w[0] * denom[0]
-            for j in range(1, m):
-                y[j] = (w[j] - b * y[j - 1]) * denom[j]
-            x[m - 1] = y[m - 1]
-            for j in range(m - 2, -1, -1):
-                x[j] = y[j] - cp[j] * x[j + 1]
-            for j in range(m):
-                left = x[j - 1] if j > 0 else 0.0 + 0.0j
-                right = x[j + 1] if j < m - 1 else 0.0 + 0.0j
-                lap = (2.0 * x[j] - left - right) * inv_h2
-                resid[j] = w[j] - (x[j] + itheta * (lap + q[j] * x[j]))
-            y[0] = resid[0] * denom[0]
-            for j in range(1, m):
-                y[j] = (resid[j] - b * y[j - 1]) * denom[j]
-            dx = y[m - 1]
-            w[m - 1] = 2.0 * (x[m - 1] + dx) - w[m - 1]
-            for j in range(m - 2, -1, -1):
-                dx = y[j] - cp[j] * dx
-                w[j] = 2.0 * (x[j] + dx) - w[j]
-        return w
-
-
-def cn_evolve(u_interior, q_interior, h, dt, nsteps):
-    """Advance interior Dirichlet values by nsteps Crank-Nicolson steps."""
-    q = np.ascontiguousarray(q_interior, dtype=np.float64)
-    u = np.ascontiguousarray(u_interior, dtype=np.complex128)
-    if nsteps == 0:
-        return u.copy()
-    if HAVE_NUMBA:
-        return _cn_evolve_nb(u, q, h, float(dt), int(nsteps))
-    return _cn_evolve_py(u, q, h, float(dt), int(nsteps))
-
-
-# ---------------------------------------------------------------------------
-# Pairwise cutoff sums.  h(x) = exp(-sqrt(|x|^2 + ell^2)/ell).
-# row_sums[m]  = sum_{j != m} h(x_m - x_j)
-# grad_pairs   = h'(x_m - x_j) contributions assembled by the caller
-# ---------------------------------------------------------------------------
-
-def _pair_rows_py(pos, ell):
-    diff = pos[:, None, :] - pos[None, :, :]
-    rho = np.sqrt(np.sum(diff * diff, axis=-1) + ell * ell)
-    hmat = np.exp(-rho / ell)
-    np.fill_diagonal(hmat, 0.0)
-    return hmat, np.sum(hmat, axis=1)
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _pair_rows_nb(pos, ell):  # pragma: no cover
-        n = pos.shape[0]
-        hmat = np.zeros((n, n))
-        rows = np.zeros(n)
-        for a in range(n):
-            for b in range(a + 1, n):
-                s = ell * ell
-                for c in range(3):
-                    d = pos[a, c] - pos[b, c]
-                    s += d * d
-                val = np.exp(-np.sqrt(s) / ell)
-                hmat[a, b] = val
-                hmat[b, a] = val
-                rows[a] += val
-                rows[b] += val
-        return hmat, rows
-
-
-def pair_rows(pos, ell):
-    """h matrix and its row sums over a particle configuration."""
-    pos = np.ascontiguousarray(pos, dtype=np.float64)
-    if HAVE_NUMBA:
-        return _pair_rows_nb(pos, float(ell))
-    return _pair_rows_py(pos, float(ell))

@@ -97,7 +97,6 @@ class HierarchyResidual:
     times: list[float]
     differential_residual: list[float]
     integral_residual: list[float]
-    refinement_slope: float | None = None
 
     def max_differential(self) -> float:
         return max(self.differential_residual) if self.differential_residual else 0.0

@@ -1,16 +1,19 @@
 """Repulsive radial interaction potentials and their short-range rescaling.
 
 Supported families: zero, soft-sphere (piecewise constant ball), gaussian,
-and tabulated radial samples.  A potential knows its decay exponent sigma,
-an effective range used to size radial grids, and the breakpoints where
-its evaluator is non-smooth.  Rescaling by N maps V to N^2 V(N r), which
-divides the effective range and the scattering length by N.
+and tabulated radial samples.  Every potential is V(r) = A profile(s r):
+the family fixes the profile, its decay exponent sigma, an effective range
+used to size radial grids, the breakpoints where it is non-smooth and
+sup x^2 profile(x); the transforms below change only the amplitude A and
+the rate s, and every derived quantity follows from (A, s).  Rescaling by N
+maps V to N^2 V(N r), which divides the effective range and the scattering
+length by N.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -24,72 +27,51 @@ class PotentialError(ValueError):
 
 @dataclass(frozen=True)
 class Potential:
-    """Radial repulsive potential V(r) >= 0.
+    """Radial repulsive potential V(r) = amplitude * profile(rate * r) >= 0.
 
     family: one of "zero", "soft-sphere", "gaussian", "tabulated"
-    params: family parameters (see factory functions below)
+    params: family parameters of the profile (see factory functions below)
     sigma: decay exponent in V(r) <= C (1+r)^(-sigma); inf for compact
         or super-exponential tails.  Stored metadata; the sigma > 5
         hypothesis is reported, not enforced.
+    profile_range, profile_breakpoints, profile_sup: effective range,
+        non-smooth points and sup_x x^2 profile(x) of the profile.
     """
 
     family: str
     params: dict
     sigma: float
-    evaluator: Callable[[np.ndarray], np.ndarray]
-    range_hint: float
-    breakpoints: tuple[float, ...] = ()
+    profile: Callable[[np.ndarray], np.ndarray]
+    profile_range: float
+    profile_sup: float
+    profile_breakpoints: tuple[float, ...] = ()
+    amplitude: float = 1.0
+    rate: float = 1.0
 
     def __call__(self, r):
-        return self.evaluator(np.asarray(r, dtype=np.float64))
+        r = np.asarray(r, dtype=np.float64)
+        return self.amplitude * self.profile(self.rate * r)
+
+    @property
+    def evaluator(self) -> Callable[[np.ndarray], np.ndarray]:
+        return self.__call__
+
+    @property
+    def range_hint(self) -> float:
+        return self.profile_range / self.rate
+
+    @property
+    def breakpoints(self) -> tuple[float, ...]:
+        return tuple(b / self.rate for b in self.profile_breakpoints)
+
+    @property
+    def second_moment_sup(self) -> float:
+        """sup_r r^2 V(r), in closed form from the profile's."""
+        return self.amplitude * self.profile_sup / self.rate**2
 
     @property
     def meets_decay_hypothesis(self) -> bool:
         return self.sigma > 5.0
-
-    def describe(self) -> dict:
-        return {"family": self.family, "params": dict(self.params)}
-
-
-@dataclass(frozen=True)
-class ScaledPotential:
-    """V_N(r) = N^2 V(N r); evaluator shares the base arithmetic path."""
-
-    base: Potential
-    N: int
-
-    def __post_init__(self):
-        if self.N < 1:
-            raise PotentialError("invalid scale: N must be >= 1")
-
-    def __call__(self, r):
-        r = np.asarray(r, dtype=np.float64)
-        return self.N**2 * self.base.evaluator(self.N * r)
-
-    @property
-    def evaluator(self):
-        return self.__call__
-
-    @property
-    def family(self) -> str:
-        return self.base.family
-
-    @property
-    def sigma(self) -> float:
-        return self.base.sigma
-
-    @property
-    def range_hint(self) -> float:
-        return self.base.range_hint / self.N
-
-    @property
-    def breakpoints(self) -> tuple[float, ...]:
-        return tuple(b / self.N for b in self.base.breakpoints)
-
-    def describe(self) -> dict:
-        d = self.base.describe()
-        d["scale_N"] = self.N
-        return d
 
 
 def zero_potential() -> Potential:
@@ -97,8 +79,9 @@ def zero_potential() -> Potential:
         family="zero",
         params={},
         sigma=np.inf,
-        evaluator=lambda r: np.zeros_like(np.asarray(r, dtype=np.float64)),
-        range_hint=1.0,
+        profile=lambda r: np.zeros_like(np.asarray(r, dtype=np.float64)),
+        profile_range=1.0,
+        profile_sup=0.0,
     )
 
 
@@ -118,9 +101,10 @@ def soft_sphere(v0: float, radius: float) -> Potential:
         family="soft-sphere",
         params={"v0": v0, "radius": radius},
         sigma=np.inf,
-        evaluator=ev,
-        range_hint=radius,
-        breakpoints=(radius,),
+        profile=ev,
+        profile_range=radius,
+        profile_sup=v0 * radius**2,
+        profile_breakpoints=(radius,),
     )
 
 
@@ -140,8 +124,9 @@ def gaussian(v0: float, width: float) -> Potential:
         family="gaussian",
         params={"v0": v0, "width": width},
         sigma=np.inf,
-        evaluator=ev,
-        range_hint=6.0 * width,
+        profile=ev,
+        profile_range=6.0 * width,
+        profile_sup=v0 * width**2 / np.e,
     )
 
 
@@ -168,12 +153,15 @@ def tabulated(r_samples, v_samples, sigma: float = np.inf) -> Potential:
             out[inside] = np.maximum(vals, 0.0)
         return out
 
+    # dense scan; x^2 V is bounded on the compact support
+    xx = np.linspace(0.0, r_hi, 20001)
     return Potential(
         family="tabulated",
         params={"r": r_samples.tolist(), "v": v_samples.tolist()},
         sigma=float(sigma),
-        evaluator=ev,
-        range_hint=r_hi,
+        profile=ev,
+        profile_range=r_hi,
+        profile_sup=float(np.max(xx**2 * ev(xx))),
     )
 
 
@@ -191,11 +179,19 @@ def tabulated_from_csv(path, sigma: float = np.inf) -> Potential:
     return tabulated(rs, vs, sigma=sigma)
 
 
-def scale(p: Potential, N: int) -> ScaledPotential:
+def scale(p: Potential, N: int) -> Potential:
     """Short-range rescaling V -> N^2 V(N r)."""
     if int(N) != N or N < 1:
         raise PotentialError("invalid scale: N must be a positive integer")
-    return ScaledPotential(base=p, N=int(N))
+    N = int(N)
+    return replace(p, amplitude=p.amplitude * N**2, rate=p.rate * N)
+
+
+def dilate(p: Potential, alpha: float) -> Potential:
+    """V -> alpha^-3 V(r / alpha): keeps int V while concentrating it at 0."""
+    if not alpha > 0:
+        raise PotentialError("dilation alpha must be positive")
+    return replace(p, amplitude=p.amplitude / alpha**3, rate=p.rate / alpha)
 
 
 @dataclass(frozen=True)
@@ -227,7 +223,8 @@ def _radial_integral(p, weight, quad_opts) -> float:
     def f(r):
         return 4.0 * np.pi * weight(r, float(ev(np.asarray([r]))[0]))
 
-    edges = [0.0, *p.breakpoints, max(4.0 * p.range_hint, 1.0)]
+    # edges follow range_hint, so quad resolves V at every rate s
+    edges = [0.0, *p.breakpoints, 4.0 * p.range_hint]
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         val, _ = quad(f, a, b, **quad_opts)
@@ -236,32 +233,7 @@ def _radial_integral(p, weight, quad_opts) -> float:
     return total + tail
 
 
-def _second_moment_sup(p) -> float:
-    fam = p.family
-    if fam == "zero":
-        return 0.0
-    if fam == "soft-sphere":
-        if isinstance(p, ScaledPotential):
-            v0 = p.base.params["v0"] * p.N**2
-            radius = p.base.params["radius"] / p.N
-        else:
-            v0 = p.params["v0"]
-            radius = p.params["radius"]
-        return v0 * radius**2
-    if fam == "gaussian":
-        if isinstance(p, ScaledPotential):
-            v0 = p.base.params["v0"] * p.N**2
-            width = p.base.params["width"] / p.N
-        else:
-            v0 = p.params["v0"]
-            width = p.params["width"]
-        return v0 * width**2 / np.e
-    # tabulated: dense scan; r^2 V is bounded on the compact support
-    rr = np.linspace(0.0, p.range_hint, 20001)
-    return float(np.max(rr**2 * p.evaluator(rr)))
-
-
-def norms(p: Potential | ScaledPotential) -> PotentialNorms:
+def norms(p: Potential) -> PotentialNorms:
     """Lp norms, moments and the dimensionless size parameter of V.
 
     Entries are adaptive radial quadratures (relative error <= 1e-8);
@@ -277,7 +249,7 @@ def norms(p: Potential | ScaledPotential) -> PotentialNorms:
     l32 = _radial_integral(p, lambda r, v: r**2 * v**1.5, opts)
     first = _radial_integral(p, lambda r, v: r**3 * v, opts)
     hardy = _radial_integral(p, lambda r, v: r * v, opts)
-    sup2 = _second_moment_sup(p)
+    sup2 = p.second_moment_sup
     return PotentialNorms(
         l1=l1,
         l2=float(np.sqrt(l2sq)),
@@ -301,15 +273,7 @@ def unit_l1(p: Potential) -> Potential:
     l1 = norms(p).l1
     if l1 <= 0.0:
         raise PotentialError("cannot normalize a vanishing potential")
-    base_ev = p.evaluator
-    return Potential(
-        family=p.family,
-        params={**p.params, "l1_rescale": 1.0 / l1},
-        sigma=p.sigma,
-        evaluator=lambda r: base_ev(r) / l1,
-        range_hint=p.range_hint,
-        breakpoints=p.breakpoints,
-    )
+    return replace(p, amplitude=p.amplitude / l1)
 
 
 def from_config(spec: dict) -> Potential:

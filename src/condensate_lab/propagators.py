@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .potentials import Potential, ScaledPotential, scale
+from .potentials import Potential, scale
 from .radial import RadialGrid, build_grid
 from .scattering import ScatteringTransform, build_transform, potential_node_samples
 
@@ -87,7 +87,7 @@ def evolve_free(w: RadialWavepacket, t: float) -> RadialWavepacket:
 
 def evolve_interacting(
     w: RadialWavepacket,
-    p: Potential | ScaledPotential,
+    p: Potential,
     t: float,
     dt: float,
     _q_override: np.ndarray | None = None,

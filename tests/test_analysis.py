@@ -151,7 +151,7 @@ def test_vl12_scaled_potential_stays_normalized():
     from scipy.integrate import quad
 
     for alpha in (1.0, 0.25, 0.03125):
-        ev = lambda r: base.evaluator(np.asarray(r) / alpha) / alpha**3
+        ev = pot.dilate(base, alpha)
         val, _ = quad(lambda r: 4 * np.pi * r**2 * float(ev([r])[0]), 0, 40 * alpha, limit=200)
         assert abs(val - 1.0) < 1e-8
 
@@ -248,6 +248,21 @@ def test_theta_monotonicity_exact():
     cfg = an.default_cutoff_config()
     res = an.theta_inequalities(cfg, samples=200, seed=1)
     assert res["monotonicity_ok"]
+
+
+def test_theta_n_monotonicity_compares_independent_evaluations(monkeypatch):
+    cfg = an.default_cutoff_config(n=2)
+    assert an.theta_inequalities(cfg, samples=100, seed=1)["monotonicity_ok"]
+    real = an.theta_eval
+
+    def broken_prev(c, pos):
+        ev = real(c, pos)
+        if c.n == cfg.n - 1:
+            ev.Theta = 0.0  # Theta^(n-1) < Theta^(n): the check must trip
+        return ev
+
+    monkeypatch.setattr(an, "theta_eval", broken_prev)
+    assert not an.theta_inequalities(cfg, samples=100, seed=1)["monotonicity_ok"]
 
 
 def test_theta_single_pair_closed_form_ratio():

@@ -1,7 +1,6 @@
-"""Numba kernels against their pure numpy/scipy fallbacks and exact solutions."""
+"""Radial kernels against exact solutions and invariants."""
 
 import numpy as np
-import pytest
 
 from condensate_lab import _kernels as K
 
@@ -18,42 +17,18 @@ def test_rk4_free_oscillator_matches_sine():
     assert np.max(np.abs(out[:, 0] - exact)) < 1e-10
 
 
-def test_rk4_batch_matches_python_path():
-    rng = np.random.default_rng(0)
-    nsteps = 300
-    h = 0.01
-    q = rng.uniform(0.0, 2.0, 2 * nsteps + 1)
-    k2 = rng.uniform(0.1, 25.0, 8)
-    u0 = np.zeros(8)
-    up0 = np.ones(8)
-    out_a = np.empty((nsteps + 1, 8))
-    K._rk4_radial_py(q, k2, h, u0, up0, out_a)
-    out_b, _, _ = K.rk4_radial_batch(q, k2, h, u0, up0)
-    assert np.max(np.abs(out_a - out_b)) < 1e-12
-
-
 def test_phase_kernel_zero_potential():
     q = np.zeros(201)
     assert K.rk4_phase(q, 2.0, 0.01) == 0.0
 
 
-def test_phase_kernel_matches_python_path():
-    rng = np.random.default_rng(1)
-    q = rng.uniform(0.0, 1.0, 401)
-    a = K._rk4_phase_py(q, 1.3, 0.005, 0.0, 0.0)
-    b = K.rk4_phase(q, 1.3, 0.005)
-    assert abs(a - b) < 1e-13
-
-
-def test_cn_evolve_unitary_and_paths_agree():
+def test_cn_evolve_unitary():
     rng = np.random.default_rng(2)
     m = 400
     h = 0.02
     q = rng.uniform(0.0, 3.0, m)
     u = (rng.normal(size=m) + 1j * rng.normal(size=m)) * np.hanning(m)
-    a = K._cn_evolve_py(u.copy(), q, h, 1e-3, 50)
     b = K.cn_evolve(u.copy(), q, h, 1e-3, 50)
-    assert np.max(np.abs(a - b)) < 1e-10
     assert abs(np.linalg.norm(b) - np.linalg.norm(u)) < 1e-12 * np.linalg.norm(u)
 
 
@@ -61,17 +36,3 @@ def test_cn_zero_steps_identity():
     u = np.arange(5, dtype=complex)
     out = K.cn_evolve(u, np.zeros(5), 0.1, 1e-3, 0)
     assert np.array_equal(out, u)
-
-
-def test_pair_rows_paths_agree():
-    rng = np.random.default_rng(3)
-    pos = rng.normal(size=(12, 3))
-    h_a, rows_a = K._pair_rows_py(pos, 0.4)
-    h_b, rows_b = K.pair_rows(pos, 0.4)
-    assert np.max(np.abs(h_a - h_b)) < 1e-14
-    assert np.max(np.abs(rows_a - rows_b)) < 1e-13
-
-
-@pytest.mark.skipif(not K.HAVE_NUMBA, reason="numba not active")
-def test_numba_enabled_by_default():
-    assert K.HAVE_NUMBA

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from condensate_lab import potentials as pot
 
@@ -112,7 +114,6 @@ def test_decay_hypothesis_flag():
 def test_from_config_round_trip_and_errors():
     spec = {"family": "soft-sphere", "v0": 2.0, "radius": 1.0}
     p = pot.from_config(spec)
-    assert p.describe() == spec | {"params": {"v0": 2.0, "radius": 1.0}} or True
     assert p.params == {"v0": 2.0, "radius": 1.0}
     with pytest.raises(pot.PotentialError, match="unknown potential family"):
         pot.from_config({"family": "lennard-jones"})
@@ -130,3 +131,73 @@ def test_unit_l1_normalization():
         assert unit.breakpoints == p.breakpoints
     with pytest.raises(pot.PotentialError):
         pot.unit_l1(pot.zero_potential())
+
+
+def test_second_moment_sup_after_unit_l1_and_scale():
+    unit = pot.unit_l1(pot.gaussian(3.0, 1.0))
+    assert abs(pot.norms(unit).second_moment_sup - 3.0 / np.e / (3.0 * np.pi**1.5)) < 1e-12
+    ball = pot.scale(pot.unit_l1(pot.soft_sphere(2.0, 1.0)), 3)
+    assert abs(pot.norms(ball).second_moment_sup - 3.0 / (4.0 * np.pi)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Properties of the (amplitude, rate) algebra under every transform
+# ---------------------------------------------------------------------------
+
+_positive = st.floats(0.3, 3.0)
+
+_bases = st.one_of(
+    st.builds(pot.soft_sphere, _positive, _positive),
+    st.builds(pot.gaussian, _positive, _positive),
+    st.builds(
+        lambda v0, r_end: pot.tabulated(
+            np.linspace(0.0, r_end, 9), v0 * (1.0 - np.linspace(0.0, 1.0, 9)) ** 2
+        ),
+        _positive,
+        _positive,
+    ),
+)
+
+_transforms = st.lists(
+    st.one_of(
+        st.integers(1, 6).map(lambda N: lambda p: pot.scale(p, N)),
+        st.just(pot.unit_l1),
+        st.floats(0.1, 2.0).map(lambda a: lambda p: pot.dilate(p, a)),
+    ),
+    max_size=3,
+)
+
+
+@st.composite
+def _composed(draw):
+    p = draw(_bases)
+    for transform in draw(_transforms):
+        p = transform(p)
+    return p
+
+
+def _rel(a, b):
+    return abs(a - b) / abs(b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_composed())
+def test_second_moment_sup_matches_dense_scan(p):
+    r = np.linspace(0.0, p.range_hint, 200001)
+    scan = float(np.max(r**2 * p(r)))
+    assert _rel(pot.norms(p).second_moment_sup, scan) < 1e-3
+
+
+@settings(max_examples=20, deadline=None)
+@given(_composed(), st.integers(2, 8))
+def test_scale_divides_l1_and_keeps_rho(p, N):
+    base, scaled = pot.norms(p), pot.norms(pot.scale(p, N))
+    assert _rel(scaled.l1, base.l1 / N) < 1e-7
+    assert _rel(scaled.rho, base.rho) < 1e-7
+
+
+@settings(max_examples=20, deadline=None)
+@given(_composed(), st.floats(0.01, 4.0))
+@example(pot.scale(pot.gaussian(1.0, 0.3), 36), 0.01)  # range_hint 5e-4
+def test_l1_invariant_along_alpha_ladder(p, alpha):
+    assert _rel(pot.norms(pot.dilate(p, alpha)).l1, pot.norms(p).l1) < 1e-7
