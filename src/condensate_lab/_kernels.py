@@ -4,7 +4,9 @@ Kernels:
   * batched RK4 sweep for the radial equation u'' = (q(r) - k^2) u
   * RK4 sweep for the s-wave phase ODE
   * Crank-Nicolson (implicit midpoint) stepping of i u_t = (-d^2/dr^2 + q) u
-    on a Dirichlet grid, via a pre-factored LAPACK tridiagonal solve
+    on a Dirichlet grid, via a pre-factored LAPACK tridiagonal solve.  The
+    propagators call it only for q != 0; the q = 0 scheme is diagonal in the
+    DST-I basis and is applied there exactly (propagators._cn_steps).
 
 ``python3 perfbench/run.py --workload radial --trace 1`` times each kernel.
 """

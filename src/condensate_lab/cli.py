@@ -143,7 +143,11 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError("inequality-check requires a kind")
     cfg = RunConfig(task=task, seed=seed, potential=potential, params=params)
     if potential is not None:
-        potentials.from_config(potential)  # validate eagerly
+        try:
+            potentials.from_config(potential)  # validate eagerly
+        except (KeyError, TypeError, AttributeError, ValueError, OverflowError, OSError) as exc:
+            # PotentialError is a ValueError; OSError covers a tabulated CSV path
+            raise ConfigError(f"invalid potential: {exc!r}") from exc
     return cfg
 
 
@@ -427,6 +431,7 @@ def _run_two_body(cfg: RunConfig, outdir: Path):
         "h1_norm": curve.h1_norm,
         "monotone": curve.monotone_decreasing(),
         "times": list(times),
+        "boundary_fraction_max": curve.boundary_fraction_max,
     }
     slope_limit = -1.0 / 6.0 + 0.05
     if curve.exact:

@@ -288,6 +288,9 @@ def from_config(spec: dict) -> Potential:
     if fam == "tabulated":
         sigma = float(spec.get("sigma", np.inf))
         if "path" in spec:
+            if not isinstance(spec["path"], str):
+                # open() would take an integer as a file descriptor
+                raise PotentialError("tabulated path must be a string")
             return tabulated_from_csv(spec["path"], sigma=sigma)
         return tabulated(spec["r"], spec["v"], sigma=sigma)
     raise PotentialError(f"unknown potential family: {fam!r}")

@@ -115,7 +115,7 @@ def test_criterion_05_wave_operator_unitarity_covariance(soft_transform):
 
 
 def test_criterion_06_defect_rate():
-    with _Budget(6, "short-range defect rate", 300.0):
+    with _Budget(6, "short-range defect rate", 30.0):
         curve = pr.convergence_experiment(
             pot.gaussian(2.0, 1.0),
             [8, 16, 32, 64, 128, 256],

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from condensate_lab import cli
 
@@ -112,6 +114,25 @@ def test_main_exit_codes(tmp_path):
     assert mismatch == 2
 
 
+@pytest.mark.parametrize(
+    "potential",
+    [
+        {"family": "gaussian", "v0": 2.0},
+        [],
+        {"family": "soft-sphere", "v0": -1.0, "radius": 1.0},
+        {"family": "gaussian", "v0": "2", "width": 1.0},
+        {"family": "tabulated", "path": 0},
+        {"family": "tabulated", "path": "no-such-file.csv"},
+    ],
+)
+def test_malformed_potential_is_config_error(tmp_path, potential):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"task": "scatter", "potential": potential}))
+    with pytest.raises(cli.ConfigError, match="invalid potential"):
+        cli.parse_config(cfg_path.read_text())
+    assert cli.main(["scatter", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+
+
 def test_main_reports_failed_check(tmp_path):
     # a visibly under-resolved evolution: energy drift above threshold
     cfg_path = tmp_path / "drift.json"
@@ -168,3 +189,42 @@ def test_coupling_rules(tmp_path):
     )
     assert abs(g_born - np.pi**1.5) < 1e-8
     assert g < g_born * 8 * np.pi  # sanity: both positive couplings
+
+
+_json = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**400), 10**400)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+_potentials = _json | st.fixed_dictionaries(
+    {"family": st.sampled_from(["zero", "soft-sphere", "gaussian", "tabulated", "other"])},
+    optional={
+        key: _json | st.floats(-2.0, 3.0) | st.lists(st.floats(-1.0, 3.0), max_size=5)
+        for key in ("v0", "radius", "width", "r", "v", "sigma", "path")
+    },
+)
+_documents = st.fixed_dictionaries(
+    {"task": st.sampled_from(cli.TASKS) | _json},
+    optional={
+        "seed": _json,
+        "potential": _potentials,
+        "dt": _json,
+        "tol": _json,
+        "coupling": _json,
+        "kind": _json,
+    },
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_documents | _json)
+def test_parse_config_raises_only_config_error(doc):
+    try:
+        cfg = cli.parse_config(json.dumps(doc))
+    except cli.ConfigError:
+        return
+    assert cfg.task in cli.TASKS

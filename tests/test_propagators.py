@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from condensate_lab import _kernels as K
 from condensate_lab import potentials as pot
 from condensate_lab import propagators as pr
 from condensate_lab import scattering as sc
-from condensate_lab.radial import build_grid
+from condensate_lab.radial import RadialGrid, build_grid
 
 SOFT = pot.soft_sphere(2.0, 1.0)
 GAUSS = pot.gaussian(2.0, 1.0)
@@ -97,6 +100,28 @@ def test_boundary_contamination_warning_tier(grid):
         pr.evolve_free(w, 0.1)
 
 
+def test_zero_potential_takes_exact_free_scheme(packet, monkeypatch):
+    def no_cn(*args):
+        raise AssertionError("cn_evolve called for V = 0")
+
+    monkeypatch.setattr(K, "cn_evolve", no_cn)
+    out = pr.evolve_interacting(packet, pot.zero_potential(), 0.5, 1e-3)
+    assert abs(out.mass() - packet.mass()) < 1e-12
+
+
+def test_convergence_experiment_reports_boundary_fraction():
+    curve = pr.convergence_experiment(GAUSS, [4, 8, 16, 32], times=(0.5, 0.25), dt=2e-3)
+    assert 0.0 < curve.boundary_fraction_max < 1e-4
+    assert curve.t == (0.5, 0.25)
+
+
+def test_convergence_experiment_rejects_bad_times():
+    with pytest.raises(ValueError, match="nonnegative"):
+        pr.convergence_experiment(GAUSS, [4, 8, 16, 32], times=(-0.5, 0.25), dt=2e-3)
+    with pytest.raises(ValueError, match="at least one sample time"):
+        pr.convergence_experiment(GAUSS, [4, 8, 16, 32], times=(), dt=2e-3)
+
+
 def test_defect_zero_potential_and_zero_time(packet):
     assert pr.wave_operator_defect(packet, pot.zero_potential(), 8, 0.5) == 0.0
     assert pr.wave_operator_defect(packet, SOFT, 8, 0.0, dt=1e-3) == 0.0
@@ -124,9 +149,10 @@ def test_convergence_experiment_gaussian_slope():
 
 def test_convergence_experiment_exact_for_zero_potential():
     curve = pr.convergence_experiment(
-        pot.zero_potential(), [8, 16, 32, 64], times=(0.25,), dt=2e-3
+        pot.zero_potential(), [8, 16, 32, 64], times=(0.5, 0.25), dt=2e-3
     )
     assert curve.exact
+    assert curve.defects == [0.0] * 4
     assert curve.fitted_slope is None
 
 
@@ -213,3 +239,58 @@ def test_second_moment_requires_n_two(n2_transform):
     g = pr.gaussian_packet(n2_transform.grid, sigma=1.0)
     with pytest.raises(ValueError, match="N = 2"):
         pr.second_moment_check(chi, g, SOFT, N=3, transform=n2_transform)
+
+
+# ---------------------------------------------------------------------------
+# Properties of the radial propagators on small random grids
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _states(draw, max_m=400):
+    m = draw(st.integers(3, max_m))  # scipy's zgttrf wrapper needs m >= 3
+    h = draw(st.floats(0.005, 0.2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = np.zeros(m + 2, dtype=np.complex128)
+    u[1:-1] = rng.normal(size=m) + 1j * rng.normal(size=m)
+    # dst, idst and norm_flat need no Simpson weights
+    return RadialGrid(r=h * np.arange(m + 2), h=h), u, rng
+
+
+@settings(max_examples=50, deadline=None)
+@given(_states(max_m=600))
+def test_dst_round_trip(state):
+    grid, u, _ = state
+    assert np.max(np.abs(grid.idst(grid.dst(u)) - u)) <= 1e-13 * np.max(np.abs(u))
+    assert np.max(np.abs(grid.idst(grid.dst(u.real)) - u.real)) <= 1e-13 * np.max(np.abs(u))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_states(), st.floats(1e-4, 0.1), st.integers(0, 200))
+def test_exact_free_scheme_matches_cn_kernel(state, dt, nsteps):
+    grid, u, _ = state
+    u /= np.linalg.norm(u)
+    exact = pr._cn_steps(pr.RadialWavepacket(grid, u), np.zeros(grid.n), nsteps, dt).u
+    stepped = K.cn_evolve(u[1:-1], np.zeros(grid.n - 2), grid.h, dt, nsteps)
+    assert np.max(np.abs(exact[1:-1] - stepped)) <= 1e-12
+    assert exact[0] == exact[-1] == 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(_states(), st.floats(1e-4, 0.1), st.floats(0.0, 1e3), st.integers(1, 100))
+def test_cn_kernel_conserves_flat_norm(state, dt, qmax, nsteps):
+    grid, u, rng = state
+    q = rng.uniform(0.0, qmax, grid.n - 2)
+    out = np.zeros_like(u)
+    out[1:-1] = K.cn_evolve(u[1:-1], q, grid.h, dt, nsteps)
+    before = grid.norm_flat(u)
+    assert abs(grid.norm_flat(out) - before) <= 1e-13 * nsteps * before
+
+
+@settings(max_examples=40, deadline=None)
+@given(_states(), st.floats(1e-4, 0.1), st.integers(0, 60), st.integers(0, 60))
+def test_cn_kernel_segments_equal_one_call(state, dt, n1, n2):
+    grid, u, rng = state
+    q = rng.uniform(0.0, 10.0, grid.n - 2)
+    first = K.cn_evolve(u[1:-1], q, grid.h, dt, n1)
+    assert np.array_equal(K.cn_evolve(first, q, grid.h, dt, n2), K.cn_evolve(u[1:-1], q, grid.h, dt, n1 + n2))
