@@ -96,6 +96,9 @@ def cn_evolve(u_interior, q_interior, h, dt, nsteps):
     """Advance interior Dirichlet values by nsteps Crank-Nicolson steps."""
     q = np.ascontiguousarray(q_interior, dtype=np.float64)
     u = np.array(u_interior, dtype=np.complex128)
+    if u.shape[0] < 3:
+        # LAPACK's tridiagonal factorization wrapper rejects shorter systems
+        raise ValueError(f"Crank-Nicolson needs at least 3 interior points, got {u.shape[0]}")
     if nsteps == 0:
         return u
     m = u.shape[0]

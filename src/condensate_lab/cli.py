@@ -484,68 +484,39 @@ def _run_second_moment(cfg: RunConfig, outdir: Path):
     return results, checks
 
 
-def _hierarchy_trajectory(level, coupling, params):
-    dim = int(params.get("dim", 1))
-    if dim not in (1, 2):
-        raise ConfigError("hierarchy-check supports dim 1 or 2 (kernel storage)")
-    M0 = int(params.get("grid", 64 if dim == 1 else 20))
-    L = float(params.get("box", 2.0 * np.pi))
-    ds0 = float(params.get("snapshot_dt", 0.05))
-    t_final = float(params.get("t_final", 0.5))
-    amp_cos = float(params.get("amp_cos", 0.4))
-    amp_sin = float(params.get("amp_sin", 0.3))
-    M = M0 * 2**level
-    x = (np.arange(M) - M // 2) * (L / M)
-    if dim == 1:
-        phi0 = 1.0 + amp_cos * np.cos(2 * np.pi * x / L) + amp_sin * np.sin(4 * np.pi * x / L)
-        f = gp.Field(phi0.astype(complex), (L,))
-    else:
-        X, Y = np.meshgrid(x, x, indexing="ij")
-        phi0 = (
-            1.0
-            + amp_cos * np.cos(2 * np.pi * X / L)
-            + amp_sin * np.sin(2 * np.pi * Y / L)
-        )
-        f = gp.Field(phi0.astype(complex), (L, L))
-    f.normalize()
-    ds = ds0 / 2**level
-    k2max = float(np.max(f.k_squared()))
-    dt = ds / 10.0
-    nsub = int(np.ceil(dt * k2max / (0.8 * np.pi)))
-    dt /= max(1, nsub)
-    dt = ds / int(round(ds / dt))
-    gcfg = gp.GPConfig(coupling=coupling, dt=dt)
-    traj = [f]
-    cur = f
-    for _ in range(int(round(t_final / ds))):
-        cur = gp.gp_evolve(cur, gcfg, ds)
-        traj.append(cur)
-    return traj
-
-
 def _run_hierarchy(cfg: RunConfig, outdir: Path):
     params = cfg.params
     results: dict = {}
     coupling = _resolve_coupling(params.get("coupling", 1.0), results)
     levels = int(params.get("levels", 3))
+    dim = int(params.get("dim", 1))
+    shape = {
+        "dim": dim,
+        "grid": int(params.get("grid", 64 if dim == 1 else 20)),
+        "box": float(params.get("box", 2.0 * np.pi)),
+        "snapshot_dt": float(params.get("snapshot_dt", 0.05)),
+        "t_final": float(params.get("t_final", 0.5)),
+        "amp_cos": float(params.get("amp_cos", 0.4)),
+        "amp_sin": float(params.get("amp_sin", 0.3)),
+    }
+    hierarchy.check_kernel_memory((shape["grid"] * 2 ** (levels - 1)) ** dim)
     study = hierarchy.refinement_study(
-        lambda lvl: _hierarchy_trajectory(lvl, coupling, params),
+        lambda lvl: hierarchy.build_trajectory(lvl, coupling=coupling, **shape),
         levels=levels,
         coupling=coupling,
     )
-    finest = _hierarchy_trajectory(levels - 1, coupling, params)
-    res_fine = hierarchy.hierarchy_residual(finest, coupling)
+    res_fine = study["finest_residual"]
     wrong_factor = float(params.get("wrong_factor", 2.0))
-    res_wrong = hierarchy.hierarchy_residual(finest, wrong_factor * coupling)
+    res_wrong = hierarchy.hierarchy_residual(study["finest_trajectory"], wrong_factor * coupling)
     ratio = res_wrong.max_differential() / res_fine.max_differential()
 
-    zero_traj = _hierarchy_trajectory(0, 0.0, params)
-    zero_resid = hierarchy.integral_form_residual(zero_traj, 0.0)
+    zero_traj = hierarchy.build_trajectory(0, coupling=0.0, **shape)
+    zero_resid = hierarchy.integral_form_residual(zero_traj, 0.0)[-1]
 
     results.update(
         {
             "coupling": coupling,
-            "dim": int(params.get("dim", 1)),
+            "dim": dim,
             "differential_residuals": study["differential"],
             "integral_residuals": study["integral"],
             "slope_differential": study["slope_differential"],

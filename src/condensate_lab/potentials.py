@@ -92,6 +92,8 @@ def soft_sphere(v0: float, radius: float) -> Potential:
         raise PotentialError("radius must be positive")
     v0 = float(v0)
     radius = float(radius)
+    if not (np.isfinite(v0) and np.isfinite(radius)):  # NaN passes the sign tests
+        raise PotentialError("soft-sphere parameters must be finite")
 
     def ev(r):
         r = np.asarray(r, dtype=np.float64)
@@ -115,6 +117,8 @@ def gaussian(v0: float, width: float) -> Potential:
         raise PotentialError("width must be positive")
     v0 = float(v0)
     width = float(width)
+    if not (np.isfinite(v0) and np.isfinite(width)):  # NaN passes the sign tests
+        raise PotentialError("gaussian parameters must be finite")
 
     def ev(r):
         r = np.asarray(r, dtype=np.float64)
@@ -135,6 +139,10 @@ def tabulated(r_samples, v_samples, sigma: float = np.inf) -> Potential:
     v_samples = np.asarray(v_samples, dtype=np.float64)
     if r_samples.ndim != 1 or r_samples.shape != v_samples.shape:
         raise PotentialError("tabulated data must be two matching 1-d columns")
+    if not (np.all(np.isfinite(r_samples)) and np.all(np.isfinite(v_samples))):
+        raise PotentialError("tabulated samples must be finite")
+    if np.isnan(sigma):
+        raise PotentialError("sigma must not be NaN")
     if not np.all(np.diff(r_samples) > 0):
         raise PotentialError("tabulated radii must be strictly ascending")
     if np.any(v_samples < 0):

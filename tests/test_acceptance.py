@@ -244,34 +244,15 @@ def test_criterion_09_ground_states():
             assert all(b <= a for a, b in zip(es[:-1], es[1:])), "descent not monotone"
 
 
-def _hierarchy_trajectory(level, g):
-    M = 64 * 2**level
-    x = (np.arange(M) - M // 2) * (TWO_PI / M)
-    f = gp.Field((1.0 + 0.4 * np.cos(x) + 0.3 * np.sin(2 * x)).astype(complex), (TWO_PI,))
-    f.normalize()
-    ds = 0.05 / 2**level
-    dt = ds / 10.0
-    dt /= max(1, int(np.ceil(dt * float(np.max(f.k_squared())) / (0.8 * np.pi))))
-    dt = ds / int(round(ds / dt))
-    cfg = gp.GPConfig(coupling=g, dt=dt)
-    traj = [f]
-    cur = f
-    for _ in range(int(round(0.5 / ds))):
-        cur = gp.gp_evolve(cur, cfg, ds)
-        traj.append(cur)
-    return traj
-
-
 def test_criterion_10_hierarchy_residuals():
-    with _Budget(10, "coupled-equation residuals", 120.0):
-        study = hr.refinement_study(lambda l: _hierarchy_trajectory(l, 1.0), levels=3, coupling=1.0)
+    with _Budget(10, "coupled-equation residuals", 30.0):
+        study = hr.refinement_study(lambda l: hr.build_trajectory(l, coupling=1.0), levels=3, coupling=1.0)
         assert study["slope_differential"] >= 2.0, study
         assert study["slope_integral"] >= 2.0, study
-        finest = _hierarchy_trajectory(2, 1.0)
-        matched = hr.hierarchy_residual(finest, 1.0).max_differential()
-        wrong = hr.hierarchy_residual(finest, 2.0).max_differential()
+        matched = study["finest_residual"].max_differential()
+        wrong = hr.hierarchy_residual(study["finest_trajectory"], 2.0).max_differential()
         assert wrong >= 10.0 * matched, f"ratio {wrong / matched:.1f}"
-        zero = hr.integral_form_residual(_hierarchy_trajectory(0, 0.0), 0.0)
+        zero = max(hr.integral_form_residual(hr.build_trajectory(0, coupling=0.0), 0.0))
         assert zero <= 1e-8, f"zero-coupling residual {zero:.2e}"
 
 

@@ -1,6 +1,7 @@
 """Config parsing, the task runner, report schema and determinism."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from condensate_lab import cli
+from condensate_lab import potentials as pot
 
 SOFT_A0 = 1.0 - np.tanh(1.0)
 
@@ -123,6 +125,10 @@ def test_main_exit_codes(tmp_path):
         {"family": "gaussian", "v0": "2", "width": 1.0},
         {"family": "tabulated", "path": 0},
         {"family": "tabulated", "path": "no-such-file.csv"},
+        {"family": "gaussian", "v0": float("nan"), "width": 1.0},
+        {"family": "soft-sphere", "v0": 2.0, "radius": float("inf")},
+        {"family": "tabulated", "r": [0.5, float("inf")], "v": [1.0, 0.0]},
+        {"family": "tabulated", "r": [0.5, 1.0], "v": [1.0, 0.0], "sigma": float("nan")},
     ],
 )
 def test_malformed_potential_is_config_error(tmp_path, potential):
@@ -131,6 +137,18 @@ def test_malformed_potential_is_config_error(tmp_path, potential):
     with pytest.raises(cli.ConfigError, match="invalid potential"):
         cli.parse_config(cfg_path.read_text())
     assert cli.main(["scatter", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_hierarchy_refuses_kernels_beyond_physical_memory(tmp_path):
+    # finest level 1600^2 grid points: dense kernels far beyond any machine
+    cfg = cli.parse_config(json.dumps({"task": "hierarchy-check", "dim": 2, "grid": 400}))
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match=r"need about [0-9.e+]+ GB .* physical memory is [0-9.e+]+ GB"):
+        cli.run(cfg, tmp_path / "o")
+    assert time.perf_counter() - start < 1.0
+    cfg_path = tmp_path / "big.json"
+    cfg_path.write_text(cli.serialize_config(cfg))
+    assert cli.main(["hierarchy-check", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
 
 
 def test_main_reports_failed_check(tmp_path):
@@ -203,7 +221,10 @@ _json = st.recursive(
 _potentials = _json | st.fixed_dictionaries(
     {"family": st.sampled_from(["zero", "soft-sphere", "gaussian", "tabulated", "other"])},
     optional={
-        key: _json | st.floats(-2.0, 3.0) | st.lists(st.floats(-1.0, 3.0), max_size=5)
+        key: _json
+        | st.floats(-2.0, 3.0)
+        | st.sampled_from([float("nan"), float("inf"), -float("inf")])
+        | st.lists(st.floats(-1.0, 3.0) | st.floats(allow_nan=True, allow_infinity=True), max_size=5)
         for key in ("v0", "radius", "width", "r", "v", "sigma", "path")
     },
 )
@@ -228,3 +249,7 @@ def test_parse_config_raises_only_config_error(doc):
     except cli.ConfigError:
         return
     assert cfg.task in cli.TASKS
+    if cfg.potential is not None:
+        p = pot.from_config(cfg.potential)
+        assert all(np.all(np.isfinite(v)) for v in p.params.values())
+        assert not np.isnan(p.sigma)

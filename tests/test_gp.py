@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from condensate_lab import gp
 
@@ -168,3 +170,22 @@ def test_field_mass_and_tail():
     f.normalize()
     assert abs(f.mass() - 1.0) < 1e-12
     assert f.spectral_tail_fraction() < 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([128, 256]),
+    st.floats(0.0, 10.0),
+    st.booleans(),
+    st.floats(1.5, 2.5),
+    st.floats(-3.0, 3.0),
+    st.floats(-1.0, 1.0),
+    st.integers(1, 40),
+)
+def test_gp_evolve_conserves_mass(M, g, trapped, width, center, kick, nsteps):
+    # a localized packet, negligible at the box edges where the trap phase kinks
+    f = make_1d(M, 20.0, lambda x: np.exp(-(((x - center) / width) ** 2) + 1j * kick * x))
+    f.normalize()
+    cfg = gp.GPConfig(coupling=g, trap=gp.harmonic_trap if trapped else None, dt=1e-3)
+    out = gp.gp_evolve(f, cfg, nsteps * cfg.dt)
+    assert abs(out.mass() - 1.0) <= 1e-12

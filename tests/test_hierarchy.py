@@ -16,25 +16,6 @@ def normalized_field(M=64, fn=None):
     return f.normalize()
 
 
-def make_trajectory(level=0, g=1.0, ds0=0.05, t_final=0.5, M0=64):
-    M = M0 * 2**level
-    x = (np.arange(M) - M // 2) * (TWO_PI / M)
-    f = gp.Field((1.0 + 0.4 * np.cos(x) + 0.3 * np.sin(2 * x)).astype(complex), (TWO_PI,))
-    f.normalize()
-    ds = ds0 / 2**level
-    k2max = float(np.max(f.k_squared()))
-    dt = ds / 10.0
-    dt /= max(1, int(np.ceil(dt * k2max / (0.8 * np.pi))))
-    dt = ds / int(round(ds / dt))
-    cfg = gp.GPConfig(coupling=g, dt=dt)
-    traj = [f]
-    cur = f
-    for _ in range(int(round(t_final / ds))):
-        cur = gp.gp_evolve(cur, cfg, ds)
-        traj.append(cur)
-    return traj
-
-
 def test_factorized_marginal_properties():
     rng = np.random.default_rng(0)
     f = normalized_field(fn=lambda x: rng.normal(size=x.size) + 1j * rng.normal(size=x.size))
@@ -88,13 +69,13 @@ def test_stationary_phase_trajectory_has_tiny_residual():
 
 
 def test_refinement_slopes_at_least_two():
-    study = hr.refinement_study(lambda l: make_trajectory(l), levels=3, coupling=1.0)
+    study = hr.refinement_study(lambda l: hr.build_trajectory(l, coupling=1.0), levels=3, coupling=1.0)
     assert study["slope_differential"] >= 2.0
     assert study["slope_integral"] >= 2.0
 
 
 def test_wrong_coupling_residual_dominates():
-    traj = make_trajectory(level=2)
+    traj = hr.build_trajectory(2, coupling=1.0)
     matched = hr.hierarchy_residual(traj, 1.0)
     wrong = hr.hierarchy_residual(traj, 2.0)
     zero = hr.hierarchy_residual(traj, 0.0)
@@ -107,13 +88,13 @@ def test_wrong_coupling_residual_dominates():
 
 
 def test_zero_coupling_integral_form_exact():
-    traj = make_trajectory(level=0, g=0.0)
-    assert hr.integral_form_residual(traj, 0.0) < 1e-8
+    traj = hr.build_trajectory(0, coupling=0.0)
+    assert max(hr.integral_form_residual(traj, 0.0)) < 1e-8
 
 
 def test_integral_form_zero_time():
     f = normalized_field(fn=lambda x: 1.0 + 0.3 * np.cos(x))
-    assert hr.integral_form_residual([f], 1.0) == 0.0
+    assert hr.integral_form_residual([f], 1.0) == [0.0]
 
 
 def test_inconsistent_grids_rejected():
@@ -131,6 +112,54 @@ def test_inconsistent_grids_rejected():
 
 
 def test_needs_five_snapshots():
-    traj = make_trajectory(level=0)[:4]
+    traj = hr.build_trajectory(0, coupling=1.0)[:4]
     with pytest.raises(ValueError, match="at least 5"):
         hr.hierarchy_residual(traj, 1.0)
+
+
+def _dense_propagator(f, t):
+    """U(t) = exp(i Lap t) on the grid as a dense matrix."""
+    M = f.shape[0]
+    symbol = np.exp(-1j * f.k_squared() * t)
+    return np.fft.ifft(symbol[:, None] * np.fft.fft(np.eye(M), axis=0), axis=0)
+
+
+def test_integral_sweep_matches_dense_schrodinger_picture():
+    g = 1.0
+    traj = hr.build_trajectory(0, coupling=g, grid=32)
+    sweep = hr.integral_form_residual(traj, g)
+    assert len(sweep) == len(traj)
+    ds = traj[1].time - traj[0].time
+    gamma0 = hr.factorized_marginal(traj[0]).kernel
+
+    def evolve(kernel, lag):
+        U = _dense_propagator(traj[0], lag)
+        return U @ kernel @ U.conj().T
+
+    for n in (1, 2, 5, len(traj) - 1):
+        t = traj[n].time
+        duhamel = sum(
+            (0.5 if m in (0, n) else 1.0) * ds * evolve(hr.delta_trace_term(traj[m]).kernel, t - traj[m].time)
+            for m in range(n + 1)
+        )
+        resid = hr.factorized_marginal(traj[n]).kernel - (evolve(gamma0, t) - 1j * g * duhamel)
+        dense = float(np.linalg.norm(resid) * traj[0].dvol)
+        assert abs(sweep[n] - dense) <= 1e-10 * dense, (n, sweep[n], dense)
+
+
+def test_integral_form_requires_uniform_spacing():
+    traj = hr.build_trajectory(0, coupling=1.0)[:5]
+    traj[3] = traj[3].copy()
+    traj[3].time += 0.01
+    with pytest.raises(ValueError, match="uniformly spaced"):
+        hr.integral_form_residual(traj, 1.0)
+
+
+def test_build_trajectory_refines_grid_and_spacing_together():
+    coarse = hr.build_trajectory(0, coupling=1.0, dim=2, grid=8, t_final=0.1)
+    fine = hr.build_trajectory(1, coupling=1.0, dim=2, grid=8, t_final=0.1)
+    assert coarse[0].shape == (8, 8) and fine[0].shape == (16, 16)
+    assert len(coarse) == 3 and len(fine) == 5
+    assert abs(fine[-1].time - 0.1) < 1e-12
+    with pytest.raises(ValueError, match="dim 1 or 2"):
+        hr.build_trajectory(0, coupling=1.0, dim=3)

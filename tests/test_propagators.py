@@ -248,7 +248,7 @@ def test_second_moment_requires_n_two(n2_transform):
 
 @st.composite
 def _states(draw, max_m=400):
-    m = draw(st.integers(3, max_m))  # scipy's zgttrf wrapper needs m >= 3
+    m = draw(st.integers(1, max_m))
     h = draw(st.floats(0.005, 0.2))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     u = np.zeros(m + 2, dtype=np.complex128)
@@ -265,12 +265,24 @@ def test_dst_round_trip(state):
     assert np.max(np.abs(grid.idst(grid.dst(u.real)) - u.real)) <= 1e-13 * np.max(np.abs(u))
 
 
+def _cn_refuses_short(u_interior, q_interior, h, dt, nsteps) -> bool:
+    """For fewer than 3 interior points, cn_evolve must refuse and name the count."""
+    m = u_interior.shape[0]
+    if m >= 3:
+        return False
+    with pytest.raises(ValueError, match=f"at least 3 interior points, got {m}"):
+        K.cn_evolve(u_interior, q_interior, h, dt, nsteps)
+    return True
+
+
 @settings(max_examples=40, deadline=None)
 @given(_states(), st.floats(1e-4, 0.1), st.integers(0, 200))
 def test_exact_free_scheme_matches_cn_kernel(state, dt, nsteps):
     grid, u, _ = state
     u /= np.linalg.norm(u)
     exact = pr._cn_steps(pr.RadialWavepacket(grid, u), np.zeros(grid.n), nsteps, dt).u
+    if _cn_refuses_short(u[1:-1], np.zeros(grid.n - 2), grid.h, dt, nsteps):
+        return
     stepped = K.cn_evolve(u[1:-1], np.zeros(grid.n - 2), grid.h, dt, nsteps)
     assert np.max(np.abs(exact[1:-1] - stepped)) <= 1e-12
     assert exact[0] == exact[-1] == 0.0
@@ -281,6 +293,8 @@ def test_exact_free_scheme_matches_cn_kernel(state, dt, nsteps):
 def test_cn_kernel_conserves_flat_norm(state, dt, qmax, nsteps):
     grid, u, rng = state
     q = rng.uniform(0.0, qmax, grid.n - 2)
+    if _cn_refuses_short(u[1:-1], q, grid.h, dt, nsteps):
+        return
     out = np.zeros_like(u)
     out[1:-1] = K.cn_evolve(u[1:-1], q, grid.h, dt, nsteps)
     before = grid.norm_flat(u)
@@ -292,5 +306,7 @@ def test_cn_kernel_conserves_flat_norm(state, dt, qmax, nsteps):
 def test_cn_kernel_segments_equal_one_call(state, dt, n1, n2):
     grid, u, rng = state
     q = rng.uniform(0.0, 10.0, grid.n - 2)
+    if _cn_refuses_short(u[1:-1], q, grid.h, dt, n1):
+        return
     first = K.cn_evolve(u[1:-1], q, grid.h, dt, n1)
     assert np.array_equal(K.cn_evolve(first, q, grid.h, dt, n2), K.cn_evolve(u[1:-1], q, grid.h, dt, n1 + n2))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from condensate_lab import potentials as pot
 from condensate_lab import scattering as sc
@@ -94,6 +96,19 @@ def test_scaling_law_three_values(soft, soft_solution):
     for N in (1, 10, 100):
         solN = sc.solve_zero_energy(pot.scale(soft, N))
         assert abs(solN.a0_int * N - a0) < 1e-8 * a0
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    st.sampled_from([pot.soft_sphere, pot.gaussian]),
+    st.floats(0.05, 5.0),
+    st.floats(0.3, 3.0),
+    st.integers(2, 200),
+)
+def test_scaled_asymptotic_length_is_a0_over_n(family, v0, size, N):
+    p = family(v0, size)
+    a0 = sc.solve_zero_energy(p).a0_asym
+    assert abs(sc.solve_zero_energy(pot.scale(p, N)).a0_asym - a0 / N) <= 1e-8 * a0 / N
 
 
 def test_zero_energy_state_integral_identity(soft, soft_solution):
