@@ -111,6 +111,83 @@ _TASK_REQUIRED = {
 }
 
 
+def _integer(key: str, value, least: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ConfigError(f"{key} must be an integer >= {least}, got {value!r}")
+    return value
+
+
+def _choice(key: str, value, options: tuple[int, ...]) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value not in options:
+        raise ConfigError(f"{key} must be one of {options}, got {value!r}")
+    return value
+
+
+def _finite(key: str, value) -> float:
+    # the bound refuses inf, NaN and integers beyond float range
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) < sys.float_info.max:
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _positive(key: str, value) -> float:
+    if _finite(key, value) <= 0:
+        raise ConfigError(f"{key} must be positive, got {value!r}")
+    return float(value)
+
+
+def _per_axis(key: str, value, dim: int, read) -> tuple:
+    """One entry per axis: a list of dim entries, or one entry for every axis."""
+    entries = value if isinstance(value, list) else [value] * dim
+    if len(entries) != dim:
+        raise ConfigError(f"{key} needs {dim} entries (one per axis), got {len(entries)}")
+    return tuple(read(key, v) for v in entries)
+
+
+def _gp_grid(params: dict) -> tuple[int, tuple[int, ...], tuple[float, ...]]:
+    """dim, grid shape and box of an evolve or groundstate config."""
+    dim = _choice("dim", params.get("dim", 1), (1, 2, 3))
+    M = params.get("grid", {1: 256, 2: 128, 3: 64}[dim])
+    shape = _per_axis("grid", M, dim, lambda key, v: _integer(key, v, 2))
+    box = _per_axis("box", params.get("box", 2.0 * np.pi), dim, _positive)
+    return dim, shape, box
+
+
+def _evolve_times(params: dict) -> tuple[float, int]:
+    """t_final and the number of snapshots of an evolve config."""
+    return (
+        _positive("t_final", params.get("t_final", 1.0)),
+        _integer("snapshots", params.get("snapshots", 10), 1),
+    )
+
+
+def _hierarchy_ladder(params: dict) -> tuple[int, dict]:
+    """Refinement levels and the build_trajectory keywords of a hierarchy-check config."""
+    dim = _choice("dim", params.get("dim", 1), (1, 2))
+    levels = _integer("levels", params.get("levels", 3), 2)
+    shape = {
+        "dim": dim,
+        "grid": _integer("grid", params.get("grid", 64 if dim == 1 else 20), 2),
+        "box": _positive("box", params.get("box", 2.0 * np.pi)),
+        "snapshot_dt": _positive("snapshot_dt", params.get("snapshot_dt", 0.05)),
+        "t_final": _positive("t_final", params.get("t_final", 0.5)),
+        "amp_cos": _finite("amp_cos", params.get("amp_cos", 0.4)),
+        "amp_sin": _finite("amp_sin", params.get("amp_sin", 0.3)),
+    }
+    # the five-point stencil needs 5 snapshots on the coarsest level
+    if shape["t_final"] / shape["snapshot_dt"] < 3.5:
+        raise ConfigError("t_final must be at least 4 snapshot_dt (5 snapshots)")
+    return levels, shape
+
+
+# grid-shape readers, run by parse_config so a malformed shape is a ConfigError
+_GRID_READERS = {
+    "evolve": (_gp_grid, _evolve_times),
+    "groundstate": (_gp_grid,),
+    "hierarchy-check": (_hierarchy_ladder,),
+}
+
+
 def parse_config(text: str) -> RunConfig:
     """Validate a JSON config document into a RunConfig."""
     try:
@@ -134,6 +211,8 @@ def parse_config(text: str) -> RunConfig:
             isinstance(params[tol_key], (int, float)) and params[tol_key] > 0
         ):
             raise ConfigError(f"{tol_key} must be positive")
+    for read in _GRID_READERS.get(task, ()):
+        read(params)
     for req in _TASK_REQUIRED[task]:
         if req == "potential" and potential is None:
             raise ConfigError(f"task {task} requires a potential")
@@ -276,11 +355,7 @@ def _field_from_init(dim, shape, box, init) -> gp.Field:
 
 def _gp_setup(cfg: RunConfig, results: dict):
     params = cfg.params
-    dim = int(params.get("dim", 1))
-    M = params.get("grid", {1: 256, 2: 128, 3: 64}.get(dim, 64))
-    shape = tuple(M) if isinstance(M, list) else (int(M),) * dim
-    L = params.get("box", 2.0 * np.pi)
-    box = tuple(L) if isinstance(L, list) else (float(L),) * dim
+    dim, shape, box = _gp_grid(params)
     coupling = _resolve_coupling(params.get("coupling", 0.0), results)
     trap = gp.harmonic_trap if params.get("trap") == "harmonic" else None
     return dim, shape, box, coupling, trap
@@ -297,8 +372,7 @@ def _run_evolve(cfg: RunConfig, outdir: Path):
     params = cfg.params
     results: dict = {}
     dim, shape, box, coupling, trap = _gp_setup(cfg, results)
-    t_final = float(params.get("t_final", 1.0))
-    n_snap = int(params.get("snapshots", 10))
+    t_final, n_snap = _evolve_times(params)
     init = params.get("initial", {"type": "gaussian", "width": 1.0})
     f = _field_from_init(dim, shape, box, init)
     dt = _default_dt(params, f)
@@ -488,17 +562,8 @@ def _run_hierarchy(cfg: RunConfig, outdir: Path):
     params = cfg.params
     results: dict = {}
     coupling = _resolve_coupling(params.get("coupling", 1.0), results)
-    levels = int(params.get("levels", 3))
-    dim = int(params.get("dim", 1))
-    shape = {
-        "dim": dim,
-        "grid": int(params.get("grid", 64 if dim == 1 else 20)),
-        "box": float(params.get("box", 2.0 * np.pi)),
-        "snapshot_dt": float(params.get("snapshot_dt", 0.05)),
-        "t_final": float(params.get("t_final", 0.5)),
-        "amp_cos": float(params.get("amp_cos", 0.4)),
-        "amp_sin": float(params.get("amp_sin", 0.3)),
-    }
+    levels, shape = _hierarchy_ladder(params)
+    dim = shape["dim"]
     hierarchy.check_kernel_memory((shape["grid"] * 2 ** (levels - 1)) ** dim)
     study = hierarchy.refinement_study(
         lambda lvl: hierarchy.build_trajectory(lvl, coupling=coupling, **shape),

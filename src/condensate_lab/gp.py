@@ -6,10 +6,23 @@ step).  Ground states come from the normalized imaginary-time flow with a
 backtracking step size, which makes the energy descent monotone by
 construction.  The coupling g is an explicit parameter; 8 pi a0 from the
 scattering module is one natural choice, the bare integral of V another.
+
+The grid operators of a run form one plan: k^2, the trap values, the
+top-octave mask of the spectral guard and the kinetic factor
+exp(-i k^2 dt).  A GPConfig builds the plan the first time it meets a
+(shape, box) and keeps it, so every gp_evolve, gp_energy and
+gp_ground_state call with that config reads the same arrays.  The phase
+step keeps |phi| pointwise, so gp_evolve merges the trailing phase half
+step of one Strang step with the leading half step of the next into one
+full step; the half steps stay split only where the guard probes the state
+(every max(1, nsteps // 8) steps) and at the end of a call.  The
+imaginary-time flow has real operators, so real initial data stay real:
+the plan then transforms them with rfftn/irfftn on the half spectrum.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -17,16 +30,48 @@ import numpy as np
 import scipy.fft
 
 
+def _sum_of_squares(axes: list[np.ndarray]) -> np.ndarray:
+    """sum_j k_j^2 on the grid spanned by the 1-d frequency axes."""
+    out = np.zeros([k.size for k in axes])
+    for axis, k in enumerate(axes):
+        shape = [1] * len(axes)
+        shape[axis] = -1
+        out = out + (k**2).reshape(shape)
+    return out
+
+
+def _top_octave(axes: list[np.ndarray]) -> np.ndarray:
+    """Mask of the modes above half-Nyquist on any axis."""
+    mask = np.zeros([k.size for k in axes], dtype=bool)
+    for axis, k in enumerate(axes):
+        shape = [1] * len(axes)
+        shape[axis] = -1
+        mask |= (np.abs(k) >= 0.5 * np.max(np.abs(k))).reshape(shape)
+    return mask
+
+
+def _tail_fraction(values: np.ndarray, top: np.ndarray) -> float:
+    power = np.abs(scipy.fft.fftn(values)) ** 2
+    return float(np.sum(power[top]) / np.sum(power))
+
+
 @dataclass
 class Field:
-    """Complex periodic grid function phi on a centered box."""
+    """Periodic grid function phi on a centered box.
+
+    Values are complex128, or float64 when given real data (the
+    imaginary-time flow keeps real data real).
+    """
 
     values: np.ndarray
     box: tuple[float, ...]
     time: float = 0.0
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.complex128)
+        values = np.asarray(self.values)
+        self.values = values.astype(
+            np.float64 if np.isrealobj(values) else np.complex128, copy=False
+        )
         if self.values.ndim != len(self.box):
             raise ValueError("box dimensionality does not match values")
         if self.values.ndim not in (1, 2, 3):
@@ -64,13 +109,7 @@ class Field:
         ]
 
     def k_squared(self) -> np.ndarray:
-        ks = self.k_axes()
-        out = np.zeros(self.shape)
-        for axis, k in enumerate(ks):
-            shape = [1] * self.dim
-            shape[axis] = -1
-            out = out + (k**2).reshape(shape)
-        return out
+        return _sum_of_squares(self.k_axes())
 
     def mass(self) -> float:
         return float(np.sum(np.abs(self.values) ** 2) * self.dvol)
@@ -81,19 +120,58 @@ class Field:
 
     def spectral_tail_fraction(self) -> float:
         """Fourier mass fraction in the top octave (any axis above half-Nyquist)."""
-        hat = scipy.fft.fftn(self.values)
-        mask = np.zeros(self.shape, dtype=bool)
-        for axis, k in enumerate(self.k_axes()):
-            kmax = np.max(np.abs(k))
-            ax_mask = np.abs(k) >= 0.5 * kmax
-            shape = [1] * self.dim
-            shape[axis] = -1
-            mask |= ax_mask.reshape(shape)
-        total = float(np.sum(np.abs(hat) ** 2))
-        return float(np.sum(np.abs(hat[mask]) ** 2) / total)
+        return _tail_fraction(self.values, _top_octave(self.k_axes()))
 
     def copy(self) -> "Field":
         return Field(self.values.copy(), self.box, self.time)
+
+
+@dataclass(frozen=True)
+class _Spectrum:
+    """A transform pair and the k^2 of its coefficients.
+
+    k2_weighted also counts each coefficient's share of the full spectrum,
+    so sum(k2_weighted |hat|^2) is the full-spectrum sum of k^2 |hat|^2.
+    """
+
+    forward: Callable
+    inverse: Callable
+    k2: np.ndarray
+    k2_weighted: np.ndarray
+
+
+class _Plan:
+    """Grid operators of one (shape, box) under one GPConfig, built once."""
+
+    def __init__(self, f: Field, cfg: "GPConfig"):
+        axes = f.k_axes()
+        self.k2 = _sum_of_squares(axes)
+        self.trap = None if cfg.trap is None else cfg.trap_values(f)
+        self.top_octave = _top_octave(axes)
+        self.complex = _Spectrum(scipy.fft.fftn, scipy.fft.ifftn, self.k2, self.k2)
+        # Real data keep all information in the half spectrum along the last
+        # axis; a column other than 0 and (for even M) M/2 also stands for
+        # its mirror image, so it weighs twice.
+        M, L = f.shape[-1], f.box[-1]
+        k2 = _sum_of_squares(axes[:-1] + [2.0 * np.pi * scipy.fft.rfftfreq(M, d=L / M)])
+        weight = np.full(M // 2 + 1, 2.0)
+        weight[0] = 1.0
+        if M % 2 == 0:
+            weight[-1] = 1.0
+        inverse = functools.partial(scipy.fft.irfftn, s=f.shape)
+        self.real = _Spectrum(scipy.fft.rfftn, inverse, k2, k2 * weight)
+        self._dt = None
+        self._kinetic = None
+
+    def spectrum(self, values: np.ndarray) -> _Spectrum:
+        """The transform pair for these values: rfftn/irfftn on real data."""
+        return self.real if np.isrealobj(values) else self.complex
+
+    def kinetic(self, dt: float) -> np.ndarray:
+        """exp(-i k^2 dt), rebuilt only when dt changes."""
+        if dt != self._dt:
+            self._kinetic, self._dt = np.exp(-1j * self.k2 * dt), dt
+        return self._kinetic
 
 
 @dataclass
@@ -103,6 +181,7 @@ class GPConfig:
     coupling: float
     trap: Callable[..., np.ndarray] | None = None
     dt: float = 1e-3
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.coupling < 0:
@@ -116,6 +195,12 @@ class GPConfig:
             raise ValueError("trap must be nonnegative")
         return vals
 
+    def _plan(self, f: Field) -> _Plan:
+        key = (f.shape, tuple(f.box), self.trap)
+        if key not in self._plans:
+            self._plans[key] = _Plan(f, self)
+        return self._plans[key]
+
 
 def harmonic_trap(*coords):
     """V_ext = |x|^2."""
@@ -125,50 +210,81 @@ def harmonic_trap(*coords):
     return out
 
 
-def _guard(f: Field, where: str):
-    tail = f.spectral_tail_fraction()
+def _guard(plan: _Plan, values: np.ndarray, where: str):
+    tail = _tail_fraction(values, plan.top_octave)
     if tail > 1e-6:
         raise RuntimeError(f"spectral blow-up: top-octave fraction {tail:.2e} ({where})")
 
 
+def _rotate(phi: np.ndarray, tau: float, g: float, v: np.ndarray | None):
+    """phi <- exp(-i tau (g |phi|^2 + V)) phi in place; |phi| is unchanged."""
+    theta = np.abs(phi) ** 2
+    theta *= -tau * g
+    if v is not None:
+        theta -= tau * v
+    rot = np.empty_like(phi)
+    np.cos(theta, out=rot.real)
+    np.sin(theta, out=rot.imag)
+    phi *= rot
+
+
+def _damp(phi: np.ndarray, tau: float, g: float, v_factor: np.ndarray | None):
+    """phi <- exp(-tau (g |phi|^2 + V)) phi in place; v_factor is exp(-tau V)."""
+    if g:
+        phi *= np.exp(-tau * g * np.abs(phi) ** 2)
+    if v_factor is not None:
+        phi *= v_factor
+
+
 def gp_evolve(f: Field, cfg: GPConfig, t: float) -> Field:
-    """Strang-split evolution by time t (an integer number of dt steps)."""
+    """Strang-split evolution by time t (an integer number of dt steps).
+
+    Adjacent phase half steps run as one full step, which is exact because
+    the phase step keeps |phi|.  They stay split at every guard probe and at
+    the end, so the guard sees the states of the two-half-step loop.
+    """
     nsteps = int(round(t / cfg.dt))
     if abs(nsteps * cfg.dt - t) > 1e-10 * max(1.0, abs(t)):
         raise ValueError("t must be an integer number of dt steps")
-    k2 = f.k_squared()
-    if cfg.dt * float(np.max(k2)) > np.pi:
+    plan = cfg._plan(f)
+    if cfg.dt * float(np.max(plan.k2)) > np.pi:
         raise ValueError("dt too large for the grid kinetic scale")
-    _guard(f, "initial data")
-    v = cfg.trap_values(f)
-    g = cfg.coupling
-    kin = np.exp(-1j * k2 * cfg.dt)
-    phi = f.values.copy()
-    half = 0.5 * cfg.dt
+    _guard(plan, f.values, "initial data")
+    kin = plan.kinetic(cfg.dt)
+    g, v, half = cfg.coupling, plan.trap, 0.5 * cfg.dt
+    phi = f.values.astype(np.complex128)
     probe = max(1, nsteps // 8)
-    for step in range(nsteps):
-        phi *= np.exp(-1j * half * (g * np.abs(phi) ** 2 + v))
-        phi = scipy.fft.ifftn(kin * scipy.fft.fftn(phi))
-        phi *= np.exp(-1j * half * (g * np.abs(phi) ** 2 + v))
-        if (step + 1) % probe == 0:
-            _guard(Field(phi, f.box), f"step {step + 1}")
-    out = Field(phi, f.box, f.time + nsteps * cfg.dt)
-    _guard(out, "final state")
-    return out
+    lead = half  # phase time owed before the next kinetic step
+    for step in range(1, nsteps + 1):
+        _rotate(phi, lead, g, v)
+        phi = scipy.fft.fftn(phi, overwrite_x=True)
+        phi *= kin
+        phi = scipy.fft.ifftn(phi, overwrite_x=True)
+        probed = step % probe == 0
+        if probed or step == nsteps:
+            _rotate(phi, half, g, v)
+            _guard(plan, phi, f"step {step}" if probed else "final state")
+            lead = half
+        else:
+            lead = cfg.dt
+    return Field(phi, f.box, f.time + nsteps * cfg.dt)
 
 
 def gp_energy(f: Field, cfg: GPConfig) -> dict:
     """Kinetic, interaction, trap and total energy of the functional
 
-    E = int |grad phi|^2 + V_ext |phi|^2 + (g/2) |phi|^4,
-    which is exactly conserved by the dynamics above.
+    E = int |grad phi|^2 + V_ext |phi|^2 + (g/2) |phi|^4.
+
+    The exact flow conserves E.  The split scheme of gp_evolve conserves
+    the mass to roundoff but E only to O(dt^2).
     """
-    hat = scipy.fft.fftn(f.values)
+    plan = cfg._plan(f)
+    spec = plan.spectrum(f.values)
     norm = f.dvol / np.prod(f.shape)
-    kinetic = float(np.sum(f.k_squared() * np.abs(hat) ** 2) * norm)
+    kinetic = float(np.sum(spec.k2_weighted * np.abs(spec.forward(f.values)) ** 2) * norm)
     dens = np.abs(f.values) ** 2
     interaction = float(0.5 * cfg.coupling * np.sum(dens**2) * f.dvol)
-    trap = float(np.sum(cfg.trap_values(f) * dens) * f.dvol)
+    trap = 0.0 if plan.trap is None else float(np.sum(plan.trap * dens) * f.dvol)
     return {
         "kinetic": kinetic,
         "interaction": interaction,
@@ -188,26 +304,37 @@ def gp_ground_state(
 
     Each accepted step renormalizes and must not raise the energy; a step
     that does is retried with half the step size (backtracking), so the
-    recorded energy sequence is monotone nonincreasing.
+    recorded energy sequence is monotone nonincreasing.  Initial data with
+    an identically zero imaginary part are descended in real arithmetic;
+    the returned field has the dtype of init.
     """
     if cfg.trap is None and cfg.coupling == 0.0:
         raise ValueError("no minimizer: need a confining trap or g > 0 on the torus")
     if abs(init.mass() - 1.0) > 1e-8:
         raise ValueError("initial state must be normalized")
-    f = init.copy()
-    v = cfg.trap_values(f)
-    k2 = f.k_squared()
+    values = init.values
+    f = Field(values.copy() if np.any(values.imag) else values.real.copy(), init.box, init.time)
+    plan = cfg._plan(f)
+    spec = plan.spectrum(f.values)
     g = cfg.coupling
     energy = gp_energy(f, cfg)["total"]
     energies = [energy]
     iters = 0
+    built = None
     while iters < max_iters:
         iters += 1
         stepped = False
         while dtau > 1e-12:
-            phi = f.values * np.exp(-0.5 * dtau * (g * np.abs(f.values) ** 2 + v))
-            phi = scipy.fft.ifftn(np.exp(-k2 * dtau) * scipy.fft.fftn(phi))
-            phi *= np.exp(-0.5 * dtau * (g * np.abs(phi) ** 2 + v))
+            if dtau != built:  # the step factors change only when dtau halves
+                kin = np.exp(-spec.k2 * dtau)
+                v_factor = None if plan.trap is None else np.exp(-0.5 * dtau * plan.trap)
+                built = dtau
+            phi = f.values.copy()
+            _damp(phi, 0.5 * dtau, g, v_factor)
+            phi = spec.forward(phi, overwrite_x=True)
+            phi *= kin
+            phi = spec.inverse(phi, overwrite_x=True)
+            _damp(phi, 0.5 * dtau, g, v_factor)
             cand = Field(phi, f.box, f.time)
             cand.normalize()
             e_new = gp_energy(cand, cfg)["total"]
@@ -222,4 +349,5 @@ def gp_ground_state(
         energies.append(energy)
         if drop < tol:
             break
+    f = Field(f.values.astype(values.dtype, copy=False), f.box, f.time)
     return {"field": f, "energy": energy, "iterations": iters, "energies": energies}

@@ -220,12 +220,12 @@ def test_criterion_08_gp_solver_d1():
 
 
 def test_criterion_08_gp_solver_d3():
-    with _Budget(8, "condensate dynamics, d=3", 300.0):
+    with _Budget(8, "condensate dynamics, d=3", 120.0):
         _gp_3d_battery()
 
 
 def test_criterion_09_ground_states():
-    with _Budget(9, "harmonic ground states", 120.0):
+    with _Budget(9, "harmonic ground states", 4.0):
         for dim, M in ((1, 256), (3, 48)):
             L = 16.0 if dim == 1 else 12.0
             ax = (np.arange(M) - M // 2) * (L / M)

@@ -139,6 +139,39 @@ def test_malformed_potential_is_config_error(tmp_path, potential):
     assert cli.main(["scatter", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"task": "hierarchy-check", "levels": 1},
+        {"task": "hierarchy-check", "grid": "abc"},
+        {"task": "hierarchy-check", "dim": 3},
+        {"task": "hierarchy-check", "box": 0},
+        {"task": "hierarchy-check", "t_final": float("nan")},
+        {"task": "hierarchy-check", "t_final": 0.1},
+        {"task": "hierarchy-check", "amp_cos": "x"},
+        {"task": "evolve", "coupling": 1.0, "grid": "abc"},
+        {"task": "evolve", "coupling": 1.0, "grid": 1},
+        {"task": "evolve", "coupling": 1.0, "grid": 32.5},
+        {"task": "evolve", "coupling": 1.0, "dim": 2, "grid": [32, 32, 32]},
+        {"task": "evolve", "coupling": 1.0, "dim": 4},
+        {"task": "evolve", "coupling": 1.0, "dim": True},
+        {"task": "evolve", "coupling": 1.0, "box": -1.0},
+        {"task": "evolve", "coupling": 1.0, "dim": 2, "box": [1.0, float("inf")]},
+        {"task": "evolve", "coupling": 1.0, "t_final": 0},
+        {"task": "evolve", "coupling": 1.0, "snapshots": 0},
+        {"task": "groundstate", "trap": "harmonic", "dim": 3, "grid": [48]},
+        {"task": "groundstate", "trap": "harmonic", "dim": "3"},
+        {"task": "groundstate", "trap": "harmonic", "box": 10**400},
+    ],
+)
+def test_malformed_grid_shape_is_config_error(tmp_path, doc):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    with pytest.raises(cli.ConfigError):
+        cli.parse_config(cfg_path.read_text())
+    assert cli.main([doc["task"], "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+
+
 def test_hierarchy_refuses_kernels_beyond_physical_memory(tmp_path):
     # finest level 1600^2 grid points: dense kernels far beyond any machine
     cfg = cli.parse_config(json.dumps({"task": "hierarchy-check", "dim": 2, "grid": 400}))
@@ -228,6 +261,13 @@ _potentials = _json | st.fixed_dictionaries(
         for key in ("v0", "radius", "width", "r", "v", "sigma", "path")
     },
 )
+_counts = _json | st.integers(-2, 5) | st.lists(st.integers(-2, 64) | _json, max_size=4)
+_lengths = (
+    _json
+    | st.floats(-1.0, 10.0)
+    | st.sampled_from([float("nan"), float("inf"), 10**400])
+    | st.lists(st.floats(-1.0, 10.0) | _json, max_size=4)
+)
 _documents = st.fixed_dictionaries(
     {"task": st.sampled_from(cli.TASKS) | _json},
     optional={
@@ -237,6 +277,14 @@ _documents = st.fixed_dictionaries(
         "tol": _json,
         "coupling": _json,
         "kind": _json,
+        "dim": _counts,
+        "grid": _counts,
+        "box": _lengths,
+        "t_final": _lengths,
+        "snapshots": _counts,
+        "levels": _counts,
+        "snapshot_dt": _lengths,
+        "amp_cos": _lengths,
     },
 )
 
@@ -253,3 +301,10 @@ def test_parse_config_raises_only_config_error(doc):
         p = pot.from_config(cfg.potential)
         assert all(np.all(np.isfinite(v)) for v in p.params.values())
         assert not np.isnan(p.sigma)
+    if cfg.task in ("evolve", "groundstate"):
+        dim, shape, box = cli._gp_grid(cfg.params)
+        assert len(shape) == len(box) == dim
+        assert all(M >= 2 for M in shape) and all(0 < L < np.inf for L in box)
+    if cfg.task == "hierarchy-check":
+        levels, kw = cli._hierarchy_ladder(cfg.params)
+        assert levels >= 2 and kw["dim"] in (1, 2) and kw["grid"] >= 2

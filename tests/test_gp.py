@@ -189,3 +189,98 @@ def test_gp_evolve_conserves_mass(M, g, trapped, width, center, kick, nsteps):
     cfg = gp.GPConfig(coupling=g, trap=gp.harmonic_trap if trapped else None, dt=1e-3)
     out = gp.gp_evolve(f, cfg, nsteps * cfg.dt)
     assert abs(out.mass() - 1.0) <= 1e-12
+
+
+def _strang_two_half_steps(f, cfg, nsteps):
+    """The textbook loop, a phase half step on each side of every kinetic step.
+
+    Returns the state after each step, the initial state first.
+    """
+    kin = np.exp(-1j * f.k_squared() * cfg.dt)
+    v = cfg.trap_values(f)
+    states = [f.values.copy()]
+    for _ in range(nsteps):
+        phi = states[-1] * np.exp(-0.5j * cfg.dt * (cfg.coupling * np.abs(states[-1]) ** 2 + v))
+        phi = np.fft.ifftn(kin * np.fft.fftn(phi))
+        states.append(phi * np.exp(-0.5j * cfg.dt * (cfg.coupling * np.abs(phi) ** 2 + v)))
+    return states
+
+
+# probe = max(1, nsteps // 8): 5 and 8 probe every step, 21 and 44 end between
+# probes, 64 ends on one; merged steps run from 16 steps on
+@pytest.mark.parametrize("nsteps", [5, 8, 21, 44, 64])
+@pytest.mark.parametrize("trapped", [False, True])
+@pytest.mark.parametrize("dim, M", [(1, 64), (2, 32), (3, 24)])
+def test_merged_half_steps_match_two_half_step_loop(monkeypatch, dim, M, trapped, nsteps):
+    # a smooth localized packet: the guard passes with and without the trap
+    L = 8.0
+    ax = (np.arange(M) - M // 2) * (L / M)
+    mesh = np.meshgrid(*([ax] * dim), indexing="ij")
+    r2 = sum(c**2 for c in mesh)
+    vals = np.exp(-r2 / 2.0 + 0.5j * mesh[0])
+    f = gp.Field(vals, (L,) * dim).normalize()
+    cfg = gp.GPConfig(coupling=2.0, trap=gp.harmonic_trap if trapped else None, dt=2e-3)
+    guarded = []
+    guard = gp._guard
+
+    def spy(plan, values, where):
+        guarded.append((where, values.copy()))
+        guard(plan, values, where)
+
+    monkeypatch.setattr(gp, "_guard", spy)
+    out = gp.gp_evolve(f, cfg, nsteps * cfg.dt)
+    states = _strang_two_half_steps(f, cfg, nsteps)
+    ref = states[-1]
+    assert np.linalg.norm(out.values - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert out.time == pytest.approx(nsteps * cfg.dt)
+    # every guard sees the state of the two-half-step loop at its step
+    probe = max(1, nsteps // 8)
+    expected = ["initial data"] + [f"step {k}" for k in range(probe, nsteps + 1, probe)]
+    if nsteps % probe:
+        expected.append("final state")
+    assert [where for where, _ in guarded] == expected
+    steps_at = {"initial data": 0, "final state": nsteps}
+    for where, values in guarded:
+        k = steps_at[where] if where in steps_at else int(where.split()[1])
+        assert np.linalg.norm(values - states[k]) <= 1e-12 * np.linalg.norm(states[k])
+
+
+@pytest.mark.parametrize("shape", [(64,), (24, 21)])
+def test_ground_state_real_and_complex_paths_agree(monkeypatch, shape):
+    L = 12.0
+    axes = [(np.arange(M) - M // 2) * (L / M) for M in shape]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    gauss = np.exp(-sum(c**2 for c in mesh))
+    cfg = gp.GPConfig(coupling=1.0, trap=gp.harmonic_trap)
+    seen = []
+    energy = gp.gp_energy
+
+    def spy(f, cfg):
+        seen.append(np.isrealobj(f.values))
+        return energy(f, cfg)
+
+    monkeypatch.setattr(gp, "gp_energy", spy)
+    runs = []
+    for phase in (1.0, np.exp(1j * np.pi / 7)):
+        init = gp.Field((gauss * phase).astype(complex), (L,) * len(shape)).normalize()
+        seen.clear()
+        res = gp.gp_ground_state(cfg, init)
+        runs.append((res, set(seen)))
+    (real, real_seen), (cplx, cplx_seen) = runs
+    # the real Gaussian is descended in real arithmetic, the rotated one is not
+    assert real_seen == {True} and cplx_seen == {False}
+    assert real["iterations"] == cplx["iterations"]
+    np.testing.assert_allclose(real["energies"], cplx["energies"], rtol=1e-12, atol=0)
+    assert real["field"].values.dtype == np.complex128
+    rotated = real["field"].values * np.exp(1j * np.pi / 7)
+    assert np.linalg.norm(cplx["field"].values - rotated) <= 1e-12 * np.linalg.norm(rotated)
+
+
+def test_real_field_stays_real_and_evolves_like_complex():
+    f = make_1d(64, fn=lambda x: 1.0 + 0.3 * np.cos(x))
+    real = gp.Field(f.values.real, f.box)
+    assert real.values.dtype == np.float64
+    cfg = gp.GPConfig(coupling=1.0, dt=1e-3)
+    assert gp.gp_energy(real, cfg) == pytest.approx(gp.gp_energy(f, cfg), rel=1e-13)
+    out = gp.gp_evolve(real, cfg, 0.05)
+    assert np.array_equal(out.values, gp.gp_evolve(f, cfg, 0.05).values)
