@@ -5,7 +5,7 @@ Modules:
   scattering   zero-energy profile, phase shifts, s-wave transform pair
   propagators  free/interacting two-body dynamics and defect experiments
   gp           cubic defocusing dynamics and ground states on periodic boxes
-  hierarchy    rank-one marginal kernels and coupled-equation residuals
+  hierarchy    low-rank coupled-equation residuals of factorized marginals
   analysis     kernel integrals, pairing inequalities, pair cutoffs
   cli          configuration-driven experiment runner
 """

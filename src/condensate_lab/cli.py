@@ -16,6 +16,7 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -163,11 +164,11 @@ def _evolve_times(params: dict) -> tuple[float, int]:
 
 def _hierarchy_ladder(params: dict) -> tuple[int, dict]:
     """Refinement levels and the build_trajectory keywords of a hierarchy-check config."""
-    dim = _choice("dim", params.get("dim", 1), (1, 2))
+    dim = _choice("dim", params.get("dim", 1), (1, 2, 3))
     levels = _integer("levels", params.get("levels", 3), 2)
     shape = {
         "dim": dim,
-        "grid": _integer("grid", params.get("grid", 64 if dim == 1 else 20), 2),
+        "grid": _integer("grid", params.get("grid", {1: 64, 2: 20, 3: 8}[dim]), 2),
         "box": _positive("box", params.get("box", 2.0 * np.pi)),
         "snapshot_dt": _positive("snapshot_dt", params.get("snapshot_dt", 0.05)),
         "t_final": _positive("t_final", params.get("t_final", 0.5)),
@@ -175,8 +176,23 @@ def _hierarchy_ladder(params: dict) -> tuple[int, dict]:
         "amp_sin": _finite("amp_sin", params.get("amp_sin", 0.3)),
     }
     # the five-point stencil needs 5 snapshots on the coarsest level
-    if shape["t_final"] / shape["snapshot_dt"] < 3.5:
+    steps = shape["t_final"] / shape["snapshot_dt"]
+    if steps < 3.5:
         raise ConfigError("t_final must be at least 4 snapshot_dt (5 snapshots)")
+    # The finest level holds its T snapshots and the residual sweep's basis
+    # (at most 2T + 1 more fields) of n complex points at once.  Integer
+    # arithmetic: each factor is clamped at the memory size, which it alone
+    # would exceed, so a huge level count or grid stays within float range.
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    scale = 2 ** min(levels - 1, have.bit_length())
+    n = (min(shape["grid"], have) * scale) ** dim
+    snapshots = round(min(steps, have)) * scale + 1
+    need = (3 * snapshots + 1) * 16 * n
+    if need > have:
+        raise ConfigError(
+            f"hierarchy-check needs about {need / 1e9:.3g} GB for the trajectory and "
+            f"residual basis of its finest level; physical memory is {have / 1e9:.3g} GB"
+        )
     return levels, shape
 
 
@@ -564,7 +580,6 @@ def _run_hierarchy(cfg: RunConfig, outdir: Path):
     coupling = _resolve_coupling(params.get("coupling", 1.0), results)
     levels, shape = _hierarchy_ladder(params)
     dim = shape["dim"]
-    hierarchy.check_kernel_memory((shape["grid"] * 2 ** (levels - 1)) ** dim)
     study = hierarchy.refinement_study(
         lambda lvl: hierarchy.build_trajectory(lvl, coupling=coupling, **shape),
         levels=levels,

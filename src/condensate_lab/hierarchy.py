@@ -1,30 +1,36 @@
-"""Rank-one marginal kernels and the coupled-equation residuals at k = 1.
+"""Coupled-equation residuals at k = 1 along a factorized condensate trajectory.
 
-For a factorized one-particle kernel gamma(x; x') = phi(x) conj phi(x') the
-partial-trace contact term evaluates in closed form, so both the
-differential equation
+For a factorized one-particle kernel gamma = |phi><phi| the partial-trace
+contact term evaluates in closed form, so both the differential equation
 
     i d/dt gamma = [-Lap, gamma] + g * T(phi),
-    T(x; x') = (|phi(x)|^2 - |phi(x')|^2) phi(x) conj phi(x'),
+    T(phi) = |u><phi| - |phi><u|,   u = |phi|^2 phi,
 
 and its Duhamel (integral) counterpart can be checked against a stored
-trajectory without ever evolving a full two-particle kernel: the free
-evolution of every term factorizes through one-particle propagations.
+trajectory without ever evolving a full two-particle kernel.  Every term of
+either residual is a short sum of rank-one outer products of one-particle
+fields, so no n x n kernel is formed on an n-point grid: a residual is
+Q S Q^H for a Q with orthonormal columns, and its Hilbert-Schmidt norm is
+the Frobenius norm of the small matrix S, taken directly (summing Gram
+products instead would cancel a roundoff-sized residual away).
+
+The differential residual at a stencil time lies in the span of the seven
+fields phi_{n+-2}, phi_{n+-1}, phi_n, Lap phi_n and u_n; one thin QR of those
+columns, C = Q R, gives S = R K R^H with K the 7 x 7 coefficient matrix.
 
 The Duhamel residuals at all snapshot times come from one sweep in the
 interaction picture.  The free propagator U is unitary in both kernel
-slots, so conjugating the residual at time t by U(-t) keeps its
-Hilbert-Schmidt norm and pulls every term back to time 0; the trapezoid
-accumulator then gains one term per snapshot and serves every later time.
-
-The kernels are dense n x n arrays on an n-point grid, so a grid whose
-kernels cannot fit in physical memory is refused before any trajectory is
-built (check_kernel_memory).
+slots, so conjugating the residual at time t by U(-t) keeps its norm and
+pulls every term back to time 0.  The sweep grows an orthonormal basis of
+span{phi_0, U(-s_m) phi_m, U(-s_m) u_m} by classical Gram-Schmidt run twice
+and keeps each field as its coordinates, so the trapezoid accumulator and
+the Richardson even-snapshot sum are r x r matrices of rank r <= 2T + 1 for
+T snapshots.  On M grid points the sweep costs O(M T^2) time and O(M T)
+memory.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,83 +39,47 @@ import scipy.fft
 from . import gp
 from .gp import Field
 
-# Dense n x n complex arrays alive at once in hierarchy_residual: gamma_0,
-# the two running sums, the new term, the residual and one temporary.  The
-# tracemalloc peak of hierarchy_residual is 6.00 of them at n = 512 and 1024.
-KERNEL_ARRAYS = 6
+
+def _free_evolve(values: np.ndarray, k2: np.ndarray, t: float) -> np.ndarray:
+    """exp(i Lap t) applied spectrally to grid values, flattened."""
+    return scipy.fft.ifftn(np.exp(-1j * k2 * t) * scipy.fft.fftn(values)).reshape(-1)
 
 
-@dataclass
-class MarginalKernel:
-    """Discrete one-particle kernel gamma(x; x') on a flattened grid."""
+class _Basis:
+    """Orthonormal basis grown one field at a time; fields are kept as coordinates."""
 
-    kernel: np.ndarray
-    dvol: float
+    def __init__(self, size: int, capacity: int):
+        self.rows = np.empty((capacity, size), dtype=complex)
+        self.rank = 0
 
-    def trace(self) -> complex:
-        return complex(np.trace(self.kernel) * self.dvol)
+    def _sweep_out(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        q = self.rows[: self.rank]
+        c = np.conj(np.conj(w) @ q.T)
+        return c, w - c @ q
 
-    def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.kernel - self.kernel.conj().T)))
+    def add(self, v: np.ndarray) -> np.ndarray:
+        """Coordinates of v (length capacity), after extending the basis by its remainder.
 
-    def min_eigenvalue(self) -> float:
-        w = np.linalg.eigvalsh(0.5 * (self.kernel + self.kernel.conj().T))
-        return float(w[0] * self.dvol)
-
-
-def _flat(f: Field) -> np.ndarray:
-    return f.values.reshape(-1)
-
-
-def factorized_marginal(f: Field) -> MarginalKernel:
-    """gamma = |phi><phi| for a normalized field."""
-    if abs(f.mass() - 1.0) > 1e-8:
-        raise ValueError("field must be normalized to unit mass")
-    phi = _flat(f)
-    return MarginalKernel(kernel=np.outer(phi, np.conj(phi)), dvol=f.dvol)
-
-
-def delta_trace_term(f: Field) -> MarginalKernel:
-    """Contact commutator of the factorized two-particle kernel, traced once.
-
-    Requires the rank-one witness; the general-rank version is out of scope.
-    """
-    if abs(f.mass() - 1.0) > 1e-8:
-        raise ValueError("rank-1 required: witness field must be normalized")
-    phi = _flat(f)
-    dens = np.abs(phi) ** 2
-    kernel = (dens[:, None] - dens[None, :]) * np.outer(phi, np.conj(phi))
-    return MarginalKernel(kernel=kernel, dvol=f.dvol)
-
-
-def _laplacian(f: Field) -> np.ndarray:
-    hat = scipy.fft.fftn(f.values)
-    return scipy.fft.ifftn(-f.k_squared() * hat)
-
-
-def _free_evolve_values(f: Field, t: float) -> np.ndarray:
-    """exp(i Lap t) applied spectrally to the field values."""
-    hat = scipy.fft.fftn(f.values)
-    return scipy.fft.ifftn(np.exp(-1j * f.k_squared() * t) * hat)
-
-
-def commutator_kernel(f: Field) -> np.ndarray:
-    """[-Lap, |phi><phi|] as a kernel, assembled from -Lap phi."""
-    phi = _flat(f)
-    lap = _laplacian(f).reshape(-1)
-    return np.outer(-lap, np.conj(phi)) - np.outer(phi, np.conj(-lap))
-
-
-def check_kernel_memory(n: int) -> None:
-    """Refuse an n-point grid whose dense kernels cannot fit in physical memory."""
-    need = KERNEL_ARRAYS * 16.0 * float(n) ** 2
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        raise ValueError(
-            f"hierarchy kernels on {n} grid points need about {need / 1e9:.3g} GB "
-            f"({KERNEL_ARRAYS} dense {n} x {n} complex arrays); "
-            f"physical memory is {have / 1e9:.3g} GB"
-        )
+        Classical Gram-Schmidt runs twice, and once more when the second pass
+        removes more than half of what the first left.  A remainder below
+        1e-14 |v| is dropped; v is then kept by its coordinates alone.
+        """
+        c, w = self._sweep_out(v)
+        first = np.linalg.norm(w)
+        c2, w = self._sweep_out(w)
+        c += c2
+        left = np.linalg.norm(w)
+        if left < 0.5 * first:
+            c2, w = self._sweep_out(w)
+            c += c2
+            left = np.linalg.norm(w)
+        coords = np.zeros(self.rows.shape[0], dtype=complex)
+        coords[: self.rank] = c
+        if left > 1e-14 * np.linalg.norm(v):
+            self.rows[self.rank] = w / left
+            coords[self.rank] = left
+            self.rank += 1
+        return coords
 
 
 def build_trajectory(
@@ -126,19 +96,21 @@ def build_trajectory(
 ) -> list[Field]:
     """GP trajectory of a two-mode state at one level of a refinement ladder.
 
+    The cosine mode runs along the first axis and the sine mode along the
+    last, at twice the wavenumber when that is the same axis (d = 1).
     Level l has grid * 2**l points per axis and snapshot spacing
     snapshot_dt / 2**l; the Strang step divides the spacing and keeps
     dt * max k^2 below 0.8 pi.
     """
-    if dim not in (1, 2):
-        raise ValueError("hierarchy trajectories support dim 1 or 2 (kernel storage)")
     M = grid * 2**level
     x = (np.arange(M) - M // 2) * (box / M)
-    if dim == 1:
-        phi0 = 1.0 + amp_cos * np.cos(2 * np.pi * x / box) + amp_sin * np.sin(4 * np.pi * x / box)
-    else:
-        X, Y = np.meshgrid(x, x, indexing="ij")
-        phi0 = 1.0 + amp_cos * np.cos(2 * np.pi * X / box) + amp_sin * np.sin(2 * np.pi * Y / box)
+    coords = np.meshgrid(*[x] * dim, indexing="ij")
+    wavenumber = 2 if dim == 1 else 1
+    phi0 = (
+        1.0
+        + amp_cos * np.cos(2 * np.pi * coords[0] / box)
+        + amp_sin * np.sin(2 * np.pi * wavenumber * coords[-1] / box)
+    )
     f = Field(phi0.astype(complex), (box,) * dim).normalize()
     ds = snapshot_dt / 2**level
     dt = ds / 10.0
@@ -186,21 +158,30 @@ def hierarchy_residual(trajectory: list[Field], coupling: float) -> HierarchyRes
     dvol = trajectory[0].dvol
     integral = integral_form_residual(trajectory, coupling)
 
-    # symmetric five-point stencil: the two-point one approaches second
+    # i d/dt gamma - [-Lap, gamma] - g T on the columns
+    # [d_{+2}, d_{+1}, d_{-1}, d_{-2}, phi_n, Lap phi_n, u_n], d_k = phi_{n+k} - phi_n.
+    # The symmetric five-point stencil: the two-point one approaches second
     # order from below (its next correction is anti-aligned for coherent
-    # phase dynamics), which would sit exactly on the target slope
+    # phase dynamics), which would sit exactly on the target slope.  Its
+    # weights sum to zero, so |phi_n><phi_n| drops out of
+    # |phi_{n+k}><phi_{n+k}| = |phi_n><phi_n| + |d_k><phi_n| + |phi_n><d_k| + |d_k><d_k|
+    # and no O(1/dt) term is left to cancel in roundoff.
+    coef = np.zeros((7, 7), dtype=complex)
+    stencil = 1j * np.array([-1.0, 8.0, -8.0, 1.0]) / (12.0 * dt)
+    coef[range(4), range(4)] = coef[range(4), 4] = coef[4, range(4)] = stencil
+    coef[5, 4], coef[4, 5] = 1.0, -1.0
+    coef[6, 4], coef[4, 6] = -coupling, coupling
+    k2 = trajectory[0].k_squared()
     diff_res = []
     times = []
     for n in range(2, len(trajectory) - 2):
-        f = trajectory[n]
-        ddt = -factorized_marginal(trajectory[n + 2]).kernel
-        ddt += 8.0 * factorized_marginal(trajectory[n + 1]).kernel
-        ddt -= 8.0 * factorized_marginal(trajectory[n - 1]).kernel
-        ddt += factorized_marginal(trajectory[n - 2]).kernel
-        ddt /= 12.0 * dt
-        rhs = commutator_kernel(f) + coupling * delta_trace_term(f).kernel
-        diff_res.append(float(np.linalg.norm(1j * ddt - rhs) * dvol))
-        times.append(f.time)
+        phi = trajectory[n].values
+        lap = scipy.fft.ifftn(-k2 * scipy.fft.fftn(phi))
+        cols = [(trajectory[n + k].values - phi).reshape(-1) for k in (2, 1, -1, -2)]
+        cols += [phi.reshape(-1), lap.reshape(-1), (np.abs(phi) ** 2 * phi).reshape(-1)]
+        r = np.linalg.qr(np.stack(cols, axis=1), mode="r")
+        diff_res.append(float(np.linalg.norm(r @ coef @ r.conj().T) * dvol))
+        times.append(trajectory[n].time)
     return HierarchyResidual(
         times=times,
         differential_residual=diff_res,
@@ -217,11 +198,13 @@ def integral_form_residual(trajectory: list[Field], coupling: float) -> list[flo
     composite trapezoid over the stored snapshots up to t.  Conjugating by
     U(-t_n) keeps the norm and turns the residual at t_n into
 
-        U(-t_n) gamma_n U(-t_n)* - gamma_0 + i g sum_m w_m U(-s_m) T_m U(-s_m)*,
+        |a_n><a_n| - |phi_0><phi_0| + i g sum_m w_m (|b_m><a_m| - |a_m><b_m|),
 
-    whose terms are rank-one outer products of one-particle fields pulled
-    back to time 0.  At every even snapshot index n >= 4 the trapezoid over
-    the even snapshots gives a Richardson estimate of the quadrature error.
+    with a_m = U(-s_m) phi_m and b_m = U(-s_m) u_m pulled back to time 0.
+    In the sweep's orthonormal basis every term is a small matrix of
+    coordinates, and the residual's norm is that of the small matrix.  At
+    every even snapshot index n >= 4 the trapezoid over the even snapshots
+    gives a Richardson estimate of the quadrature error.
     """
     t0 = trajectory[0].time
     steps = np.diff([f.time for f in trajectory])
@@ -229,38 +212,42 @@ def integral_form_residual(trajectory: list[Field], coupling: float) -> list[flo
     if not np.allclose(steps, ds, rtol=1e-10, atol=1e-12):
         raise ValueError("snapshots must be uniformly spaced")
     dvol = trajectory[0].dvol
-    phi0 = _flat(trajectory[0])
-    gamma0 = np.outer(phi0, np.conj(phi0))
+    k2 = trajectory[0].k_squared()
+    capacity = 2 * len(trajectory) + 1
+    basis = _Basis(trajectory[0].values.size, capacity)
+    c0 = basis.add(trajectory[0].values.reshape(-1))
     # Running trapezoid sums over the snapshots so far (full: all of them;
     # even: the even ones at twice the spacing), left open at the last
     # snapshot: adding half the last term's weight once more closes them.
-    full = np.zeros_like(gamma0)
-    even = np.zeros_like(gamma0)
+    full = np.zeros((capacity, capacity), dtype=complex)
+    even = np.zeros_like(full)
     out = [0.0]
     for n, f in enumerate(trajectory):
         back = t0 - f.time
-        a = _free_evolve_values(f, back).reshape(-1)
-        b = _free_evolve_values(Field(np.abs(f.values) ** 2 * f.values, f.box), back).reshape(-1)
-        half_term = np.outer(0.5 * ds * b, np.conj(a))
+        alpha = basis.add(_free_evolve(f.values, k2, back))
+        beta = basis.add(_free_evolve(np.abs(f.values) ** 2 * f.values, k2, back))
+        r = basis.rank
+        alpha, beta, phi0 = alpha[:r], beta[:r], c0[:r]
+        acc_full, acc_even = full[:r, :r], even[:r, :r]
+        half_term = np.outer(0.5 * ds * beta, np.conj(alpha))
         half_term -= half_term.conj().T
-        full += half_term
+        acc_full += half_term
         if n == 0:
-            even += 2.0 * half_term
+            acc_even += 2.0 * half_term
             continue
-        resid = np.outer(a, np.conj(a))
-        resid -= gamma0
-        resid += (1j * coupling) * full
+        resid = np.outer(alpha, np.conj(alpha))
+        resid -= np.outer(phi0, np.conj(phi0))
+        resid += (1j * coupling) * acc_full
         out.append(float(np.linalg.norm(resid) * dvol))
-        del resid  # before the Richardson temporaries: the peak stays at KERNEL_ARRAYS
         if n % 2 == 0:
-            even += 2.0 * half_term
+            acc_even += 2.0 * half_term
             if n >= 4:
                 # Richardson estimate of the trapezoid error from the half sampling
-                est = abs(coupling) * float(np.linalg.norm(full - even) * dvol) / 3.0
+                est = abs(coupling) * float(np.linalg.norm(acc_full - acc_even) * dvol) / 3.0
                 if est > 2.0 * out[-1] and est > 1e-12:
                     raise RuntimeError("refine trajectory sampling: s-quadrature unresolved")
-            even += 2.0 * half_term
-        full += half_term
+            acc_even += 2.0 * half_term
+        acc_full += half_term
     return out
 
 

@@ -144,7 +144,7 @@ def test_malformed_potential_is_config_error(tmp_path, potential):
     [
         {"task": "hierarchy-check", "levels": 1},
         {"task": "hierarchy-check", "grid": "abc"},
-        {"task": "hierarchy-check", "dim": 3},
+        {"task": "hierarchy-check", "dim": 4},
         {"task": "hierarchy-check", "box": 0},
         {"task": "hierarchy-check", "t_final": float("nan")},
         {"task": "hierarchy-check", "t_final": 0.1},
@@ -173,15 +173,27 @@ def test_malformed_grid_shape_is_config_error(tmp_path, doc):
 
 
 def test_hierarchy_refuses_kernels_beyond_physical_memory(tmp_path):
-    # finest level 1600^2 grid points: dense kernels far beyond any machine
-    cfg = cli.parse_config(json.dumps({"task": "hierarchy-check", "dim": 2, "grid": 400}))
-    start = time.perf_counter()
-    with pytest.raises(RuntimeError, match=r"need about [0-9.e+]+ GB .* physical memory is [0-9.e+]+ GB"):
-        cli.run(cfg, tmp_path / "o")
-    assert time.perf_counter() - start < 1.0
-    cfg_path = tmp_path / "big.json"
-    cfg_path.write_text(cli.serialize_config(cfg))
-    assert cli.main(["hierarchy-check", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    # finest level 1600^3 grid points, and a ladder of 2^1999 points per axis:
+    # their trajectories alone exceed any machine's memory
+    for doc in ({"task": "hierarchy-check", "dim": 3, "grid": 400}, {"task": "hierarchy-check", "levels": 2000}):
+        start = time.perf_counter()
+        with pytest.raises(cli.ConfigError, match=r"needs about [0-9.e+]+ GB .* physical memory is [0-9.e+]+ GB"):
+            cli.parse_config(json.dumps(doc))
+        assert time.perf_counter() - start < 1.0
+        cfg_path = tmp_path / "big.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert cli.main(["hierarchy-check", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_hierarchy_ladder_runs_in_three_dimensions(tmp_path):
+    cfg_path = tmp_path / "d3.json"
+    cfg_path.write_text(json.dumps({"task": "hierarchy-check", "dim": 3, "grid": 8, "levels": 2}))
+    assert cli.main(["hierarchy-check", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) in (0, 1)
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert report["results"]["dim"] == 3
+    slopes = [c for c in report["checks"] if c["threshold"] == 2.0]
+    assert len(slopes) == 2 and all(np.isfinite(c["value"]) for c in slopes)
+    assert (tmp_path / "o" / "residuals.csv").exists()
 
 
 def test_main_reports_failed_check(tmp_path):
@@ -307,4 +319,4 @@ def test_parse_config_raises_only_config_error(doc):
         assert all(M >= 2 for M in shape) and all(0 < L < np.inf for L in box)
     if cfg.task == "hierarchy-check":
         levels, kw = cli._hierarchy_ladder(cfg.params)
-        assert levels >= 2 and kw["dim"] in (1, 2) and kw["grid"] >= 2
+        assert levels >= 2 and kw["dim"] in (1, 2, 3) and kw["grid"] >= 2

@@ -1,12 +1,93 @@
-"""Rank-one kernels, the contact trace term, and both residual forms."""
+"""Both residual forms against a dense reference built from n x n kernels."""
+
+import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from condensate_lab import gp
 from condensate_lab import hierarchy as hr
 
 TWO_PI = 2.0 * np.pi
+
+
+# Dense reference: the kernels as n x n arrays, for small grids only.
+
+
+@dataclass
+class MarginalKernel:
+    """Discrete one-particle kernel gamma(x; x') on a flattened grid."""
+
+    kernel: np.ndarray
+    dvol: float
+
+    def trace(self) -> complex:
+        return complex(np.trace(self.kernel) * self.dvol)
+
+    def hermiticity_defect(self) -> float:
+        return float(np.max(np.abs(self.kernel - self.kernel.conj().T)))
+
+    def min_eigenvalue(self) -> float:
+        w = np.linalg.eigvalsh(0.5 * (self.kernel + self.kernel.conj().T))
+        return float(w[0] * self.dvol)
+
+
+def factorized_marginal(f):
+    """gamma = |phi><phi| for a normalized field."""
+    if abs(f.mass() - 1.0) > 1e-8:
+        raise ValueError("field must be normalized to unit mass")
+    phi = f.values.reshape(-1)
+    return MarginalKernel(kernel=np.outer(phi, np.conj(phi)), dvol=f.dvol)
+
+
+def delta_trace_term(f):
+    """Contact commutator of the factorized two-particle kernel, traced once."""
+    if abs(f.mass() - 1.0) > 1e-8:
+        raise ValueError("rank-1 required: witness field must be normalized")
+    phi = f.values.reshape(-1)
+    dens = np.abs(phi) ** 2
+    kernel = (dens[:, None] - dens[None, :]) * np.outer(phi, np.conj(phi))
+    return MarginalKernel(kernel=kernel, dvol=f.dvol)
+
+
+def _dense_operator(f, symbol):
+    """The Fourier multiplier `symbol` on f's grid as a dense matrix."""
+    n = f.values.size
+    axes = tuple(range(1, f.dim + 1))
+    images = np.fft.ifftn(symbol * np.fft.fftn(np.eye(n).reshape((n,) + f.shape), axes=axes), axes=axes)
+    return images.reshape(n, n).T
+
+
+def _dense_propagator(f, t):
+    """U(t) = exp(i Lap t) on the grid as a dense matrix."""
+    return _dense_operator(f, np.exp(-1j * f.k_squared() * t))
+
+
+def _dense_residuals(traj, g):
+    """Both residual forms in the Schrodinger picture, from dense kernels."""
+    ds = traj[1].time - traj[0].time
+    dvol = traj[0].dvol
+    P = [factorized_marginal(f).kernel for f in traj]
+    T = [delta_trace_term(f).kernel for f in traj]
+    U = [_dense_propagator(traj[0], k * ds) for k in range(len(traj))]
+
+    def evolve(kernel, lag):
+        return U[lag] @ kernel @ U[lag].conj().T
+
+    integral = [0.0]
+    for n in range(1, len(traj)):
+        duhamel = sum((0.5 if m in (0, n) else 1.0) * ds * evolve(T[m], n - m) for m in range(n + 1))
+        integral.append(float(np.linalg.norm(P[n] - evolve(P[0], n) + 1j * g * duhamel) * dvol))
+    minus_lap = _dense_operator(traj[0], traj[0].k_squared())
+    differential = []
+    for n in range(2, len(traj) - 2):
+        ddt = (-P[n + 2] + 8.0 * P[n + 1] - 8.0 * P[n - 1] + P[n - 2]) / (12.0 * ds)
+        rhs = minus_lap @ P[n] - P[n] @ minus_lap + g * T[n]
+        differential.append(float(np.linalg.norm(1j * ddt - rhs) * dvol))
+    return differential, integral
 
 
 def normalized_field(M=64, fn=None):
@@ -19,7 +100,7 @@ def normalized_field(M=64, fn=None):
 def test_factorized_marginal_properties():
     rng = np.random.default_rng(0)
     f = normalized_field(fn=lambda x: rng.normal(size=x.size) + 1j * rng.normal(size=x.size))
-    mk = hr.factorized_marginal(f)
+    mk = factorized_marginal(f)
     assert abs(mk.trace() - 1.0) < 1e-12
     assert mk.hermiticity_defect() < 1e-14
     assert mk.min_eigenvalue() >= -1e-10 * abs(mk.trace())
@@ -27,7 +108,7 @@ def test_factorized_marginal_properties():
 
 def test_factorized_marginal_constant_field():
     f = normalized_field()
-    mk = hr.factorized_marginal(f)
+    mk = factorized_marginal(f)
     vol = TWO_PI
     assert np.max(np.abs(mk.kernel - 1.0 / vol)) < 1e-12
 
@@ -35,20 +116,20 @@ def test_factorized_marginal_constant_field():
 def test_factorized_marginal_requires_normalization():
     f = gp.Field(2.0 * np.ones(16, dtype=complex), (TWO_PI,))
     with pytest.raises(ValueError):
-        hr.factorized_marginal(f)
+        factorized_marginal(f)
 
 
 def test_delta_trace_term_trivial_cases():
     const = normalized_field()
-    assert np.max(np.abs(hr.delta_trace_term(const).kernel)) == 0.0
+    assert np.max(np.abs(delta_trace_term(const).kernel)) == 0.0
     x = (np.arange(64) - 32) * (TWO_PI / 64)
     plane = gp.Field(np.exp(1j * x), (TWO_PI,)).normalize()
-    assert np.max(np.abs(hr.delta_trace_term(plane).kernel)) < 1e-14
+    assert np.max(np.abs(delta_trace_term(plane).kernel)) < 1e-14
 
 
 def test_delta_trace_term_structure():
     f = normalized_field(fn=lambda x: 1.0 + 0.5 * np.cos(x))
-    T = hr.delta_trace_term(f).kernel
+    T = delta_trace_term(f).kernel
     assert np.max(np.abs(np.diag(T))) == 0.0
     # commutator structure: kernel(x;x') = -conj kernel(x';x)
     assert np.max(np.abs(T + T.conj().T)) < 1e-15
@@ -117,34 +198,14 @@ def test_needs_five_snapshots():
         hr.hierarchy_residual(traj, 1.0)
 
 
-def _dense_propagator(f, t):
-    """U(t) = exp(i Lap t) on the grid as a dense matrix."""
-    M = f.shape[0]
-    symbol = np.exp(-1j * f.k_squared() * t)
-    return np.fft.ifft(symbol[:, None] * np.fft.fft(np.eye(M), axis=0), axis=0)
-
-
 def test_integral_sweep_matches_dense_schrodinger_picture():
     g = 1.0
     traj = hr.build_trajectory(0, coupling=g, grid=32)
     sweep = hr.integral_form_residual(traj, g)
     assert len(sweep) == len(traj)
-    ds = traj[1].time - traj[0].time
-    gamma0 = hr.factorized_marginal(traj[0]).kernel
-
-    def evolve(kernel, lag):
-        U = _dense_propagator(traj[0], lag)
-        return U @ kernel @ U.conj().T
-
+    _, dense = _dense_residuals(traj, g)
     for n in (1, 2, 5, len(traj) - 1):
-        t = traj[n].time
-        duhamel = sum(
-            (0.5 if m in (0, n) else 1.0) * ds * evolve(hr.delta_trace_term(traj[m]).kernel, t - traj[m].time)
-            for m in range(n + 1)
-        )
-        resid = hr.factorized_marginal(traj[n]).kernel - (evolve(gamma0, t) - 1j * g * duhamel)
-        dense = float(np.linalg.norm(resid) * traj[0].dvol)
-        assert abs(sweep[n] - dense) <= 1e-10 * dense, (n, sweep[n], dense)
+        assert abs(sweep[n] - dense[n]) <= 1e-10 * dense[n], (n, sweep[n], dense[n])
 
 
 def test_integral_form_requires_uniform_spacing():
@@ -161,5 +222,52 @@ def test_build_trajectory_refines_grid_and_spacing_together():
     assert coarse[0].shape == (8, 8) and fine[0].shape == (16, 16)
     assert len(coarse) == 3 and len(fine) == 5
     assert abs(fine[-1].time - 0.1) < 1e-12
-    with pytest.raises(ValueError, match="dim 1 or 2"):
-        hr.build_trajectory(0, coupling=1.0, dim=3)
+    # the same two-mode state in d = 3: constant along the middle axis
+    cube = hr.build_trajectory(0, coupling=1.0, dim=3, grid=8, t_final=0.1)
+    assert cube[0].shape == (8, 8, 8) and len(cube) == 3
+    for j in (0, 5):
+        assert np.allclose(cube[0].values[:, j, :] * np.sqrt(TWO_PI), coarse[0].values, rtol=0, atol=1e-14)
+
+
+@st.composite
+def _ladders(draw):
+    """Small resolved GP trajectories and a residual coupling in [-2, 2]."""
+    dim = draw(st.sampled_from([1, 2]))
+    grid = draw(st.integers(24, 48) if dim == 1 else st.integers(10, 16))
+    amp = st.floats(-0.5, 0.5, allow_nan=False)
+    snapshots = draw(st.integers(5, 13))
+    traj = hr.build_trajectory(
+        0,
+        coupling=draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 2.0)),
+        dim=dim,
+        grid=grid,
+        t_final=0.05 * (snapshots - 1),
+        amp_cos=draw(amp),
+        amp_sin=draw(amp),
+    )
+    return traj, draw(st.sampled_from([0.0, 1.0]) | st.floats(-2.0, 2.0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_ladders())
+def test_low_rank_residuals_match_dense_kernels(case):
+    traj, g = case
+    res = hr.hierarchy_residual(traj, g)
+    differential, integral = _dense_residuals(traj, g)
+    pairs = list(zip(res.differential_residual, differential))
+    pairs += list(zip(hr.integral_form_residual(traj, g), integral))
+    for low_rank, dense in pairs:
+        # relative agreement above the roundoff floor of the O(1) terms
+        assert abs(low_rank - dense) <= 1e-9 * dense + 1e-13, (low_rank, dense)
+
+
+def test_residuals_allocate_no_dense_kernel():
+    M = 1024
+    traj = hr.build_trajectory(0, coupling=1.0, grid=M, snapshot_dt=1e-4, t_final=8e-4)
+    tracemalloc.start()
+    try:
+        hr.hierarchy_residual(traj, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * M * M, peak
