@@ -16,6 +16,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -25,16 +26,6 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, gp, hierarchy, potentials, propagators, scattering
-
-TASKS = (
-    "scatter",
-    "evolve",
-    "groundstate",
-    "two-body-convergence",
-    "second-moment",
-    "hierarchy-check",
-    "inequality-check",
-)
 
 
 class ConfigError(ValueError):
@@ -101,25 +92,15 @@ def config_hash(cfg: RunConfig) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-_TASK_REQUIRED = {
-    "scatter": ("potential",),
-    "evolve": ("potential_or_coupling",),
-    "groundstate": (),
-    "two-body-convergence": ("potential",),
-    "second-moment": ("potential",),
-    "hierarchy-check": (),
-    "inequality-check": ("kind",),
-}
-
-
 def _integer(key: str, value, least: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
         raise ConfigError(f"{key} must be an integer >= {least}, got {value!r}")
     return value
 
 
-def _choice(key: str, value, options: tuple[int, ...]) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value not in options:
+def _choice(key: str, value, options: tuple):
+    # equal and of the same type: neither 1.0 nor True is the dim 1
+    if not any(type(value) is type(o) and value == o for o in options):
         raise ConfigError(f"{key} must be one of {options}, got {value!r}")
     return value
 
@@ -137,6 +118,12 @@ def _positive(key: str, value) -> float:
     return float(value)
 
 
+def _nonnegative(key: str, value) -> float:
+    if _finite(key, value) < 0:
+        raise ConfigError(f"{key} must be >= 0, got {value!r}")
+    return float(value)
+
+
 def _per_axis(key: str, value, dim: int, read) -> tuple:
     """One entry per axis: a list of dim entries, or one entry for every axis."""
     entries = value if isinstance(value, list) else [value] * dim
@@ -145,67 +132,57 @@ def _per_axis(key: str, value, dim: int, read) -> tuple:
     return tuple(read(key, v) for v in entries)
 
 
-def _gp_grid(params: dict) -> tuple[int, tuple[int, ...], tuple[float, ...]]:
-    """dim, grid shape and box of an evolve or groundstate config."""
-    dim = _choice("dim", params.get("dim", 1), (1, 2, 3))
-    M = params.get("grid", {1: 256, 2: 128, 3: 64}[dim])
-    shape = _per_axis("grid", M, dim, lambda key, v: _integer(key, v, 2))
-    box = _per_axis("box", params.get("box", 2.0 * np.pi), dim, _positive)
-    return dim, shape, box
+def _list(key: str, value, read, least: int = 1) -> list:
+    if not isinstance(value, list) or len(value) < least:
+        raise ConfigError(f"{key} must be a list of at least {least} entries, got {value!r}")
+    return [read(key, v) for v in value]
 
 
-def _evolve_times(params: dict) -> tuple[float, int]:
-    """t_final and the number of snapshots of an evolve config."""
-    return (
-        _positive("t_final", params.get("t_final", 1.0)),
-        _integer("snapshots", params.get("snapshots", 10), 1),
-    )
+def _potential(spec, key: str = "potential") -> potentials.Potential:
+    try:
+        return potentials.from_config(spec)
+    except (KeyError, TypeError, AttributeError, ValueError, OverflowError, OSError) as exc:
+        # PotentialError is a ValueError; OSError covers a tabulated CSV path
+        raise ConfigError(f"invalid {key}: {exc!r}") from exc
 
 
-def _hierarchy_ladder(params: dict) -> tuple[int, dict]:
-    """Refinement levels and the build_trajectory keywords of a hierarchy-check config."""
-    dim = _choice("dim", params.get("dim", 1), (1, 2, 3))
-    levels = _integer("levels", params.get("levels", 3), 2)
-    shape = {
-        "dim": dim,
-        "grid": _integer("grid", params.get("grid", {1: 64, 2: 20, 3: 8}[dim]), 2),
-        "box": _positive("box", params.get("box", 2.0 * np.pi)),
-        "snapshot_dt": _positive("snapshot_dt", params.get("snapshot_dt", 0.05)),
-        "t_final": _positive("t_final", params.get("t_final", 0.5)),
-        "amp_cos": _finite("amp_cos", params.get("amp_cos", 0.4)),
-        "amp_sin": _finite("amp_sin", params.get("amp_sin", 0.3)),
-    }
-    # the five-point stencil needs 5 snapshots on the coarsest level
-    steps = shape["t_final"] / shape["snapshot_dt"]
-    if steps < 3.5:
-        raise ConfigError("t_final must be at least 4 snapshot_dt (5 snapshots)")
-    # The finest level holds its T snapshots and the residual sweep's basis
-    # (at most 2T + 1 more fields) of n complex points at once.  Integer
-    # arithmetic: each factor is clamped at the memory size, which it alone
-    # would exceed, so a huge level count or grid stays within float range.
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    scale = 2 ** min(levels - 1, have.bit_length())
-    n = (min(shape["grid"], have) * scale) ** dim
-    snapshots = round(min(steps, have)) * scale + 1
-    need = (3 * snapshots + 1) * 16 * n
-    if need > have:
-        raise ConfigError(
-            f"hierarchy-check needs about {need / 1e9:.3g} GB for the trajectory and "
-            f"residual basis of its finest level; physical memory is {have / 1e9:.3g} GB"
-        )
-    return levels, shape
+def _required(potential, task: str) -> potentials.Potential:
+    if potential is None:
+        raise ConfigError(f"task {task} requires a potential")
+    return potential
 
 
-# grid-shape readers, run by parse_config so a malformed shape is a ConfigError
-_GRID_READERS = {
-    "evolve": (_gp_grid, _evolve_times),
-    "groundstate": (_gp_grid,),
-    "hierarchy-check": (_hierarchy_ladder,),
-}
+def _physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _read_coupling(params: dict, default: float):
+    """A number >= 0, or a validated (mode, potential) rule for _resolve_coupling."""
+    spec = params.get("coupling", default)
+    if not isinstance(spec, dict):
+        return _nonnegative("coupling", spec)
+    mode = _choice("coupling mode", spec.get("mode", "scattering-length"), ("scattering-length", "born"))
+    return mode, _potential(spec.get("potential"), "coupling potential")
+
+
+def _resolve_coupling(coupling, results: dict) -> float:
+    """The value of a _read_coupling result; a scattering-length rule also reports a0."""
+    if not isinstance(coupling, tuple):
+        return coupling
+    mode, p = coupling
+    if mode == "born":
+        return float(potentials.norms(p).l1)
+    sol = scattering.solve_zero_energy(p)
+    results["a0"] = sol.a0_asym
+    return float(8.0 * np.pi * sol.a0_asym)
 
 
 def parse_config(text: str) -> RunConfig:
-    """Validate a JSON config document into a RunConfig."""
+    """Validate a JSON config document into a RunConfig.
+
+    The task's reader checks every documented key here, so a malformed
+    config is a ConfigError before any solver runs.
+    """
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -213,37 +190,23 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     task = raw.get("task")
-    if task not in TASKS:
+    if not isinstance(task, str) or task not in _TASKS:
         raise ConfigError(f"unknown task: {task!r}")
     seed = raw.get("seed", 0)
     if not isinstance(seed, int) or seed < 0:
         raise ConfigError("seed must be a nonnegative integer")
-    potential = raw.get("potential")
     params = {
         k: v for k, v in raw.items() if k not in ("task", "seed", "potential")
     }
-    for tol_key in ("tol", "dt", "dtau"):
-        if tol_key in params and not (
-            isinstance(params[tol_key], (int, float)) and params[tol_key] > 0
-        ):
-            raise ConfigError(f"{tol_key} must be positive")
-    for read in _GRID_READERS.get(task, ()):
-        read(params)
-    for req in _TASK_REQUIRED[task]:
-        if req == "potential" and potential is None:
-            raise ConfigError(f"task {task} requires a potential")
-        if req == "potential_or_coupling" and potential is None and "coupling" not in params:
-            raise ConfigError(f"task {task} requires a potential or a coupling")
-        if req == "kind" and "kind" not in params:
-            raise ConfigError("inequality-check requires a kind")
-    cfg = RunConfig(task=task, seed=seed, potential=potential, params=params)
-    if potential is not None:
-        try:
-            potentials.from_config(potential)  # validate eagerly
-        except (KeyError, TypeError, AttributeError, ValueError, OverflowError, OSError) as exc:
-            # PotentialError is a ValueError; OSError covers a tabulated CSV path
-            raise ConfigError(f"invalid potential: {exc!r}") from exc
+    cfg = RunConfig(task=task, seed=seed, potential=raw.get("potential"), params=params)
+    _arguments(cfg)
     return cfg
+
+
+def _arguments(cfg: RunConfig) -> dict:
+    """The runner's keyword arguments, from the task's reader."""
+    potential = None if cfg.potential is None else _potential(cfg.potential)
+    return _TASKS[cfg.task][0](cfg.params, potential)
 
 
 def serialize_config(cfg: RunConfig) -> str:
@@ -270,41 +233,33 @@ def _write_csv(path: Path, header: list[str], rows):
             w.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row])
 
 
-def _resolve_coupling(spec, out: dict) -> float:
-    """Coupling from a number or from a scattering/bare-integral rule."""
-    if isinstance(spec, (int, float)):
-        return float(spec)
-    if isinstance(spec, dict):
-        p = potentials.from_config(spec["potential"])
-        mode = spec.get("mode", "scattering-length")
-        if mode == "scattering-length":
-            sol = scattering.solve_zero_energy(p)
-            out["a0"] = sol.a0_asym
-            return float(8.0 * np.pi * sol.a0_asym)
-        if mode == "born":
-            return float(potentials.norms(p).l1)
-        raise ConfigError(f"unknown coupling mode: {mode!r}")
-    raise ConfigError("coupling must be a number or a rule object")
-
-
 # ---------------------------------------------------------------------------
-# Task runners
+# Tasks: a reader turns (params, potential) into its runner's arguments
 # ---------------------------------------------------------------------------
 
 
-def _run_scatter(cfg: RunConfig, outdir: Path):
-    p = potentials.from_config(cfg.potential)
+def _read_scatter(params: dict, potential) -> dict:
+    return {
+        "potential": _required(potential, "scatter"),
+        "phase_probe_k": _positive("phase_probe_k", params.get("phase_probe_k", 1e-3)),
+        "mapping_norm_diagnostic": _choice(
+            "mapping_norm_diagnostic", params.get("mapping_norm_diagnostic", False), (False, True)
+        ),
+    }
+
+
+def _run_scatter(outdir: Path, seed: int, *, potential, phase_probe_k, mapping_norm_diagnostic):
+    p = potential
     sol = scattering.solve_zero_energy(p)
     born = potentials.born_scattering_length(p)
     ident = scattering.zero_energy_state_integral(p, sol)
     a0 = sol.a0_asym
     scale_a0 = max(abs(a0), 1e-12)
     consistency = abs(sol.a0_int - a0) / scale_a0
-    k_probe = float(cfg.params.get("phase_probe_k", 1e-3))
     if p.family == "zero":
         phase_route = 0.0
     else:
-        ps = scattering.phase_shift(p, k_probe)
+        ps = scattering.phase_shift(p, phase_probe_k)
         phase_route = -ps.delta0 / ps.k
     results = {
         "a0_asym": a0,
@@ -316,12 +271,10 @@ def _run_scatter(cfg: RunConfig, outdir: Path):
         "fit_nonlinearity": sol.fit_nonlinearity,
         "ode_residual": sol.residual,
     }
-    if bool(cfg.params.get("mapping_norm_diagnostic", False)) and p.family != "zero":
+    if mapping_norm_diagnostic and p.family != "zero":
         # sampled L1->L1 ratio of the wave operator; reported, never asserted
         tr = scattering.build_transform(p, k_max=8.0, n_k=256)
-        from .propagators import gaussian_packet
-
-        probe = gaussian_packet(tr.grid, sigma=1.0, r0=2.0)
+        probe = propagators.gaussian_packet(tr.grid, sigma=1.0, r0=2.0)
         results["l1_mapping_ratio"] = scattering.l1_ratio_diagnostic(tr, np.real(probe.u))
     checks = [
         _check("eq:a0", consistency, 1e-6, consistency <= 1e-6),
@@ -338,146 +291,158 @@ def _run_scatter(cfg: RunConfig, outdir: Path):
     return results, checks
 
 
-def _field_from_init(dim, shape, box, init) -> gp.Field:
+def _read_initial(spec, shape: tuple[int, ...]) -> dict:
+    """An initial state: its type and every parameter, defaults filled in."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"initial must be an object, got {spec!r}")
+    kind = _choice("initial type", spec.get("type", "gaussian"), ("plane-wave", "gaussian", "cosine"))
+    if kind == "gaussian":
+        return {"type": kind, "width": _positive("initial width", spec.get("width", 1.0))}
+    if kind == "cosine":
+        return {"type": kind, "amplitude": _finite("initial amplitude", spec.get("amplitude", 0.4))}
+    mode = spec.get("mode", [1] * len(shape))
+    if not isinstance(mode, list) or len(mode) != len(shape):
+        raise ConfigError(f"initial mode needs a list of {len(shape)} integers (one per axis), got {mode!r}")
+    for m, M in zip(mode, shape):
+        if _integer("initial mode", m, -(M // 2)) > M // 2:
+            raise ConfigError(f"initial mode must lie in [-{M // 2}, {M // 2}] on a grid of {M}, got {m!r}")
+    return {"type": kind, "amplitude": _finite("initial amplitude", spec.get("amplitude", 1.0)), "mode": mode}
+
+
+def _read_gp(params: dict, width: float) -> dict:
+    """Grid, coupling, trap and initial state of an evolve or groundstate config."""
+    dim = _choice("dim", params.get("dim", 1), (1, 2, 3))
+    M = params.get("grid", {1: 256, 2: 128, 3: 64}[dim])
+    shape = _per_axis("grid", M, dim, lambda key, v: _integer(key, v, 2))
+    box = _per_axis("box", params.get("box", 2.0 * np.pi), dim, _positive)
+    # each factor is clamped at the memory size, which it alone would exceed
+    have = _physical_memory()
+    need = 16 * math.prod(min(M, have) for M in shape)
+    if need > have:
+        raise ConfigError(
+            f"the grid needs about {need / 1e9:.3g} GB per field; physical memory is {have / 1e9:.3g} GB"
+        )
+    trap = _choice("trap", params.get("trap"), (None, "harmonic"))
+    return {
+        "shape": shape,
+        "box": box,
+        "coupling": _read_coupling(params, 0.0),
+        "trap": gp.harmonic_trap if trap else None,
+        "initial": _read_initial(params.get("initial", {"type": "gaussian", "width": width}), shape),
+    }
+
+
+def _field_from_init(shape, box, init: dict) -> gp.Field:
     axes = [(np.arange(M) - M // 2) * (L / M) for M, L in zip(shape, box)]
     mesh = np.meshgrid(*axes, indexing="ij")
-    kind = init.get("type", "gaussian")
-    if kind == "plane-wave":
-        mode = init.get("mode", [1] * dim)
-        amp = float(init.get("amplitude", 1.0))
-        phase = np.zeros(shape)
-        for c, (m, L) in enumerate(zip(mode, box)):
-            phase = phase + (2.0 * np.pi * m / L) * mesh[c]
-        vals = amp * np.exp(1j * phase)
-        f = gp.Field(vals, tuple(box))
-    elif kind == "gaussian":
-        width = float(init.get("width", 1.0))
-        r2 = np.zeros(shape)
-        for c in range(dim):
-            r2 = r2 + mesh[c] ** 2
-        f = gp.Field(np.exp(-r2 / (2.0 * width**2)).astype(complex), tuple(box))
-        f.normalize()
-    elif kind == "cosine":
-        amp = float(init.get("amplitude", 0.4))
-        vals = np.ones(shape, dtype=complex)
-        for c, L in enumerate(box):
-            vals = vals + amp * np.cos(2.0 * np.pi * mesh[c] / L)
-        f = gp.Field(vals, tuple(box))
-        f.normalize()
+    if init["type"] == "plane-wave":
+        phase = sum((2.0 * np.pi * m / L) * x for m, L, x in zip(init["mode"], box, mesh))
+        return gp.Field(init["amplitude"] * np.exp(1j * phase), box)
+    if init["type"] == "gaussian":
+        r2 = sum(x**2 for x in mesh)
+        f = gp.Field(np.exp(-r2 / (2.0 * init["width"] ** 2)).astype(complex), box)
     else:
-        raise ConfigError(f"unknown initial state type: {kind!r}")
-    return f
+        cosines = (init["amplitude"] * np.cos(2.0 * np.pi * x / L) for x, L in zip(mesh, box))
+        f = gp.Field(sum(cosines, np.ones(shape, dtype=complex)), box)
+    return f.normalize()
 
 
-def _gp_setup(cfg: RunConfig, results: dict):
-    params = cfg.params
-    dim, shape, box = _gp_grid(params)
-    coupling = _resolve_coupling(params.get("coupling", 0.0), results)
-    trap = gp.harmonic_trap if params.get("trap") == "harmonic" else None
-    return dim, shape, box, coupling, trap
+def _read_evolve(params: dict, potential) -> dict:
+    kw = _read_gp(params, 1.0)
+    shape, box = kw["shape"], kw["box"]
+    t_final = _positive("t_final", params.get("t_final", 1.0))
+    snapshots = _integer("snapshots", params.get("snapshots", 10), 1)
+    t_snap = np.float64(t_final / snapshots)
+    with np.errstate(divide="ignore", over="ignore"):
+        if "dt" in params:
+            dt = _positive("dt", params["dt"])
+        else:
+            # the kinetic-scale precondition at the grid's largest |k|^2: the
+            # Nyquist entry of fftfreq on every axis, as gp.Field.k_squared has it
+            k = [2.0 * np.pi * ((M // 2) * (1.0 / np.float64(M * (L / M)))) for M, L in zip(shape, box)]
+            dt = min(1e-3, 0.8 * np.pi / sum(kk * kk for kk in k))
+        steps = np.ceil(t_snap / dt - 1e-12)
+    if not 1 <= steps <= sys.float_info.max:
+        raise ConfigError(f"t_final / snapshots = {t_snap:.3g} takes no finite number of steps dt = {dt:.3g}")
+    return {
+        **kw,
+        "t_final": t_final,
+        "snapshots": snapshots,
+        # dt snapped to divide the snapshot interval
+        "dt": float(t_snap / int(steps)),
+        "density_slice": _choice("density_slice", params.get("density_slice", False), (False, True)),
+    }
 
 
-def _default_dt(params: dict, f: gp.Field) -> float:
-    if "dt" in params:
-        return float(params["dt"])
-    # keep the default consistent with the kinetic-scale precondition
-    return min(1e-3, 0.8 * np.pi / float(np.max(f.k_squared())))
-
-
-def _run_evolve(cfg: RunConfig, outdir: Path):
-    params = cfg.params
+def _run_evolve(
+    outdir: Path, seed: int, *, shape, box, coupling, trap, initial, t_final, snapshots, dt, density_slice
+):
     results: dict = {}
-    dim, shape, box, coupling, trap = _gp_setup(cfg, results)
-    t_final, n_snap = _evolve_times(params)
-    init = params.get("initial", {"type": "gaussian", "width": 1.0})
-    f = _field_from_init(dim, shape, box, init)
-    dt = _default_dt(params, f)
-    t_snap = t_final / n_snap
-    dt = t_snap / int(np.ceil(t_snap / dt - 1e-12))
+    coupling = _resolve_coupling(coupling, results)
+    f = _field_from_init(shape, box, initial)
+    t_snap = t_final / snapshots
     gcfg = gp.GPConfig(coupling=coupling, trap=trap, dt=dt)
 
-    e0 = gp.gp_energy(f, gcfg)
-    m0 = f.mass()
-    rows = [(0.0, m0, e0["kinetic"], e0["interaction"], e0["trap"], e0["total"])]
+    def observe(f: gp.Field) -> tuple:
+        e = gp.gp_energy(f, gcfg)
+        return (f.time, f.mass(), e["kinetic"], e["interaction"], e["trap"], e["total"])
+
+    rows = [observe(f)]
     cur = f
-    mass_drift = 0.0
-    energy_drift = 0.0
-    for i in range(n_snap):
+    for _ in range(snapshots):
         cur = gp.gp_evolve(cur, gcfg, t_snap)
-        e = gp.gp_energy(cur, gcfg)
-        rows.append(
-            (cur.time, cur.mass(), e["kinetic"], e["interaction"], e["trap"], e["total"])
-        )
-        mass_drift = max(mass_drift, abs(cur.mass() - m0) / m0)
-        energy_drift = max(energy_drift, abs(e["total"] - e0["total"]) / abs(e0["total"]))
+        rows.append(observe(cur))
+    m0, e0 = rows[0][1], rows[0][5]
+    mass_drift = max(abs(r[1] - m0) / m0 for r in rows[1:])
+    energy_drift = max(abs(r[5] - e0) / abs(e0) for r in rows[1:])
+    columns = ("t", "mass", "kinetic", "interaction", "trap", "total")
     results.update(
         {
             "coupling": coupling,
             "mass_drift": mass_drift,
             "energy_drift": energy_drift,
-            "energy_initial": e0["total"],
+            "energy_initial": e0,
             "energy_final": rows[-1][5],
-            "series": [
-                {
-                    "t": r[0],
-                    "mass": r[1],
-                    "kinetic": r[2],
-                    "interaction": r[3],
-                    "trap": r[4],
-                    "total": r[5],
-                }
-                for r in rows
-            ],
+            "series": [dict(zip(columns, r)) for r in rows],
         }
     )
     checks = [
         _check("eq:GP1", mass_drift, 1e-10 * max(t_final, 1), mass_drift <= 1e-10 * max(t_final, 1)),
         _check("eq:GP1", energy_drift, 1e-8, energy_drift <= 1e-8),
     ]
-    if init.get("type") == "plane-wave":
-        mode = init.get("mode", [1] * dim)
-        amp = float(init.get("amplitude", 1.0))
-        k2 = sum((2.0 * np.pi * m / L) ** 2 for m, L in zip(mode, box))
-        omega = k2 + coupling * amp**2
-        f_exact = _field_from_init(dim, shape, box, init)
-        exact = f_exact.values * np.exp(-1j * omega * cur.time)
+    if initial["type"] == "plane-wave":
+        k2 = sum((2.0 * np.pi * m / L) ** 2 for m, L in zip(initial["mode"], box))
+        omega = k2 + coupling * initial["amplitude"] ** 2
+        exact = _field_from_init(shape, box, initial).values * np.exp(-1j * omega * cur.time)
         phase_err = float(np.max(np.abs(np.angle(cur.values / exact))))
         results["plane_wave_phase_error"] = phase_err
         results["dispersion_omega"] = float(omega)
         checks.append(_check("eq:GP1", phase_err, 1e-6, phase_err <= 1e-6))
-    _write_csv(
-        outdir / "observables.csv",
-        ["t", "mass", "kinetic", "interaction", "trap", "total"],
-        rows,
-    )
-    if bool(params.get("density_slice", False)):
+    _write_csv(outdir / "observables.csv", columns, rows)
+    if density_slice:
         sl = cur.values
         while sl.ndim > 1:
             sl = sl[sl.shape[0] // 2]
-        _write_csv(
-            outdir / "density.csv",
-            ["x", "density"],
-            zip(cur.axes()[-1], np.abs(sl) ** 2),
-        )
+        _write_csv(outdir / "density.csv", ["x", "density"], zip(cur.axes()[-1], np.abs(sl) ** 2))
     return results, checks
 
 
-def _run_groundstate(cfg: RunConfig, outdir: Path):
-    params = cfg.params
-    results: dict = {}
-    dim, shape, box, coupling, trap = _gp_setup(cfg, results)
-    if trap is None and coupling == 0.0:
+def _read_groundstate(params: dict, potential) -> dict:
+    kw = _read_gp(params, 0.7)
+    if kw["trap"] is None and kw["coupling"] == 0.0:
         raise ConfigError("no minimizer: groundstate needs a trap or g > 0")
-    init = _field_from_init(
-        dim, shape, box, params.get("initial", {"type": "gaussian", "width": 0.7})
-    )
+    return {
+        **kw,
+        "dtau": _positive("dtau", params.get("dtau", 0.02)),
+        "tol": _positive("tol", params.get("tol", 1e-10)),
+    }
+
+
+def _run_groundstate(outdir: Path, seed: int, *, shape, box, coupling, trap, initial, dtau, tol):
+    results: dict = {}
+    coupling = _resolve_coupling(coupling, results)
     gcfg = gp.GPConfig(coupling=coupling, trap=trap)
-    res = gp.gp_ground_state(
-        gcfg,
-        init,
-        dtau=float(params.get("dtau", 0.02)),
-        tol=float(params.get("tol", 1e-10)),
-    )
+    res = gp.gp_ground_state(gcfg, _field_from_init(shape, box, initial), dtau=dtau, tol=tol)
     energies = res["energies"]
     monotone = all(b <= a for a, b in zip(energies[:-1], energies[1:]))
     results.update(
@@ -490,29 +455,30 @@ def _run_groundstate(cfg: RunConfig, outdir: Path):
     )
     checks = [_check("E-GP", 0.0 if monotone else 1.0, 0.5, monotone)]
     if trap is not None and coupling == 0.0:
+        dim = len(shape)
         err = abs(res["energy"] - dim)
         results["harmonic_reference"] = float(dim)
         checks.append(_check("E-GP", err, 1e-4, err <= 1e-4))
-    _write_csv(
-        outdir / "descent.csv",
-        ["iteration", "energy"],
-        list(enumerate(energies)),
-    )
+    _write_csv(outdir / "descent.csv", ["iteration", "energy"], list(enumerate(energies)))
     return results, checks
 
 
-def _run_two_body(cfg: RunConfig, outdir: Path):
-    params = cfg.params
-    p = potentials.from_config(cfg.potential)
-    n_list = params.get("n_list", [8, 16, 32, 64, 128, 256])
-    times = tuple(params.get("times", (0.25, 0.5, 1.0)))
+def _read_two_body(params: dict, potential) -> dict:
+    return {
+        "potential": _required(potential, "two-body-convergence"),
+        "n_list": _list(
+            "n_list", params.get("n_list", [8, 16, 32, 64, 128, 256]), lambda key, v: _integer(key, v, 1), 4
+        ),
+        "times": _list("times", params.get("times", [0.25, 0.5, 1.0]), _nonnegative),
+        "sigma": _positive("sigma", params.get("sigma", 1.0)),
+        "rmax": _positive("rmax", params.get("rmax", 24.0)),
+        "dt": _positive("dt", params.get("dt", 1e-3)),
+    }
+
+
+def _run_two_body(outdir: Path, seed: int, *, potential, n_list, times, sigma, rmax, dt):
     curve = propagators.convergence_experiment(
-        p,
-        n_list,
-        times=times,
-        sigma=float(params.get("sigma", 1.0)),
-        rmax=float(params.get("rmax", 24.0)),
-        dt=float(params.get("dt", 1e-3)),
+        potential, n_list, times=tuple(times), sigma=sigma, rmax=rmax, dt=dt
     )
     results = {
         "N_values": curve.N_values,
@@ -520,7 +486,7 @@ def _run_two_body(cfg: RunConfig, outdir: Path):
         "slope": curve.fitted_slope if curve.fitted_slope is not None else "exact",
         "h1_norm": curve.h1_norm,
         "monotone": curve.monotone_decreasing(),
-        "times": list(times),
+        "times": times,
         "boundary_fraction_max": curve.boundary_fraction_max,
     }
     slope_limit = -1.0 / 6.0 + 0.05
@@ -535,37 +501,35 @@ def _run_two_body(cfg: RunConfig, outdir: Path):
     return results, checks
 
 
-def _run_second_moment(cfg: RunConfig, outdir: Path):
-    params = cfg.params
-    p = potentials.from_config(cfg.potential)
-    samples = int(params.get("samples", 10))
-    rng = np.random.default_rng(cfg.seed)
-    transform = scattering.build_transform(
-        potentials.scale(p, 2),
-        k_max=float(params.get("k_max", 14.0)),
-        n_k=int(params.get("n_k", 640)),
-    )
+def _read_second_moment(params: dict, potential) -> dict:
+    return {
+        "potential": _required(potential, "second-moment"),
+        "samples": _integer("samples", params.get("samples", 10), 1),
+        "k_max": _positive("k_max", params.get("k_max", 14.0)),
+        "n_k": _integer("n_k", params.get("n_k", 640), 1),
+    }
+
+
+def _run_second_moment(outdir: Path, seed: int, *, potential, samples, k_max, n_k):
+    rng = np.random.default_rng(seed)
+    transform = scattering.build_transform(potentials.scale(potential, 2), k_max=k_max, n_k=n_k)
     rows = []
-    worst = np.inf
-    worst_triplet = None
     for i in range(samples):
         chi = propagators.CenterProfile(
             widths=tuple(rng.uniform(0.7, 1.5, 3)),
             momenta=tuple(rng.uniform(-1.0, 1.0, 3)),
         )
         g = propagators.gaussian_packet(transform.grid, sigma=float(rng.uniform(0.8, 1.6)))
-        res = propagators.second_moment_check(chi, g, p, N=2, transform=transform)
-        rel = res.slack / abs(res.lhs)
-        if rel < worst:
-            worst = rel
-            worst_triplet = (res.lhs, res.rhs, res.slack)
-        rows.append((i, res.lhs, res.rhs, res.slack, rel))
+        res = propagators.second_moment_check(chi, g, potential, N=2, transform=transform)
+        rows.append((i, res.lhs, res.rhs, res.slack, res.slack / abs(res.lhs)))
+    # the first sample of least relative slack
+    _, lhs, rhs, slack, worst = min(rows, key=lambda row: row[4])
     results = {
         "N": 2,
         "samples": samples,
-        "lhs": worst_triplet[0],
-        "rhs": worst_triplet[1],
-        "slack": worst_triplet[2],
+        "lhs": lhs,
+        "rhs": rhs,
+        "slack": slack,
         "min_relative_slack": float(worst),
         "transform_defect": transform.completeness_defect,
     }
@@ -574,43 +538,72 @@ def _run_second_moment(cfg: RunConfig, outdir: Path):
     return results, checks
 
 
-def _run_hierarchy(cfg: RunConfig, outdir: Path):
-    params = cfg.params
+def _read_hierarchy(params: dict, potential) -> dict:
+    dim = _choice("dim", params.get("dim", 1), (1, 2, 3))
+    levels = _integer("levels", params.get("levels", 3), 2)
+    shape = {
+        "dim": dim,
+        "grid": _integer("grid", params.get("grid", {1: 64, 2: 20, 3: 8}[dim]), 2),
+        "box": _positive("box", params.get("box", 2.0 * np.pi)),
+        "snapshot_dt": _positive("snapshot_dt", params.get("snapshot_dt", 0.05)),
+        "t_final": _positive("t_final", params.get("t_final", 0.5)),
+        "amp_cos": _finite("amp_cos", params.get("amp_cos", 0.4)),
+        "amp_sin": _finite("amp_sin", params.get("amp_sin", 0.3)),
+    }
+    # the five-point stencil needs 5 snapshots on the coarsest level
+    steps = shape["t_final"] / shape["snapshot_dt"]
+    if steps < 3.5:
+        raise ConfigError("t_final must be at least 4 snapshot_dt (5 snapshots)")
+    # The finest level holds its T snapshots and the residual sweep's basis
+    # (at most 2T + 1 more fields) of n complex points at once.  Integer
+    # arithmetic: each factor is clamped at the memory size, which it alone
+    # would exceed, so a huge level count or grid stays within float range.
+    have = _physical_memory()
+    scale = 2 ** min(levels - 1, have.bit_length())
+    n = (min(shape["grid"], have) * scale) ** dim
+    snapshots = round(min(steps, have)) * scale + 1
+    need = (3 * snapshots + 1) * 16 * n
+    if need > have:
+        raise ConfigError(
+            f"hierarchy-check needs about {need / 1e9:.3g} GB for the trajectory and "
+            f"residual basis of its finest level; physical memory is {have / 1e9:.3g} GB"
+        )
+    return {
+        "coupling": _read_coupling(params, 1.0),
+        "levels": levels,
+        "shape": shape,
+        "wrong_factor": _finite("wrong_factor", params.get("wrong_factor", 2.0)),
+    }
+
+
+def _run_hierarchy(outdir: Path, seed: int, *, coupling, levels, shape, wrong_factor):
     results: dict = {}
-    coupling = _resolve_coupling(params.get("coupling", 1.0), results)
-    levels, shape = _hierarchy_ladder(params)
-    dim = shape["dim"]
+    coupling = _resolve_coupling(coupling, results)
     study = hierarchy.refinement_study(
         lambda lvl: hierarchy.build_trajectory(lvl, coupling=coupling, **shape),
         levels=levels,
         coupling=coupling,
     )
     res_fine = study["finest_residual"]
-    wrong_factor = float(params.get("wrong_factor", 2.0))
     res_wrong = hierarchy.hierarchy_residual(study["finest_trajectory"], wrong_factor * coupling)
     ratio = res_wrong.max_differential() / res_fine.max_differential()
 
     zero_traj = hierarchy.build_trajectory(0, coupling=0.0, **shape)
     zero_resid = hierarchy.integral_form_residual(zero_traj, 0.0)[-1]
+    columns = ("t", "differential_residual", "integral_residual")
+    table = list(zip(res_fine.times, res_fine.differential_residual, res_fine.integral_residual))
 
     results.update(
         {
             "coupling": coupling,
-            "dim": dim,
+            "dim": shape["dim"],
             "differential_residuals": study["differential"],
             "integral_residuals": study["integral"],
             "slope_differential": study["slope_differential"],
             "slope_integral": study["slope_integral"],
             "wrong_coupling_ratio": float(ratio),
             "zero_coupling_integral_residual": float(zero_resid),
-            "rows": [
-                {"t": t, "differential_residual": d, "integral_residual": i}
-                for t, d, i in zip(
-                    res_fine.times,
-                    res_fine.differential_residual,
-                    res_fine.integral_residual,
-                )
-            ],
+            "rows": [dict(zip(columns, r)) for r in table],
         }
     )
     checks = [
@@ -619,126 +612,156 @@ def _run_hierarchy(cfg: RunConfig, outdir: Path):
         _check("eq:infhier", ratio, 10.0, ratio >= 10.0),
         _check("eq:BBGKYinf", zero_resid, 1e-8, zero_resid <= 1e-8),
     ]
-    _write_csv(
-        outdir / "residuals.csv",
-        ["t", "differential_residual", "integral_residual"],
-        zip(res_fine.times, res_fine.differential_residual, res_fine.integral_residual),
+    _write_csv(outdir / "residuals.csv", columns, table)
+    return results, checks
+
+
+def _read_inequality(params: dict, potential) -> dict:
+    """The kind's check and its arguments; _run_inequality runs the check."""
+    if "kind" not in params:
+        raise ConfigError("inequality-check requires a kind")
+    kind = _choice("kind", params["kind"], ("int1", "trivv", "vl1", "vl12", "theta"))
+    if kind in ("int1", "trivv"):
+        default = [0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0] if kind == "int1" else [0.0, 1.0, 5.0, 20.0]
+        return {
+            "check": _int1 if kind == "int1" else _trivv,
+            "p_grid": _list("p_grid", params.get("p_grid", default), _finite),
+        }
+    if kind == "vl1":
+        return {
+            "check": _vl1,
+            "potential": potential if potential is not None else potentials.soft_sphere(2.0, 1.0),
+            "pairs": _integer("pairs", params.get("pairs", 100), 1),
+        }
+    if kind == "vl12":
+        return {
+            "check": _vl12,
+            "potential": potential if potential is not None else potentials.gaussian(1.0, 1.0),
+            "alphas": _list("alphas", params.get("alphas", [0.5 / 2**j for j in range(11)]), _positive),
+        }
+    n_particles = _integer("n_particles", params.get("n_particles", 10), 2)
+    k = _integer("k", params.get("k", 3), 1)
+    if k >= n_particles:
+        raise ConfigError(f"k must be below n_particles = {n_particles}, got {k}")
+    return {
+        "check": _theta,
+        "n_particles": n_particles,
+        "k": k,
+        "n": _integer("n", params.get("n", 1), 1),
+        "samples": _integer("samples", params.get("samples", 1000), 100),
+    }
+
+
+def _run_inequality(outdir: Path, seed: int, *, check, **kw):
+    return check(outdir, seed, **kw)
+
+
+def _int1(outdir: Path, seed: int, *, p_grid):
+    values = [analysis.kernel_integral("int1", p) for p in p_grid]
+    v0 = values[p_grid.index(0.0)] if 0.0 in p_grid else analysis.kernel_integral("int1", 0.0)
+    cal = abs(v0 - np.pi**2)
+    sup_ok = max(values) <= v0 + 1e-6
+    results = {"p_grid": p_grid, "values": values, "calibration_gap": cal}
+    checks = [
+        _check("eq:int1", cal, 1e-4, cal <= 1e-4),
+        _check("eq:int1", max(values) - v0, 1e-6, sup_ok),
+    ]
+    _write_csv(outdir / "kernel_int1.csv", ["p", "value"], zip(p_grid, values))
+    return results, checks
+
+
+def _trivv(outdir: Path, seed: int, *, p_grid):
+    from scipy.special import gamma as _gamma
+
+    values = [analysis.kernel_integral("trivv", p) for p in p_grid]
+    oracle = float(4.0 * np.pi * (0.5 * _gamma(1.75) * _gamma(0.25) + np.pi / 4.0))
+    gap = abs(values[0] - oracle)
+    results = {"p_grid": p_grid, "values": values, "beta_oracle": oracle}
+    _write_csv(outdir / "kernel_trivv.csv", ["p", "value"], zip(p_grid, values))
+    return results, [_check("eq:trivv", gap, 1e-4, gap <= 1e-4)]
+
+
+def _vl1(outdir: Path, seed: int, *, potential, pairs):
+    rng = np.random.default_rng(seed)
+    ratios = [analysis.vl1_check(potential, analysis.random_pair(rng))["ratio"] for _ in range(2 * pairs)]
+    sup_half = max(ratios[:pairs])
+    sup_full = max(ratios)
+    change = abs(sup_full - sup_half) / sup_half
+    bound = float(np.pi**2 / (2.0 * np.pi) ** 3)
+    results = {
+        "pairs": pairs,
+        "ratio_sup": sup_full,
+        "ratio_sup_half": sup_half,
+        "doubling_change": change,
+        "analytic_bound": bound,
+    }
+    checks = [
+        _check("lm:VL1", change, 0.1, change < 0.1),
+        _check("lm:VL1", sup_full, bound, sup_full <= bound),
+    ]
+    _write_csv(outdir / "vl1_ratios.csv", ["pair", "ratio"], list(enumerate(ratios)))
+    return results, checks
+
+
+def _vl12(outdir: Path, seed: int, *, potential, alphas):
+    pair = analysis.random_pair(np.random.default_rng(seed))
+    res = analysis.vl12_rate(potentials.unit_l1(potential), pair, alphas)
+    gaps = res["gaps"]
+    mono = all(b <= a + 1e-8 for a, b in zip(gaps[:-1], gaps[1:]))
+    cfit = gaps[0] / (alphas[0] ** (1.0 / 12.0) * res["form_scale"])
+    rate_ok = all(
+        g <= cfit * a ** (1.0 / 12.0) * res["form_scale"] * (1 + 1e-9)
+        for g, a in zip(gaps, alphas)
     )
+    results = {
+        "alphas": alphas,
+        "gaps": [float(g) for g in gaps],
+        "fitted_constant": float(cfit),
+        "monotone": mono,
+    }
+    checks = [
+        _check("lm:VL12", 0.0 if mono else 1.0, 0.5, mono),
+        _check("lm:VL12", 0.0 if rate_ok else 1.0, 0.5, rate_ok),
+    ]
+    _write_csv(outdir / "vl12_gaps.csv", ["alpha", "gap"], zip(alphas, gaps))
     return results, checks
 
 
-def _run_inequality(cfg: RunConfig, outdir: Path):
-    params = cfg.params
-    kind = params["kind"]
-    rng = np.random.default_rng(cfg.seed)
-    if kind == "int1":
-        p_grid = params.get("p_grid", [0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0])
-        values = [analysis.kernel_integral("int1", p) for p in p_grid]
-        v0 = values[p_grid.index(0.0)] if 0.0 in p_grid else analysis.kernel_integral("int1", 0.0)
-        cal = abs(v0 - np.pi**2)
-        sup_ok = max(values) <= v0 + 1e-6
-        results = {"p_grid": p_grid, "values": values, "calibration_gap": cal}
-        checks = [
-            _check("eq:int1", cal, 1e-4, cal <= 1e-4),
-            _check("eq:int1", max(values) - v0, 1e-6, sup_ok),
-        ]
-        _write_csv(outdir / "kernel_int1.csv", ["p", "value"], zip(p_grid, values))
-    elif kind == "trivv":
-        from scipy.special import gamma as _gamma
-
-        p_grid = params.get("p_grid", [0.0, 1.0, 5.0, 20.0])
-        values = [analysis.kernel_integral("trivv", p) for p in p_grid]
-        oracle = float(4.0 * np.pi * (0.5 * _gamma(1.75) * _gamma(0.25) + np.pi / 4.0))
-        gap = abs(values[0] - oracle)
-        results = {"p_grid": p_grid, "values": values, "beta_oracle": oracle}
-        checks = [_check("eq:trivv", gap, 1e-4, gap <= 1e-4)]
-        _write_csv(outdir / "kernel_trivv.csv", ["p", "value"], zip(p_grid, values))
-    elif kind == "vl1":
-        p = potentials.from_config(cfg.potential or {"family": "soft-sphere", "v0": 2.0, "radius": 1.0})
-        n_pairs = int(params.get("pairs", 100))
-        ratios = []
-        for _ in range(2 * n_pairs):
-            ratios.append(analysis.vl1_check(p, analysis.random_pair(rng))["ratio"])
-        sup_half = max(ratios[:n_pairs])
-        sup_full = max(ratios)
-        change = abs(sup_full - sup_half) / sup_half
-        bound = float(np.pi**2 / (2.0 * np.pi) ** 3)
-        results = {
-            "pairs": n_pairs,
-            "ratio_sup": sup_full,
-            "ratio_sup_half": sup_half,
-            "doubling_change": change,
-            "analytic_bound": bound,
-        }
-        checks = [
-            _check("lm:VL1", change, 0.1, change < 0.1),
-            _check("lm:VL1", sup_full, bound, sup_full <= bound),
-        ]
-        _write_csv(outdir / "vl1_ratios.csv", ["pair", "ratio"], list(enumerate(ratios)))
-    elif kind == "vl12":
-        base = potentials.from_config(
-            cfg.potential or {"family": "gaussian", "v0": 1.0, "width": 1.0}
-        )
-        unit = potentials.unit_l1(base)
-        ladder = params.get("alphas", [0.5 / 2**j for j in range(11)])
-        pair = analysis.random_pair(rng)
-        res = analysis.vl12_rate(unit, pair, ladder)
-        gaps = res["gaps"]
-        mono = all(b <= a + 1e-8 for a, b in zip(gaps[:-1], gaps[1:]))
-        cfit = gaps[0] / (ladder[0] ** (1.0 / 12.0) * res["form_scale"])
-        rate_ok = all(
-            g <= cfit * a ** (1.0 / 12.0) * res["form_scale"] * (1 + 1e-9)
-            for g, a in zip(gaps, ladder)
-        )
-        results = {
-            "alphas": list(ladder),
-            "gaps": [float(g) for g in gaps],
-            "fitted_constant": float(cfit),
-            "monotone": mono,
-        }
-        checks = [
-            _check("lm:VL12", 0.0 if mono else 1.0, 0.5, mono),
-            _check("lm:VL12", 0.0 if rate_ok else 1.0, 0.5, rate_ok),
-        ]
-        _write_csv(outdir / "vl12_gaps.csv", ["alpha", "gap"], zip(ladder, gaps))
-    elif kind == "theta":
-        cfgc = analysis.default_cutoff_config(
-            N=int(params.get("n_particles", 10)),
-            k=int(params.get("k", 3)),
-            n=int(params.get("n", 1)),
-        )
-        samples = int(params.get("samples", 1000))
-        r1 = analysis.theta_inequalities(cfgc, samples=samples, seed=cfg.seed)
-        r2 = analysis.theta_inequalities(cfgc, samples=2 * samples, seed=cfg.seed)
-        stab2 = abs(r2["ratio_ii_sup"] - r1["ratio_ii_sup"]) / r1["ratio_ii_sup"]
-        stab3 = abs(r2["ratio_iii_sup"] - r1["ratio_iii_sup"]) / r1["ratio_iii_sup"]
-        results = {
-            "samples": samples,
-            "monotonicity_ok": r1["monotonicity_ok"] and r2["monotonicity_ok"],
-            "ratio_ii_sup": r2["ratio_ii_sup"],
-            "ratio_iii_sup": r2["ratio_iii_sup"],
-            "stability_ii": stab2,
-            "stability_iii": stab3,
-        }
-        checks = [
-            _check("lm:theta", 0.0 if results["monotonicity_ok"] else 1.0, 0.5, results["monotonicity_ok"]),
-            _check("lm:theta", stab2, 0.1, stab2 < 0.1),
-            _check("lm:theta", stab3, 0.1, stab3 < 0.1),
-        ]
-    else:
-        raise ConfigError(f"unknown inequality kind: {kind!r}")
+def _theta(outdir: Path, seed: int, *, n_particles, k, n, samples):
+    cfgc = analysis.default_cutoff_config(N=n_particles, k=k, n=n)
+    r1 = analysis.theta_inequalities(cfgc, samples=samples, seed=seed)
+    r2 = analysis.theta_inequalities(cfgc, samples=2 * samples, seed=seed)
+    stab2 = abs(r2["ratio_ii_sup"] - r1["ratio_ii_sup"]) / r1["ratio_ii_sup"]
+    stab3 = abs(r2["ratio_iii_sup"] - r1["ratio_iii_sup"]) / r1["ratio_iii_sup"]
+    mono = r1["monotonicity_ok"] and r2["monotonicity_ok"]
+    results = {
+        "samples": samples,
+        "monotonicity_ok": mono,
+        "ratio_ii_sup": r2["ratio_ii_sup"],
+        "ratio_iii_sup": r2["ratio_iii_sup"],
+        "stability_ii": stab2,
+        "stability_iii": stab3,
+    }
+    checks = [
+        _check("lm:theta", 0.0 if mono else 1.0, 0.5, mono),
+        _check("lm:theta", stab2, 0.1, stab2 < 0.1),
+        _check("lm:theta", stab3, 0.1, stab3 < 0.1),
+    ]
     return results, checks
 
 
-_RUNNERS = {
-    "scatter": _run_scatter,
-    "evolve": _run_evolve,
-    "groundstate": _run_groundstate,
-    "two-body-convergence": _run_two_body,
-    "second-moment": _run_second_moment,
-    "hierarchy-check": _run_hierarchy,
-    "inequality-check": _run_inequality,
+# task -> (reader, runner): parse_config checks a config with its reader, and run
+# hands the reader's output to the runner
+_TASKS = {
+    "scatter": (_read_scatter, _run_scatter),
+    "evolve": (_read_evolve, _run_evolve),
+    "groundstate": (_read_groundstate, _run_groundstate),
+    "two-body-convergence": (_read_two_body, _run_two_body),
+    "second-moment": (_read_second_moment, _run_second_moment),
+    "hierarchy-check": (_read_hierarchy, _run_hierarchy),
+    "inequality-check": (_read_inequality, _run_inequality),
 }
+TASKS = tuple(_TASKS)
 
 
 def run(cfg: RunConfig, outdir: str | Path | None = None) -> Report:
@@ -747,7 +770,7 @@ def run(cfg: RunConfig, outdir: str | Path | None = None) -> Report:
     outdir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     try:
-        results, checks = _RUNNERS[cfg.task](cfg, outdir)
+        results, checks = _TASKS[cfg.task][1](outdir, cfg.seed, **_arguments(cfg))
     except (ValueError, RuntimeError) as exc:
         raise RuntimeError(f"task {cfg.task} failed: {exc}") from exc
     report = Report(

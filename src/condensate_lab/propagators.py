@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .potentials import Potential, scale
-from .radial import RadialGrid, build_grid
-from .scattering import ScatteringTransform, build_transform, potential_node_samples
+from .potentials import Potential, scale, zero_potential
+from .radial import RadialGrid, build_grid, gaussian_bump
+from .scattering import ScatteringTransform, apply_hamiltonian, build_transform, potential_node_samples
 
 
 @dataclass
@@ -52,20 +52,8 @@ class RadialWavepacket:
 
 
 def gaussian_packet(grid: RadialGrid, sigma: float = 1.0, r0: float = 0.0) -> RadialWavepacket:
-    """Normalized radial Gaussian bump, odd-analytic at the origin.
-
-    The image-sum form r (G(r - r0) + G(r + r0)) keeps the odd extension
-    smooth, so sine-spectral tails decay like a Gaussian.
-    """
-    r = grid.r
-    u = r * (
-        np.exp(-((r - r0) ** 2) / (2.0 * sigma**2))
-        + np.exp(-((r + r0) ** 2) / (2.0 * sigma**2))
-    )
-    u[0] = u[-1] = 0.0
-    w = RadialWavepacket(grid, u.astype(np.complex128))
-    w.u /= grid.norm(w.u)
-    return w
+    """radial.gaussian_bump as a wavepacket."""
+    return RadialWavepacket(grid, gaussian_bump(grid, sigma, r0))
 
 
 def _check_boundary(w: RadialWavepacket):
@@ -125,13 +113,7 @@ def _cn_steps(w: RadialWavepacket, q: np.ndarray, nsteps: int, dt: float) -> Rad
     return new
 
 
-def evolve_interacting(
-    w: RadialWavepacket,
-    p: Potential,
-    t: float,
-    dt: float,
-    _q_override: np.ndarray | None = None,
-) -> RadialWavepacket:
+def evolve_interacting(w: RadialWavepacket, p: Potential, t: float, dt: float) -> RadialWavepacket:
     """Crank-Nicolson propagation of i u_t = (-u'' + (V/2) u).
 
     Unitary for every dt; dt must still resolve the phases of interest.
@@ -140,8 +122,7 @@ def evolve_interacting(
     """
     _check_boundary(w)
     nsteps = _step_count(t, dt)
-    q = _q_override if _q_override is not None else 0.5 * potential_node_samples(p, w.grid)
-    return _cn_steps(w, q, nsteps, dt)
+    return _cn_steps(w, 0.5 * potential_node_samples(p, w.grid), nsteps, dt)
 
 
 def interacting_energy(w: RadialWavepacket, p) -> float:
@@ -171,7 +152,7 @@ def wave_operator_defect(
     if w.grid.h > 0.25 * pN.range_hint:
         raise ValueError("grid too coarse for the rescaled core")
     a = evolve_interacting(w, pN, t, dt)
-    b = evolve_interacting(w, pN, t, dt, _q_override=np.zeros(w.grid.n))
+    b = evolve_interacting(w, zero_potential(), t, dt)
     return float(w.grid.norm_flat(a.u - b.u))
 
 
@@ -312,12 +293,8 @@ def second_moment_check(
     mu2 = chi.second_moment()
     mu4 = chi.fourth_moment()
 
-    # radial pieces for the lhs, sine-spectral second derivative
-    c_free = grid.dst(u)
-    km = grid.modes()
-    upp = grid.idst(-(km**2) * c_free)
-    q = 0.5 * potential_node_samples(pN, grid)
-    hv_u = -upp + q * u
+    # radial pieces for the lhs
+    hv_u = apply_hamiltonian(grid, pN, u)
     norm_g = np.sum(grid.weights * u**2)
     g_hv_g = float(np.sum(grid.weights * u * np.real(hv_u)))
     hv_sq = float(np.sum(grid.weights * np.abs(hv_u) ** 2))

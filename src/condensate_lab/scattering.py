@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _kernels
 from .potentials import PotentialError, born_scattering_length
-from .radial import RadialGrid, build_grid, half_step_samples
+from .radial import RadialGrid, build_grid, gaussian_bump, half_step_samples
 
 
 @dataclass(frozen=True)
@@ -276,16 +276,6 @@ class ScatteringTransform:
         return self.k**2
 
 
-def _calibration_packet(grid: RadialGrid, k_max: float, r0: float = 0.0) -> np.ndarray:
-    sigma = max(8.0 / k_max, 12.0 * grid.h)
-    u = grid.r * (
-        np.exp(-((grid.r - r0) ** 2) / (2.0 * sigma**2))
-        + np.exp(-((grid.r + r0) ** 2) / (2.0 * sigma**2))
-    )
-    u[0] = u[-1] = 0.0
-    return u / grid.norm(u)
-
-
 def build_transform(
     p,
     k_max: float,
@@ -340,8 +330,8 @@ def build_transform(
     # discontinuous V the interacting coefficients of a core-hugging packet
     # have algebraic k tails, which is truncation physics, not grid error).
     sigma = max(8.0 / k_max, 12.0 * grid.h)
-    cal0 = _calibration_packet(grid, k_max)
-    cal_off = _calibration_packet(grid, k_max, r0=max(2.0 * rng, 4.0 * sigma))
+    cal0 = gaussian_bump(grid, sigma)
+    cal_off = gaussian_bump(grid, sigma, r0=max(2.0 * rng, 4.0 * sigma))
     rt_int = t.inverse_interacting(t.forward_interacting(cal_off))
     rt_wave = t.wave_operator_adjoint(t.wave_operator(cal0))
     defect = max(grid.norm(rt_int - cal_off), grid.norm(rt_wave - cal0))

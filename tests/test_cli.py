@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from condensate_lab import cli
+from condensate_lab import cli, gp
 from condensate_lab import potentials as pot
 
 SOFT_A0 = 1.0 - np.tanh(1.0)
+SOFT = {"family": "soft-sphere", "v0": 2.0, "radius": 1.0}
 
 MINIMAL_SCATTER = json.dumps(
     {"task": "scatter", "potential": {"family": "soft-sphere", "v0": 2.0, "radius": 1.0}}
@@ -240,18 +241,63 @@ def test_seed_override(tmp_path):
     )
 
 
-def test_coupling_rules(tmp_path):
+def _coupling(rule, out):
+    """The value of an evolve config's coupling, through its reader."""
+    cfg = cli.parse_config(json.dumps({"task": "evolve", "coupling": rule}))
+    return cli._resolve_coupling(cli._arguments(cfg)["coupling"], out)
+
+
+def test_coupling_rules():
     out = {}
-    g = cli._resolve_coupling(
+    g = _coupling(
         {"mode": "scattering-length", "potential": {"family": "soft-sphere", "v0": 2.0, "radius": 1.0}},
         out,
     )
     assert abs(g - 8.0 * np.pi * SOFT_A0) < 1e-6
-    g_born = cli._resolve_coupling(
-        {"mode": "born", "potential": {"family": "gaussian", "v0": 1.0, "width": 1.0}}, {}
-    )
+    assert abs(out["a0"] - SOFT_A0) < 1e-7
+    g_born = _coupling({"mode": "born", "potential": {"family": "gaussian", "v0": 1.0, "width": 1.0}}, {})
     assert abs(g_born - np.pi**1.5) < 1e-8
     assert g < g_born * 8 * np.pi  # sanity: both positive couplings
+    assert _coupling(2, {}) == 2.0
+
+
+def test_default_dt_matches_the_grid_spectrum():
+    # the evolve reader's closed-form Nyquist |k|^2 against gp.Field.k_squared; no
+    # coupling and no potential: the documented default g = 0
+    for shape, box in (((64,), (2 * np.pi,)), ((33, 48), (3.0, 7.5)), ((8, 9, 10), (1.0, 2.0, 12.0))):
+        doc = {"task": "evolve", "dim": len(shape), "grid": list(shape), "box": list(box)}
+        kw = cli._arguments(cli.parse_config(json.dumps(doc)))
+        assert kw["coupling"] == 0.0
+        dt = kw["dt"]
+        k2 = float(np.max(gp.Field(np.zeros(shape), box).k_squared()))
+        t_snap = 1.0 / 10
+        ref = min(1e-3, 0.8 * np.pi / k2)
+        assert dt == t_snap / int(np.ceil(t_snap / ref - 1e-12))
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"task": "second-moment", "potential": SOFT, "samples": "abc"},
+        {"task": "second-moment", "potential": SOFT, "samples": 0},
+        {"task": "two-body-convergence", "potential": SOFT, "n_list": [8, 16]},
+        {"task": "inequality-check", "kind": "theta", "samples": 10},
+        {"task": "inequality-check", "kind": "theta", "k": 10},
+        {"task": "inequality-check", "kind": "nope"},
+        {"task": "evolve", "coupling": {"mode": "born", "potential": {"family": "gaussian", "width": 1.0}}},
+        {"task": "evolve", "coupling": -1},
+        {"task": "evolve", "coupling": 1.0, "initial": {"type": "plane-wave", "mode": [1, 1, 1]}},
+        {"task": "inequality-check", "kind": "vl1", "pairs": 0},
+        {"task": "groundstate", "coupling": 1.0, "trap": "box"},
+        {"task": "scatter", "potential": SOFT, "phase_probe_k": -1},
+    ],
+)
+def test_malformed_task_key_is_config_error(tmp_path, doc):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    with pytest.raises(cli.ConfigError):
+        cli.parse_config(cfg_path.read_text())
+    assert cli.main([doc["task"], "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
 
 
 _json = st.recursive(
@@ -288,7 +334,7 @@ _documents = st.fixed_dictionaries(
         "dt": _json,
         "tol": _json,
         "coupling": _json,
-        "kind": _json,
+        "kind": _json | st.sampled_from(["int1", "trivv", "vl1", "vl12", "theta"]),
         "dim": _counts,
         "grid": _counts,
         "box": _lengths,
@@ -297,6 +343,20 @@ _documents = st.fixed_dictionaries(
         "levels": _counts,
         "snapshot_dt": _lengths,
         "amp_cos": _lengths,
+        "samples": _counts | st.integers(90, 110),
+        "n_list": _counts,
+        "times": _lengths,
+        "pairs": _counts,
+        "alphas": _lengths,
+        "p_grid": _lengths,
+        "initial": _json
+        | st.fixed_dictionaries(
+            {"type": st.sampled_from(["plane-wave", "gaussian", "cosine", "other"])},
+            optional={"mode": _counts, "amplitude": _lengths, "width": _lengths},
+        ),
+        "trap": _json | st.just("harmonic"),
+        "wrong_factor": _lengths,
+        "phase_probe_k": _lengths,
     },
 )
 
@@ -313,10 +373,14 @@ def test_parse_config_raises_only_config_error(doc):
         p = pot.from_config(cfg.potential)
         assert all(np.all(np.isfinite(v)) for v in p.params.values())
         assert not np.isnan(p.sigma)
+    # the reader accepts again what parse_config accepted
+    kw = cli._arguments(cfg)
     if cfg.task in ("evolve", "groundstate"):
-        dim, shape, box = cli._gp_grid(cfg.params)
-        assert len(shape) == len(box) == dim
+        shape, box = kw["shape"], kw["box"]
+        assert len(shape) == len(box) in (1, 2, 3)
         assert all(M >= 2 for M in shape) and all(0 < L < np.inf for L in box)
+        assert kw["initial"]["type"] in ("plane-wave", "gaussian", "cosine")
+    if cfg.task == "evolve":
+        assert 0 < kw["dt"] <= kw["t_final"] / kw["snapshots"]
     if cfg.task == "hierarchy-check":
-        levels, kw = cli._hierarchy_ladder(cfg.params)
-        assert levels >= 2 and kw["dim"] in (1, 2, 3) and kw["grid"] >= 2
+        assert kw["levels"] >= 2 and kw["shape"]["dim"] in (1, 2, 3) and kw["shape"]["grid"] >= 2

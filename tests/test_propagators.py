@@ -66,14 +66,13 @@ def test_interacting_unitarity_and_energy(grid, packet):
 
 
 def test_free_limit_within_scheme_order(grid, packet):
-    zero = np.zeros(grid.n)
-    a = pr.evolve_interacting(packet, pot.scale(SOFT, 1), 0.5, 1e-3, _q_override=zero)
+    a = pr.evolve_interacting(packet, pot.zero_potential(), 0.5, 1e-3)
     b = pr.evolve_free(packet, 0.5)
     err = grid.norm(a.u - b.u)
     assert err < 1e-3
     fine = build_grid(40.0, 0.005)
     wf = pr.gaussian_packet(fine, sigma=1.0)
-    a2 = pr.evolve_interacting(wf, pot.scale(SOFT, 1), 0.5, 5e-4, _q_override=np.zeros(fine.n))
+    a2 = pr.evolve_interacting(wf, pot.zero_potential(), 0.5, 5e-4)
     b2 = pr.evolve_free(wf, 0.5)
     assert fine.norm(a2.u - b2.u) < 0.3 * err
 
