@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .potentials import Potential, dilate, norms
 
@@ -76,6 +75,8 @@ def kernel_integral(kind: str, p_mag: float, epsrel: float = 1e-9) -> float:
                 )
     else:
         raise ValueError(f"unknown kernel integral kind: {kind!r}")
+    from scipy.integrate import quad
+
     mid = max(4.0, 3.0 * P)
     v1, e1 = quad(integrand, 0.0, mid, epsabs=0.0, epsrel=epsrel, limit=400)
     v2, e2 = quad(integrand, mid, np.inf, epsabs=1e-13, epsrel=epsrel, limit=400)
@@ -199,6 +200,8 @@ def potential_pairing(pair: GaussianTestPair, evaluator, rmax: float, breakpoint
             * sinhc(s * r)
         )
         return val.real if part == 0 else val.imag
+
+    from scipy.integrate import quad
 
     edges = [0.0, *sorted(breakpoints), rmax]
     total = 0.0 + 0.0j

@@ -93,8 +93,9 @@ def config_hash(cfg: RunConfig) -> str:
 
 
 def _integer(key: str, value, least: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise ConfigError(f"{key} must be an integer >= {least}, got {value!r}")
+    # the runners take integers to float, so the bound refuses those beyond float range
+    if isinstance(value, bool) or not isinstance(value, int) or not least <= value <= sys.float_info.max:
+        raise ConfigError(f"{key} must be an integer >= {least} within float range, got {value!r}")
     return value
 
 
@@ -464,15 +465,22 @@ def _run_groundstate(outdir: Path, seed: int, *, shape, box, coupling, trap, ini
 
 
 def _read_two_body(params: dict, potential) -> dict:
+    times = _list("times", params.get("times", [0.25, 0.5, 1.0]), _nonnegative)
+    dt = _positive("dt", params.get("dt", 1e-3))
+    for t in times:
+        try:
+            propagators.step_count(t, dt)
+        except (ValueError, OverflowError) as exc:  # t / dt may overflow to inf
+            raise ConfigError(f"times must be multiples of dt = {dt!r}, got {t!r}: {exc}") from exc
     return {
         "potential": _required(potential, "two-body-convergence"),
         "n_list": _list(
             "n_list", params.get("n_list", [8, 16, 32, 64, 128, 256]), lambda key, v: _integer(key, v, 1), 4
         ),
-        "times": _list("times", params.get("times", [0.25, 0.5, 1.0]), _nonnegative),
+        "times": times,
         "sigma": _positive("sigma", params.get("sigma", 1.0)),
         "rmax": _positive("rmax", params.get("rmax", 24.0)),
-        "dt": _positive("dt", params.get("dt", 1e-3)),
+        "dt": dt,
     }
 
 
@@ -656,9 +664,14 @@ def _run_inequality(outdir: Path, seed: int, *, check, **kw):
     return check(outdir, seed, **kw)
 
 
+def _at_zero(kind: str, p_grid: list, values: list) -> float:
+    """The kernel at p = 0: its p_grid value, or computed when p_grid lacks 0."""
+    return values[p_grid.index(0.0)] if 0.0 in p_grid else analysis.kernel_integral(kind, 0.0)
+
+
 def _int1(outdir: Path, seed: int, *, p_grid):
     values = [analysis.kernel_integral("int1", p) for p in p_grid]
-    v0 = values[p_grid.index(0.0)] if 0.0 in p_grid else analysis.kernel_integral("int1", 0.0)
+    v0 = _at_zero("int1", p_grid, values)
     cal = abs(v0 - np.pi**2)
     sup_ok = max(values) <= v0 + 1e-6
     results = {"p_grid": p_grid, "values": values, "calibration_gap": cal}
@@ -674,8 +687,9 @@ def _trivv(outdir: Path, seed: int, *, p_grid):
     from scipy.special import gamma as _gamma
 
     values = [analysis.kernel_integral("trivv", p) for p in p_grid]
+    v0 = _at_zero("trivv", p_grid, values)
     oracle = float(4.0 * np.pi * (0.5 * _gamma(1.75) * _gamma(0.25) + np.pi / 4.0))
-    gap = abs(values[0] - oracle)
+    gap = abs(v0 - oracle)
     results = {"p_grid": p_grid, "values": values, "beta_oracle": oracle}
     _write_csv(outdir / "kernel_trivv.csv", ["p", "value"], zip(p_grid, values))
     return results, [_check("eq:trivv", gap, 1e-4, gap <= 1e-4)]

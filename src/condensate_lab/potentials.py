@@ -17,8 +17,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator
 
 
 class PotentialError(ValueError):
@@ -147,6 +145,9 @@ def tabulated(r_samples, v_samples, sigma: float = np.inf) -> Potential:
         raise PotentialError("tabulated radii must be strictly ascending")
     if np.any(v_samples < 0):
         raise PotentialError("repulsivity violated")
+    # scipy.interpolate and scipy.integrate load only where used: most tasks need neither
+    from scipy.interpolate import PchipInterpolator
+
     interp = PchipInterpolator(r_samples, v_samples, extrapolate=False)
     r_lo, r_hi = float(r_samples[0]), float(r_samples[-1])
     v_lo = float(v_samples[0])
@@ -226,6 +227,8 @@ class PotentialNorms:
 
 def _radial_integral(p, weight, quad_opts) -> float:
     """integral over R^3 of weight(r, V(r)) reduced to 4 pi int r^2 ... dr."""
+    from scipy.integrate import quad
+
     ev = p.evaluator
 
     def f(r):

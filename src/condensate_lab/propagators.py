@@ -76,7 +76,8 @@ def evolve_free(w: RadialWavepacket, t: float) -> RadialWavepacket:
     return _sine_multiply(w, np.exp(-1j * w.grid.modes() ** 2 * t))
 
 
-def _step_count(t: float, dt: float) -> int:
+def step_count(t: float, dt: float) -> int:
+    """The number of dt steps in t; ValueError unless t is a multiple of dt >= 0."""
     nsteps = int(round(t / dt))
     if abs(nsteps * dt - t) > 1e-12 * max(1.0, abs(t)):
         raise ValueError("t must be an integer number of steps")
@@ -121,7 +122,7 @@ def evolve_interacting(w: RadialWavepacket, p: Potential, t: float, dt: float) -
     form of the same scheme (see _cn_steps).
     """
     _check_boundary(w)
-    nsteps = _step_count(t, dt)
+    nsteps = step_count(t, dt)
     return _cn_steps(w, 0.5 * potential_node_samples(p, w.grid), nsteps, dt)
 
 
@@ -194,7 +195,7 @@ def convergence_experiment(
     N_list = sorted(int(n) for n in N_list)
     if len(N_list) < 4:
         raise ValueError("need at least 4 values of N")
-    steps = sorted(_step_count(tt, dt) for tt in times)
+    steps = sorted(step_count(tt, dt) for tt in times)
     if not steps:
         raise ValueError("need at least one sample time")
     defects = []

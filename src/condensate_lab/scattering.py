@@ -72,9 +72,14 @@ def potential_node_samples(p, grid: RadialGrid) -> np.ndarray:
 def _integrate_radial(p, grid: RadialGrid, k2: np.ndarray, r_stop: float | None = None):
     """March u'' = (V/2 - k^2) u from u(0)=0, u'(0)=1 over the grid pieces.
 
+    At k = 0 the solution is affine wherever V vanishes, and RK4 steps it
+    exactly there, so each piece is marched only up to its last step that
+    samples a nonzero V; the rest of the piece is u + (r - r_s) u'.
+
     Returns (U, up_end, i_stop): U holds u at nodes 0..i_stop per k column.
     """
     k2 = np.atleast_1d(np.asarray(k2, dtype=np.float64))
+    affine_tail = not np.any(k2)
     nk = k2.shape[0]
     if r_stop is None:
         i_stop = grid.n - 1
@@ -93,8 +98,16 @@ def _integrate_radial(p, grid: RadialGrid, k2: np.ndarray, r_stop: float | None 
         q_half = 0.5 * half_step_samples(
             p, grid.r[ia], grid.h, nsteps, grid.r[ia], grid.r[ib]
         )
-        block, u, up = _kernels.rk4_radial_batch(q_half, k2, grid.h, u, up)
-        U[ia : ib + 1] = block
+        if affine_tail:
+            # step j reads q_half[2j : 2j + 3]
+            nonzero = np.flatnonzero(q_half)
+            nsteps = min(nsteps, nonzero[-1] // 2 + 1) if nonzero.size else 0
+        block, u, up = _kernels.rk4_radial_batch(q_half[: 2 * nsteps + 1], k2, grid.h, u, up)
+        im = ia + nsteps
+        U[ia : im + 1] = block
+        if im < ib:
+            U[im + 1 : ib + 1] = u + (grid.r[im + 1 : ib + 1] - grid.r[im])[:, None] * up
+            u = U[ib]
         if ib == i_stop:
             break
     return U, up, i_stop

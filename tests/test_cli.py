@@ -1,13 +1,18 @@
 """Config parsing, the task runner, report schema and determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from condensate_lab import analysis as an
 from condensate_lab import cli, gp
 from condensate_lab import potentials as pot
 
@@ -290,6 +295,12 @@ def test_default_dt_matches_the_grid_spectrum():
         {"task": "inequality-check", "kind": "vl1", "pairs": 0},
         {"task": "groundstate", "coupling": 1.0, "trap": "box"},
         {"task": "scatter", "potential": SOFT, "phase_probe_k": -1},
+        # a time that is no multiple of dt, and t / dt beyond float range
+        {"task": "two-body-convergence", "potential": SOFT, "times": [0.00025]},
+        {"task": "two-body-convergence", "potential": SOFT, "times": [1e300], "dt": 1e-300},
+        # integers beyond float range, which the runners take to float
+        {"task": "two-body-convergence", "potential": SOFT, "n_list": [8, 16, 32, 10**400]},
+        {"task": "inequality-check", "kind": "theta", "n_particles": 10**400},
     ],
 )
 def test_malformed_task_key_is_config_error(tmp_path, doc):
@@ -384,3 +395,29 @@ def test_parse_config_raises_only_config_error(doc):
         assert 0 < kw["dt"] <= kw["t_final"] / kw["snapshots"]
     if cfg.task == "hierarchy-check":
         assert kw["levels"] >= 2 and kw["shape"]["dim"] in (1, 2, 3) and kw["shape"]["grid"] >= 2
+
+
+def test_importing_the_cli_skips_quadrature_and_interpolation():
+    code = (
+        "import sys, condensate_lab.cli; "
+        "print([m for m in ('scipy.integrate', 'scipy.interpolate') if m in sys.modules])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_trivv_compares_the_oracle_at_p_zero(tmp_path):
+    for p_grid in ([1.0, 0.0], [1.0, 5.0]):
+        cfg = cli.parse_config(json.dumps({"task": "inequality-check", "kind": "trivv", "p_grid": p_grid}))
+        report = cli.run(cfg, tmp_path / "o")
+        assert report.passed(), report.checks
+        assert report.results["values"][0] != pytest.approx(report.results["beta_oracle"], abs=1e-4)
+
+
+def test_trivv_fails_a_wrong_kernel(tmp_path, monkeypatch):
+    kernel = an.kernel_integral
+    monkeypatch.setattr(an, "kernel_integral", lambda kind, p: kernel(kind, p) * (1.0 + 1e-3))
+    for p_grid in ([1.0, 0.0], [1.0, 5.0]):
+        cfg = cli.parse_config(json.dumps({"task": "inequality-check", "kind": "trivv", "p_grid": p_grid}))
+        assert not cli.run(cfg, tmp_path / "o").passed()

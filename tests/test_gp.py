@@ -125,6 +125,89 @@ def test_ground_state_harmonic_1d():
     assert all(b <= a for a, b in zip(es[:-1], es[1:]))
 
 
+def _gaussian(shape, box, width=1.0, phase=1.0):
+    mesh = np.meshgrid(*[(np.arange(M) - M // 2) * (L / M) for M, L in zip(shape, box)], indexing="ij")
+    vals = phase * np.exp(-sum(c**2 for c in mesh) / (2.0 * width**2))
+    return gp.Field(vals, box).normalize()
+
+
+@pytest.mark.parametrize("shape, box", [((12, 9), (7.0, 6.0)), ((6, 5, 4), (5.0, 4.5, 4.0))])
+def test_harmonic_ground_state_is_lowest_eigenvector_of_grid_operator(shape, box):
+    # the grid operator -Lap + |x|^2 assembled column by column, as gp_energy applies it
+    probe = gp.Field(np.zeros(shape), box)
+    k2, trap = probe.k_squared(), gp.harmonic_trap(*probe.meshgrid())
+    n = probe.values.size
+    H = np.empty((n, n))
+    for j, e in enumerate(np.eye(n)):
+        e = e.reshape(shape)
+        H[:, j] = (np.fft.ifftn(k2 * np.fft.fftn(e)).real + trap * e).ravel()
+    lam, vec = np.linalg.eigh(0.5 * (H + H.T))
+    res = gp.gp_ground_state(gp.GPConfig(coupling=0.0, trap=gp.harmonic_trap), _gaussian(shape, box))
+    assert res["iterations"] == 1 and len(res["energies"]) == 2
+    assert res["energies"][1] <= res["energies"][0]
+    assert abs(res["energy"] - lam[0]) <= 1e-10 * lam[0]
+    phi = res["field"].values.ravel() * np.sqrt(probe.dvol)
+    assert abs(abs(np.vdot(vec[:, 0], phi)) - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("shape", [(64,), (24, 21)])
+def test_harmonic_ground_state_matches_descent(shape):
+    box = (12.0,) * len(shape)
+    init = _gaussian(shape, box, width=0.8)
+    exact = gp.gp_ground_state(gp.GPConfig(coupling=0.0, trap=gp.harmonic_trap), init)
+    # the same trap as a user callable takes the imaginary-time descent
+    descent = gp.gp_ground_state(gp.GPConfig(coupling=0.0, trap=lambda *c: gp.harmonic_trap(*c)), init)
+    assert exact["iterations"] == 1 < descent["iterations"]
+    assert abs(exact["energy"] - descent["energy"]) <= 1e-6 * descent["energy"]
+    assert exact["energy"] <= descent["energy"] + 1e-12
+    diff = exact["field"].values - descent["field"].values
+    assert np.sqrt(np.sum(np.abs(diff) ** 2) * init.dvol) < 1e-3
+
+
+def test_harmonic_ground_state_aligns_phase_and_keeps_dtype():
+    shape, box = (16, 12), (8.0, 7.0)
+    for phase in (1.0, -1.0, np.exp(1j * np.pi / 7)):
+        init = _gaussian(shape, box, width=0.7, phase=phase)
+        res = gp.gp_ground_state(gp.GPConfig(coupling=0.0, trap=gp.harmonic_trap), init)
+        assert res["field"].values.dtype == init.values.dtype
+        overlap = np.vdot(init.values, res["field"].values)
+        assert overlap.real > 0.9 / init.dvol and abs(overlap.imag) <= 1e-12 * abs(overlap)
+
+
+def test_harmonic_ground_state_from_odd_init():
+    # orthogonal to the even ground state, which the descent cannot leave
+    init = make_1d(64, 12.0, fn=lambda x: x * np.exp(-(x**2))).normalize()
+    res = gp.gp_ground_state(gp.GPConfig(coupling=0.0, trap=gp.harmonic_trap), init)
+    assert np.all(np.isfinite(res["field"].values))
+    assert abs(res["field"].mass() - 1.0) < 1e-12
+    assert abs(res["energy"] - 1.0) < 1e-8
+
+
+def test_harmonic_ground_state_descends_past_the_dense_axis_limit():
+    M = gp._EIGH_AXIS_MAX + 2
+    init = make_1d(M, 16.0, fn=lambda x: np.exp(-(x**2))).normalize()
+    res = gp.gp_ground_state(gp.GPConfig(coupling=0.0, trap=gp.harmonic_trap), init)
+    assert res["iterations"] > 1
+    assert abs(res["energy"] - 1.0) < 1e-4
+
+
+def test_harmonic_minimiser_takes_any_phase_when_orthogonal():
+    phi = gp._harmonic_minimiser(gp.Field(np.zeros((8, 6)), (5.0, 4.0)))
+    assert np.all(np.isfinite(phi.values))
+    assert abs(phi.mass() - 1.0) < 1e-12
+
+
+def test_harmonic_ground_state_keeps_init_when_energy_would_rise(monkeypatch):
+    init = _gaussian((32,), (10.0,))
+    worse = make_1d(32, 10.0, fn=lambda x: np.exp(-((x - 1.0) ** 2))).normalize()
+    monkeypatch.setattr(gp, "_harmonic_minimiser", lambda f: worse)
+    cfg = gp.GPConfig(coupling=0.0, trap=gp.harmonic_trap)
+    res = gp.gp_ground_state(cfg, init)
+    assert res["iterations"] == 1
+    assert res["energies"] == [gp.gp_energy(init, cfg)["total"]]
+    assert np.array_equal(res["field"].values, init.values)
+
+
 def test_ground_state_monotone_in_coupling():
     M, L = 128, 16.0
     x = (np.arange(M) - M // 2) * (L / M)

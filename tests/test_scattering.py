@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from condensate_lab import _kernels
 from condensate_lab import potentials as pot
 from condensate_lab import scattering as sc
 from condensate_lab.propagators import gaussian_packet
+from condensate_lab.radial import build_grid, half_step_samples
 
 SOFT_A0 = 1.0 - np.tanh(1.0)  # interior sinh / exterior affine matching, kappa = 1
 
@@ -129,6 +131,57 @@ def test_asymptotic_regime_error(soft):
     # a fit window placed inside the potential support is not affine
     with pytest.raises(RuntimeError, match="asymptotic regime not reached"):
         sc.solve_zero_energy(soft, sc.GridSpec(fit_lo=0.002, fit_hi=0.015))
+
+
+def _full_march(p, grid, k2):
+    """RK4 over every step of every grid piece, as the zero-energy solve did before."""
+    u, up = np.zeros(len(k2)), np.ones(len(k2))
+    blocks = [u[None]]
+    for sl in grid.piece_slices():
+        ia, ib = sl.start, sl.stop - 1
+        q_half = 0.5 * half_step_samples(p, grid.r[ia], grid.h, ib - ia, grid.r[ia], grid.r[ib])
+        block, u, up = _kernels.rk4_radial_batch(q_half, np.asarray(k2, dtype=float), grid.h, u, up)
+        blocks.append(block[1:])
+    return np.concatenate(blocks)
+
+
+@pytest.mark.parametrize("family", [pot.soft_sphere, pot.gaussian])
+def test_affine_tail_matches_full_march(family, monkeypatch):
+    p = family(2.0, 1.0)
+    steps = []
+    march = _kernels.rk4_radial_batch
+
+    def counted(q_half, k2, h, u0, up0):
+        steps.append((len(q_half) - 1) // 2)
+        return march(q_half, k2, h, u0, up0)
+
+    monkeypatch.setattr(_kernels, "rk4_radial_batch", counted)
+    sol = sc.solve_zero_energy(p)
+    monkeypatch.undo()
+    grid = sol.grid
+    # only the steps that sample a nonzero V are marched
+    assert sum(steps) < 0.1 * (grid.n - 1)
+    u = _full_march(p, grid, [0.0])[:, 0]
+    lo, hi = sol.fit_window
+    mask = (grid.r >= lo) & (grid.r <= hi)
+    alpha, beta = np.polyfit(grid.r[mask], u[mask], 1)
+    assert np.max(np.abs(sol.u - u / alpha)) <= 1e-10 * np.max(np.abs(sol.u))
+    # a0 is the intercept of an affine u of size rmax: the full march's own
+    # rounding over 10^4 steps moves the Gaussian's a0 by 3e-10 relative
+    tol = 1e-10 if family is pot.soft_sphere else 1e-9
+    assert abs(sol.a0_asym - (-beta / alpha)) <= tol * sol.a0_asym
+
+
+def test_affine_tail_is_exact_for_zero_potential():
+    # the march accumulates 1.7e-11 here; the closed form stays at roundoff
+    assert abs(sc.solve_zero_energy(pot.zero_potential()).a0_asym) < 1e-13
+
+
+def test_positive_k_march_is_unchanged(soft):
+    grid = build_grid(20.0, 0.01, breakpoints=soft.breakpoints)
+    k2 = np.array([0.25, 1.0, 4.0])
+    U, _, _ = sc._integrate_radial(soft, grid, k2)
+    assert np.array_equal(U, _full_march(soft, grid, k2))
 
 
 def test_phase_shift_rejects_bad_k(soft):
