@@ -173,10 +173,11 @@ def delta_pairing(pair: GaussianTestPair) -> complex:
     return complex(k0)
 
 
-def potential_pairing(pair: GaussianTestPair, evaluator, rmax: float, breakpoints=()) -> complex:
+def potential_pairing(pair: GaussianTestPair, V: Potential) -> complex:
     """<phi, V(x1 - x2) psi> = int V(|v|) K(v) dv by radial quadrature.
 
-    The angular integral of exp(B.v) over the sphere of radius r is
+    The quadrature runs to 4 V.range_hint, split at V's breakpoints.  The
+    angular integral of exp(B.v) over the sphere of radius r is
     4 pi sinh(r sqrt(B.B)) / (r sqrt(B.B)), an even analytic function of
     the complex square root.
     """
@@ -194,7 +195,7 @@ def potential_pairing(pair: GaussianTestPair, evaluator, rmax: float, breakpoint
             4.0
             * np.pi
             * r**2
-            * float(evaluator(np.asarray([r]))[0])
+            * float(V(np.asarray([r]))[0])
             * k0
             * np.exp(-A * r**2)
             * sinhc(s * r)
@@ -203,7 +204,7 @@ def potential_pairing(pair: GaussianTestPair, evaluator, rmax: float, breakpoint
 
     from scipy.integrate import quad
 
-    edges = [0.0, *sorted(breakpoints), rmax]
+    edges = [0.0, *sorted(V.breakpoints), 4.0 * V.range_hint]
     total = 0.0 + 0.0j
     for a, b in zip(edges[:-1], edges[1:]):
         re, _ = quad(lambda r: integrand(r, 0), a, b, epsabs=1e-13, epsrel=1e-10, limit=300)
@@ -252,10 +253,7 @@ def vl1_check(V: Potential, pair: GaussianTestPair) -> dict:
     form_psi = mixed_derivative_form(pair.c, pair.d)
     if l1 == 0.0:
         return {"lhs": 0.0, "ratio": 0.0, "form_phi": form_phi, "form_psi": form_psi}
-    rmax = 4.0 * V.range_hint
-    lhs = abs(
-        potential_pairing(pair, V.evaluator, rmax, breakpoints=V.breakpoints)
-    )
+    lhs = abs(potential_pairing(pair, V))
     ratio = lhs / (l1 * np.sqrt(form_phi * form_psi))
     return {
         "lhs": lhs,
@@ -277,13 +275,7 @@ def vl12_rate(V: Potential, pair: GaussianTestPair, alphas) -> dict:
     if abs(l1 - 1.0) > 1e-6:
         raise ValueError("potential must be normalized to unit integral")
     target = delta_pairing(pair)
-    gaps = []
-    for alpha in alphas:
-        Va = dilate(V, alpha)
-        val = potential_pairing(
-            pair, Va.evaluator, rmax=4.0 * Va.range_hint, breakpoints=Va.breakpoints
-        )
-        gaps.append(abs(val - target))
+    gaps = [abs(potential_pairing(pair, dilate(V, alpha)) - target) for alpha in alphas]
     form_psi = mixed_derivative_form(pair.c, pair.d)
     form_phi4 = difference_quartic_form(pair.a, pair.b)
     return {
@@ -323,6 +315,11 @@ class CutoffConfig:
 
 def default_cutoff_config(N: int = 10, k: int = 3, n: int = 1, eps: float = 0.1) -> CutoffConfig:
     return CutoffConfig(ell=float(N) ** (-0.4), eps=eps, n=n, k=k, N=N)
+
+
+def pair_array_bytes(N: int) -> int:
+    """Peak bytes of _pair_geometry: three N x N x 3 x 3, two N x N x 3 and five N x N float64 arrays."""
+    return (3 * 9 + 2 * 3 + 5) * 8 * N * N
 
 
 def _pair_geometry(cfg: CutoffConfig, positions: np.ndarray):

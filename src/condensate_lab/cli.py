@@ -472,14 +472,26 @@ def _read_two_body(params: dict, potential) -> dict:
             propagators.step_count(t, dt)
         except (ValueError, OverflowError) as exc:  # t / dt may overflow to inf
             raise ConfigError(f"times must be multiples of dt = {dt!r}, got {t!r}: {exc}") from exc
+    potential = _required(potential, "two-body-convergence")
+    n_list = _list("n_list", params.get("n_list", [8, 16, 32, 64, 128, 256]), lambda key, v: _integer(key, v, 1), 4)
+    rmax = _positive("rmax", params.get("rmax", 24.0))
+    # The largest N has the finest grid, of about rmax / step points.  A step
+    # that underflows to 0 and a quotient beyond float range read as inf.
+    have = _physical_memory()
+    N = max(n_list)
+    step = propagators.radial_step(potential.range_hint / N)
+    need = 16 * rmax / step if step else math.inf
+    if need > have:
+        raise ConfigError(
+            f"n_list entry {N:.3g} needs at least {need / 1e9:.3g} GB per field on its radial grid; "
+            f"physical memory is {have / 1e9:.3g} GB"
+        )
     return {
-        "potential": _required(potential, "two-body-convergence"),
-        "n_list": _list(
-            "n_list", params.get("n_list", [8, 16, 32, 64, 128, 256]), lambda key, v: _integer(key, v, 1), 4
-        ),
+        "potential": potential,
+        "n_list": n_list,
         "times": times,
         "sigma": _positive("sigma", params.get("sigma", 1.0)),
-        "rmax": _positive("rmax", params.get("rmax", 24.0)),
+        "rmax": rmax,
         "dt": dt,
     }
 
@@ -562,10 +574,11 @@ def _read_hierarchy(params: dict, potential) -> dict:
     steps = shape["t_final"] / shape["snapshot_dt"]
     if steps < 3.5:
         raise ConfigError("t_final must be at least 4 snapshot_dt (5 snapshots)")
-    # The finest level holds its T snapshots and the residual sweep's basis
-    # (at most 2T + 1 more fields) of n complex points at once.  Integer
-    # arithmetic: each factor is clamped at the memory size, which it alone
-    # would exceed, so a huge level count or grid stays within float range.
+    # The finest level holds its T snapshots, the residual sweep's 2T
+    # pulled-back fields and one field of scratch, of n complex points each,
+    # at once.  Integer arithmetic: each factor is clamped at the memory size,
+    # which it alone would exceed, so a huge level count or grid stays within
+    # float range.
     have = _physical_memory()
     scale = 2 ** min(levels - 1, have.bit_length())
     n = (min(shape["grid"], have) * scale) ** dim
@@ -574,7 +587,7 @@ def _read_hierarchy(params: dict, potential) -> dict:
     if need > have:
         raise ConfigError(
             f"hierarchy-check needs about {need / 1e9:.3g} GB for the trajectory and "
-            f"residual basis of its finest level; physical memory is {have / 1e9:.3g} GB"
+            f"pulled-back fields of its finest level; physical memory is {have / 1e9:.3g} GB"
         )
     return {
         "coupling": _read_coupling(params, 1.0),
@@ -648,6 +661,14 @@ def _read_inequality(params: dict, potential) -> dict:
             "alphas": _list("alphas", params.get("alphas", [0.5 / 2**j for j in range(11)]), _positive),
         }
     n_particles = _integer("n_particles", params.get("n_particles", 10), 2)
+    # clamped at the memory size, which it alone would exceed, so need stays within float range
+    have = _physical_memory()
+    need = analysis.pair_array_bytes(min(n_particles, have))
+    if need > have:
+        raise ConfigError(
+            f"n_particles = {n_particles:.3g} needs at least {need / 1e9:.3g} GB of pair arrays; "
+            f"physical memory is {have / 1e9:.3g} GB"
+        )
     k = _integer("k", params.get("k", 3), 1)
     if k >= n_particles:
         raise ConfigError(f"k must be below n_particles = {n_particles}, got {k}")

@@ -17,14 +17,13 @@ gp_ground_state call with that config reads the same arrays.  The phase
 step keeps |phi| pointwise, so gp_evolve merges the trailing phase half
 step of one Strang step with the leading half step of the next into one
 full step; the half steps stay split only where the guard probes the state
-(every max(1, nsteps // 8) steps) and at the end of a call.  The
-imaginary-time flow has real operators, so real initial data stay real:
-the plan then transforms them with rfftn/irfftn on the half spectrum.
+(every max(1, nsteps // 8) steps) and at the end of a call.  Fields are
+complex128 throughout, so every solver uses the one spectrum k^2 with
+fftn/ifftn.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -60,21 +59,14 @@ def _tail_fraction(values: np.ndarray, top: np.ndarray) -> float:
 
 @dataclass
 class Field:
-    """Periodic grid function phi on a centered box.
-
-    Values are complex128, or float64 when given real data (the
-    imaginary-time flow keeps real data real).
-    """
+    """Periodic grid function phi on a centered box; values are complex128."""
 
     values: np.ndarray
     box: tuple[float, ...]
     time: float = 0.0
 
     def __post_init__(self):
-        values = np.asarray(self.values)
-        self.values = values.astype(
-            np.float64 if np.isrealobj(values) else np.complex128, copy=False
-        )
+        self.values = np.asarray(self.values).astype(np.complex128, copy=False)
         if self.values.ndim != len(self.box):
             raise ValueError("box dimensionality does not match values")
         if self.values.ndim not in (1, 2, 3):
@@ -129,20 +121,6 @@ class Field:
         return Field(self.values.copy(), self.box, self.time)
 
 
-@dataclass(frozen=True)
-class _Spectrum:
-    """A transform pair and the k^2 of its coefficients.
-
-    k2_weighted also counts each coefficient's share of the full spectrum,
-    so sum(k2_weighted |hat|^2) is the full-spectrum sum of k^2 |hat|^2.
-    """
-
-    forward: Callable
-    inverse: Callable
-    k2: np.ndarray
-    k2_weighted: np.ndarray
-
-
 class _Plan:
     """Grid operators of one (shape, box) under one GPConfig, built once."""
 
@@ -151,24 +129,8 @@ class _Plan:
         self.k2 = _sum_of_squares(axes)
         self.trap = None if cfg.trap is None else cfg.trap_values(f)
         self.top_octave = _top_octave(axes)
-        self.complex = _Spectrum(scipy.fft.fftn, scipy.fft.ifftn, self.k2, self.k2)
-        # Real data keep all information in the half spectrum along the last
-        # axis; a column other than 0 and (for even M) M/2 also stands for
-        # its mirror image, so it weighs twice.
-        M, L = f.shape[-1], f.box[-1]
-        k2 = _sum_of_squares(axes[:-1] + [2.0 * np.pi * scipy.fft.rfftfreq(M, d=L / M)])
-        weight = np.full(M // 2 + 1, 2.0)
-        weight[0] = 1.0
-        if M % 2 == 0:
-            weight[-1] = 1.0
-        inverse = functools.partial(scipy.fft.irfftn, s=f.shape)
-        self.real = _Spectrum(scipy.fft.rfftn, inverse, k2, k2 * weight)
         self._dt = None
         self._kinetic = None
-
-    def spectrum(self, values: np.ndarray) -> _Spectrum:
-        """The transform pair for these values: rfftn/irfftn on real data."""
-        return self.real if np.isrealobj(values) else self.complex
 
     def kinetic(self, dt: float) -> np.ndarray:
         """exp(-i k^2 dt), rebuilt only when dt changes."""
@@ -255,7 +217,7 @@ def gp_evolve(f: Field, cfg: GPConfig, t: float) -> Field:
     _guard(plan, f.values, "initial data")
     kin = plan.kinetic(cfg.dt)
     g, v, half = cfg.coupling, plan.trap, 0.5 * cfg.dt
-    phi = f.values.astype(np.complex128)
+    phi = f.values.copy()
     probe = max(1, nsteps // 8)
     lead = half  # phase time owed before the next kinetic step
     for step in range(1, nsteps + 1):
@@ -282,9 +244,8 @@ def gp_energy(f: Field, cfg: GPConfig) -> dict:
     the mass to roundoff but E only to O(dt^2).
     """
     plan = cfg._plan(f)
-    spec = plan.spectrum(f.values)
     norm = f.dvol / np.prod(f.shape)
-    kinetic = float(np.sum(spec.k2_weighted * np.abs(spec.forward(f.values)) ** 2) * norm)
+    kinetic = float(np.sum(plan.k2 * np.abs(scipy.fft.fftn(f.values)) ** 2) * norm)
     dens = np.abs(f.values) ** 2
     interaction = float(0.5 * cfg.coupling * np.sum(dens**2) * f.dvol)
     trap = 0.0 if plan.trap is None else float(np.sum(plan.trap * dens) * f.dvol)
@@ -300,6 +261,9 @@ def gp_energy(f: Field, cfg: GPConfig) -> dict:
 # solves; past it eigh costs more than the descent (0.1 s at 1024, 0.7 s at
 # 2048 points on a 2-core host).
 _EIGH_AXIS_MAX = 1024
+
+# Accepted-step budget of the backtracking descent.
+_MAX_ITERS = 20000
 
 
 def _harmonic_minimiser(f: Field) -> Field:
@@ -322,27 +286,26 @@ def _harmonic_minimiser(f: Field) -> Field:
     return Field(phi / np.sqrt(f.dvol), f.box, f.time)
 
 
-def _descend(f: Field, cfg: GPConfig, energies: list, dtau: float, tol: float, max_iters: int):
+def _descend(f: Field, cfg: GPConfig, energies: list, dtau: float, tol: float):
     """Backtracking imaginary-time descent from f; appends accepted energies."""
     plan = cfg._plan(f)
-    spec = plan.spectrum(f.values)
     g = cfg.coupling
     energy = energies[-1]
     iters = 0
     built = None
-    while iters < max_iters:
+    while iters < _MAX_ITERS:
         iters += 1
         stepped = False
         while dtau > 1e-12:
             if dtau != built:  # the step factors change only when dtau halves
-                kin = np.exp(-spec.k2 * dtau)
+                kin = np.exp(-plan.k2 * dtau)
                 v_factor = None if plan.trap is None else np.exp(-0.5 * dtau * plan.trap)
                 built = dtau
             phi = f.values.copy()
             _damp(phi, 0.5 * dtau, g, v_factor)
-            phi = spec.forward(phi, overwrite_x=True)
+            phi = scipy.fft.fftn(phi, overwrite_x=True)
             phi *= kin
-            phi = spec.inverse(phi, overwrite_x=True)
+            phi = scipy.fft.ifftn(phi, overwrite_x=True)
             _damp(phi, 0.5 * dtau, g, v_factor)
             cand = Field(phi, f.box, f.time)
             cand.normalize()
@@ -366,15 +329,14 @@ def gp_ground_state(
     init: Field,
     dtau: float = 0.02,
     tol: float = 1e-10,
-    max_iters: int = 20000,
 ) -> dict:
     """Normalized imaginary-time minimization of the energy functional.
 
     Each accepted step renormalizes and must not raise the energy; a step
     that does is retried with half the step size (backtracking), so the
-    recorded energy sequence is monotone nonincreasing.  Initial data with
-    an identically zero imaginary part are descended in real arithmetic;
-    the returned field has the dtype of init.
+    recorded energy sequence is monotone nonincreasing.  The descent stops
+    when an accepted step lowers the energy by less than tol, or after
+    _MAX_ITERS steps.  The returned field is complex128, like every Field.
 
     At g = 0 in harmonic_trap the functional is quadratic, and on grids of
     at most _EIGH_AXIS_MAX points per axis its minimiser is computed
@@ -385,8 +347,7 @@ def gp_ground_state(
         raise ValueError("no minimizer: need a confining trap or g > 0 on the torus")
     if abs(init.mass() - 1.0) > 1e-8:
         raise ValueError("initial state must be normalized")
-    values = init.values
-    f = Field(values.copy() if np.any(values.imag) else values.real.copy(), init.box, init.time)
+    f = init.copy()
     energies = [gp_energy(f, cfg)["total"]]
     if cfg.coupling == 0.0 and cfg.trap is harmonic_trap and max(f.shape) <= _EIGH_AXIS_MAX:
         cand = _harmonic_minimiser(f)
@@ -396,6 +357,5 @@ def gp_ground_state(
             energies.append(e_new)
         iters = 1
     else:
-        f, iters = _descend(f, cfg, energies, dtau, tol, max_iters)
-    f = Field(f.values.astype(values.dtype, copy=False), f.box, f.time)
+        f, iters = _descend(f, cfg, energies, dtau, tol)
     return {"field": f, "energy": energies[-1], "iterations": iters, "energies": energies}

@@ -14,18 +14,19 @@ Q S Q^H for a Q with orthonormal columns, and its Hilbert-Schmidt norm is
 the Frobenius norm of the small matrix S, taken directly (summing Gram
 products instead would cancel a roundoff-sized residual away).
 
-The differential residual at a stencil time lies in the span of the seven
-fields phi_{n+-2}, phi_{n+-1}, phi_n, Lap phi_n and u_n; one thin QR of those
-columns, C = Q R, gives S = R K R^H with K the 7 x 7 coefficient matrix.
+Both residuals take the coordinates of their fields from one Householder
+QR of the fields as columns, C = Q R (_coordinates).  The differential
+residual at a stencil time lies in the span of the seven fields
+phi_{n+-2}, phi_{n+-1}, phi_n, Lap phi_n and u_n, and S = R K R^H with K the
+7 x 7 coefficient matrix.
 
 The Duhamel residuals at all snapshot times come from one sweep in the
 interaction picture.  The free propagator U is unitary in both kernel
 slots, so conjugating the residual at time t by U(-t) keeps its norm and
-pulls every term back to time 0.  The sweep grows an orthonormal basis of
-span{phi_0, U(-s_m) phi_m, U(-s_m) u_m} by classical Gram-Schmidt run twice
-and keeps each field as its coordinates, so the trapezoid accumulator and
-the Richardson even-snapshot sum are r x r matrices of rank r <= 2T + 1 for
-T snapshots.  On M grid points the sweep costs O(M T^2) time and O(M T)
+pulls every term back to time 0.  The 2T fields U(-s_m) phi_m and
+U(-s_m) u_m of T snapshots are factored at once, so the trapezoid
+accumulator and the Richardson even-snapshot sum are r x r matrices with
+r <= 2T.  On M grid points the sweep costs O(M T^2) time and O(M T)
 memory.
 """
 
@@ -35,51 +36,53 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
+import scipy.linalg.lapack
 
 from . import gp
 from .gp import Field
 
 
-def _free_evolve(values: np.ndarray, k2: np.ndarray, t: float) -> np.ndarray:
-    """exp(i Lap t) applied spectrally to grid values, flattened."""
-    return scipy.fft.ifftn(np.exp(-1j * k2 * t) * scipy.fft.fftn(values)).reshape(-1)
+def _coordinates(cols: np.ndarray) -> np.ndarray:
+    """R of the thin QR cols = Q R: each column's coordinates in an orthonormal basis Q.
+
+    One Householder QR, in place when cols is a Fortran-ordered complex128
+    n x c matrix (cols is then overwritten); R is its top min(n, c) rows.
+    """
+    qr, _, _, _ = scipy.linalg.lapack.zgeqrf(cols, overwrite_a=True)
+    return np.triu(qr[: min(qr.shape)])
 
 
-class _Basis:
-    """Orthonormal basis grown one field at a time; fields are kept as coordinates."""
+def _pulled_back(trajectory: list[Field]) -> np.ndarray:
+    """Columns a_0, b_0, a_1, b_1, ... of a_m = U(-s_m) phi_m, b_m = U(-s_m) u_m.
 
-    def __init__(self, size: int, capacity: int):
-        self.rows = np.empty((capacity, size), dtype=complex)
-        self.rank = 0
-
-    def _sweep_out(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        q = self.rows[: self.rank]
-        c = np.conj(np.conj(w) @ q.T)
-        return c, w - c @ q
-
-    def add(self, v: np.ndarray) -> np.ndarray:
-        """Coordinates of v (length capacity), after extending the basis by its remainder.
-
-        Classical Gram-Schmidt runs twice, and once more when the second pass
-        removes more than half of what the first left.  A remainder below
-        1e-14 |v| is dropped; v is then kept by its coordinates alone.
-        """
-        c, w = self._sweep_out(v)
-        first = np.linalg.norm(w)
-        c2, w = self._sweep_out(w)
-        c += c2
-        left = np.linalg.norm(w)
-        if left < 0.5 * first:
-            c2, w = self._sweep_out(w)
-            c += c2
-            left = np.linalg.norm(w)
-        coords = np.zeros(self.rows.shape[0], dtype=complex)
-        coords[: self.rank] = c
-        if left > 1e-14 * np.linalg.norm(v):
-            self.rows[self.rank] = w / left
-            coords[self.rank] = left
-            self.rank += 1
-        return coords
+    Each field is stored by its orthonormal Fourier coefficients, where
+    U(-s) is the diagonal exp(i k^2 s), a product of one factor per axis.
+    The DFT is unitary, so every norm and inner product is that of the grid
+    values.  a_0 is phi_0 itself.  The n x 2T matrix for T snapshots is
+    Fortran-ordered, so _coordinates factors it in place.
+    """
+    f0 = trajectory[0]
+    fields = np.empty((2 * len(trajectory),) + f0.shape, dtype=complex)
+    for m, f in enumerate(trajectory):
+        fields[2 * m] = f.values
+        u = fields[2 * m + 1]
+        u[...] = f.values
+        dens = np.abs(f.values)
+        dens **= 2
+        # scaling the real and imaginary parts keeps numpy from casting dens to complex
+        u.real *= dens
+        u.imag *= dens
+        del dens  # before the next snapshot's is built
+    fields = scipy.fft.fftn(fields, axes=range(1, fields.ndim), overwrite_x=True, norm="ortho")
+    k2 = [
+        np.reshape(k**2, [-1 if j == axis else 1 for j in range(f0.dim)])
+        for axis, k in enumerate(f0.k_axes())
+    ]
+    for m, f in enumerate(trajectory):
+        pair = fields[2 * m : 2 * m + 2]  # a named view: `fields[...] *=` would copy it back
+        for k2_axis in k2:
+            pair *= np.exp(1j * (f.time - f0.time) * k2_axis)
+    return fields.reshape(len(fields), -1).T
 
 
 def build_trajectory(
@@ -179,7 +182,7 @@ def hierarchy_residual(trajectory: list[Field], coupling: float) -> HierarchyRes
         lap = scipy.fft.ifftn(-k2 * scipy.fft.fftn(phi))
         cols = [(trajectory[n + k].values - phi).reshape(-1) for k in (2, 1, -1, -2)]
         cols += [phi.reshape(-1), lap.reshape(-1), (np.abs(phi) ** 2 * phi).reshape(-1)]
-        r = np.linalg.qr(np.stack(cols, axis=1), mode="r")
+        r = _coordinates(np.stack(cols, axis=1))
         diff_res.append(float(np.linalg.norm(r @ coef @ r.conj().T) * dvol))
         times.append(trajectory[n].time)
     return HierarchyResidual(
@@ -201,53 +204,45 @@ def integral_form_residual(trajectory: list[Field], coupling: float) -> list[flo
         |a_n><a_n| - |phi_0><phi_0| + i g sum_m w_m (|b_m><a_m| - |a_m><b_m|),
 
     with a_m = U(-s_m) phi_m and b_m = U(-s_m) u_m pulled back to time 0.
-    In the sweep's orthonormal basis every term is a small matrix of
+    In the orthonormal basis of their QR every term is a small matrix of
     coordinates, and the residual's norm is that of the small matrix.  At
     every even snapshot index n >= 4 the trapezoid over the even snapshots
     gives a Richardson estimate of the quadrature error.
     """
-    t0 = trajectory[0].time
     steps = np.diff([f.time for f in trajectory])
     ds = float(steps[0]) if len(steps) else 0.0
     if not np.allclose(steps, ds, rtol=1e-10, atol=1e-12):
         raise ValueError("snapshots must be uniformly spaced")
     dvol = trajectory[0].dvol
-    k2 = trajectory[0].k_squared()
-    capacity = 2 * len(trajectory) + 1
-    basis = _Basis(trajectory[0].values.size, capacity)
-    c0 = basis.add(trajectory[0].values.reshape(-1))
+    r = _coordinates(_pulled_back(trajectory))
+    alpha, beta = r[:, 0::2], r[:, 1::2]
+    phi0 = alpha[:, 0]
     # Running trapezoid sums over the snapshots so far (full: all of them;
     # even: the even ones at twice the spacing), left open at the last
     # snapshot: adding half the last term's weight once more closes them.
-    full = np.zeros((capacity, capacity), dtype=complex)
+    full = np.zeros((r.shape[0], r.shape[0]), dtype=complex)
     even = np.zeros_like(full)
     out = [0.0]
-    for n, f in enumerate(trajectory):
-        back = t0 - f.time
-        alpha = basis.add(_free_evolve(f.values, k2, back))
-        beta = basis.add(_free_evolve(np.abs(f.values) ** 2 * f.values, k2, back))
-        r = basis.rank
-        alpha, beta, phi0 = alpha[:r], beta[:r], c0[:r]
-        acc_full, acc_even = full[:r, :r], even[:r, :r]
-        half_term = np.outer(0.5 * ds * beta, np.conj(alpha))
+    for n in range(len(trajectory)):
+        half_term = np.outer(0.5 * ds * beta[:, n], np.conj(alpha[:, n]))
         half_term -= half_term.conj().T
-        acc_full += half_term
+        full += half_term
         if n == 0:
-            acc_even += 2.0 * half_term
+            even += 2.0 * half_term
             continue
-        resid = np.outer(alpha, np.conj(alpha))
+        resid = np.outer(alpha[:, n], np.conj(alpha[:, n]))
         resid -= np.outer(phi0, np.conj(phi0))
-        resid += (1j * coupling) * acc_full
+        resid += (1j * coupling) * full
         out.append(float(np.linalg.norm(resid) * dvol))
         if n % 2 == 0:
-            acc_even += 2.0 * half_term
+            even += 2.0 * half_term
             if n >= 4:
                 # Richardson estimate of the trapezoid error from the half sampling
-                est = abs(coupling) * float(np.linalg.norm(acc_full - acc_even) * dvol) / 3.0
+                est = abs(coupling) * float(np.linalg.norm(full - even) * dvol) / 3.0
                 if est > 2.0 * out[-1] and est > 1e-12:
                     raise RuntimeError("refine trajectory sampling: s-quadrature unresolved")
-            acc_even += 2.0 * half_term
-        acc_full += half_term
+            even += 2.0 * half_term
+        full += half_term
     return out
 
 

@@ -51,10 +51,6 @@ class Potential:
         return self.amplitude * self.profile(self.rate * r)
 
     @property
-    def evaluator(self) -> Callable[[np.ndarray], np.ndarray]:
-        return self.__call__
-
-    @property
     def range_hint(self) -> float:
         return self.profile_range / self.rate
 
@@ -229,10 +225,8 @@ def _radial_integral(p, weight, quad_opts) -> float:
     """integral over R^3 of weight(r, V(r)) reduced to 4 pi int r^2 ... dr."""
     from scipy.integrate import quad
 
-    ev = p.evaluator
-
     def f(r):
-        return 4.0 * np.pi * weight(r, float(ev(np.asarray([r]))[0]))
+        return 4.0 * np.pi * weight(r, float(p(np.asarray([r]))[0]))
 
     # edges follow range_hint, so quad resolves V at every rate s
     edges = [0.0, *p.breakpoints, 4.0 * p.range_hint]

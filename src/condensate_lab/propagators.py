@@ -174,6 +174,17 @@ class DefectCurve:
         return all(b < a for a, b in zip(self.defects[:-1], self.defects[1:]))
 
 
+# convergence_experiment's per-N grid resolves the range of V_N by
+# _POINTS_PER_CORE steps, none longer than _H_CAP.
+_POINTS_PER_CORE = 10
+_H_CAP = 0.02
+
+
+def radial_step(range_hint: float) -> float:
+    """Grid step of convergence_experiment for a scaled potential of this range."""
+    return min(_H_CAP, range_hint / _POINTS_PER_CORE)
+
+
 def convergence_experiment(
     p: Potential,
     N_list,
@@ -181,8 +192,6 @@ def convergence_experiment(
     sigma: float = 1.0,
     rmax: float = 24.0,
     dt: float = 1e-3,
-    points_per_core: int = 10,
-    h_cap: float = 0.02,
 ) -> DefectCurve:
     """Defect versus N on per-N grids; reports the log-log slope.
 
@@ -203,8 +212,7 @@ def convergence_experiment(
     wall = 0.0
     for N in N_list:
         pN = scale(p, N)
-        h = min(h_cap, pN.range_hint / points_per_core)
-        grid = build_grid(rmax, h, breakpoints=pN.breakpoints)
+        grid = build_grid(rmax, radial_step(pN.range_hint), breakpoints=pN.breakpoints)
         w = gaussian_packet(grid, sigma=sigma)
         if h1 is None:
             h1 = w.h1_norm()

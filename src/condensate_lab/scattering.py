@@ -234,9 +234,13 @@ def phase_shift(p, k: float) -> PhaseShift:
 # ---------------------------------------------------------------------------
 
 
-def _gauss_panels(k_max: float, n_k: int, per_panel: int = 16):
-    n_panels = max(1, int(np.ceil(n_k / per_panel)))
-    x, w = np.polynomial.legendre.leggauss(per_panel)
+# Gauss-Legendre nodes per panel of the transform's k grid
+_PER_PANEL = 16
+
+
+def _gauss_panels(k_max: float, n_k: int):
+    n_panels = max(1, int(np.ceil(n_k / _PER_PANEL)))
+    x, w = np.polynomial.legendre.leggauss(_PER_PANEL)
     edges = np.linspace(0.0, k_max, n_panels + 1)
     ks, ws = [], []
     for a, b in zip(edges[:-1], edges[1:]):
@@ -295,7 +299,6 @@ def build_transform(
     n_k: int,
     grid_spec: GridSpec | None = None,
     tol: float = 1e-5,
-    per_panel: int = 16,
 ) -> ScatteringTransform:
     """Construct the s-wave transform pair for potential p.
 
@@ -312,7 +315,7 @@ def build_transform(
 
     n_needed = int(np.ceil(4.5 * k_max * grid.rmax / (2.0 * np.pi)))
     n_k = max(n_k, n_needed)
-    k, wk = _gauss_panels(k_max, n_k, per_panel)
+    k, wk = _gauss_panels(k_max, n_k)
 
     r_match = rng if p.breakpoints else min(1.3 * rng, 0.8 * grid.rmax)
     U, up_end, i_stop = _integrate_radial(p, grid, k**2, r_stop=r_match)

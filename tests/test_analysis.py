@@ -87,7 +87,7 @@ def test_pairing_against_grid_riemann_oracle():
     rng = np.random.default_rng(2)
     pair = an.random_pair(rng, spread=0.5)
     p = pot.gaussian(1.5, 0.9)
-    val = an.potential_pairing(pair, p.evaluator, rmax=4.0 * p.range_hint)
+    val = an.potential_pairing(pair, p)
     xs = np.linspace(-9.0, 9.0, 151)
     X, Y, Z = np.meshgrid(xs, xs, xs, indexing="ij")
     R = np.sqrt(X**2 + Y**2 + Z**2)

@@ -92,6 +92,30 @@ def test_evolve_plane_wave_passes(tmp_path):
     assert report.results["plane_wave_phase_error"] < 1e-6
 
 
+def test_density_slice_is_the_central_slice_of_the_final_density(tmp_path):
+    doc = {"task": "evolve", "dim": 2, "grid": [32, 24], "coupling": 1.0, "t_final": 0.1, "snapshots": 2,
+           "initial": {"type": "cosine"}}
+    for on in (False, True):
+        cli.run(cli.parse_config(json.dumps({**doc, "density_slice": on})), tmp_path / str(on))
+        assert (tmp_path / str(on) / "density.csv").exists() == on
+    kw = cli._arguments(cli.parse_config(json.dumps(doc)))
+    f = cli._field_from_init(kw["shape"], kw["box"], kw["initial"])
+    cfg = gp.GPConfig(coupling=1.0, dt=kw["dt"])
+    for _ in range(2):
+        f = gp.gp_evolve(f, cfg, 0.05)
+    rows = np.loadtxt(tmp_path / "True" / "density.csv", delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(rows[:, 0], f.axes()[-1])
+    np.testing.assert_array_equal(rows[:, 1], np.abs(f.values[16]) ** 2)
+
+
+def test_mapping_norm_diagnostic_reports_a_finite_ratio(tmp_path):
+    for on in (False, True):
+        doc = {"task": "scatter", "potential": SOFT, "mapping_norm_diagnostic": on}
+        report = cli.run(cli.parse_config(json.dumps(doc)), tmp_path / str(on))
+        assert ("l1_mapping_ratio" in report.results) == on
+    assert np.isfinite(report.results["l1_mapping_ratio"])
+
+
 def test_reports_are_deterministic(tmp_path):
     cfg_text = json.dumps(
         {
@@ -301,6 +325,9 @@ def test_default_dt_matches_the_grid_spectrum():
         # integers beyond float range, which the runners take to float
         {"task": "two-body-convergence", "potential": SOFT, "n_list": [8, 16, 32, 10**400]},
         {"task": "inequality-check", "kind": "theta", "n_particles": 10**400},
+        # within float range, but the finest radial grid and the pair arrays exceed any memory
+        {"task": "two-body-convergence", "potential": SOFT, "n_list": [8, 16, 32, 10**200]},
+        {"task": "inequality-check", "kind": "theta", "n_particles": 10**200},
     ],
 )
 def test_malformed_task_key_is_config_error(tmp_path, doc):

@@ -329,29 +329,17 @@ def test_merged_half_steps_match_two_half_step_loop(monkeypatch, dim, M, trapped
 
 
 @pytest.mark.parametrize("shape", [(64,), (24, 21)])
-def test_ground_state_real_and_complex_paths_agree(monkeypatch, shape):
+def test_ground_state_real_and_complex_paths_agree(shape):
     L = 12.0
     axes = [(np.arange(M) - M // 2) * (L / M) for M in shape]
     mesh = np.meshgrid(*axes, indexing="ij")
     gauss = np.exp(-sum(c**2 for c in mesh))
     cfg = gp.GPConfig(coupling=1.0, trap=gp.harmonic_trap)
-    seen = []
-    energy = gp.gp_energy
-
-    def spy(f, cfg):
-        seen.append(np.isrealobj(f.values))
-        return energy(f, cfg)
-
-    monkeypatch.setattr(gp, "gp_energy", spy)
-    runs = []
-    for phase in (1.0, np.exp(1j * np.pi / 7)):
-        init = gp.Field((gauss * phase).astype(complex), (L,) * len(shape)).normalize()
-        seen.clear()
-        res = gp.gp_ground_state(cfg, init)
-        runs.append((res, set(seen)))
-    (real, real_seen), (cplx, cplx_seen) = runs
-    # the real Gaussian is descended in real arithmetic, the rotated one is not
-    assert real_seen == {True} and cplx_seen == {False}
+    real, cplx = (
+        gp.gp_ground_state(cfg, gp.Field((gauss * phase).astype(complex), (L,) * len(shape)).normalize())
+        for phase in (1.0, np.exp(1j * np.pi / 7))
+    )
+    # the descent commutes with a global phase
     assert real["iterations"] == cplx["iterations"]
     np.testing.assert_allclose(real["energies"], cplx["energies"], rtol=1e-12, atol=0)
     assert real["field"].values.dtype == np.complex128
@@ -359,11 +347,11 @@ def test_ground_state_real_and_complex_paths_agree(monkeypatch, shape):
     assert np.linalg.norm(cplx["field"].values - rotated) <= 1e-12 * np.linalg.norm(rotated)
 
 
-def test_real_field_stays_real_and_evolves_like_complex():
+def test_real_input_is_stored_complex_and_evolves_alike():
     f = make_1d(64, fn=lambda x: 1.0 + 0.3 * np.cos(x))
     real = gp.Field(f.values.real, f.box)
-    assert real.values.dtype == np.float64
+    assert real.values.dtype == np.complex128
     cfg = gp.GPConfig(coupling=1.0, dt=1e-3)
-    assert gp.gp_energy(real, cfg) == pytest.approx(gp.gp_energy(f, cfg), rel=1e-13)
+    assert gp.gp_energy(real, cfg) == gp.gp_energy(f, cfg)
     out = gp.gp_evolve(real, cfg, 0.05)
     assert np.array_equal(out.values, gp.gp_evolve(f, cfg, 0.05).values)

@@ -1,14 +1,15 @@
 """Both residual forms against a dense reference built from n x n kernels."""
 
+import json
 import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from condensate_lab import gp
+from condensate_lab import cli, gp
 from condensate_lab import hierarchy as hr
 
 TWO_PI = 2.0 * np.pi
@@ -250,6 +251,8 @@ def _ladders(draw):
 
 @settings(max_examples=30, deadline=None)
 @given(_ladders())
+# more pulled-back fields than grid points: 2 * 11 columns on 20 points
+@example((hr.build_trajectory(0, coupling=1.0, grid=20, t_final=0.5), 1.0))
 def test_low_rank_residuals_match_dense_kernels(case):
     traj, g = case
     res = hr.hierarchy_residual(traj, g)
@@ -271,3 +274,25 @@ def test_residuals_allocate_no_dense_kernel():
     finally:
         tracemalloc.stop()
     assert peak < 16 * M * M, peak
+
+
+def test_sweep_memory_matches_the_parse_time_refusal(monkeypatch):
+    # the documented d = 3 ladder; its finest level is level 2
+    doc = json.dumps({"task": "hierarchy-check", "dim": 3, "grid": 8, "levels": 3})
+    traj = hr.build_trajectory(2, coupling=1.0, dim=3, grid=8)
+    field = traj[0].values.nbytes
+    tracemalloc.start()
+    try:
+        hr.integral_form_residual(traj, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    used = peak + len(traj) * field
+    # _read_hierarchy counts (3 T + 1) fields for T snapshots.  It must refuse a
+    # memory one byte short of what the trajectory and sweep used, and accept one
+    # field more: the count covers the sweep and is not loose by a whole field.
+    monkeypatch.setattr(cli, "_physical_memory", lambda: used - 1)
+    with pytest.raises(cli.ConfigError, match="physical memory"):
+        cli.parse_config(doc)
+    monkeypatch.setattr(cli, "_physical_memory", lambda: used + field)
+    cli.parse_config(doc)

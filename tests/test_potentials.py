@@ -43,7 +43,7 @@ def test_scaling_exactness_same_arithmetic_path():
         for N in (2, 7, 31):
             sp = pot.scale(p, N)
             r = rng.uniform(0.0, 3.0, 50)
-            assert np.array_equal(sp(r), N**2 * p.evaluator(N * r))
+            assert np.array_equal(sp(r), N**2 * p(N * r))
 
 
 def test_scale_identity_at_one():
