@@ -318,14 +318,15 @@ def default_cutoff_config(N: int = 10, k: int = 3, n: int = 1, eps: float = 0.1)
 
 
 def pair_array_bytes(N: int) -> int:
-    """Peak bytes of _pair_geometry: three N x N x 3 x 3, two N x N x 3 and five N x N float64 arrays."""
-    return (3 * 9 + 2 * 3 + 5) * 8 * N * N
+    """Peak bytes of theta_eval, in _pair_geometry: 21 N x N float64 arrays (diff and grad
+    3 each, rho2, rho, hmat, hess 9, three coefficient temporaries) and numpy's buffers."""
+    return 21 * 8 * N * N + 4 * 8 * np.getbufsize()
 
 
 def _pair_geometry(cfg: CutoffConfig, positions: np.ndarray):
     """h values, gradients and Hessian blocks of h(x_a - x_b) for all pairs.
 
-    h(x) = exp(-sqrt(|x|^2 + ell^2) / ell), zero on the diagonal.
+    h(x) = exp(-sqrt(|x|^2 + ell^2) / ell), zero on the diagonal with its derivatives.
     """
     ell = cfg.ell
     diff = positions[:, None, :] - positions[None, :, :]
@@ -336,13 +337,9 @@ def _pair_geometry(cfg: CutoffConfig, positions: np.ndarray):
     # grad h = -h x / (ell rho)
     grad = -hmat[..., None] * diff / (ell * rho[..., None])
     # hess h = h [ x x^T (1/(ell^2 rho^2) + 1/(ell rho^3)) - I/(ell rho) ]
-    coef = hmat * (1.0 / (ell**2 * rho2) + 1.0 / (ell * rho2 * rho))
-    outer = diff[:, :, :, None] * diff[:, :, None, :]
-    hess = coef[..., None, None] * outer
-    hess -= (hmat / (ell * rho))[..., None, None] * np.eye(3)
-    for a in range(positions.shape[0]):
-        grad[a, a, :] = 0.0
-        hess[a, a, :, :] = 0.0
+    hess = diff[:, :, :, None] * diff[:, :, None, :]
+    hess *= (hmat * (1.0 / (ell**2 * rho2) + 1.0 / (ell * rho2 * rho)))[..., None, None]
+    np.einsum("abii->abi", hess)[...] -= (hmat / (ell * rho))[..., None]  # a diagonal view
     return hmat, grad, hess
 
 
@@ -375,24 +372,23 @@ def theta_eval(cfg: CutoffConfig, positions: np.ndarray) -> CutoffEvaluation:
     weights[:, :k] += 1.0
     np.fill_diagonal(weights, 0.0)
 
-    s_k = float(np.sum(np.where(np.arange(cfg.N)[:, None] < k, hmat, 0.0)))
+    s_k = float(np.sum(hmat[:k]))
     c = cfg.strength
     theta = float(np.exp(-c * s_k))
 
     # dS/dx_m = sum_b w_mb grad_h[m, b]
     grad_s = np.sum(weights[..., None] * grad_h, axis=1)
     grad = -c * theta * grad_s
+    del grad_h
 
-    # Hessian blocks of Theta: c^2 gS gS^T - c hess(S), times Theta
-    total = 0.0
-    for m in range(cfg.N):
-        for mp in range(cfg.N):
-            if m == mp:
-                hs = np.sum(weights[m, :, None, None] * hess_h[m], axis=0)
-            else:
-                hs = -weights[m, mp] * hess_h[m, mp]
-            block = theta * (c**2 * np.outer(grad_s[m], grad_s[mp]) - c * hs)
-            total += float(np.sqrt(np.sum(block**2)))
+    # Hessian blocks of Theta, theta (c^2 gS gS^T - c hess S); hess S has the blocks
+    # -w_mb hess_h[m, b] off the diagonal and sum_b w_mb hess_h[m, b] on it
+    blocks = hess_h
+    blocks *= (c * weights)[..., None, None]
+    diag = np.arange(cfg.N)
+    blocks[diag, diag] = -np.sum(blocks, axis=1)
+    blocks += c**2 * grad_s[:, None, :, None] * grad_s[None, :, None, :]
+    total = theta * float(np.sum(np.sqrt(np.einsum("mpij,mpij->mp", blocks, blocks))))
     return CutoffEvaluation(
         Theta=theta,
         grad=grad,
@@ -407,13 +403,7 @@ def cumulative_values(cfg_base: CutoffConfig, row_sums: np.ndarray) -> np.ndarra
 
     row_sums is CutoffEvaluation.row_sums of the configuration.
     """
-    c = cfg_base.strength
-    out = np.empty(cfg_base.N - 1)
-    s = 0.0
-    for k in range(1, cfg_base.N):
-        s = s + float(row_sums[k - 1])
-        out[k - 1] = np.exp(-c * s)
-    return out
+    return np.exp(-cfg_base.strength * np.cumsum(row_sums[: cfg_base.N - 1]))
 
 
 def sample_configurations(cfg: CutoffConfig, samples: int, seed: int) -> list[np.ndarray]:
@@ -437,6 +427,7 @@ def theta_inequalities(cfg: CutoffConfig, samples: int = 100, seed: int = 0) -> 
 
     ratio_ii  = [sum_j |grad_j Theta_k^(n)|^2 / Theta_k^(n)] / [ell^-2 Theta_k^(n-1)]
     ratio_iii = [sum_{i,j} |hess block| ] / [ell^-2 Theta_k^(n-1)]
+    The per-sample ratios are returned in draw order beside their sups.
     Monotonicity in k and n must hold exactly (monotone partial sums feed
     a monotone exponential).  k-monotonicity comes from the partial sums at
     fixed n; n-monotonicity compares Theta_k^(n) with an independent
@@ -446,8 +437,7 @@ def theta_inequalities(cfg: CutoffConfig, samples: int = 100, seed: int = 0) -> 
         raise ValueError("need at least 100 samples")
     cfg_prev = CutoffConfig(cfg.ell, cfg.eps, cfg.n - 1, cfg.k, cfg.N) if cfg.n > 1 else None
     mono_ok = True
-    r2_sup = 0.0
-    r3_sup = 0.0
+    ratio_ii, ratio_iii = [], []
     for pos in sample_configurations(cfg, samples, seed):
         ev = theta_eval(cfg, pos)
         # k-monotonicity at fixed n, from monotone partial sums
@@ -462,11 +452,13 @@ def theta_inequalities(cfg: CutoffConfig, samples: int = 100, seed: int = 0) -> 
         theta_prev = float(np.exp(-strength_prev * s_k))
         denom = theta_prev / cfg.ell**2
         grad_sq = float(np.sum(ev.grad**2))
-        r2_sup = max(r2_sup, grad_sq / ev.Theta / denom)
-        r3_sup = max(r3_sup, ev.hess_abs_sum / denom)
+        ratio_ii.append(grad_sq / ev.Theta / denom)
+        ratio_iii.append(ev.hess_abs_sum / denom)
     return {
         "monotonicity_ok": mono_ok,
-        "ratio_ii_sup": r2_sup,
-        "ratio_iii_sup": r3_sup,
+        "ratio_ii_sup": max(ratio_ii),
+        "ratio_iii_sup": max(ratio_iii),
+        "ratio_ii": ratio_ii,
+        "ratio_iii": ratio_iii,
         "samples": samples,
     }

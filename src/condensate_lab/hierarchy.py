@@ -33,6 +33,7 @@ memory.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.fft
@@ -49,7 +50,10 @@ def _coordinates(cols: np.ndarray) -> np.ndarray:
     n x c matrix (cols is then overwritten); R is its top min(n, c) rows.
     """
     qr, _, _, _ = scipy.linalg.lapack.zgeqrf(cols, overwrite_a=True)
-    return np.triu(qr[: min(qr.shape)])
+    r = qr[: min(qr.shape)].copy()
+    for j in range(1, len(r)):
+        r[j, :j] = 0.0  # row by row: np.triu's where() would add a numpy iterator buffer
+    return r
 
 
 def _pulled_back(trajectory: list[Field]) -> np.ndarray:
@@ -129,12 +133,38 @@ def build_trajectory(
 @dataclass
 class HierarchyResidual:
     times: list[float]
-    differential_residual: list[float]
     integral_residual: list[float]
     final_integral: float
+    coupling: float
+    dt: float
+    dvol: float
+    coordinates: list[np.ndarray]  # the R of the seven stencil columns at each time
 
-    def max_differential(self) -> float:
-        return max(self.differential_residual) if self.differential_residual else 0.0
+    @cached_property
+    def differential_residual(self) -> list[float]:
+        return self.differential(self.coupling)
+
+    def differential(self, coupling: float) -> list[float]:
+        """Differential residuals at any coupling: only K depends on it, so the QR is reused."""
+        # i d/dt gamma - [-Lap, gamma] - g T = Q R K R^H Q^H on the columns
+        # [d_{+2}, d_{+1}, d_{-1}, d_{-2}, phi_n, Lap phi_n, u_n], d_k = phi_{n+k} - phi_n.
+        # The symmetric five-point stencil: the two-point one approaches second
+        # order from below (its next correction is anti-aligned for coherent
+        # phase dynamics), which would sit exactly on the target slope.  Its
+        # weights sum to zero, so |phi_n><phi_n| drops out of
+        # |phi_{n+k}><phi_{n+k}| = |phi_n><phi_n| + |d_k><phi_n| + |phi_n><d_k| + |d_k><d_k|
+        # and no O(1/dt) term is left to cancel in roundoff.
+        coef = np.zeros((7, 7), dtype=complex)
+        stencil = 1j * np.array([-1.0, 8.0, -8.0, 1.0]) / (12.0 * self.dt)
+        coef[range(4), range(4)] = coef[range(4), 4] = coef[4, range(4)] = stencil
+        coef[5, 4], coef[4, 5] = 1.0, -1.0
+        coef[6, 4], coef[4, 6] = -coupling, coupling
+        return [float(np.linalg.norm(r @ coef @ r.conj().T) * self.dvol) for r in self.coordinates]
+
+    def max_differential(self, coupling: float | None = None) -> float:
+        """Largest differential residual, at the trajectory's coupling unless one is given."""
+        res = self.differential_residual if coupling is None else self.differential(coupling)
+        return max(res, default=0.0)
 
     def max_integral(self) -> float:
         return max(self.integral_residual) if self.integral_residual else 0.0
@@ -154,42 +184,24 @@ def hierarchy_residual(trajectory: list[Field], coupling: float) -> HierarchyRes
     boxes = {f.box for f in trajectory}
     if len(shapes) != 1 or len(boxes) != 1:
         raise ValueError("inconsistent grids across trajectory")
-    steps = np.diff([f.time for f in trajectory])
-    dt = float(steps[0])
-    if not np.allclose(steps, dt, rtol=1e-10, atol=1e-12):
-        raise ValueError("snapshots must be uniformly spaced")
-    dvol = trajectory[0].dvol
-    integral = integral_form_residual(trajectory, coupling)
+    integral = integral_form_residual(trajectory, coupling)  # checks the spacing is uniform
 
-    # i d/dt gamma - [-Lap, gamma] - g T on the columns
-    # [d_{+2}, d_{+1}, d_{-1}, d_{-2}, phi_n, Lap phi_n, u_n], d_k = phi_{n+k} - phi_n.
-    # The symmetric five-point stencil: the two-point one approaches second
-    # order from below (its next correction is anti-aligned for coherent
-    # phase dynamics), which would sit exactly on the target slope.  Its
-    # weights sum to zero, so |phi_n><phi_n| drops out of
-    # |phi_{n+k}><phi_{n+k}| = |phi_n><phi_n| + |d_k><phi_n| + |phi_n><d_k| + |d_k><d_k|
-    # and no O(1/dt) term is left to cancel in roundoff.
-    coef = np.zeros((7, 7), dtype=complex)
-    stencil = 1j * np.array([-1.0, 8.0, -8.0, 1.0]) / (12.0 * dt)
-    coef[range(4), range(4)] = coef[range(4), 4] = coef[4, range(4)] = stencil
-    coef[5, 4], coef[4, 5] = 1.0, -1.0
-    coef[6, 4], coef[4, 6] = -coupling, coupling
     k2 = trajectory[0].k_squared()
-    diff_res = []
-    times = []
+    coords = []
     for n in range(2, len(trajectory) - 2):
         phi = trajectory[n].values
         lap = scipy.fft.ifftn(-k2 * scipy.fft.fftn(phi))
         cols = [(trajectory[n + k].values - phi).reshape(-1) for k in (2, 1, -1, -2)]
         cols += [phi.reshape(-1), lap.reshape(-1), (np.abs(phi) ** 2 * phi).reshape(-1)]
-        r = _coordinates(np.stack(cols, axis=1))
-        diff_res.append(float(np.linalg.norm(r @ coef @ r.conj().T) * dvol))
-        times.append(trajectory[n].time)
+        coords.append(_coordinates(np.stack(cols, axis=1)))
     return HierarchyResidual(
-        times=times,
-        differential_residual=diff_res,
+        times=[f.time for f in trajectory[2:-2]],
         integral_residual=integral[2 : len(trajectory) - 2],
         final_integral=integral[-1],
+        coupling=coupling,
+        dt=trajectory[1].time - trajectory[0].time,
+        dvol=trajectory[0].dvol,
+        coordinates=coords,
     )
 
 
@@ -255,14 +267,12 @@ def refinement_study(make_trajectory, levels: int = 3, coupling: float = 1.0) ->
     over the coarsest level's stencil window and the integral residual is
     evaluated at the shared final time, so the measured slopes track the
     truncation orders rather than window effects.  The finest level's
-    trajectory and residuals are returned as finest_trajectory and
-    finest_residual.
+    residuals are returned as finest_residual.
     """
     diff_max, int_final = [], []
     window = None
     for lvl in range(levels):
-        traj = make_trajectory(lvl)
-        res = hierarchy_residual(traj, coupling)
+        res = hierarchy_residual(make_trajectory(lvl), coupling)
         if window is None:
             window = (min(res.times), max(res.times))
         vals = [
@@ -280,6 +290,5 @@ def refinement_study(make_trajectory, levels: int = 3, coupling: float = 1.0) ->
         "integral": int_final,
         "slope_differential": slope_diff,
         "slope_integral": slope_int,
-        "finest_trajectory": traj,
         "finest_residual": res,
     }

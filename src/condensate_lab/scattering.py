@@ -326,11 +326,15 @@ def build_transform(
         raise RuntimeError("near-singular normalization: resonance suspicion")
     delta = np.arctan2(k * u_m, up_end) - k * r_m
 
+    # filled in place: an outer-product temporary would be as large as states
     states = np.empty((k.shape[0], grid.n))
     states[:, : i_stop + 1] = (U / amp).T
-    tail_r = grid.r[i_stop + 1 :]
-    states[:, i_stop + 1 :] = np.sin(np.outer(k, tail_r) + delta[:, None])
-    sines = np.sin(np.outer(k, grid.r))
+    tail = states[:, i_stop + 1 :]
+    np.multiply.outer(k, grid.r[i_stop + 1 :], out=tail)
+    tail += delta[:, None]
+    np.sin(tail, out=tail)
+    sines = np.multiply.outer(k, grid.r)
+    np.sin(sines, out=sines)
 
     t = ScatteringTransform(
         potential=p,

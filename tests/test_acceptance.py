@@ -250,7 +250,7 @@ def test_criterion_10_hierarchy_residuals():
         assert study["slope_differential"] >= 2.0, study
         assert study["slope_integral"] >= 2.0, study
         matched = study["finest_residual"].max_differential()
-        wrong = hr.hierarchy_residual(study["finest_trajectory"], 2.0).max_differential()
+        wrong = study["finest_residual"].max_differential(2.0)
         assert wrong >= 10.0 * matched, f"ratio {wrong / matched:.1f}"
         zero = max(hr.integral_form_residual(hr.build_trajectory(0, coupling=0.0), 0.0))
         assert zero <= 1e-8, f"zero-coupling residual {zero:.2e}"

@@ -1,7 +1,11 @@
 """Kernel integrals, Gaussian-pair inequalities, and the pair cutoffs."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gamma
 
 from condensate_lab import analysis as an
@@ -298,3 +302,62 @@ def test_theta_sampling_deterministic():
 def test_theta_requires_enough_samples():
     with pytest.raises(ValueError, match="at least 100"):
         an.theta_inequalities(an.default_cutoff_config(), samples=10)
+
+
+def _hess_abs_sum_by_blocks(cfg, pos):
+    """Sum of the Frobenius norms of Theta's 3 x 3 Hessian blocks, one block at a time."""
+    hmat, grad_h, hess_h = an._pair_geometry(cfg, pos)
+    weights = np.zeros((cfg.N, cfg.N))
+    weights[: cfg.k, :] += 1.0
+    weights[:, : cfg.k] += 1.0
+    np.fill_diagonal(weights, 0.0)
+    c = cfg.strength
+    theta = np.exp(-c * np.sum(hmat[: cfg.k]))
+    grad_s = np.sum(weights[..., None] * grad_h, axis=1)
+    total = 0.0
+    for m in range(cfg.N):
+        for mp in range(cfg.N):
+            if m == mp:
+                hs = np.sum(weights[m, :, None, None] * hess_h[m], axis=0)
+            else:
+                hs = -weights[m, mp] * hess_h[m, mp]
+            block = theta * (c**2 * np.outer(grad_s[m], grad_s[mp]) - c * hs)
+            total += float(np.sqrt(np.sum(block**2)))
+    return total
+
+
+@st.composite
+def _cutoff_configurations(draw):
+    N = draw(st.integers(2, 8))
+    cfg = an.CutoffConfig(
+        ell=draw(st.floats(0.2, 1.0)),
+        eps=0.1,
+        n=draw(st.integers(1, 3)),
+        k=draw(st.integers(1, N - 1)),
+        N=N,
+    )
+    coords = draw(st.lists(st.floats(-3.0, 3.0), min_size=3 * N, max_size=3 * N))
+    return cfg, cfg.ell * np.reshape(coords, (N, 3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_cutoff_configurations())
+def test_theta_hessian_blocks_match_the_per_block_sum(case):
+    cfg, pos = case
+    ref = _hess_abs_sum_by_blocks(cfg, pos)
+    assert abs(an.theta_eval(cfg, pos).hess_abs_sum - ref) <= 1e-13 * ref
+
+
+def test_pair_array_bytes_bounds_the_theta_eval_peak():
+    # at N = 240 one N x N array outweighs the allowance for numpy's buffers
+    for N in (60, 120, 240):
+        cfg = an.default_cutoff_config(N=N)
+        pos = an.sample_configurations(cfg, 1, 0)[0]
+        tracemalloc.start()
+        try:
+            an.theta_eval(cfg, pos)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # an upper bound, and not a loose one
+        assert peak <= an.pair_array_bytes(N) <= 1.25 * peak, (N, peak, an.pair_array_bytes(N))

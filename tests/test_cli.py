@@ -448,3 +448,19 @@ def test_trivv_fails_a_wrong_kernel(tmp_path, monkeypatch):
     for p_grid in ([1.0, 0.0], [1.0, 5.0]):
         cfg = cli.parse_config(json.dumps({"task": "inequality-check", "kind": "trivv", "p_grid": p_grid}))
         assert not cli.run(cfg, tmp_path / "o").passed()
+
+
+def test_theta_one_pass_matches_runs_at_n_and_2n(tmp_path):
+    # one run of 2 x samples draws gives the stability values of two separate
+    # runs of samples and 2 x samples draws, to the last bit
+    for n in (1, 2):
+        doc = {"task": "inequality-check", "kind": "theta", "n": n, "samples": 100, "seed": 3}
+        report = cli.run(cli.parse_config(json.dumps(doc)), tmp_path / f"n{n}")
+        cfg = an.default_cutoff_config(N=10, k=3, n=n)
+        r1 = an.theta_inequalities(cfg, samples=100, seed=3)
+        r2 = an.theta_inequalities(cfg, samples=200, seed=3)
+        for ratio in ("ratio_ii", "ratio_iii"):
+            sup1, sup2 = r1[f"{ratio}_sup"], r2[f"{ratio}_sup"]
+            assert report.results[f"{ratio}_sup"] == sup2
+            assert report.results[ratio.replace("ratio", "stability")] == abs(sup2 - sup1) / sup1
+        assert report.results["monotonicity_ok"] == (r1["monotonicity_ok"] and r2["monotonicity_ok"])

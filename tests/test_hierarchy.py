@@ -277,22 +277,46 @@ def test_residuals_allocate_no_dense_kernel():
 
 
 def test_sweep_memory_matches_the_parse_time_refusal(monkeypatch):
-    # the documented d = 3 ladder; its finest level is level 2
-    doc = json.dumps({"task": "hierarchy-check", "dim": 3, "grid": 8, "levels": 3})
-    traj = hr.build_trajectory(2, coupling=1.0, dim=3, grid=8)
-    field = traj[0].values.nbytes
-    tracemalloc.start()
-    try:
-        hr.integral_form_residual(traj, 1.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    used = peak + len(traj) * field
-    # _read_hierarchy counts (3 T + 1) fields for T snapshots.  It must refuse a
-    # memory one byte short of what the trajectory and sweep used, and accept one
-    # field more: the count covers the sweep and is not loose by a whole field.
-    monkeypatch.setattr(cli, "_physical_memory", lambda: used - 1)
-    with pytest.raises(cli.ConfigError, match="physical memory"):
+    # The documented d = 3 ladder (finest level 2); the d = 1 default ladder
+    # (n = 256 points, T = 41 snapshots), whose peak is in the sweep's r x r
+    # matrices (r = min(n, 2T)); and a long ladder on a small grid (n = 64,
+    # T = 401), where the r x 2T QR coordinates are as large as the 2T
+    # pulled-back fields.  The count adds one numpy iterator buffer for the
+    # r x r matrices, which a ladder may leave unused.
+    buffer = 16 * np.getbufsize()
+    cases = [
+        ({"dim": 3, "grid": 8, "levels": 3}, 0),
+        ({"dim": 1, "grid": 64, "levels": 3}, buffer),
+        ({"dim": 1, "grid": 32, "levels": 2, "t_final": 10.0}, buffer),
+    ]
+    for params, slack in cases:
+        doc = json.dumps({"task": "hierarchy-check", **params})
+        shape = {key: value for key, value in params.items() if key != "levels"}
+        traj = hr.build_trajectory(params["levels"] - 1, coupling=1.0, **shape)
+        field = traj[0].values.nbytes
+        tracemalloc.start()
+        try:
+            hr.integral_form_residual(traj, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        used = peak + len(traj) * field
+        # _read_hierarchy must refuse a memory one byte short of what the
+        # trajectory and sweep used, and accept one field (and the buffer) more:
+        # the count covers the sweep and is not loose by a whole field.
+        monkeypatch.setattr(cli, "_physical_memory", lambda: used - 1)
+        with pytest.raises(cli.ConfigError, match="physical memory"):
+            cli.parse_config(doc)
+        monkeypatch.setattr(cli, "_physical_memory", lambda: used + field + slack)
         cli.parse_config(doc)
-    monkeypatch.setattr(cli, "_physical_memory", lambda: used + field)
-    cli.parse_config(doc)
+
+
+def test_wrong_coupling_reuses_the_matched_factorization():
+    # The differential residual at another coupling, from the matched run's QR,
+    # is the one a separate run at that coupling computes, to the last bit.
+    traj = hr.build_trajectory(1, coupling=1.0)
+    matched = hr.hierarchy_residual(traj, 1.0)
+    for g in (2.0, 0.0, -0.5, 1.0 + 1e-9, 7.25):
+        assert matched.max_differential(g) == hr.hierarchy_residual(traj, g).max_differential()
+        assert matched.differential(g) == hr.hierarchy_residual(traj, g).differential_residual
+    assert matched.max_differential(1.0) == matched.max_differential()

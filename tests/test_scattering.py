@@ -1,5 +1,7 @@
 """Scattering lengths by three routes, phase shifts, and the transform pair."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -299,3 +301,20 @@ def test_l1_ratio_diagnostic(soft_transform):
     w = gaussian_packet(soft_transform.grid, sigma=1.0, r0=2.0)
     ratio = sc.l1_ratio_diagnostic(soft_transform, np.real(w.u))
     assert np.isfinite(ratio) and ratio > 0.0
+
+
+def test_transform_builds_its_matrices_without_temporaries(soft):
+    # the second-moment task's transform: n_k 640 x 12001 nodes, 61 MB per matrix
+    p = pot.scale(soft, 2)
+    tracemalloc.start()
+    try:
+        t = sc.build_transform(p, k_max=14.0, n_k=640)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t.states.shape == (640, 12001)
+    assert peak - t.states.nbytes - t.sines.nbytes < t.states.nbytes / 10, peak
+    # filled in place with the values of the outer-product formulas
+    r = t.grid.r[-64:]
+    assert np.array_equal(t.sines[:, -64:], np.sin(np.outer(t.k, r)))
+    assert np.array_equal(t.states[:, -64:], np.sin(np.outer(t.k, r) + t.delta0[:, None]))
