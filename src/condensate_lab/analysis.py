@@ -430,12 +430,17 @@ def theta_inequalities(cfg: CutoffConfig, samples: int = 100, seed: int = 0) -> 
     The per-sample ratios are returned in draw order beside their sups.
     Monotonicity in k and n must hold exactly (monotone partial sums feed
     a monotone exponential).  k-monotonicity comes from the partial sums at
-    fixed n; n-monotonicity compares Theta_k^(n) with an independent
-    evaluation of Theta_k^(n-1), so at n = 1 only k-monotonicity is checked.
+    fixed n; n-monotonicity compares Theta_k^(n) with
+    Theta_k^(n-1) = exp(-strength(n-1) S_k), strength(n-1) taken from the
+    n - 1 configuration, so at n = 1 only k-monotonicity is checked.
     """
     if samples < 100:
         raise ValueError("need at least 100 samples")
-    cfg_prev = CutoffConfig(cfg.ell, cfg.eps, cfg.n - 1, cfg.k, cfg.N) if cfg.n > 1 else None
+    # strength(n - 1) = strength(n) / 2; at n = 1 there is no n - 1 configuration
+    if cfg.n > 1:
+        strength_prev = CutoffConfig(cfg.ell, cfg.eps, cfg.n - 1, cfg.k, cfg.N).strength
+    else:
+        strength_prev = 0.5 * cfg.strength
     mono_ok = True
     ratio_ii, ratio_iii = [], []
     for pos in sample_configurations(cfg, samples, seed):
@@ -444,12 +449,10 @@ def theta_inequalities(cfg: CutoffConfig, samples: int = 100, seed: int = 0) -> 
         cums = cumulative_values(cfg, ev.row_sums)
         if np.any(np.diff(cums) > 0) or np.any(cums > 1.0):
             mono_ok = False
+        theta_prev = float(np.exp(-strength_prev * ev.cumulative_sum))
         # n-monotonicity at fixed k
-        if cfg_prev is not None and ev.Theta > theta_eval(cfg_prev, pos).Theta:
+        if cfg.n > 1 and ev.Theta > theta_prev:
             mono_ok = False
-        s_k = ev.cumulative_sum
-        strength_prev = 0.5 * cfg.strength
-        theta_prev = float(np.exp(-strength_prev * s_k))
         denom = theta_prev / cfg.ell**2
         grad_sq = float(np.sum(ev.grad**2))
         ratio_ii.append(grad_sq / ev.Theta / denom)

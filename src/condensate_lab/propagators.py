@@ -12,7 +12,7 @@ separable two-particle states at N = 2.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -271,14 +271,12 @@ class SecondMomentResult:
     lhs: float
     rhs: float
     slack: float
-    parts: dict = field(default_factory=dict)
 
 
 def second_moment_check(
     chi: CenterProfile,
     g: RadialWavepacket,
     p: Potential,
-    N: int = 2,
     transform: ScatteringTransform | None = None,
 ) -> SecondMomentResult:
     """Quadratic-form energy inequality at N = 2 for chi(u) g(|v|).
@@ -289,9 +287,7 @@ def second_moment_check(
     transform of g (the multiplier k^2 plays Lap_v).  The bound is
     lhs >= 2 rhs, so slack = lhs - 2 rhs.
     """
-    if N != 2:
-        raise ValueError("second moment check is defined at N = 2")
-    pN = scale(p, N)
+    pN = scale(p, 2)
     if transform is None:
         transform = build_transform(pN, k_max=14.0, n_k=640)
     grid = transform.grid
@@ -319,18 +315,4 @@ def second_moment_check(
     rhs = mu4 / 16.0 * c0 - 0.5 * mu2 * k2 + k4
 
     slack = lhs - 2.0 * rhs
-    return SecondMomentResult(
-        lhs=float(lhs),
-        rhs=float(rhs),
-        slack=float(slack),
-        parts={
-            "mu2": mu2,
-            "mu4": mu4,
-            "norm_g": norm_g,
-            "g_hv_g": g_hv_g,
-            "hv_sq": hv_sq,
-            "coef_norm": c0,
-            "coef_k2": k2,
-            "coef_k4": k4,
-        },
-    )
+    return SecondMomentResult(lhs=float(lhs), rhs=float(rhs), slack=float(slack))

@@ -137,7 +137,7 @@ def test_criterion_07_second_moment_bound():
                 momenta=tuple(rng.uniform(-1.0, 1.0, 3)),
             )
             g = pr.gaussian_packet(transform.grid, sigma=float(rng.uniform(0.8, 1.6)))
-            res = pr.second_moment_check(chi, g, SOFT, N=2, transform=transform)
+            res = pr.second_moment_check(chi, g, SOFT, transform=transform)
             assert res.slack >= -1e-6 * abs(res.lhs), f"state {i}: slack {res.slack:.3e}"
 
 

@@ -257,15 +257,9 @@ def test_theta_monotonicity_exact():
 def test_theta_n_monotonicity_compares_independent_evaluations(monkeypatch):
     cfg = an.default_cutoff_config(n=2)
     assert an.theta_inequalities(cfg, samples=100, seed=1)["monotonicity_ok"]
-    real = an.theta_eval
-
-    def broken_prev(c, pos):
-        ev = real(c, pos)
-        if c.n == cfg.n - 1:
-            ev.Theta = 0.0  # Theta^(n-1) < Theta^(n): the check must trip
-        return ev
-
-    monkeypatch.setattr(an, "theta_eval", broken_prev)
+    # a strength that falls with n makes Theta^(n-1) < Theta^(n): the check must trip
+    falling = property(lambda c: 2.0 ** (-c.n) / c.ell**c.eps)
+    monkeypatch.setattr(an.CutoffConfig, "strength", falling)
     assert not an.theta_inequalities(cfg, samples=100, seed=1)["monotonicity_ok"]
 
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from condensate_lab import analysis as an
 from condensate_lab import cli, gp
 from condensate_lab import potentials as pot
+from condensate_lab import scattering as sc
 
 SOFT_A0 = 1.0 - np.tanh(1.0)
 SOFT = {"family": "soft-sphere", "v0": 2.0, "radius": 1.0}
@@ -70,6 +71,24 @@ def test_scatter_report_contents(tmp_path):
     profile = (tmp_path / "out" / "profile.csv").read_text().splitlines()
     assert profile[0] == "r,f"
     assert len(profile) > 1000
+
+
+@pytest.mark.parametrize("offset", [3e-5, 9e-5, 2e-4])
+def test_scatter_rows_pass_exactly_when_value_is_within_threshold(tmp_path, monkeypatch, offset):
+    """A phase-route offset between 1e-4 |a0| and 1e-4 (a0 = 0.238) passes eq:LSE, whose
+    tolerance is absolute for |a0| < 1, and must print a value within its threshold."""
+    real = sc.phase_shift
+
+    def shifted(p, k):
+        ps = real(p, k)
+        return sc.PhaseShift(k=ps.k, delta0=ps.delta0 - offset * ps.k)
+
+    monkeypatch.setattr(sc, "phase_shift", shifted)
+    report = cli.run(cli.parse_config(MINIMAL_SCATTER), tmp_path)
+    for row in report.checks:
+        assert row["pass"] == (row["value"] <= row["threshold"])
+    (lse,) = [row for row in report.checks if row["anchor"] == "eq:LSE"]
+    assert lse["pass"] == (offset < 1e-4)
 
 
 def test_evolve_plane_wave_passes(tmp_path):
