@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .potentials import Potential, dilate, norms
+from .potentials import Potential, dilate
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +248,7 @@ def vl1_check(V: Potential, pair: GaussianTestPair) -> dict:
     ratio = |<phi, V psi>| / (||V||_1 sqrt(Q(phi) Q(psi))); the analytic
     bound is (2 pi)^{-3} sup_p kernel_integral("int1", p) = pi^2/(8 pi^3).
     """
-    l1 = norms(V).l1
+    l1 = V.l1
     form_phi = mixed_derivative_form(pair.a, pair.b)
     form_psi = mixed_derivative_form(pair.c, pair.d)
     if l1 == 0.0:
@@ -271,8 +271,7 @@ def vl12_rate(V: Potential, pair: GaussianTestPair, alphas) -> dict:
     alpha^-3 V(x/alpha), keeps the integral equal to one while concentrating
     at the origin.
     """
-    l1 = norms(V).l1
-    if abs(l1 - 1.0) > 1e-6:
+    if abs(V.l1 - 1.0) > 1e-6:
         raise ValueError("potential must be normalized to unit integral")
     target = delta_pairing(pair)
     gaps = [abs(potential_pairing(pair, dilate(V, alpha)) - target) for alpha in alphas]

@@ -157,6 +157,12 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def _refuse_beyond(have: int, need: float, what: str) -> None:
+    """ConfigError when need bytes exceed physical memory have; what formats need in GB."""
+    if need > have:
+        raise ConfigError(f"{what.format(need / 1e9)}; physical memory is {have / 1e9:.3g} GB")
+
+
 def _read_coupling(params: dict, default: float):
     """A number >= 0, or a validated (mode, potential) rule for _resolve_coupling."""
     spec = params.get("coupling", default)
@@ -172,7 +178,7 @@ def _resolve_coupling(coupling, results: dict) -> float:
         return coupling
     mode, p = coupling
     if mode == "born":
-        return float(potentials.norms(p).l1)
+        return p.l1
     sol = scattering.solve_zero_energy(p)
     results["a0"] = sol.a0_asym
     return float(8.0 * np.pi * sol.a0_asym)
@@ -316,10 +322,7 @@ def _read_gp(params: dict, width: float) -> dict:
     # each factor is clamped at the memory size, which it alone would exceed
     have = _physical_memory()
     need = 16 * math.prod(min(M, have) for M in shape)
-    if need > have:
-        raise ConfigError(
-            f"the grid needs about {need / 1e9:.3g} GB per field; physical memory is {have / 1e9:.3g} GB"
-        )
+    _refuse_beyond(have, need, "the grid needs about {:.3g} GB per field")
     trap = _choice("trap", params.get("trap"), (None, "harmonic"))
     return {
         "shape": shape,
@@ -478,11 +481,7 @@ def _read_two_body(params: dict, potential) -> dict:
     N = max(n_list)
     step = propagators.radial_step(potential.range_hint / N)
     need = 16 * rmax / step if step else math.inf
-    if need > have:
-        raise ConfigError(
-            f"n_list entry {N:.3g} needs at least {need / 1e9:.3g} GB per field on its radial grid; "
-            f"physical memory is {have / 1e9:.3g} GB"
-        )
+    _refuse_beyond(have, need, f"n_list entry {N:.3g} needs at least {{:.3g}} GB per field on its radial grid")
     return {
         "potential": potential,
         "n_list": n_list,
@@ -583,11 +582,9 @@ def _read_hierarchy(params: dict, potential) -> dict:
     r = min(n, 2 * snapshots)
     sweep = 2 * snapshots * r + max((2 * snapshots + 1) * n, 6 * r * r) + np.getbufsize()
     need = 16 * (snapshots * n + sweep)
-    if need > have:
-        raise ConfigError(
-            f"hierarchy-check needs about {need / 1e9:.3g} GB for the trajectory and "
-            f"residual sweep of its finest level; physical memory is {have / 1e9:.3g} GB"
-        )
+    _refuse_beyond(
+        have, need, "hierarchy-check needs about {:.3g} GB for the trajectory and residual sweep of its finest level"
+    )
     return {
         "coupling": _read_coupling(params, 1.0),
         "levels": levels,
@@ -662,11 +659,7 @@ def _read_inequality(params: dict, potential) -> dict:
     # clamped at the memory size, which it alone would exceed, so need stays within float range
     have = _physical_memory()
     need = analysis.pair_array_bytes(min(n_particles, have))
-    if need > have:
-        raise ConfigError(
-            f"n_particles = {n_particles:.3g} needs at least {need / 1e9:.3g} GB of pair arrays; "
-            f"physical memory is {have / 1e9:.3g} GB"
-        )
+    _refuse_beyond(have, need, f"n_particles = {n_particles:.3g} needs at least {{:.3g}} GB of pair arrays")
     k = _integer("k", params.get("k", 3), 1)
     if k >= n_particles:
         raise ConfigError(f"k must be below n_particles = {n_particles}, got {k}")

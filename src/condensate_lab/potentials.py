@@ -3,11 +3,11 @@
 Supported families: zero, soft-sphere (piecewise constant ball), gaussian,
 and tabulated radial samples.  Every potential is V(r) = A profile(s r):
 the family fixes the profile, its decay exponent sigma, an effective range
-used to size radial grids, the breakpoints where it is non-smooth and
-sup x^2 profile(x); the transforms below change only the amplitude A and
-the rate s, and every derived quantity follows from (A, s).  Rescaling by N
-maps V to N^2 V(N r), which divides the effective range and the scattering
-length by N.
+used to size radial grids, the breakpoints where it is non-smooth and the
+exact integral of the profile over R^3; the transforms below change only
+the amplitude A and the rate s, and every derived quantity follows from
+(A, s).  Rescaling by N maps V to N^2 V(N r), which divides the effective
+range and the scattering length by N.
 """
 
 from __future__ import annotations
@@ -30,10 +30,10 @@ class Potential:
     family: one of "zero", "soft-sphere", "gaussian", "tabulated"
     params: family parameters of the profile (see factory functions below)
     sigma: decay exponent in V(r) <= C (1+r)^(-sigma); inf for compact
-        or super-exponential tails.  Stored metadata; the sigma > 5
-        hypothesis is reported, not enforced.
-    profile_range, profile_breakpoints, profile_sup: effective range,
-        non-smooth points and sup_x x^2 profile(x) of the profile.
+        or super-exponential tails.  Enforced where it matters: l1 refuses
+        sigma <= 3 and scattering.phase_shift refuses sigma <= 1.
+    profile_range, profile_breakpoints, profile_l1: effective range,
+        non-smooth points and integral over R^3 of the profile.
     """
 
     family: str
@@ -41,7 +41,7 @@ class Potential:
     sigma: float
     profile: Callable[[np.ndarray], np.ndarray]
     profile_range: float
-    profile_sup: float
+    profile_l1: float
     profile_breakpoints: tuple[float, ...] = ()
     amplitude: float = 1.0
     rate: float = 1.0
@@ -59,13 +59,11 @@ class Potential:
         return tuple(b / self.rate for b in self.profile_breakpoints)
 
     @property
-    def second_moment_sup(self) -> float:
-        """sup_r r^2 V(r), in closed form from the profile's."""
-        return self.amplitude * self.profile_sup / self.rate**2
-
-    @property
-    def meets_decay_hypothesis(self) -> bool:
-        return self.sigma > 5.0
+    def l1(self) -> float:
+        """int_{R^3} V, in closed form from the profile's."""
+        if self.sigma <= 3.0:
+            raise PotentialError("divergent norm: decay exponent sigma <= 3")
+        return self.amplitude * self.profile_l1 / self.rate**3
 
 
 def zero_potential() -> Potential:
@@ -75,7 +73,7 @@ def zero_potential() -> Potential:
         sigma=np.inf,
         profile=lambda r: np.zeros_like(np.asarray(r, dtype=np.float64)),
         profile_range=1.0,
-        profile_sup=0.0,
+        profile_l1=0.0,
     )
 
 
@@ -99,7 +97,7 @@ def soft_sphere(v0: float, radius: float) -> Potential:
         sigma=np.inf,
         profile=ev,
         profile_range=radius,
-        profile_sup=v0 * radius**2,
+        profile_l1=4.0 * np.pi * v0 * radius**3 / 3.0,
         profile_breakpoints=(radius,),
     )
 
@@ -124,7 +122,7 @@ def gaussian(v0: float, width: float) -> Potential:
         sigma=np.inf,
         profile=ev,
         profile_range=6.0 * width,
-        profile_sup=v0 * width**2 / np.e,
+        profile_l1=np.pi**1.5 * v0 * width**3,
     )
 
 
@@ -139,9 +137,11 @@ def tabulated(r_samples, v_samples, sigma: float = np.inf) -> Potential:
         raise PotentialError("sigma must not be NaN")
     if not np.all(np.diff(r_samples) > 0):
         raise PotentialError("tabulated radii must be strictly ascending")
+    if r_samples[0] < 0:
+        raise PotentialError("tabulated radii must be >= 0")
     if np.any(v_samples < 0):
         raise PotentialError("repulsivity violated")
-    # scipy.interpolate and scipy.integrate load only where used: most tasks need neither
+    # scipy.interpolate loads only where used: most tasks never need it
     from scipy.interpolate import PchipInterpolator
 
     interp = PchipInterpolator(r_samples, v_samples, extrapolate=False)
@@ -158,15 +158,19 @@ def tabulated(r_samples, v_samples, sigma: float = np.inf) -> Potential:
             out[inside] = np.maximum(vals, 0.0)
         return out
 
-    # dense scan; x^2 V is bounded on the compact support
-    xx = np.linspace(0.0, r_hi, 20001)
+    # r^2 times each PCHIP cubic is a quintic, which 3-point Gauss-Legendre integrates exactly
+    nodes, weights = np.polynomial.legendre.leggauss(3)
+    mid = 0.5 * (r_samples[1:] + r_samples[:-1])
+    half = 0.5 * np.diff(r_samples)
+    x = mid[:, None] + half[:, None] * nodes
+    inner = float(np.sum(half[:, None] * weights * x**2 * ev(x)))
     return Potential(
         family="tabulated",
         params={"r": r_samples.tolist(), "v": v_samples.tolist()},
         sigma=float(sigma),
         profile=ev,
         profile_range=r_hi,
-        profile_sup=float(np.max(xx**2 * ev(xx))),
+        profile_l1=4.0 * np.pi * (v_lo * r_lo**3 / 3.0 + inner),
     )
 
 
@@ -199,83 +203,14 @@ def dilate(p: Potential, alpha: float) -> Potential:
     return replace(p, amplitude=p.amplitude / alpha**3, rate=p.rate / alpha)
 
 
-@dataclass(frozen=True)
-class PotentialNorms:
-    l1: float
-    l2: float
-    l3half: float
-    first_moment: float
-    second_moment_sup: float
-    hardy_integral: float
-    rho: float
-
-    def as_dict(self) -> dict:
-        return {
-            "l1": self.l1,
-            "l2": self.l2,
-            "l3half": self.l3half,
-            "first_moment": self.first_moment,
-            "second_moment_sup": self.second_moment_sup,
-            "hardy_integral": self.hardy_integral,
-            "rho": self.rho,
-        }
-
-
-def _radial_integral(p, weight, quad_opts) -> float:
-    """integral over R^3 of weight(r, V(r)) reduced to 4 pi int r^2 ... dr."""
-    from scipy.integrate import quad
-
-    def f(r):
-        return 4.0 * np.pi * weight(r, float(p(np.asarray([r]))[0]))
-
-    # edges follow range_hint, so quad resolves V at every rate s
-    edges = [0.0, *p.breakpoints, 4.0 * p.range_hint]
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        val, _ = quad(f, a, b, **quad_opts)
-        total += val
-    tail, _ = quad(f, edges[-1], np.inf, **quad_opts)
-    return total + tail
-
-
-def norms(p: Potential) -> PotentialNorms:
-    """Lp norms, moments and the dimensionless size parameter of V.
-
-    Entries are adaptive radial quadratures (relative error <= 1e-8);
-    rho = sup |x|^2 V + int V / |x|.
-    """
-    if p.sigma <= 3.0:
-        raise PotentialError("divergent norm: decay exponent sigma <= 3")
-    if p.family == "zero":
-        return PotentialNorms(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    opts = {"epsabs": 1e-13, "epsrel": 1e-10, "limit": 200}
-    l1 = _radial_integral(p, lambda r, v: r**2 * v, opts)
-    l2sq = _radial_integral(p, lambda r, v: r**2 * v**2, opts)
-    l32 = _radial_integral(p, lambda r, v: r**2 * v**1.5, opts)
-    first = _radial_integral(p, lambda r, v: r**3 * v, opts)
-    hardy = _radial_integral(p, lambda r, v: r * v, opts)
-    sup2 = p.second_moment_sup
-    return PotentialNorms(
-        l1=l1,
-        l2=float(np.sqrt(l2sq)),
-        l3half=float(l32 ** (2.0 / 3.0)),
-        first_moment=first,
-        second_moment_sup=sup2,
-        hardy_integral=hardy,
-        rho=sup2 + hardy,
-    )
-
-
 def born_scattering_length(p) -> float:
     """First Born approximation (1/8 pi) int V; upper bound for V >= 0."""
-    if p.family == "zero":
-        return 0.0
-    return norms(p).l1 / (8.0 * np.pi)
+    return p.l1 / (8.0 * np.pi)
 
 
 def unit_l1(p: Potential) -> Potential:
     """Rescale the amplitude so that int V = 1."""
-    l1 = norms(p).l1
+    l1 = p.l1
     if l1 <= 0.0:
         raise PotentialError("cannot normalize a vanishing potential")
     return replace(p, amplitude=p.amplitude / l1)

@@ -94,15 +94,10 @@ def build_grid(rmax: float, h_target: float, breakpoints=()) -> RadialGrid:
     n_total = int(np.ceil(rmax / h / 2.0)) * 2
     r = np.arange(n_total + 1) * h
     grid = RadialGrid(r=r, h=h, breakpoints=breakpoints)
-    # Simpson weights assembled piece by piece.
+    # Simpson weights assembled piece by piece; each piece has an even interval count.
     w = np.zeros(n_total + 1)
-    edges = [0.0, *breakpoints, r[-1]]
-    for a, b in zip(edges[:-1], edges[1:]):
-        ia = int(round(a / h))
-        ib = int(round(b / h))
-        if (ib - ia) % 2 != 0:
-            raise ValueError("breakpoint not aligned with even node index")
-        w[ia : ib + 1] += _simpson_weights(ib - ia, h)
+    for sl in grid.piece_slices():
+        w[sl] += _simpson_weights(sl.stop - sl.start - 1, h)
     object.__setattr__(grid, "weights", w)
     return grid
 

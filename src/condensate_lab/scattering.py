@@ -195,7 +195,7 @@ def scattering_length_integral(sol: ZeroEnergySolution, p) -> float:
 def zero_energy_state_integral(p, sol: ZeroEnergySolution | None = None) -> dict:
     """Both sides of int V f = 8 pi a0 and their relative gap."""
     sol = sol or solve_zero_energy(p)
-    integral = 8.0 * np.pi * scattering_length_integral(sol, p)
+    integral = 8.0 * np.pi * sol.a0_int
     target = 8.0 * np.pi * sol.a0_asym
     denom = max(abs(target), 1e-300)
     gap = abs(integral - target) / denom if abs(target) > 1e-14 else abs(integral - target)

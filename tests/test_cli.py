@@ -178,6 +178,7 @@ def test_main_exit_codes(tmp_path):
         {"family": "soft-sphere", "v0": 2.0, "radius": float("inf")},
         {"family": "tabulated", "r": [0.5, float("inf")], "v": [1.0, 0.0]},
         {"family": "tabulated", "r": [0.5, 1.0], "v": [1.0, 0.0], "sigma": float("nan")},
+        {"family": "tabulated", "r": [-0.5, 1.0], "v": [1.0, 0.0]},
     ],
 )
 def test_malformed_potential_is_config_error(tmp_path, potential):
@@ -304,7 +305,7 @@ def test_coupling_rules():
     assert abs(g - 8.0 * np.pi * SOFT_A0) < 1e-6
     assert abs(out["a0"] - SOFT_A0) < 1e-7
     g_born = _coupling({"mode": "born", "potential": {"family": "gaussian", "v0": 1.0, "width": 1.0}}, {})
-    assert abs(g_born - np.pi**1.5) < 1e-8
+    assert abs(g_born - np.pi**1.5) < 1e-14 * np.pi**1.5
     assert g < g_born * 8 * np.pi  # sanity: both positive couplings
     assert _coupling(2, {}) == 2.0
 
@@ -443,14 +444,23 @@ def test_parse_config_raises_only_config_error(doc):
         assert kw["levels"] >= 2 and kw["shape"]["dim"] in (1, 2, 3) and kw["shape"]["grid"] >= 2
 
 
-def test_importing_the_cli_skips_quadrature_and_interpolation():
-    code = (
-        "import sys, condensate_lab.cli; "
-        "print([m for m in ('scipy.integrate', 'scipy.interpolate') if m in sys.modules])"
-    )
+def test_importing_the_cli_skips_quadrature_and_interpolation(tmp_path):
+    # after the import, and again after the benchmarked scatter and coupled GP configs run
+    code = """
+import sys
+from pathlib import Path
+from condensate_lab import cli
+print([m for m in ('scipy.integrate', 'scipy.interpolate') if m in sys.modules])
+for path in sys.argv[2:]:
+    cli.run(cli.parse_config(Path(path).read_text()), Path(sys.argv[1]) / Path(path).stem)
+print([m for m in ('scipy.integrate', 'scipy.interpolate') if m in sys.modules])
+"""
+    configs = [str(Path(__file__).parents[1] / "configs" / name) for name in ("scatter.json", "evolve_gp_coupling.json")]
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "[]"
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path), *configs], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.split() == ["[]", "[]"]
 
 
 def test_trivv_compares_the_oracle_at_p_zero(tmp_path):

@@ -1,4 +1,4 @@
-"""Potential families, norms against analytic ball/Gaussian integrals, scaling laws."""
+"""Potential families, int V against closed forms and quadrature, scaling laws."""
 
 import numpy as np
 import pytest
@@ -8,33 +8,24 @@ from hypothesis import strategies as st
 from condensate_lab import potentials as pot
 
 
+def _rel(a, b):
+    return abs(a - b) / abs(b)
+
+
 def test_soft_sphere_norms_analytic():
     p = pot.soft_sphere(2.0, 1.0)
-    n = pot.norms(p)
-    vol = 4.0 * np.pi / 3.0
-    assert abs(n.l1 - 2.0 * vol) < 1e-8 * vol
-    assert abs(n.l2 - 2.0 * np.sqrt(vol)) < 1e-8
-    assert abs(n.l3half - 2.0 * vol ** (2.0 / 3.0)) < 1e-8
-    assert abs(n.first_moment - np.pi * 2.0) < 1e-8
-    assert abs(n.second_moment_sup - 2.0) < 1e-12
-    assert abs(n.hardy_integral - 4.0 * np.pi) < 1e-8
-    assert abs(n.rho - (2.0 + 4.0 * np.pi)) < 1e-8
+    assert _rel(p.l1, 2.0 * 4.0 * np.pi / 3.0) < 1e-14
 
 
 def test_gaussian_norms_analytic():
-    p = pot.gaussian(1.0, 1.0)
-    n = pot.norms(p)
-    assert abs(n.l1 - np.pi**1.5) < 1e-8
-    assert abs(n.l2 - (np.pi / 2.0) ** 0.75) < 1e-8
-    assert abs(n.l3half - 2.0 * np.pi / 3.0) < 1e-8
-    assert abs(n.first_moment - 2.0 * np.pi) < 1e-8
-    assert abs(n.second_moment_sup - 1.0 / np.e) < 1e-12
-    assert abs(n.hardy_integral - 2.0 * np.pi) < 1e-8
+    assert _rel(pot.gaussian(1.0, 1.0).l1, np.pi**1.5) < 1e-14
+    assert _rel(pot.gaussian(2.5, 0.3).l1, 2.5 * np.pi**1.5 * 0.3**3) < 1e-14
 
 
 def test_zero_potential_all_norms_vanish():
-    n = pot.norms(pot.zero_potential())
-    assert all(v == 0.0 for v in n.as_dict().values())
+    p = pot.zero_potential()
+    assert p.l1 == 0.0
+    assert pot.born_scattering_length(p) == 0.0
 
 
 def test_scaling_exactness_same_arithmetic_path():
@@ -55,19 +46,18 @@ def test_scale_identity_at_one():
 
 def test_norm_scaling_laws():
     p = pot.gaussian(1.0, 1.0)
-    base = pot.norms(p)
     for N in (2, 7, 10):
-        n = pot.norms(pot.scale(p, N))
-        assert abs(n.l1 - base.l1 / N) < 1e-8 * base.l1
-        assert abs(n.first_moment - base.first_moment / N**2) < 1e-8 * base.first_moment
-        assert abs(n.l3half - base.l3half) < 1e-8 * base.l3half
-        assert abs(n.rho - base.rho) < 1e-8 * base.rho
+        assert _rel(pot.scale(p, N).l1, p.l1 / N) < 1e-14
 
 
 def test_scaled_l1_matches_quadrature_for_soft_sphere():
+    from scipy.integrate import quad
+
     p = pot.soft_sphere(2.0, 1.0)
-    n10 = pot.norms(pot.scale(p, 10))
-    assert abs(n10.l1 - pot.norms(p).l1 / 10.0) < 1e-8
+    p10 = pot.scale(p, 10)
+    ball, _ = quad(lambda r: 4.0 * np.pi * r**2 * 200.0, 0.0, 0.1)
+    assert _rel(p10.l1, p.l1 / 10.0) < 1e-14
+    assert _rel(p10.l1, ball) < 1e-14
 
 
 def test_invalid_scale_rejected():
@@ -79,6 +69,35 @@ def test_invalid_scale_rejected():
 def test_tabulated_rejects_negative_samples():
     with pytest.raises(pot.PotentialError, match="repulsivity violated"):
         pot.tabulated([0.0, 1.0, 2.0], [1.0, -0.1, 0.0])
+
+
+def test_tabulated_rejects_negative_radii():
+    with pytest.raises(pot.PotentialError, match="radii must be >= 0"):
+        pot.tabulated([-0.5, 1.0, 2.0], [1.0, 0.5, 0.0])
+
+
+def _quad_l1(p, r_samples):
+    """Test-side 4 pi int r^2 V dr: exact ball below the first sample, quad on each interval."""
+    from scipy.integrate import quad
+
+    r0 = r_samples[0]
+    total = float(p(np.asarray([0.0]))[0]) * r0**3 / 3.0
+    for a, b in zip(r_samples[:-1], r_samples[1:]):
+        val, _ = quad(lambda r: r**2 * float(p(np.asarray([r]))[0]), a, b, epsabs=0.0, epsrel=1e-13, limit=200)
+        total += val
+    return 4.0 * np.pi * total
+
+
+def test_tabulated_l1_matches_per_interval_quadrature():
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        r = np.cumsum(rng.uniform(0.05, 1.0, rng.integers(2, 10)))
+        if rng.random() < 0.5:
+            r = r - r[0]  # first sample at the origin
+        v = rng.uniform(0.0, 2.0, r.size)
+        v[-1] = rng.uniform(0.5, 2.0)  # nonzero last sample: V jumps to 0 there
+        p = pot.tabulated(r, v)
+        assert _rel(p.l1, _quad_l1(p, r)) < 1e-12
 
 
 def test_tabulated_interpolation_stays_nonnegative():
@@ -103,12 +122,7 @@ def test_tabulated_from_csv(tmp_path):
 def test_divergent_norm_for_slow_decay():
     p = pot.tabulated([0.0, 1.0, 2.0], [1.0, 0.5, 0.2], sigma=2.5)
     with pytest.raises(pot.PotentialError, match="divergent norm"):
-        pot.norms(p)
-
-
-def test_decay_hypothesis_flag():
-    assert pot.gaussian(1.0, 1.0).meets_decay_hypothesis
-    assert not pot.tabulated([0.0, 1.0], [1.0, 0.5], sigma=4.0).meets_decay_hypothesis
+        p.l1
 
 
 def test_from_config_round_trip_and_errors():
@@ -121,23 +135,23 @@ def test_from_config_round_trip_and_errors():
 
 def test_born_length_is_l1_over_8pi():
     p = pot.gaussian(1.0, 1.0)
-    assert abs(pot.born_scattering_length(p) - np.pi**1.5 / (8 * np.pi)) < 1e-9
+    assert _rel(pot.born_scattering_length(p), np.pi**1.5 / (8 * np.pi)) < 1e-14
 
 
 def test_unit_l1_normalization():
     for p in (pot.gaussian(2.0, 0.7), pot.soft_sphere(2.0, 1.0)):
         unit = pot.unit_l1(p)
-        assert abs(pot.norms(unit).l1 - 1.0) < 1e-8
+        assert abs(unit.l1 - 1.0) < 1e-14
         assert unit.breakpoints == p.breakpoints
     with pytest.raises(pot.PotentialError):
         pot.unit_l1(pot.zero_potential())
 
 
-def test_second_moment_sup_after_unit_l1_and_scale():
+def test_values_after_unit_l1_and_scale():
     unit = pot.unit_l1(pot.gaussian(3.0, 1.0))
-    assert abs(pot.norms(unit).second_moment_sup - 3.0 / np.e / (3.0 * np.pi**1.5)) < 1e-12
+    assert _rel(unit(np.asarray([0.0]))[0], 1.0 / np.pi**1.5) < 1e-14
     ball = pot.scale(pot.unit_l1(pot.soft_sphere(2.0, 1.0)), 3)
-    assert abs(pot.norms(ball).second_moment_sup - 3.0 / (4.0 * np.pi)) < 1e-12
+    assert _rel(ball(np.asarray([0.3]))[0], 9.0 * 3.0 / (4.0 * np.pi)) < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -176,28 +190,28 @@ def _composed(draw):
     return p
 
 
-def _rel(a, b):
-    return abs(a - b) / abs(b)
-
-
 @settings(max_examples=40, deadline=None)
 @given(_composed())
-def test_second_moment_sup_matches_dense_scan(p):
-    r = np.linspace(0.0, p.range_hint, 200001)
-    scan = float(np.max(r**2 * p(r)))
-    assert _rel(pot.norms(p).second_moment_sup, scan) < 1e-3
+def test_l1_matches_radial_quadrature(p):
+    from scipy.integrate import quad
+
+    def f(r):
+        return 4.0 * np.pi * r**2 * float(p(np.asarray([r]))[0])
+
+    edges = [0.0, *p.breakpoints, p.range_hint]
+    total = sum(quad(f, a, b, epsabs=0.0, epsrel=1e-12, limit=200)[0] for a, b in zip(edges[:-1], edges[1:]))
+    total += quad(f, p.range_hint, np.inf, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+    assert _rel(p.l1, total) < 1e-10
 
 
 @settings(max_examples=20, deadline=None)
 @given(_composed(), st.integers(2, 8))
-def test_scale_divides_l1_and_keeps_rho(p, N):
-    base, scaled = pot.norms(p), pot.norms(pot.scale(p, N))
-    assert _rel(scaled.l1, base.l1 / N) < 1e-7
-    assert _rel(scaled.rho, base.rho) < 1e-7
+def test_scale_divides_l1(p, N):
+    assert _rel(pot.scale(p, N).l1, p.l1 / N) < 1e-14
 
 
 @settings(max_examples=20, deadline=None)
 @given(_composed(), st.floats(0.01, 4.0))
 @example(pot.scale(pot.gaussian(1.0, 0.3), 36), 0.01)  # range_hint 5e-4
 def test_l1_invariant_along_alpha_ladder(p, alpha):
-    assert _rel(pot.norms(pot.dilate(p, alpha)).l1, pot.norms(p).l1) < 1e-7
+    assert _rel(pot.dilate(p, alpha).l1, p.l1) < 1e-14
