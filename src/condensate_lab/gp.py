@@ -10,16 +10,17 @@ is an explicit parameter; 8 pi a0 from the scattering module is one
 natural choice, the bare integral of V another.
 
 The grid operators of a run form one plan: k^2, the trap values, the
-top-octave mask of the spectral guard and the kinetic factor
-exp(-i k^2 dt).  A GPConfig builds the plan the first time it meets a
-(shape, box) and keeps it, so every gp_evolve, gp_energy and
-gp_ground_state call with that config reads the same arrays.  The phase
-step keeps |phi| pointwise, so gp_evolve merges the trailing phase half
-step of one Strang step with the leading half step of the next into one
-full step; the half steps stay split only where the guard probes the state
-(every max(1, nsteps // 8) steps) and at the end of a call.  Fields are
-complex128 throughout, so every solver uses the one spectrum k^2 with
-fftn/ifftn.
+top-octave mask of the spectral guard, the kinetic factor exp(-i k^2 dt)
+and the transform pair (fft/ifft on 1-d grids, fftn/ifftn otherwise; the
+same bits).  A GPConfig builds the plan the first time it meets a (shape,
+box) and keeps it, so every solver call with that config reads the same
+arrays.  The phase step keeps |phi| pointwise, so gp_evolve runs adjacent
+phase half steps as one full step, split only at the end of a call.  The
+guard probes every max(1, nsteps // 8) steps and at the last step, on the
+spectrum the step already holds after the kinetic factor: that factor has
+modulus 1, so this is the spectrum of the state after the leading phase
+half step, and only the initial data needs a transform for its guard.
+Fields are complex128 throughout, so every solver uses the one spectrum k^2.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ def _top_octave(axes: list[np.ndarray]) -> np.ndarray:
     return mask
 
 
-def _tail_fraction(values: np.ndarray, top: np.ndarray) -> float:
-    power = np.abs(scipy.fft.fftn(values)) ** 2
+def _tail_fraction(spectrum: np.ndarray, top: np.ndarray) -> float:
+    power = np.abs(spectrum) ** 2
     return float(np.sum(power[top]) / np.sum(power))
 
 
@@ -115,7 +116,7 @@ class Field:
 
     def spectral_tail_fraction(self) -> float:
         """Fourier mass fraction in the top octave (any axis above half-Nyquist)."""
-        return _tail_fraction(self.values, _top_octave(self.k_axes()))
+        return _tail_fraction(scipy.fft.fftn(self.values), _top_octave(self.k_axes()))
 
     def copy(self) -> "Field":
         return Field(self.values.copy(), self.box, self.time)
@@ -129,6 +130,8 @@ class _Plan:
         self.k2 = _sum_of_squares(axes)
         self.trap = None if cfg.trap is None else cfg.trap_values(f)
         self.top_octave = _top_octave(axes)
+        # fft skips fftn's axes handling, which sets the cost of a short 1-d step
+        self.fft, self.ifft = (scipy.fft.fft, scipy.fft.ifft) if f.dim == 1 else (scipy.fft.fftn, scipy.fft.ifftn)
         self._dt = None
         self._kinetic = None
 
@@ -175,8 +178,8 @@ def harmonic_trap(*coords):
     return out
 
 
-def _guard(plan: _Plan, values: np.ndarray, where: str):
-    tail = _tail_fraction(values, plan.top_octave)
+def _guard(plan: _Plan, spectrum: np.ndarray, where: str):
+    tail = _tail_fraction(spectrum, plan.top_octave)
     if tail > 1e-6:
         raise RuntimeError(f"spectral blow-up: top-octave fraction {tail:.2e} ({where})")
 
@@ -205,8 +208,10 @@ def gp_evolve(f: Field, cfg: GPConfig, t: float) -> Field:
     """Strang-split evolution by time t (an integer number of dt steps).
 
     Adjacent phase half steps run as one full step, which is exact because
-    the phase step keeps |phi|.  They stay split at every guard probe and at
-    the end, so the guard sees the states of the two-half-step loop.
+    the phase step keeps |phi|; they split only at the end.  The guard sees
+    the initial data and, at its probe steps, the state after the step's
+    leading phase half step; the returned state is not guarded itself, so
+    a chain of calls guards each link as the next call's initial data.
     """
     nsteps = int(round(t / cfg.dt))
     if abs(nsteps * cfg.dt - t) > 1e-10 * max(1.0, abs(t)):
@@ -214,7 +219,7 @@ def gp_evolve(f: Field, cfg: GPConfig, t: float) -> Field:
     plan = cfg._plan(f)
     if cfg.dt * float(np.max(plan.k2)) > np.pi:
         raise ValueError("dt too large for the grid kinetic scale")
-    _guard(plan, f.values, "initial data")
+    _guard(plan, plan.fft(f.values), "initial data")
     kin = plan.kinetic(cfg.dt)
     g, v, half = cfg.coupling, plan.trap, 0.5 * cfg.dt
     phi = f.values.copy()
@@ -222,16 +227,14 @@ def gp_evolve(f: Field, cfg: GPConfig, t: float) -> Field:
     lead = half  # phase time owed before the next kinetic step
     for step in range(1, nsteps + 1):
         _rotate(phi, lead, g, v)
-        phi = scipy.fft.fftn(phi, overwrite_x=True)
+        phi = plan.fft(phi, overwrite_x=True)
         phi *= kin
-        phi = scipy.fft.ifftn(phi, overwrite_x=True)
-        probed = step % probe == 0
-        if probed or step == nsteps:
+        if step % probe == 0 or step == nsteps:
+            _guard(plan, phi, f"step {step}")
+        phi = plan.ifft(phi, overwrite_x=True)
+        if step == nsteps:
             _rotate(phi, half, g, v)
-            _guard(plan, phi, f"step {step}" if probed else "final state")
-            lead = half
-        else:
-            lead = cfg.dt
+        lead = cfg.dt
     return Field(phi, f.box, f.time + nsteps * cfg.dt)
 
 
@@ -245,7 +248,7 @@ def gp_energy(f: Field, cfg: GPConfig) -> dict:
     """
     plan = cfg._plan(f)
     norm = f.dvol / np.prod(f.shape)
-    kinetic = float(np.sum(plan.k2 * np.abs(scipy.fft.fftn(f.values)) ** 2) * norm)
+    kinetic = float(np.sum(plan.k2 * np.abs(plan.fft(f.values)) ** 2) * norm)
     dens = np.abs(f.values) ** 2
     interaction = float(0.5 * cfg.coupling * np.sum(dens**2) * f.dvol)
     trap = 0.0 if plan.trap is None else float(np.sum(plan.trap * dens) * f.dvol)
@@ -303,9 +306,9 @@ def _descend(f: Field, cfg: GPConfig, energies: list, dtau: float, tol: float):
                 built = dtau
             phi = f.values.copy()
             _damp(phi, 0.5 * dtau, g, v_factor)
-            phi = scipy.fft.fftn(phi, overwrite_x=True)
+            phi = plan.fft(phi, overwrite_x=True)
             phi *= kin
-            phi = scipy.fft.ifftn(phi, overwrite_x=True)
+            phi = plan.ifft(phi, overwrite_x=True)
             _damp(phi, 0.5 * dtau, g, v_factor)
             cand = Field(phi, f.box, f.time)
             cand.normalize()

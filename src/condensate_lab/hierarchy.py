@@ -107,7 +107,9 @@ def build_trajectory(
     last, at twice the wavenumber when that is the same axis (d = 1).
     Level l has grid * 2**l points per axis and snapshot spacing
     snapshot_dt / 2**l; the Strang step divides the spacing and keeps
-    dt * max k^2 below 0.8 pi.
+    dt * max k^2 below 0.8 pi.  Each snapshot is one gp_evolve call, so
+    the phase half steps split only at snapshots, and the guard reads the
+    spectrum each step already holds.
     """
     M = grid * 2**level
     x = (np.arange(M) - M // 2) * (box / M)

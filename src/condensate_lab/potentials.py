@@ -171,6 +171,8 @@ def tabulated(r_samples, v_samples, sigma: float = np.inf) -> Potential:
         profile=ev,
         profile_range=r_hi,
         profile_l1=4.0 * np.pi * (v_lo * r_lo**3 / 3.0 + inner),
+        # a nonzero last sample jumps to 0 there
+        profile_breakpoints=(r_hi,) if v_samples[-1] > 0 else (),
     )
 
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +112,22 @@ def test_evolve_plane_wave_passes(tmp_path):
     assert report.results["plane_wave_phase_error"] < 1e-6
 
 
+def test_evolve_memory_does_not_grow_with_snapshots(tmp_path):
+    # 200 one-step snapshots of a 16^3 field: the run observes each snapshot
+    # as it comes, so only a few fields are alive at once, not all 201
+    doc = {"task": "evolve", "dim": 3, "grid": 16, "initial": {"type": "cosine"}, "dt": 1e-3, "t_final": 0.2, "snapshots": 200}
+    cfg = cli.parse_config(json.dumps(doc))
+    field = 16 * 16**3
+    tracemalloc.start()
+    try:
+        report = cli.run(cfg, tmp_path / "out")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed()
+    assert peak < 20 * field, peak
+
+
 def test_density_slice_is_the_central_slice_of_the_final_density(tmp_path):
     doc = {"task": "evolve", "dim": 2, "grid": [32, 24], "coupling": 1.0, "t_final": 0.1, "snapshots": 2,
            "initial": {"type": "cosine"}}
@@ -163,6 +180,17 @@ def test_main_exit_codes(tmp_path):
     assert cli.main(["scatter", "--config", str(bad)]) == 2
     mismatch = cli.main(["evolve", "--config", str(cfg_path)])
     assert mismatch == 2
+
+
+def test_tabulated_soft_sphere_passes_like_the_soft_sphere(tmp_path):
+    # the table's nonzero last sample is a jump to 0 that the radial grids must meet
+    table = {"family": "tabulated", "r": [0.0, 0.5, 1.0], "v": [2.0, 2.0, 2.0]}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"task": "scatter", "potential": table}))
+    assert cli.main(["scatter", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+    tab = json.loads((tmp_path / "o" / "report.json").read_text())["results"]["a0_asym"]
+    soft = cli.run(cli.parse_config(MINIMAL_SCATTER), tmp_path / "soft").results["a0_asym"]
+    assert tab == pytest.approx(soft, rel=1e-9)
 
 
 @pytest.mark.parametrize(

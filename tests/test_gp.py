@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -273,6 +274,10 @@ def test_gp_evolve_conserves_mass(M, g, trapped, width, center, kick, nsteps):
     assert abs(out.mass() - 1.0) <= 1e-12
 
 
+def _half_phase(phi, cfg, v):
+    return phi * np.exp(-0.5j * cfg.dt * (cfg.coupling * np.abs(phi) ** 2 + v))
+
+
 def _strang_two_half_steps(f, cfg, nsteps):
     """The textbook loop, a phase half step on each side of every kinetic step.
 
@@ -282,9 +287,8 @@ def _strang_two_half_steps(f, cfg, nsteps):
     v = cfg.trap_values(f)
     states = [f.values.copy()]
     for _ in range(nsteps):
-        phi = states[-1] * np.exp(-0.5j * cfg.dt * (cfg.coupling * np.abs(states[-1]) ** 2 + v))
-        phi = np.fft.ifftn(kin * np.fft.fftn(phi))
-        states.append(phi * np.exp(-0.5j * cfg.dt * (cfg.coupling * np.abs(phi) ** 2 + v)))
+        phi = np.fft.ifftn(kin * np.fft.fftn(_half_phase(states[-1], cfg, v)))
+        states.append(_half_phase(phi, cfg, v))
     return states
 
 
@@ -305,26 +309,65 @@ def test_merged_half_steps_match_two_half_step_loop(monkeypatch, dim, M, trapped
     guarded = []
     guard = gp._guard
 
-    def spy(plan, values, where):
-        guarded.append((where, values.copy()))
-        guard(plan, values, where)
+    def spy(plan, spectrum, where):
+        guarded.append((where, spectrum.copy()))
+        guard(plan, spectrum, where)
 
     monkeypatch.setattr(gp, "_guard", spy)
-    out = gp.gp_evolve(f, cfg, nsteps * cfg.dt)
-    states = _strang_two_half_steps(f, cfg, nsteps)
-    ref = states[-1]
-    assert np.linalg.norm(out.values - ref) <= 1e-12 * np.linalg.norm(ref)
-    assert out.time == pytest.approx(nsteps * cfg.dt)
-    # every guard sees the state of the two-half-step loop at its step
+    count = 2
+    snaps = [f]
+    for _ in range(count):
+        snaps.append(gp.gp_evolve(snaps[-1], cfg, nsteps * cfg.dt))
+    states = _strang_two_half_steps(f, cfg, count * nsteps)
+    # every call ends on the state of the two-half-step loop at its step
+    for n, snap in enumerate(snaps[1:], 1):
+        ref = states[n * nsteps]
+        assert np.linalg.norm(snap.values - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert snap.time == pytest.approx(n * nsteps * cfg.dt)
+    # each call guards its initial data, then probes at its cadence; the
+    # spectrum a probe reads is that of the loop's half-rotated state after
+    # the kinetic factor
     probe = max(1, nsteps // 8)
-    expected = ["initial data"] + [f"step {k}" for k in range(probe, nsteps + 1, probe)]
-    if nsteps % probe:
-        expected.append("final state")
-    assert [where for where, _ in guarded] == expected
-    steps_at = {"initial data": 0, "final state": nsteps}
-    for where, values in guarded:
-        k = steps_at[where] if where in steps_at else int(where.split()[1])
-        assert np.linalg.norm(values - states[k]) <= 1e-12 * np.linalg.norm(states[k])
+    steps = [k for k in range(1, nsteps + 1) if k % probe == 0 or k == nsteps]
+    per_call = ["initial data"] + [f"step {k}" for k in steps]
+    assert [where for where, _ in guarded] == per_call * count
+    kin = np.exp(-1j * f.k_squared() * cfg.dt)
+    v = cfg.trap_values(f)
+    for n in range(count):
+        (_, initial), *probed = guarded[n * len(per_call) : (n + 1) * len(per_call)]
+        assert np.array_equal(initial, scipy.fft.fftn(snaps[n].values))
+        for k, (_, spectrum) in zip(steps, probed):
+            ref = kin * np.fft.fftn(_half_phase(states[n * nsteps + k - 1], cfg, v))
+            assert np.linalg.norm(spectrum - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("nsteps", [0, 1, 7, 40])
+@pytest.mark.parametrize("dim, M", [(1, 48), (3, 12)])
+def test_each_step_costs_two_transforms(monkeypatch, dim, M, nsteps):
+    # one transform pair per Strang step plus the guard on the initial data:
+    # a probe that transforms, or a split phase step, would show here
+    calls = []
+    for name in ("fft", "ifft", "fftn", "ifftn"):
+        fn = getattr(scipy.fft, name)
+        monkeypatch.setattr(scipy.fft, name, lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k))
+    ax = (np.arange(M) - M // 2) * (TWO_PI / M)
+    mesh = np.meshgrid(*([ax] * dim), indexing="ij")
+    f = gp.Field(1.0 + 0.2 * np.cos(mesh[0]), (TWO_PI,) * dim).normalize()
+    cfg = gp.GPConfig(coupling=1.0, dt=1e-3)  # a new config builds its plan from the patched module
+    out = gp.gp_evolve(f, cfg, nsteps * cfg.dt)
+    forward, inverse = ("fft", "ifft") if dim == 1 else ("fftn", "ifftn")
+    assert calls == [forward] + [forward, inverse] * nsteps
+    if nsteps == 0:
+        assert np.array_equal(out.values, f.values)
+
+
+@pytest.mark.parametrize("g, step", [(50.0, 372), (200.0, 124), (1000.0, 62)])
+def test_resolution_guard_trips_mid_run(g, step):
+    # smooth data that strong coupling steepens past the grid within t = 0.5
+    f = make_1d(32, fn=lambda x: 1.0 + 0.5 * np.cos(x)).normalize()
+    cfg = gp.GPConfig(coupling=g, dt=1e-3)
+    with pytest.raises(RuntimeError, match=rf"spectral blow-up: .* \(step {step}\)"):
+        gp.gp_evolve(f, cfg, 0.5)
 
 
 @pytest.mark.parametrize("shape", [(64,), (24, 21)])
