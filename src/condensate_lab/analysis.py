@@ -41,7 +41,7 @@ def _int1_mu_integral(r: float, P: float) -> float:
     return float(np.arctan2(num, den) / (r * P**2))
 
 
-def kernel_integral(kind: str, p_mag: float, epsrel: float = 1e-9) -> float:
+def kernel_integral(kind: str, p_mag: float) -> float:
     """3-d integral of the named kernel at momentum magnitude |p|.
 
     kind "int1":  1 / ((q.(p-q))^2 + q^2 + (p-q)^2 + 1)
@@ -78,8 +78,8 @@ def kernel_integral(kind: str, p_mag: float, epsrel: float = 1e-9) -> float:
     from scipy.integrate import quad
 
     mid = max(4.0, 3.0 * P)
-    v1, e1 = quad(integrand, 0.0, mid, epsabs=0.0, epsrel=epsrel, limit=400)
-    v2, e2 = quad(integrand, mid, np.inf, epsabs=1e-13, epsrel=epsrel, limit=400)
+    v1, e1 = quad(integrand, 0.0, mid, epsabs=0.0, epsrel=1e-9, limit=400)
+    v2, e2 = quad(integrand, mid, np.inf, epsabs=1e-13, epsrel=1e-9, limit=400)
     if not np.isfinite(v1 + v2):
         raise RuntimeError("kernel integral quadrature did not converge")
     return float(v1 + v2)
@@ -312,8 +312,8 @@ class CutoffConfig:
         return 2.0**self.n / self.ell**self.eps
 
 
-def default_cutoff_config(N: int = 10, k: int = 3, n: int = 1, eps: float = 0.1) -> CutoffConfig:
-    return CutoffConfig(ell=float(N) ** (-0.4), eps=eps, n=n, k=k, N=N)
+def default_cutoff_config(N: int = 10, k: int = 3, n: int = 1) -> CutoffConfig:
+    return CutoffConfig(ell=float(N) ** (-0.4), eps=0.1, n=n, k=k, N=N)
 
 
 def pair_array_bytes(N: int) -> int:

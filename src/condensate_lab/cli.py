@@ -199,9 +199,7 @@ def parse_config(text: str) -> RunConfig:
     task = raw.get("task")
     if not isinstance(task, str) or task not in _TASKS:
         raise ConfigError(f"unknown task: {task!r}")
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
-        raise ConfigError("seed must be a nonnegative integer")
+    seed = _integer("seed", raw.get("seed", 0), 0)
     params = {
         k: v for k, v in raw.items() if k not in ("task", "seed", "potential")
     }
@@ -259,7 +257,7 @@ def _run_scatter(outdir: Path, seed: int, *, potential, phase_probe_k, mapping_n
     p = potential
     sol = scattering.solve_zero_energy(p)
     born = potentials.born_scattering_length(p)
-    ident = scattering.zero_energy_state_integral(p, sol)
+    ident = scattering.zero_energy_state_integral(sol)
     a0 = sol.a0_asym
     scale_a0 = max(abs(a0), 1e-12)
     consistency = abs(sol.a0_int - a0) / scale_a0
@@ -310,7 +308,11 @@ def _read_initial(spec, shape: tuple[int, ...]) -> dict:
     for m, M in zip(mode, shape):
         if _integer("initial mode", m, -(M // 2)) > M // 2:
             raise ConfigError(f"initial mode must lie in [-{M // 2}, {M // 2}] on a grid of {M}, got {m!r}")
-    return {"type": kind, "amplitude": _finite("initial amplitude", spec.get("amplitude", 1.0)), "mode": mode}
+    amplitude = _finite("initial amplitude", spec.get("amplitude", 1.0))
+    if amplitude == 0:
+        # the plane wave is not normalized, so its mass would be 0
+        raise ConfigError("a plane-wave initial amplitude must be nonzero")
+    return {"type": kind, "amplitude": amplitude, "mode": mode}
 
 
 def _read_gp(params: dict, width: float) -> dict:
@@ -334,8 +336,7 @@ def _read_gp(params: dict, width: float) -> dict:
 
 
 def _field_from_init(shape, box, init: dict) -> gp.Field:
-    axes = [(np.arange(M) - M // 2) * (L / M) for M, L in zip(shape, box)]
-    mesh = np.meshgrid(*axes, indexing="ij")
+    mesh = np.meshgrid(*gp.centered_axes(shape, box), indexing="ij")
     if init["type"] == "plane-wave":
         phase = sum((2.0 * np.pi * m / L) * x for m, L, x in zip(init["mode"], box, mesh))
         return gp.Field(init["amplitude"] * np.exp(1j * phase), box)
@@ -824,6 +825,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = parse_config(Path(args.config).read_text())
+        if args.seed is not None:
+            cfg.seed = _integer("seed", args.seed, 0)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -833,8 +836,6 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.seed is not None:
-        cfg.seed = args.seed
     try:
         report = run(cfg, args.out)
     except RuntimeError as exc:

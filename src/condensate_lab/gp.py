@@ -58,6 +58,11 @@ def _tail_fraction(spectrum: np.ndarray, top: np.ndarray) -> float:
     return float(np.sum(power[top]) / np.sum(power))
 
 
+def centered_axes(shape: tuple[int, ...], box: tuple[float, ...]) -> list[np.ndarray]:
+    """Sample points (j - M // 2) L / M of each axis of M points on a box side L."""
+    return [(np.arange(M) - M // 2) * (L / M) for M, L in zip(shape, box)]
+
+
 @dataclass
 class Field:
     """Periodic grid function phi on a centered box; values are complex128."""
@@ -90,10 +95,7 @@ class Field:
         return float(np.prod(self.dx))
 
     def axes(self) -> list[np.ndarray]:
-        return [
-            (np.arange(M) - M // 2) * (L / M)
-            for L, M in zip(self.box, self.shape)
-        ]
+        return centered_axes(self.shape, self.box)
 
     def meshgrid(self) -> list[np.ndarray]:
         return list(np.meshgrid(*self.axes(), indexing="ij"))
@@ -113,10 +115,6 @@ class Field:
     def normalize(self) -> "Field":
         self.values /= np.sqrt(self.mass())
         return self
-
-    def spectral_tail_fraction(self) -> float:
-        """Fourier mass fraction in the top octave (any axis above half-Nyquist)."""
-        return _tail_fraction(scipy.fft.fftn(self.values), _top_octave(self.k_axes()))
 
     def copy(self) -> "Field":
         return Field(self.values.copy(), self.box, self.time)
@@ -205,7 +203,7 @@ def _damp(phi: np.ndarray, tau: float, g: float, v_factor: np.ndarray | None):
 
 
 def gp_evolve(f: Field, cfg: GPConfig, t: float) -> Field:
-    """Strang-split evolution by time t (an integer number of dt steps).
+    """Strang-split evolution by time t >= 0 (an integer number of dt steps).
 
     Adjacent phase half steps run as one full step, which is exact because
     the phase step keeps |phi|; they split only at the end.  The guard sees
@@ -216,6 +214,8 @@ def gp_evolve(f: Field, cfg: GPConfig, t: float) -> Field:
     nsteps = int(round(t / cfg.dt))
     if abs(nsteps * cfg.dt - t) > 1e-10 * max(1.0, abs(t)):
         raise ValueError("t must be an integer number of dt steps")
+    if nsteps < 0:
+        raise ValueError("t must be nonnegative")
     plan = cfg._plan(f)
     if cfg.dt * float(np.max(plan.k2)) > np.pi:
         raise ValueError("dt too large for the grid kinetic scale")

@@ -112,8 +112,7 @@ def build_trajectory(
     spectrum each step already holds.
     """
     M = grid * 2**level
-    x = (np.arange(M) - M // 2) * (box / M)
-    coords = np.meshgrid(*[x] * dim, indexing="ij")
+    coords = np.meshgrid(*gp.centered_axes((M,) * dim, (box,) * dim), indexing="ij")
     wavenumber = 2 if dim == 1 else 1
     phi0 = (
         1.0
@@ -167,9 +166,6 @@ class HierarchyResidual:
         """Largest differential residual, at the trajectory's coupling unless one is given."""
         res = self.differential_residual if coupling is None else self.differential(coupling)
         return max(res, default=0.0)
-
-    def max_integral(self) -> float:
-        return max(self.integral_residual) if self.integral_residual else 0.0
 
 
 def hierarchy_residual(trajectory: list[Field], coupling: float) -> HierarchyResidual:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .potentials import Potential, scale, zero_potential
+from .potentials import Potential, scale
 from .radial import RadialGrid, build_grid, gaussian_bump
 from .scattering import ScatteringTransform, apply_hamiltonian, build_transform, potential_node_samples
 
@@ -134,27 +134,6 @@ def interacting_energy(w: RadialWavepacket, p) -> float:
     lap = np.zeros_like(u)
     lap[1:-1] = (2.0 * u[1:-1] - u[:-2] - u[2:]) / h**2
     return float(np.real(np.sum(np.conj(u) * (lap + q * u))) * h)
-
-
-def wave_operator_defect(
-    w: RadialWavepacket,
-    p: Potential,
-    N: int,
-    t: float,
-    dt: float = 1e-3,
-) -> float:
-    """|| (interacting - free) g || at time t for the N-rescaled potential.
-
-    The free reference is the Crank-Nicolson scheme's own V = 0 propagator,
-    applied exactly in the DST-I basis, so the defect vanishes identically
-    for V = 0 and discretization bias cancels at leading order.
-    """
-    pN = scale(p, N)
-    if w.grid.h > 0.25 * pN.range_hint:
-        raise ValueError("grid too coarse for the rescaled core")
-    a = evolve_interacting(w, pN, t, dt)
-    b = evolve_interacting(w, zero_potential(), t, dt)
-    return float(w.grid.norm_flat(a.u - b.u))
 
 
 @dataclass

@@ -55,9 +55,6 @@ class RadialGrid:
         out[1:-1] = interior
         return out
 
-    def inner(self, a: np.ndarray, b: np.ndarray) -> complex:
-        return complex(np.sum(self.weights * np.conj(a) * b))
-
     def norm(self, u: np.ndarray) -> float:
         return float(np.sqrt(np.sum(self.weights * np.abs(u) ** 2).real))
 

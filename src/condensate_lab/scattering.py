@@ -24,26 +24,15 @@ from .potentials import PotentialError, born_scattering_length
 from .radial import RadialGrid, build_grid, gaussian_bump, half_step_samples
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    rmax: float | None = None
-    h: float | None = None
-    fit_lo: float = 0.6
-    fit_hi: float = 0.9
+# Radial steps per effective range of V, on both the zero-energy and the
+# transform grid
+_STEPS_PER_RANGE = 200
 
+# The zero-energy affine fit runs over this window, in units of R_max
+_FIT_WINDOW = (0.6, 0.9)
 
-def _default_zero_energy_grid(p, spec: GridSpec | None) -> tuple[RadialGrid, GridSpec]:
-    spec = spec or GridSpec()
-    rng = max(p.range_hint, 1e-6)
-    if spec.rmax is not None:
-        rmax = spec.rmax
-    else:
-        a0_guess = abs(born_scattering_length(p))
-        rmax = max(50.0 * rng, 50.0 * a0_guess)
-    if rmax < 25.0 * rng:
-        raise ValueError("R_max below 25 effective ranges")
-    h = spec.h if spec.h is not None else rng / 200.0
-    return build_grid(rmax, h, breakpoints=p.breakpoints), spec
+# Largest completeness defect build_transform accepts
+_COMPLETENESS_TOL = 1e-5
 
 
 def _check_repulsive(p, grid: RadialGrid):
@@ -148,18 +137,22 @@ def _ode_residual(p, grid: RadialGrid, u: np.ndarray) -> float:
     return worst
 
 
-def solve_zero_energy(p, grid_spec: GridSpec | None = None) -> ZeroEnergySolution:
+def solve_zero_energy(p) -> ZeroEnergySolution:
     """Outward integration of the k = 0 radial problem plus affine fit.
 
-    The returned u is rescaled so that u(r) = r - a0 beyond the potential;
-    the scattering length a0_asym is the intercept of the least-squares
-    affine fit over the fit window, and a0_int the weighted-profile value.
+    The grid runs to R_max = 50 max(range, Born length) in steps of
+    range / _STEPS_PER_RANGE.  The returned u is rescaled so that
+    u(r) = r - a0 beyond the potential; the scattering length a0_asym is
+    the intercept of the least-squares affine fit over _FIT_WINDOW (in
+    units of R_max), and a0_int the weighted-profile value.
     """
-    grid, spec = _default_zero_energy_grid(p, grid_spec)
+    rng = max(p.range_hint, 1e-6)
+    rmax = max(50.0 * rng, 50.0 * abs(born_scattering_length(p)))
+    grid = build_grid(rmax, rng / _STEPS_PER_RANGE, breakpoints=p.breakpoints)
     _check_repulsive(p, grid)
     U, _, _ = _integrate_radial(p, grid, np.array([0.0]))
     u = U[:, 0]
-    lo, hi = spec.fit_lo * grid.rmax, spec.fit_hi * grid.rmax
+    lo, hi = _FIT_WINDOW[0] * grid.rmax, _FIT_WINDOW[1] * grid.rmax
     mask = (grid.r >= lo) & (grid.r <= hi)
     rr, uu = grid.r[mask], u[mask]
     alpha, beta = np.polyfit(rr, uu, 1)
@@ -192,9 +185,8 @@ def scattering_length_integral(sol: ZeroEnergySolution, p) -> float:
     return out
 
 
-def zero_energy_state_integral(p, sol: ZeroEnergySolution | None = None) -> dict:
-    """Both sides of int V f = 8 pi a0 and their relative gap."""
-    sol = sol or solve_zero_energy(p)
+def zero_energy_state_integral(sol: ZeroEnergySolution) -> dict:
+    """Both sides of int V f = 8 pi a0 for a solve_zero_energy result, and their relative gap."""
     integral = 8.0 * np.pi * sol.a0_int
     target = 8.0 * np.pi * sol.a0_asym
     denom = max(abs(target), 1e-300)
@@ -293,23 +285,19 @@ class ScatteringTransform:
         return self.k**2
 
 
-def build_transform(
-    p,
-    k_max: float,
-    n_k: int,
-    grid_spec: GridSpec | None = None,
-    tol: float = 1e-5,
-) -> ScatteringTransform:
-    """Construct the s-wave transform pair for potential p.
+def build_transform(p, k_max: float, n_k: int, rmax: float | None = None) -> ScatteringTransform:
+    """Construct the s-wave transform pair for potential p on [0, rmax].
 
-    n_k is raised automatically if the k grid would under-resolve the
-    oscillation of the synthesis kernels at rmax; a completeness defect
-    above tol raises "insufficient k resolution".
+    rmax defaults to max(30, 5 range + 20); the step is the smallest of
+    range / _STEPS_PER_RANGE, pi / (20 k_max) and 0.02.  n_k is raised
+    automatically if the k grid would under-resolve the oscillation of the
+    synthesis kernels at rmax; a completeness defect above
+    _COMPLETENESS_TOL raises "insufficient k resolution".
     """
-    spec = grid_spec or GridSpec()
     rng = max(p.range_hint, 1e-6)
-    rmax = spec.rmax if spec.rmax is not None else max(30.0, 5.0 * rng + 20.0)
-    h = spec.h if spec.h is not None else min(rng / 200.0, np.pi / (20.0 * k_max), 0.02)
+    if rmax is None:
+        rmax = max(30.0, 5.0 * rng + 20.0)
+    h = min(rng / _STEPS_PER_RANGE, np.pi / (20.0 * k_max), 0.02)
     grid = build_grid(rmax, h, breakpoints=p.breakpoints)
     _check_repulsive(p, grid)
 
@@ -356,9 +344,9 @@ def build_transform(
     rt_wave = t.wave_operator_adjoint(t.wave_operator(cal0))
     defect = max(grid.norm(rt_int - cal_off), grid.norm(rt_wave - cal0))
     t.completeness_defect = float(defect)
-    if defect > tol:
+    if defect > _COMPLETENESS_TOL:
         raise RuntimeError(
-            f"insufficient k resolution: completeness defect {defect:.3e} > {tol:.1e}"
+            f"insufficient k resolution: completeness defect {defect:.3e} > {_COMPLETENESS_TOL:.1e}"
         )
     return t
 
@@ -382,9 +370,9 @@ def apply_hamiltonian(grid: RadialGrid, p, u: np.ndarray) -> np.ndarray:
     return -upp + 0.5 * potential_node_samples(p, grid) * u
 
 
-def l1_ratio_diagnostic(t: ScatteringTransform, u: np.ndarray, adjoint: bool = False) -> float:
+def l1_ratio_diagnostic(t: ScatteringTransform, u: np.ndarray) -> float:
     """||W u||_1 / ||u||_1 on the 3-d radial representation (no assertion)."""
-    w = apply_wave_operator(t, u, adjoint=adjoint)
+    w = apply_wave_operator(t, u)
     l1 = np.sqrt(4.0 * np.pi) * np.sum(t.grid.weights * np.abs(u) * t.grid.r)
     l1w = np.sqrt(4.0 * np.pi) * np.sum(t.grid.weights * np.abs(w) * t.grid.r)
     return float(l1w / l1)

@@ -69,7 +69,7 @@ def test_criterion_02_integral_route_consistency(soft_solution):
 
 def test_criterion_03_zero_energy_state_identity(soft_solution):
     with _Budget(3, "contact-value identity", 1.0):
-        out = sc.zero_energy_state_integral(SOFT, soft_solution)
+        out = sc.zero_energy_state_integral(soft_solution)
         target = 8.0 * np.pi * soft_solution.a0_asym
         assert abs(out["integral"] - target) <= 1e-6 * target
 
@@ -104,7 +104,7 @@ def test_criterion_05_wave_operator_unitarity_covariance(soft_transform):
                 pot.scale(SOFT, N),
                 k_max=8.0 * N,
                 n_k=320 * N,
-                grid_spec=sc.GridSpec(rmax=26.0 / N * 1.3),
+                rmax=26.0 / N * 1.3,
             )
             rN = trN.grid.r
             dil = np.sqrt(N) * spl_u(np.clip(rN * N, 0.0, base.grid.rmax))

@@ -297,25 +297,18 @@ def test_main_reports_failed_check(tmp_path):
 
 def test_seed_override(tmp_path):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(
-        json.dumps(
-            {"task": "inequality-check", "kind": "int1", "p_grid": [0.0, 1.0], "seed": 1}
-        )
+
+    def main(doc, seed):
+        cfg_path.write_text(json.dumps({"task": "inequality-check", "seed": 1, **doc}))
+        return cli.main(["inequality-check", "--config", str(cfg_path), "--out", str(tmp_path / "o3"), "--seed", seed])
+
+    assert main({"kind": "int1", "p_grid": [0.0, 1.0]}, "9") == 0
+    assert json.loads((tmp_path / "o3" / "report.json").read_text())["config_hash"] == cli.config_hash(
+        cli.RunConfig("inequality-check", 9, None, {"kind": "int1", "p_grid": [0.0, 1.0]})
     )
-    assert (
-        cli.main(
-            [
-                "inequality-check",
-                "--config",
-                str(cfg_path),
-                "--out",
-                str(tmp_path / "o3"),
-                "--seed",
-                "9",
-            ]
-        )
-        == 0
-    )
+    # the option takes the config's rule, on unseeded (int1) and seeded (theta) tasks alike
+    assert main({"kind": "int1", "p_grid": [0.0, 1.0]}, "-1") == 2
+    assert main({"kind": "theta"}, "-1") == 2
 
 
 def _coupling(rule, out):
@@ -364,6 +357,8 @@ def test_default_dt_matches_the_grid_spectrum():
         {"task": "evolve", "coupling": {"mode": "born", "potential": {"family": "gaussian", "width": 1.0}}},
         {"task": "evolve", "coupling": -1},
         {"task": "evolve", "coupling": 1.0, "initial": {"type": "plane-wave", "mode": [1, 1, 1]}},
+        {"task": "evolve", "coupling": 1.0, "initial": {"type": "plane-wave", "amplitude": 0.0}},
+        {"task": "scatter", "potential": SOFT, "seed": True},
         {"task": "inequality-check", "kind": "vl1", "pairs": 0},
         {"task": "groundstate", "coupling": 1.0, "trap": "box"},
         {"task": "scatter", "potential": SOFT, "phase_probe_k": -1},

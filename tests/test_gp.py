@@ -103,6 +103,11 @@ def test_kinetic_scale_precondition():
         gp.gp_evolve(f, gp.GPConfig(coupling=0.0, dt=5e-3), 0.5)
 
 
+def test_negative_time_is_refused():
+    with pytest.raises(ValueError, match="nonnegative"):
+        gp.gp_evolve(make_1d(64), gp.GPConfig(coupling=1.0), -0.1)
+
+
 def test_resolution_guard_trips_on_rough_data():
     rng = np.random.default_rng(0)
     f = gp.Field(rng.normal(size=64) + 1j * rng.normal(size=64), (TWO_PI,))
@@ -252,7 +257,7 @@ def test_field_mass_and_tail():
     f = make_1d(64, fn=lambda x: 1.0 + 0.1 * np.cos(x))
     f.normalize()
     assert abs(f.mass() - 1.0) < 1e-12
-    assert f.spectral_tail_fraction() < 1e-12
+    assert gp._tail_fraction(scipy.fft.fftn(f.values), gp._top_octave(f.k_axes())) < 1e-12
 
 
 @settings(max_examples=30, deadline=None)

@@ -122,14 +122,10 @@ def test_convergence_experiment_rejects_bad_times():
         pr.convergence_experiment(GAUSS, [4, 8, 16, 32], times=(), dt=2e-3)
 
 
-def test_defect_zero_potential_and_zero_time(packet):
-    assert pr.wave_operator_defect(packet, pot.zero_potential(), 8, 0.5) == 0.0
-    assert pr.wave_operator_defect(packet, SOFT, 8, 0.0, dt=1e-3) == 0.0
-
-
-def test_defect_grid_too_coarse(packet):
-    with pytest.raises(ValueError, match="grid too coarse"):
-        pr.wave_operator_defect(packet, SOFT, 256, 0.25)
+def test_defect_zero_potential_and_zero_time():
+    for p, t in ((pot.zero_potential(), 0.5), (SOFT, 0.0)):
+        curve = pr.convergence_experiment(p, [8, 16, 32, 64], times=(t,))
+        assert curve.exact and curve.defects == [0.0] * 4
 
 
 def test_defect_monotone_soft_sphere():
@@ -156,16 +152,15 @@ def test_convergence_experiment_exact_for_zero_potential():
     assert curve.fitted_slope is None
 
 
-def test_defect_discretization_converged():
+def test_defect_discretization_converged(monkeypatch):
     # halving grid spacing and dt changes the defect by under 5%
-    N = 16
-    coarse_grid = build_grid(24.0, min(0.02, pot.scale(GAUSS, N).range_hint / 10))
-    fine_grid = build_grid(24.0, coarse_grid.h / 2)
-    w_c = pr.gaussian_packet(coarse_grid, sigma=1.0)
-    w_f = pr.gaussian_packet(fine_grid, sigma=1.0)
-    d_c = pr.wave_operator_defect(w_c, GAUSS, N, 0.5, dt=1e-3)
-    d_f = pr.wave_operator_defect(w_f, GAUSS, N, 0.5, dt=5e-4)
-    assert abs(d_c - d_f) / d_f < 0.05
+    N_list = [2, 4, 8, 16]
+    coarse = pr.convergence_experiment(GAUSS, N_list, times=(0.5,), dt=1e-3)
+    monkeypatch.setattr(pr, "_POINTS_PER_CORE", 2 * pr._POINTS_PER_CORE)
+    monkeypatch.setattr(pr, "_H_CAP", pr._H_CAP / 2)
+    fine = pr.convergence_experiment(GAUSS, N_list, times=(0.5,), dt=5e-4)
+    for d_c, d_f in zip(coarse.defects, fine.defects):
+        assert abs(d_c - d_f) / d_f < 0.05
 
 
 def test_requires_four_values_of_n():

@@ -63,11 +63,12 @@ def test_integral_route_consistency(soft, soft_solution):
     assert abs(sol.a0_int - sol.a0_asym) / sol.a0_asym < 1e-6
 
 
-def test_gaussian_refinement_oracle():
+def test_gaussian_refinement_oracle(monkeypatch):
     gauss = pot.gaussian(1.0, 1.0)
     coarse = sc.solve_zero_energy(gauss)
-    h_fine = coarse.grid.h / 2.0
-    fine = sc.solve_zero_energy(gauss, sc.GridSpec(rmax=coarse.grid.rmax, h=h_fine))
+    monkeypatch.setattr(sc, "_STEPS_PER_RANGE", 2 * sc._STEPS_PER_RANGE)
+    fine = sc.solve_zero_energy(gauss)
+    assert fine.grid.rmax == coarse.grid.rmax and fine.grid.h == coarse.grid.h / 2.0
     assert abs(coarse.a0_asym - fine.a0_asym) < 1e-9
 
 
@@ -116,23 +117,24 @@ def test_scaled_asymptotic_length_is_a0_over_n(family, v0, size, N):
 
 
 def test_zero_energy_state_integral_identity(soft, soft_solution):
-    out = sc.zero_energy_state_integral(soft, soft_solution)
+    out = sc.zero_energy_state_integral(soft_solution)
     target = 8.0 * np.pi * SOFT_A0
     assert abs(out["integral"] - target) < 1e-6 * target
     gauss = pot.gaussian(1.0, 1.0)
-    assert sc.zero_energy_state_integral(gauss)["relative_gap"] < 1e-6
+    assert sc.zero_energy_state_integral(sc.solve_zero_energy(gauss))["relative_gap"] < 1e-6
 
 
 def test_zero_energy_state_integral_zero_potential():
-    out = sc.zero_energy_state_integral(pot.zero_potential())
+    out = sc.zero_energy_state_integral(sc.solve_zero_energy(pot.zero_potential()))
     assert out["integral"] == 0.0
     assert abs(out["eight_pi_a0"]) < 1e-9
 
 
-def test_asymptotic_regime_error(soft):
+def test_asymptotic_regime_error(soft, monkeypatch):
     # a fit window placed inside the potential support is not affine
+    monkeypatch.setattr(sc, "_FIT_WINDOW", (0.002, 0.015))
     with pytest.raises(RuntimeError, match="asymptotic regime not reached"):
-        sc.solve_zero_energy(soft, sc.GridSpec(fit_lo=0.002, fit_hi=0.015))
+        sc.solve_zero_energy(soft)
 
 
 def _full_march(p, grid, k2):
@@ -282,7 +284,7 @@ def test_dilation_covariance(soft, soft_transform):
     for N in (2, 4):
         pN = pot.scale(soft, N)
         trN = sc.build_transform(
-            pN, k_max=8.0 * N, n_k=320 * N, grid_spec=sc.GridSpec(rmax=26.0 / N * 1.3)
+            pN, k_max=8.0 * N, n_k=320 * N, rmax=26.0 / N * 1.3
         )
         rN = trN.grid.r
         dil = np.sqrt(N) * spl_u(np.clip(rN * N, 0.0, base.grid.rmax))
@@ -292,9 +294,10 @@ def test_dilation_covariance(soft, soft_transform):
         assert trN.grid.norm(lhs - rhs) < 1e-5
 
 
-def test_insufficient_k_resolution_raises(soft):
+def test_insufficient_k_resolution_raises(soft, monkeypatch):
+    monkeypatch.setattr(sc, "_COMPLETENESS_TOL", 1e-16)
     with pytest.raises(RuntimeError, match="insufficient k resolution"):
-        sc.build_transform(soft, k_max=8.0, n_k=256, tol=1e-16)
+        sc.build_transform(soft, k_max=8.0, n_k=256)
 
 
 def test_l1_ratio_diagnostic(soft_transform):
