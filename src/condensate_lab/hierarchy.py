@@ -256,11 +256,11 @@ def integral_form_residual(trajectory: list[Field], coupling: float) -> list[flo
     return out
 
 
-def refinement_study(make_trajectory, levels: int = 3, coupling: float = 1.0) -> dict:
+def refinement_study(levels: int, coupling: float, **shape) -> dict:
     """Run matched-coupling residuals over a refinement ladder.
 
-    make_trajectory(level) must return a trajectory whose snapshot spacing,
-    solver step and grid are refined together as the level increases.  The
+    Level l is build_trajectory(l, coupling=coupling, **shape), which
+    refines the snapshot spacing, solver step and grid together.  The
     levels are compared on common times: the differential maximum is taken
     over the coarsest level's stencil window and the integral residual is
     evaluated at the shared final time, so the measured slopes track the
@@ -270,7 +270,7 @@ def refinement_study(make_trajectory, levels: int = 3, coupling: float = 1.0) ->
     diff_max, int_final = [], []
     window = None
     for lvl in range(levels):
-        res = hierarchy_residual(make_trajectory(lvl), coupling)
+        res = hierarchy_residual(build_trajectory(lvl, coupling=coupling, **shape), coupling)
         if window is None:
             window = (min(res.times), max(res.times))
         vals = [

@@ -30,8 +30,9 @@ class Potential:
     family: one of "zero", "soft-sphere", "gaussian", "tabulated"
     params: family parameters of the profile (see factory functions below)
     sigma: decay exponent in V(r) <= C (1+r)^(-sigma); inf for compact
-        or super-exponential tails.  Enforced where it matters: l1 refuses
-        sigma <= 3 and scattering.phase_shift refuses sigma <= 1.
+        or super-exponential tails.  Enforced where it matters: l1 and
+        scattering.solve_zero_energy refuse sigma <= 3, and
+        scattering.phase_shift refuses sigma <= 1.
     profile_range, profile_breakpoints, profile_l1: effective range,
         non-smooth points and integral over R^3 of the profile.
     """

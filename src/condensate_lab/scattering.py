@@ -3,8 +3,8 @@
 The radial problem is -u'' + (1/2) V u = k^2 u on the half line with
 u(0) = 0.  At k = 0 the solution is affine beyond the range of V and its
 intercept is the scattering length; three independent routes to that number
-are provided (asymptotic fit, weighted integral of the profile, and the
-low-k limit of the s-wave phase shift).
+are provided (intercept of the exact affine tail, weighted integral of the
+profile, and the low-k limit of the s-wave phase shift).
 
 The transform built here diagonalizes -d^2/dr^2 + (1/2) V with multiplier
 k^2: regular solutions u_k normalized to sin(k r + delta(k)) at infinity
@@ -20,16 +20,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .potentials import PotentialError, born_scattering_length
+from .potentials import PotentialError
 from .radial import RadialGrid, build_grid, gaussian_bump, half_step_samples
 
 
 # Radial steps per effective range of V, on both the zero-energy and the
 # transform grid
 _STEPS_PER_RANGE = 200
-
-# The zero-energy affine fit runs over this window, in units of R_max
-_FIT_WINDOW = (0.6, 0.9)
 
 # Largest completeness defect build_transform accepts
 _COMPLETENESS_TOL = 1e-5
@@ -108,8 +105,6 @@ class ZeroEnergySolution:
     u: np.ndarray
     a0_asym: float
     a0_int: float
-    fit_window: tuple[float, float]
-    fit_nonlinearity: float
     residual: float
 
     @property
@@ -138,37 +133,26 @@ def _ode_residual(p, grid: RadialGrid, u: np.ndarray) -> float:
 
 
 def solve_zero_energy(p) -> ZeroEnergySolution:
-    """Outward integration of the k = 0 radial problem plus affine fit.
+    """Outward integration of the k = 0 radial problem.
 
-    The grid runs to R_max = 50 max(range, Born length) in steps of
-    range / _STEPS_PER_RANGE.  The returned u is rescaled so that
-    u(r) = r - a0 beyond the potential; the scattering length a0_asym is
-    the intercept of the least-squares affine fit over _FIT_WINDOW (in
-    units of R_max), and a0_int the weighted-profile value.
+    The grid runs to R_max = 50 range in steps of range / _STEPS_PER_RANGE;
+    a decay exponent sigma <= 3 is refused.  Beyond the potential u is
+    affine and _integrate_radial fills it in closed form, so dividing by
+    its slope gives u(r) = r - a0 there exactly: a0_asym is the intercept
+    R_max - u(R_max), and a0_int the weighted-profile value.
     """
+    if p.sigma <= 3.0:
+        raise PotentialError("divergent norm: decay exponent sigma <= 3")
     rng = max(p.range_hint, 1e-6)
-    rmax = max(50.0 * rng, 50.0 * abs(born_scattering_length(p)))
-    grid = build_grid(rmax, rng / _STEPS_PER_RANGE, breakpoints=p.breakpoints)
+    grid = build_grid(50.0 * rng, rng / _STEPS_PER_RANGE, breakpoints=p.breakpoints)
     _check_repulsive(p, grid)
-    U, _, _ = _integrate_radial(p, grid, np.array([0.0]))
-    u = U[:, 0]
-    lo, hi = _FIT_WINDOW[0] * grid.rmax, _FIT_WINDOW[1] * grid.rmax
-    mask = (grid.r >= lo) & (grid.r <= hi)
-    rr, uu = grid.r[mask], u[mask]
-    alpha, beta = np.polyfit(rr, uu, 1)
-    dev = float(np.max(np.abs(uu - (alpha * rr + beta))))
-    nonlin = dev / (abs(alpha) * grid.rmax)
-    if nonlin > 1e-6:
-        raise RuntimeError("asymptotic regime not reached (increase R_max)")
-    a0 = -beta / alpha
-    u = u / alpha
+    U, slope, _ = _integrate_radial(p, grid, np.array([0.0]))
+    u = U[:, 0] / slope[0]
     sol = ZeroEnergySolution(
         grid=grid,
         u=u,
-        a0_asym=float(a0),
+        a0_asym=float(grid.rmax - u[-1]),
         a0_int=np.nan,
-        fit_window=(lo, hi),
-        fit_nonlinearity=nonlin,
         residual=_ode_residual(p, grid, u),
     )
     sol.a0_int = scattering_length_integral(sol, p)

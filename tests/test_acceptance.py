@@ -246,7 +246,7 @@ def test_criterion_09_ground_states():
 
 def test_criterion_10_hierarchy_residuals():
     with _Budget(10, "coupled-equation residuals", 1.0):
-        study = hr.refinement_study(lambda l: hr.build_trajectory(l, coupling=1.0), levels=3, coupling=1.0)
+        study = hr.refinement_study(levels=3, coupling=1.0)
         assert study["slope_differential"] >= 2.0, study
         assert study["slope_integral"] >= 2.0, study
         matched = study["finest_residual"].max_differential()

@@ -152,6 +152,15 @@ def test_mapping_norm_diagnostic_reports_a_finite_ratio(tmp_path):
     assert np.isfinite(report.results["l1_mapping_ratio"])
 
 
+def test_zero_potential_scatter_takes_the_general_path(tmp_path):
+    doc = {"task": "scatter", "potential": {"family": "zero"}, "mapping_norm_diagnostic": True}
+    report = cli.run(cli.parse_config(json.dumps(doc)), tmp_path)
+    assert report.passed()
+    route = report.results["phase_shift_route"]
+    assert route == 0.0 and np.copysign(1.0, route) == 1.0
+    assert abs(report.results["l1_mapping_ratio"] - 1.0) < 1e-9
+
+
 def test_reports_are_deterministic(tmp_path):
     cfg_text = json.dumps(
         {
@@ -358,6 +367,8 @@ def test_default_dt_matches_the_grid_spectrum():
         {"task": "evolve", "coupling": -1},
         {"task": "evolve", "coupling": 1.0, "initial": {"type": "plane-wave", "mode": [1, 1, 1]}},
         {"task": "evolve", "coupling": 1.0, "initial": {"type": "plane-wave", "amplitude": 0.0}},
+        # a nonzero amplitude whose mass |A|^2 L underflows to 0
+        {"task": "evolve", "coupling": 0.0, "initial": {"type": "plane-wave", "mode": [0], "amplitude": 1e-200}},
         {"task": "scatter", "potential": SOFT, "seed": True},
         {"task": "inequality-check", "kind": "vl1", "pairs": 0},
         {"task": "groundstate", "coupling": 1.0, "trap": "box"},
@@ -379,6 +390,17 @@ def test_malformed_task_key_is_config_error(tmp_path, doc):
     with pytest.raises(cli.ConfigError):
         cli.parse_config(cfg_path.read_text())
     assert cli.main([doc["task"], "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("coupling", [0.0, {"mode": "born", "potential": {"family": "zero"}}])
+def test_zero_energy_state_evolves_with_absolute_energy_drift(tmp_path, coupling):
+    # a constant state at g = 0 has E = 0, so its energy drift cannot be relative
+    doc = {"task": "evolve", "coupling": coupling, "initial": {"type": "plane-wave", "mode": [0]}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert cli.main(["evolve", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+    results = json.loads((tmp_path / "o" / "report.json").read_text())["results"]
+    assert results["energy_initial"] == 0.0 and results["energy_drift"] == 0.0
 
 
 _json = st.recursive(

@@ -151,7 +151,7 @@ def test_stationary_phase_trajectory_has_tiny_residual():
 
 
 def test_refinement_slopes_at_least_two():
-    study = hr.refinement_study(lambda l: hr.build_trajectory(l, coupling=1.0), levels=3, coupling=1.0)
+    study = hr.refinement_study(levels=3, coupling=1.0)
     assert study["slope_differential"] >= 2.0
     assert study["slope_integral"] >= 2.0
 

@@ -130,11 +130,16 @@ def test_zero_energy_state_integral_zero_potential():
     assert abs(out["eight_pi_a0"]) < 1e-9
 
 
-def test_asymptotic_regime_error(soft, monkeypatch):
-    # a fit window placed inside the potential support is not affine
-    monkeypatch.setattr(sc, "_FIT_WINDOW", (0.002, 0.015))
-    with pytest.raises(RuntimeError, match="asymptotic regime not reached"):
-        sc.solve_zero_energy(soft)
+def test_grid_does_not_grow_with_the_scattering_length():
+    # R_max = 50 range whatever the strength: no Born-length padding
+    weak, strong = sc.solve_zero_energy(pot.soft_sphere(2.0, 1.0)), sc.solve_zero_energy(pot.soft_sphere(50.0, 1.0))
+    assert weak.grid.n == strong.grid.n
+
+
+def test_slowly_decaying_tabulated_potential_is_refused():
+    p = pot.tabulated([0.0, 1.0, 2.0], [1.0, 0.5, 0.0], sigma=2.5)
+    with pytest.raises(pot.PotentialError, match="divergent norm"):
+        sc.solve_zero_energy(p)
 
 
 def _full_march(p, grid, k2):
@@ -166,8 +171,8 @@ def test_affine_tail_matches_full_march(family, monkeypatch):
     # only the steps that sample a nonzero V are marched
     assert sum(steps) < 0.1 * (grid.n - 1)
     u = _full_march(p, grid, [0.0])[:, 0]
-    lo, hi = sol.fit_window
-    mask = (grid.r >= lo) & (grid.r <= hi)
+    # reference: the least-squares line through the full march over [0.6, 0.9] R_max
+    mask = (grid.r >= 0.6 * grid.rmax) & (grid.r <= 0.9 * grid.rmax)
     alpha, beta = np.polyfit(grid.r[mask], u[mask], 1)
     assert np.max(np.abs(sol.u - u / alpha)) <= 1e-10 * np.max(np.abs(sol.u))
     # a0 is the intercept of an affine u of size rmax: the full march's own
