@@ -15,6 +15,7 @@ Three groups of checks live here:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +47,9 @@ def kernel_integral(kind: str, p_mag: float) -> float:
 
     kind "int1":  1 / ((q.(p-q))^2 + q^2 + (p-q)^2 + 1)
     kind "trivv": (|q|^(1/2) + 1) / ((1+q^2)(1+(q-p)^2))
+    A |p| whose powers leave float range makes the quadrature not converge.
     """
-    P = float(abs(p_mag))
+    P = np.float64(abs(p_mag))
     if kind == "int1":
         if P < 1e-10:
             integrand = lambda r: 2.0 * np.pi * r**2 * 2.0 / ((r**2 + 1.0) ** 2)
@@ -77,9 +79,11 @@ def kernel_integral(kind: str, p_mag: float) -> float:
         raise ValueError(f"unknown kernel integral kind: {kind!r}")
     from scipy.integrate import quad
 
+    f = lambda r: integrand(np.float64(r))  # a float64 power overflows to inf, a float's raises
     mid = max(4.0, 3.0 * P)
-    v1, e1 = quad(integrand, 0.0, mid, epsabs=0.0, epsrel=1e-9, limit=400)
-    v2, e2 = quad(integrand, mid, np.inf, epsabs=1e-13, epsrel=1e-9, limit=400)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v1, e1 = quad(f, 0.0, mid, epsabs=0.0, epsrel=1e-9, limit=400)
+        v2, e2 = quad(f, mid, np.inf, epsabs=1e-13, epsrel=1e-9, limit=400)
     if not np.isfinite(v1 + v2):
         raise RuntimeError("kernel integral quadrature did not converge")
     return float(v1 + v2)
@@ -118,13 +122,6 @@ class GaussianTestPair:
     b: GaussianFactor
     c: GaussianFactor
     d: GaussianFactor
-
-    def translated(self, shift) -> "GaussianTestPair":
-        shift = np.asarray(shift, dtype=np.float64)
-        move = lambda f: GaussianFactor(f.center + shift, f.width, f.momentum)
-        return GaussianTestPair(
-            move(self.a), move(self.b), move(self.c), move(self.d)
-        )
 
 
 def random_pair(rng: np.random.Generator, spread: float = 1.0) -> GaussianTestPair:
@@ -242,26 +239,19 @@ def difference_quartic_form(x: GaussianFactor, y: GaussianFactor) -> float:
     return fourth + plus + 1.0
 
 
-def vl1_check(V: Potential, pair: GaussianTestPair) -> dict:
-    """Both sides of the L1 pairing bound on a Gaussian pair.
+def vl1_check(V: Potential, pair: GaussianTestPair) -> float:
+    """The ratio of the L1 pairing bound on a Gaussian pair.
 
-    ratio = |<phi, V psi>| / (||V||_1 sqrt(Q(phi) Q(psi))); the analytic
-    bound is (2 pi)^{-3} sup_p kernel_integral("int1", p) = pi^2/(8 pi^3).
+    ratio = |<phi, V psi>| / (||V||_1 sqrt(Q(phi) Q(psi))), and 0 when
+    ||V||_1 = 0; the analytic bound is
+    (2 pi)^{-3} sup_p kernel_integral("int1", p) = pi^2/(8 pi^3).
     """
     l1 = V.l1
+    if l1 == 0.0:
+        return 0.0
     form_phi = mixed_derivative_form(pair.a, pair.b)
     form_psi = mixed_derivative_form(pair.c, pair.d)
-    if l1 == 0.0:
-        return {"lhs": 0.0, "ratio": 0.0, "form_phi": form_phi, "form_psi": form_psi}
-    lhs = abs(potential_pairing(pair, V))
-    ratio = lhs / (l1 * np.sqrt(form_phi * form_psi))
-    return {
-        "lhs": lhs,
-        "ratio": float(ratio),
-        "form_phi": form_phi,
-        "form_psi": form_psi,
-        "l1": l1,
-    }
+    return float(abs(potential_pairing(pair, V)) / (l1 * np.sqrt(form_phi * form_psi)))
 
 
 def vl12_rate(V: Potential, pair: GaussianTestPair, alphas) -> dict:
@@ -269,7 +259,7 @@ def vl12_rate(V: Potential, pair: GaussianTestPair, alphas) -> dict:
 
     V must be normalized to unit integral; V_alpha = dilate(V, alpha), i.e.
     alpha^-3 V(x/alpha), keeps the integral equal to one while concentrating
-    at the origin.
+    at the origin.  Returns the gaps and the form scale of the alpha^(1/12) rate.
     """
     if abs(V.l1 - 1.0) > 1e-6:
         raise ValueError("potential must be normalized to unit integral")
@@ -277,14 +267,7 @@ def vl12_rate(V: Potential, pair: GaussianTestPair, alphas) -> dict:
     gaps = [abs(potential_pairing(pair, dilate(V, alpha)) - target) for alpha in alphas]
     form_psi = mixed_derivative_form(pair.c, pair.d)
     form_phi4 = difference_quartic_form(pair.a, pair.b)
-    return {
-        "alphas": list(alphas),
-        "gaps": gaps,
-        "delta_pairing": target,
-        "form_psi": form_psi,
-        "form_phi4": form_phi4,
-        "form_scale": float(np.sqrt(form_psi * form_phi4)),
-    }
+    return {"gaps": gaps, "form_scale": float(np.sqrt(form_psi * form_phi4))}
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +288,9 @@ class CutoffConfig:
             raise ValueError("need ell > 0 and 0 < eps < 1")
         if not (self.n >= 1 and 1 <= self.k < self.N):
             raise ValueError("need n >= 1 and 1 <= k < N")
+        # 2.0 ** n raises from n = 1024 on, and the quotient may overflow before that
+        if self.n >= 1024 or not math.isfinite(self.strength):
+            raise ValueError(f"need a finite strength 2^n / ell^eps, got n = {self.n}")
 
     @property
     def strength(self) -> float:
@@ -346,7 +332,8 @@ def _pair_geometry(cfg: CutoffConfig, positions: np.ndarray):
 class CutoffEvaluation:
     Theta: float
     grad: np.ndarray
-    hess_abs_sum: float
+    grad_free: float
+    hess_free: float
     row_sums: np.ndarray
     cumulative_sum: float
 
@@ -355,9 +342,11 @@ def theta_eval(cfg: CutoffConfig, positions: np.ndarray) -> CutoffEvaluation:
     """Cutoff value, analytic gradient and Hessian row sums at a configuration.
 
     Theta = exp(-strength * S_k) with S_k = sum_{i <= k} sum_{j != i} h_ij;
-    grad[m] = d Theta / d x_m; hess_abs_sum = sum over particle pairs of the
-    Frobenius norm of the 3x3 second-derivative block; row_sums[m] =
-    sum_{j != m} h_mj.
+    grad[m] = d Theta / d x_m; row_sums[m] = sum_{j != m} h_mj.  The
+    derivative sums leave out their factors Theta and strength^2, which may
+    under- or overflow: grad_free = |grad Theta|^2 / (strength Theta)^2 and
+    hess_free = (sum over particle pairs of the Frobenius norm of the 3x3
+    second-derivative block) / (strength^2 Theta).
     """
     positions = np.asarray(positions, dtype=np.float64)
     if positions.shape != (cfg.N, 3) or not np.all(np.isfinite(positions)):
@@ -380,18 +369,19 @@ def theta_eval(cfg: CutoffConfig, positions: np.ndarray) -> CutoffEvaluation:
     grad = -c * theta * grad_s
     del grad_h
 
-    # Hessian blocks of Theta, theta (c^2 gS gS^T - c hess S); hess S has the blocks
+    # Hessian blocks of Theta / (theta c^2), gS gS^T - hess S / c; hess S has the blocks
     # -w_mb hess_h[m, b] off the diagonal and sum_b w_mb hess_h[m, b] on it
     blocks = hess_h
-    blocks *= (c * weights)[..., None, None]
+    blocks *= (weights / c)[..., None, None]
     diag = np.arange(cfg.N)
     blocks[diag, diag] = -np.sum(blocks, axis=1)
-    blocks += c**2 * grad_s[:, None, :, None] * grad_s[None, :, None, :]
-    total = theta * float(np.sum(np.sqrt(np.einsum("mpij,mpij->mp", blocks, blocks))))
+    blocks += grad_s[:, None, :, None] * grad_s[None, :, None, :]
+    hess_free = float(np.sum(np.sqrt(np.einsum("mpij,mpij->mp", blocks, blocks))))
     return CutoffEvaluation(
         Theta=theta,
         grad=grad,
-        hess_abs_sum=total,
+        grad_free=float(np.sum(grad_s**2)),
+        hess_free=hess_free,
         row_sums=rows,
         cumulative_sum=s_k,
     )
@@ -426,7 +416,9 @@ def theta_inequalities(cfg: CutoffConfig, samples: int = 100, seed: int = 0) -> 
 
     ratio_ii  = [sum_j |grad_j Theta_k^(n)|^2 / Theta_k^(n)] / [ell^-2 Theta_k^(n-1)]
     ratio_iii = [sum_{i,j} |hess block| ] / [ell^-2 Theta_k^(n-1)]
-    The per-sample ratios are returned in draw order beside their sups.
+    Both are ell^2 (grad_free or hess_free) exp(2 ln c - (c - c_prev) S_k) with
+    c = strength(n), c_prev = strength(n-1), so no Theta is a divisor.  The
+    per-sample ratios are returned in draw order beside their sups.
     Monotonicity in k and n must hold exactly (monotone partial sums feed
     a monotone exponential).  k-monotonicity comes from the partial sums at
     fixed n; n-monotonicity compares Theta_k^(n) with
@@ -435,11 +427,12 @@ def theta_inequalities(cfg: CutoffConfig, samples: int = 100, seed: int = 0) -> 
     """
     if samples < 100:
         raise ValueError("need at least 100 samples")
+    c = cfg.strength
     # strength(n - 1) = strength(n) / 2; at n = 1 there is no n - 1 configuration
     if cfg.n > 1:
         strength_prev = CutoffConfig(cfg.ell, cfg.eps, cfg.n - 1, cfg.k, cfg.N).strength
     else:
-        strength_prev = 0.5 * cfg.strength
+        strength_prev = 0.5 * c
     mono_ok = True
     ratio_ii, ratio_iii = [], []
     for pos in sample_configurations(cfg, samples, seed):
@@ -448,19 +441,17 @@ def theta_inequalities(cfg: CutoffConfig, samples: int = 100, seed: int = 0) -> 
         cums = cumulative_values(cfg, ev.row_sums)
         if np.any(np.diff(cums) > 0) or np.any(cums > 1.0):
             mono_ok = False
-        theta_prev = float(np.exp(-strength_prev * ev.cumulative_sum))
         # n-monotonicity at fixed k
-        if cfg.n > 1 and ev.Theta > theta_prev:
+        if cfg.n > 1 and ev.Theta > float(np.exp(-strength_prev * ev.cumulative_sum)):
             mono_ok = False
-        denom = theta_prev / cfg.ell**2
-        grad_sq = float(np.sum(ev.grad**2))
-        ratio_ii.append(grad_sq / ev.Theta / denom)
-        ratio_iii.append(ev.hess_abs_sum / denom)
+        # ell^2 c^2 Theta / Theta^(n-1)
+        scale = cfg.ell**2 * float(np.exp(2.0 * math.log(c) - (c - strength_prev) * ev.cumulative_sum))
+        ratio_ii.append(ev.grad_free * scale)
+        ratio_iii.append(ev.hess_free * scale)
     return {
         "monotonicity_ok": mono_ok,
         "ratio_ii_sup": max(ratio_ii),
         "ratio_iii_sup": max(ratio_iii),
         "ratio_ii": ratio_ii,
         "ratio_iii": ratio_iii,
-        "samples": samples,
     }

@@ -214,13 +214,6 @@ def _arguments(cfg: RunConfig) -> dict:
     return _TASKS[cfg.task][0](cfg.params, potential)
 
 
-def serialize_config(cfg: RunConfig) -> str:
-    doc = {"task": cfg.task, "seed": cfg.seed, **cfg.params}
-    if cfg.potential is not None:
-        doc["potential"] = cfg.potential
-    return canonical_json(doc)
-
-
 def _check(anchor: str, value: float, threshold: float, ok: bool) -> dict:
     return {
         "anchor": anchor,
@@ -356,10 +349,8 @@ def _read_evolve(params: dict, potential) -> dict:
         if "dt" in params:
             dt = _positive("dt", params["dt"])
         else:
-            # the kinetic-scale precondition at the grid's largest |k|^2: the
-            # Nyquist entry of fftfreq on every axis, as gp.Field.k_squared has it
-            k = [2.0 * np.pi * ((M // 2) * (1.0 / np.float64(M * (L / M)))) for M, L in zip(shape, box)]
-            dt = min(1e-3, 0.8 * np.pi / sum(kk * kk for kk in k))
+            # the kinetic-scale precondition at the grid's largest |k|^2
+            dt = min(1e-3, 0.8 * np.pi / gp.max_k_squared(shape, box))
         steps = np.ceil(t_snap / dt - 1e-12)
     if not 1 <= steps <= sys.float_info.max:
         raise ConfigError(f"t_final / snapshots = {t_snap:.3g} takes no finite number of steps dt = {dt:.3g}")
@@ -499,7 +490,7 @@ def _run_two_body(outdir: Path, seed: int, *, potential, n_list, times, sigma, r
     results = {
         "N_values": curve.N_values,
         "defects": curve.defects,
-        "slope": curve.fitted_slope if curve.fitted_slope is not None else "exact",
+        "slope": "exact" if curve.exact else curve.fitted_slope,
         "h1_norm": curve.h1_norm,
         "monotone": curve.monotone_decreasing(),
         "times": times,
@@ -598,7 +589,7 @@ def _run_hierarchy(outdir: Path, seed: int, *, coupling, levels, shape, wrong_fa
     coupling = _resolve_coupling(coupling, results)
     study = hierarchy.refinement_study(levels, coupling, **shape)
     res_fine = study["finest_residual"]
-    ratio = res_fine.max_differential(wrong_factor * coupling) / res_fine.max_differential()
+    ratio = max(res_fine.differential(wrong_factor * coupling)) / max(res_fine.differential_residual)
 
     zero_traj = hierarchy.build_trajectory(0, coupling=0.0, **shape)
     zero_resid = hierarchy.integral_form_residual(zero_traj, 0.0)[-1]
@@ -659,11 +650,14 @@ def _read_inequality(params: dict, potential) -> dict:
     k = _integer("k", params.get("k", 3), 1)
     if k >= n_particles:
         raise ConfigError(f"k must be below n_particles = {n_particles}, got {k}")
+    n = _integer("n", params.get("n", 1), 1)
+    try:
+        cutoff = analysis.default_cutoff_config(N=n_particles, k=k, n=n)
+    except ValueError as exc:  # a strength 2^n / ell^eps beyond float range
+        raise ConfigError(f"invalid theta n: {exc}") from exc
     return {
         "check": _theta,
-        "n_particles": n_particles,
-        "k": k,
-        "n": _integer("n", params.get("n", 1), 1),
+        "cutoff": cutoff,
         "samples": _integer("samples", params.get("samples", 1000), 100),
     }
 
@@ -675,6 +669,13 @@ def _run_inequality(outdir: Path, seed: int, *, check, **kw):
 def _at_zero(kind: str, p_grid: list, values: list) -> float:
     """The kernel at p = 0: its p_grid value, or computed when p_grid lacks 0."""
     return values[p_grid.index(0.0)] if 0.0 in p_grid else analysis.kernel_integral(kind, 0.0)
+
+
+def _doubling_change(sup_full: float, sup_half: float) -> float:
+    """|sup_full - sup_half| / sup_half: 0 when the sup does not move, inf when it moves off 0."""
+    if sup_half:
+        return abs(sup_full - sup_half) / sup_half
+    return 0.0 if sup_full == 0.0 else math.inf
 
 
 def _int1(outdir: Path, seed: int, *, p_grid):
@@ -705,10 +706,10 @@ def _trivv(outdir: Path, seed: int, *, p_grid):
 
 def _vl1(outdir: Path, seed: int, *, potential, pairs):
     rng = np.random.default_rng(seed)
-    ratios = [analysis.vl1_check(potential, analysis.random_pair(rng))["ratio"] for _ in range(2 * pairs)]
+    ratios = [analysis.vl1_check(potential, analysis.random_pair(rng)) for _ in range(2 * pairs)]
     sup_half = max(ratios[:pairs])
     sup_full = max(ratios)
-    change = abs(sup_full - sup_half) / sup_half
+    change = _doubling_change(sup_full, sup_half)
     bound = float(np.pi**2 / (2.0 * np.pi) ** 3)
     results = {
         "pairs": pairs,
@@ -749,13 +750,11 @@ def _vl12(outdir: Path, seed: int, *, potential, alphas):
     return results, checks
 
 
-def _theta(outdir: Path, seed: int, *, n_particles, k, n, samples):
-    cfgc = analysis.default_cutoff_config(N=n_particles, k=k, n=n)
+def _theta(outdir: Path, seed: int, *, cutoff, samples):
     # the first `samples` of 2 * samples draws are those of a run with `samples` draws
-    res = analysis.theta_inequalities(cfgc, samples=2 * samples, seed=seed)
-    sup_ii, sup_iii = max(res["ratio_ii"][:samples]), max(res["ratio_iii"][:samples])
-    stab2 = abs(res["ratio_ii_sup"] - sup_ii) / sup_ii
-    stab3 = abs(res["ratio_iii_sup"] - sup_iii) / sup_iii
+    res = analysis.theta_inequalities(cutoff, samples=2 * samples, seed=seed)
+    stab2 = _doubling_change(res["ratio_ii_sup"], max(res["ratio_ii"][:samples]))
+    stab3 = _doubling_change(res["ratio_iii_sup"], max(res["ratio_iii"][:samples]))
     mono = res["monotonicity_ok"]
     results = {
         "samples": samples,

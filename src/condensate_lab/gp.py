@@ -58,6 +58,14 @@ def _tail_fraction(spectrum: np.ndarray, top: np.ndarray) -> float:
     return float(np.sum(power[top]) / np.sum(power))
 
 
+def max_k_squared(shape: tuple[int, ...], box: tuple[float, ...]) -> float:
+    """Largest entry of Field.k_squared, bit for bit: each axis's Nyquist |k| squared as
+    k * k, like the array square (k ** 2 on a scalar may round apart); inf beyond float range."""
+    with np.errstate(divide="ignore", over="ignore"):
+        k = [2.0 * np.pi * ((M // 2) * (1.0 / np.float64(M * (L / M)))) for M, L in zip(shape, box)]
+        return float(sum(kk * kk for kk in k))
+
+
 def centered_axes(shape: tuple[int, ...], box: tuple[float, ...]) -> list[np.ndarray]:
     """Sample points (j - M // 2) L / M of each axis of M points on a box side L."""
     return [(np.arange(M) - M // 2) * (L / M) for M, L in zip(shape, box)]
@@ -126,6 +134,7 @@ class _Plan:
     def __init__(self, f: Field, cfg: "GPConfig"):
         axes = f.k_axes()
         self.k2 = _sum_of_squares(axes)
+        self.k2_max = max_k_squared(f.shape, f.box)
         self.trap = None if cfg.trap is None else cfg.trap_values(f)
         self.top_octave = _top_octave(axes)
         # fft skips fftn's axes handling, which sets the cost of a short 1-d step
@@ -217,7 +226,7 @@ def gp_evolve(f: Field, cfg: GPConfig, t: float) -> Field:
     if nsteps < 0:
         raise ValueError("t must be nonnegative")
     plan = cfg._plan(f)
-    if cfg.dt * float(np.max(plan.k2)) > np.pi:
+    if cfg.dt * plan.k2_max > np.pi:
         raise ValueError("dt too large for the grid kinetic scale")
     _guard(plan, plan.fft(f.values), "initial data")
     kin = plan.kinetic(cfg.dt)

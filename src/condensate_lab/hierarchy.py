@@ -33,7 +33,6 @@ memory.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.fft
@@ -122,7 +121,7 @@ def build_trajectory(
     f = Field(phi0.astype(complex), (box,) * dim).normalize()
     ds = snapshot_dt / 2**level
     dt = ds / 10.0
-    dt /= max(1, int(np.ceil(dt * float(np.max(f.k_squared())) / (0.8 * np.pi))))
+    dt /= max(1, int(np.ceil(dt * gp.max_k_squared(f.shape, f.box) / (0.8 * np.pi))))
     dt = ds / int(round(ds / dt))
     cfg = gp.GPConfig(coupling=coupling, dt=dt)
     traj = [f]
@@ -134,16 +133,12 @@ def build_trajectory(
 @dataclass
 class HierarchyResidual:
     times: list[float]
+    differential_residual: list[float]  # at the coupling hierarchy_residual was given
     integral_residual: list[float]
     final_integral: float
-    coupling: float
     dt: float
     dvol: float
     coordinates: list[np.ndarray]  # the R of the seven stencil columns at each time
-
-    @cached_property
-    def differential_residual(self) -> list[float]:
-        return self.differential(self.coupling)
 
     def differential(self, coupling: float) -> list[float]:
         """Differential residuals at any coupling: only K depends on it, so the QR is reused."""
@@ -162,11 +157,6 @@ class HierarchyResidual:
         coef[6, 4], coef[4, 6] = -coupling, coupling
         return [float(np.linalg.norm(r @ coef @ r.conj().T) * self.dvol) for r in self.coordinates]
 
-    def max_differential(self, coupling: float | None = None) -> float:
-        """Largest differential residual, at the trajectory's coupling unless one is given."""
-        res = self.differential_residual if coupling is None else self.differential(coupling)
-        return max(res, default=0.0)
-
 
 def hierarchy_residual(trajectory: list[Field], coupling: float) -> HierarchyResidual:
     """Pointwise residuals of both equation forms along a trajectory.
@@ -174,7 +164,9 @@ def hierarchy_residual(trajectory: list[Field], coupling: float) -> HierarchyRes
     The trajectory must be uniformly spaced in time on a common grid; the
     time derivative is the central difference of the rank-one kernels, so
     residuals at the first two and last two snapshots are not defined.
-    final_integral is the Duhamel residual at the last snapshot.
+    differential_residual is at the given coupling; differential(g) gives
+    it at any other g from the same QR.  final_integral is the Duhamel
+    residual at the last snapshot.
     """
     if len(trajectory) < 5:
         raise ValueError("need at least 5 snapshots")
@@ -192,15 +184,17 @@ def hierarchy_residual(trajectory: list[Field], coupling: float) -> HierarchyRes
         cols = [(trajectory[n + k].values - phi).reshape(-1) for k in (2, 1, -1, -2)]
         cols += [phi.reshape(-1), lap.reshape(-1), (np.abs(phi) ** 2 * phi).reshape(-1)]
         coords.append(_coordinates(np.stack(cols, axis=1)))
-    return HierarchyResidual(
+    res = HierarchyResidual(
         times=[f.time for f in trajectory[2:-2]],
+        differential_residual=[],
         integral_residual=integral[2 : len(trajectory) - 2],
         final_integral=integral[-1],
-        coupling=coupling,
         dt=trajectory[1].time - trajectory[0].time,
         dvol=trajectory[0].dvol,
         coordinates=coords,
     )
+    res.differential_residual = res.differential(coupling)
+    return res
 
 
 def integral_form_residual(trajectory: list[Field], coupling: float) -> list[float]:

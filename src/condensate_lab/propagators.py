@@ -139,15 +139,18 @@ def interacting_energy(w: RadialWavepacket, p) -> float:
 @dataclass
 class DefectCurve:
     """Defect per N; boundary_fraction_max is the largest boundary_fraction of
-    the interacting state over N and the sampled times (reported only)."""
+    the interacting state over N and the sampled times (reported only).
+    fitted_slope is None when every defect is below roundoff (exact)."""
 
     N_values: list[int]
     defects: list[float]
     fitted_slope: float | None
-    t: tuple[float, ...]
     h1_norm: float
     boundary_fraction_max: float
-    exact: bool = False
+
+    @property
+    def exact(self) -> bool:
+        return self.fitted_slope is None
 
     def monotone_decreasing(self) -> bool:
         return all(b < a for a, b in zip(self.defects[:-1], self.defects[1:]))
@@ -206,12 +209,10 @@ def convergence_experiment(
             best = max(best, float(grid.norm_flat(a.u - b.u)))
             wall = max(wall, a.boundary_fraction())
         defects.append(best)
-    if max(defects) < 1e-13:
-        return DefectCurve(N_list, defects, None, tuple(times), h1, wall, exact=True)
-    slope = float(
-        np.polyfit(np.log(np.asarray(N_list, dtype=float)), np.log(defects), 1)[0]
-    )
-    return DefectCurve(N_list, defects, slope, tuple(times), h1, wall)
+    slope = None  # every defect below roundoff: exact, nothing to fit
+    if not max(defects) < 1e-13:
+        slope = float(np.polyfit(np.log(np.asarray(N_list, dtype=float)), np.log(defects), 1)[0])
+    return DefectCurve(N_list, defects, slope, h1, wall)
 
 
 # ---------------------------------------------------------------------------

@@ -236,7 +236,6 @@ class ScatteringTransform:
     operator is inverse-interacting after forward-free (adjoint: swap).
     """
 
-    potential: object
     grid: RadialGrid
     k: np.ndarray
     wk: np.ndarray
@@ -264,9 +263,6 @@ class ScatteringTransform:
 
     def wave_operator_adjoint(self, u: np.ndarray) -> np.ndarray:
         return self.inverse_free(self.forward_interacting(u))
-
-    def multiplier(self) -> np.ndarray:
-        return self.k**2
 
 
 def build_transform(p, k_max: float, n_k: int, rmax: float | None = None) -> ScatteringTransform:
@@ -309,7 +305,6 @@ def build_transform(p, k_max: float, n_k: int, rmax: float | None = None) -> Sca
     np.sin(sines, out=sines)
 
     t = ScatteringTransform(
-        potential=p,
         grid=grid,
         k=k,
         wk=wk,
@@ -335,17 +330,6 @@ def build_transform(p, k_max: float, n_k: int, rmax: float | None = None) -> Sca
     return t
 
 
-def apply_wave_operator(t: ScatteringTransform, u: np.ndarray, adjoint: bool = False):
-    """Apply W (or W*) to u(r) samples on the transform grid."""
-    u = np.asarray(u)
-    if u.shape != (t.grid.n,):
-        raise ValueError("radial samples do not match the transform grid")
-    if np.iscomplexobj(u):
-        op = t.wave_operator_adjoint if adjoint else t.wave_operator
-        return op(u.real) + 1j * op(u.imag)
-    return t.wave_operator_adjoint(u) if adjoint else t.wave_operator(u)
-
-
 def apply_hamiltonian(grid: RadialGrid, p, u: np.ndarray) -> np.ndarray:
     """(-d^2/dr^2 + V/2) u via the sine-spectral second derivative."""
     c = grid.dst(u)
@@ -356,7 +340,7 @@ def apply_hamiltonian(grid: RadialGrid, p, u: np.ndarray) -> np.ndarray:
 
 def l1_ratio_diagnostic(t: ScatteringTransform, u: np.ndarray) -> float:
     """||W u||_1 / ||u||_1 on the 3-d radial representation (no assertion)."""
-    w = apply_wave_operator(t, u)
+    w = t.wave_operator(u)
     l1 = np.sqrt(4.0 * np.pi) * np.sum(t.grid.weights * np.abs(u) * t.grid.r)
     l1w = np.sqrt(4.0 * np.pi) * np.sum(t.grid.weights * np.abs(w) * t.grid.r)
     return float(l1w / l1)

@@ -64,9 +64,7 @@ def test_unknown_kernel_kind():
 
 def test_vl1_zero_potential():
     pair = an.random_pair(np.random.default_rng(0))
-    out = an.vl1_check(pot.zero_potential(), pair)
-    assert out["lhs"] == 0.0
-    assert out["ratio"] == 0.0
+    assert an.vl1_check(pot.zero_potential(), pair) == 0.0
 
 
 def test_vl1_ratio_bounded_by_kernel_constant():
@@ -74,16 +72,17 @@ def test_vl1_ratio_bounded_by_kernel_constant():
     bound = PI2 / (2.0 * np.pi) ** 3
     p = pot.soft_sphere(2.0, 1.0)
     for _ in range(40):
-        out = an.vl1_check(p, an.random_pair(rng))
-        assert out["ratio"] <= bound
+        assert an.vl1_check(p, an.random_pair(rng)) <= bound
 
 
 def test_vl1_translation_invariance():
     rng = np.random.default_rng(5)
     p = pot.gaussian(2.0, 0.8)
     pair = an.random_pair(rng)
-    r1 = an.vl1_check(p, pair)["ratio"]
-    r2 = an.vl1_check(p, pair.translated([0.7, -1.1, 0.3]))["ratio"]
+    shift = np.array([0.7, -1.1, 0.3])
+    moved = [an.GaussianFactor(f.center + shift, f.width, f.momentum) for f in (pair.a, pair.b, pair.c, pair.d)]
+    r1 = an.vl1_check(p, pair)
+    r2 = an.vl1_check(p, an.GaussianTestPair(*moved))
     assert abs(r1 - r2) <= 1e-9 * r1
 
 
@@ -245,7 +244,8 @@ def test_theta_hessian_against_finite_differences():
                     block[a, b] = (theta(pp) - theta(pm) - theta(mp_) + theta(mm)) / (4 * h * h)
             total += np.sqrt(np.sum(block**2))
     ev = an.theta_eval(cfg, pos)
-    assert abs(total - ev.hess_abs_sum) < 1e-4 * ev.hess_abs_sum
+    hess_abs_sum = ev.Theta * cfg.strength**2 * ev.hess_free
+    assert abs(total - hess_abs_sum) < 1e-4 * hess_abs_sum
 
 
 def test_theta_monotonicity_exact():
@@ -275,6 +275,34 @@ def test_theta_single_pair_closed_form_ratio():
     closed = 2.0 * c**2 * grad_h_sq * ell**2 * np.exp(-0.5 * c * hval)
     generic = np.sum(ev.grad**2) / ev.Theta / (np.exp(-0.5 * c * hval) / ell**2)
     assert abs(generic - closed) < 1e-12 * closed
+
+
+def test_theta_ratios_at_large_n_divide_by_no_theta():
+    # At n = 8 Theta underflows to 0 on many draws, so a ratio that divides by it fails.
+    cfg = an.default_cutoff_config(n=8)
+    res = an.theta_inequalities(cfg, samples=300, seed=0)
+    assert np.all(np.isfinite(res["ratio_ii"])) and np.all(np.isfinite(res["ratio_iii"]))
+    underflows = 0
+    for pos, r2, r3 in zip(an.sample_configurations(cfg, 300, 0), res["ratio_ii"], res["ratio_iii"]):
+        ev = an.theta_eval(cfg, pos)
+        underflows += ev.Theta == 0.0
+        if ev.Theta < 1e-100:  # |grad Theta|^2 would leave the normal floats
+            continue
+        # the quotient form, where Theta and its derivatives are normal floats
+        denom = np.exp(-0.5 * cfg.strength * ev.cumulative_sum) / cfg.ell**2
+        assert r2 == pytest.approx(np.sum(ev.grad**2) / ev.Theta / denom, rel=1e-14, abs=0.0)
+        assert r3 == pytest.approx(ev.Theta * cfg.strength**2 * ev.hess_free / denom, rel=1e-14, abs=0.0)
+    assert underflows > 0
+
+
+def test_cutoff_strength_must_be_finite():
+    assert np.isfinite(an.default_cutoff_config(n=1023).strength)
+    for n in (1024, 10**300):
+        with pytest.raises(ValueError, match="finite strength"):
+            an.default_cutoff_config(n=n)
+    # 2^1023 is a float, 2^1023 / ell^eps is not
+    with pytest.raises(ValueError, match="finite strength"):
+        an.CutoffConfig(ell=1e-10, eps=0.1, n=1023, k=1, N=2)
 
 
 def test_theta_ratio_sups_stable_under_doubling():
@@ -339,7 +367,8 @@ def _cutoff_configurations(draw):
 def test_theta_hessian_blocks_match_the_per_block_sum(case):
     cfg, pos = case
     ref = _hess_abs_sum_by_blocks(cfg, pos)
-    assert abs(an.theta_eval(cfg, pos).hess_abs_sum - ref) <= 1e-13 * ref
+    ev = an.theta_eval(cfg, pos)
+    assert abs(ev.Theta * cfg.strength**2 * ev.hess_free - ref) <= 1e-13 * ref
 
 
 def test_pair_array_bytes_bounds_the_theta_eval_peak():

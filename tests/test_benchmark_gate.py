@@ -1,9 +1,11 @@
 """The benchmarked configs pass the benchmark's own correctness gate.
 
-Each config of every workload in BENCHMARK.json runs once through cli.run at
-the default seed, and perfbench/gate.py counts its check rows and compares
-its headline results with perfbench/reference.json, so a drifted headline
-fails here before a benchmark run.
+Each config of every workload in BENCHMARK.json, and of the inequality
+workload that perfbench/workloads.py defines beside them, runs once through
+cli.run at the default seed, and perfbench/gate.py counts its check rows and
+compares its headline results with perfbench/reference.json, so a drifted
+headline fails here before a benchmark run.  Only the default seed is run:
+the sampled-sup checks of the inequality configs fail at some other seeds.
 """
 
 import importlib.util
@@ -28,8 +30,9 @@ def test_benchmarked_configs_pass_the_gate(tmp_path):
     gate, workloads = _perfbench("gate"), _perfbench("workloads")
     reference = gate.load_reference()
     tally = gate.Tally()
-    for workload in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]:
-        for name, cfg in workloads.load_configs(cli, ROOT, workload["name"], workloads.DEFAULT_SEED):
+    names = [workload["name"] for workload in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    for workload in names + ["inequality"]:
+        for name, cfg in workloads.load_configs(cli, ROOT, workload, workloads.DEFAULT_SEED):
             gate.verify(tally, name, cli.run(cfg, tmp_path / name), reference, compare=True)
     assert tally.attempted > 0
     assert tally.failed == 0, tally.misses

@@ -53,14 +53,6 @@ def test_bad_json_rejected():
         cli.parse_config("{nope")
 
 
-def test_round_trip_parse_serialize():
-    cfg = cli.parse_config(MINIMAL_SCATTER)
-    text = cli.serialize_config(cfg)
-    cfg2 = cli.parse_config(text)
-    assert cfg2 == cfg
-    assert cli.config_hash(cfg2) == cli.config_hash(cfg)
-
-
 def test_scatter_report_contents(tmp_path):
     cfg = cli.parse_config(MINIMAL_SCATTER)
     report = cli.run(cfg, tmp_path / "out")
@@ -341,7 +333,7 @@ def test_coupling_rules():
 
 
 def test_default_dt_matches_the_grid_spectrum():
-    # the evolve reader's closed-form Nyquist |k|^2 against gp.Field.k_squared; no
+    # the evolve reader's default dt against the full gp.Field.k_squared grid; no
     # coupling and no potential: the documented default g = 0
     for shape, box in (((64,), (2 * np.pi,)), ((33, 48), (3.0, 7.5)), ((8, 9, 10), (1.0, 2.0, 12.0))):
         doc = {"task": "evolve", "dim": len(shape), "grid": list(shape), "box": list(box)}
@@ -401,6 +393,26 @@ def test_zero_energy_state_evolves_with_absolute_energy_drift(tmp_path, coupling
     assert cli.main(["evolve", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
     results = json.loads((tmp_path / "o" / "report.json").read_text())["results"]
     assert results["energy_initial"] == 0.0 and results["energy_drift"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "doc, code",
+    [
+        # Theta underflows to 0 on many draws, and no ratio divides by it
+        ({"kind": "theta", "n": 8}, 0),
+        # 2.0 ** n overflows: refused at parse time
+        ({"kind": "theta", "n": 1100}, 2),
+        # every ratio is 0, so the sup does not move under doubling
+        ({"kind": "vl1", "potential": {"family": "zero"}}, 0),
+        # the integrands overflow and the quadrature reports it
+        ({"kind": "int1", "p_grid": [1e153]}, 1),
+        ({"kind": "trivv", "p_grid": [1e300]}, 1),
+    ],
+)
+def test_inequality_extremes_end_with_an_exit_code(tmp_path, doc, code):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"task": "inequality-check", **doc}))
+    assert cli.main(["inequality-check", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == code
 
 
 _json = st.recursive(

@@ -103,6 +103,16 @@ def test_kinetic_scale_precondition():
         gp.gp_evolve(f, gp.GPConfig(coupling=0.0, dt=5e-3), 0.5)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(1, 80), min_size=1, max_size=3),
+    st.lists(st.floats(1e-3, 1e3), min_size=3, max_size=3),
+)
+def test_max_k_squared_is_the_grid_maximum_bit_for_bit(shape, sides):
+    box = tuple(sides[: len(shape)])
+    assert gp.max_k_squared(tuple(shape), box) == float(np.max(gp.Field(np.zeros(shape), box).k_squared()))
+
+
 def test_negative_time_is_refused():
     with pytest.raises(ValueError, match="nonnegative"):
         gp.gp_evolve(make_1d(64), gp.GPConfig(coupling=1.0), -0.1)
