@@ -390,9 +390,11 @@ def theta_eval(cfg: CutoffConfig, positions: np.ndarray) -> CutoffEvaluation:
 def cumulative_values(cfg_base: CutoffConfig, row_sums: np.ndarray) -> np.ndarray:
     """Theta_k^(n) for k = 1..N-1 at fixed n, via monotone partial sums.
 
-    row_sums is CutoffEvaluation.row_sums of the configuration.
+    row_sums is CutoffEvaluation.row_sums of the configuration.  A product
+    strength * sum beyond float range is inf, and exp(-inf) = 0 is the value.
     """
-    return np.exp(-cfg_base.strength * np.cumsum(row_sums[: cfg_base.N - 1]))
+    with np.errstate(over="ignore"):
+        return np.exp(-cfg_base.strength * np.cumsum(row_sums[: cfg_base.N - 1]))
 
 
 def sample_configurations(cfg: CutoffConfig, samples: int, seed: int) -> list[np.ndarray]:

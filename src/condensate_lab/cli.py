@@ -139,18 +139,55 @@ def _list(key: str, value, read, least: int = 1) -> list:
     return [read(key, v) for v in value]
 
 
+class _Seen(dict):
+    """A config object that records every key its reader looks up."""
+
+    def __init__(self, spec: dict):
+        super().__init__(spec)
+        self.looked_up: set = set()
+
+    def __getitem__(self, key):
+        self.looked_up.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.looked_up.add(key)
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.looked_up.add(key)
+        return super().__contains__(key)
+
+
+def _read_keys(what: str, spec, reader):
+    """reader(spec); then, for an object spec, a ConfigError naming every key reader never looked up."""
+    if not isinstance(spec, dict):
+        return reader(spec)
+    seen = _Seen(spec)
+    out = reader(seen)
+    unread = [key for key in spec if key not in seen.looked_up]
+    if unread:
+        raise ConfigError(f"unknown {what} key{'s' * (len(unread) > 1)}: {', '.join(map(repr, unread))}")
+    return out
+
+
 def _potential(spec, key: str = "potential") -> potentials.Potential:
     try:
-        return potentials.from_config(spec)
+        return _read_keys(key, spec, potentials.from_config)
+    except ConfigError:
+        raise
     except (KeyError, TypeError, AttributeError, ValueError, OverflowError, OSError) as exc:
         # PotentialError is a ValueError; OSError covers a tabulated CSV path
         raise ConfigError(f"invalid {key}: {exc!r}") from exc
 
 
-def _required(potential, task: str) -> potentials.Potential:
-    if potential is None:
+def _read_potential(params: dict, task: str, default: potentials.Potential | None = None) -> potentials.Potential:
+    """The config's potential, else default; with no default the task requires one."""
+    if "potential" in params:
+        return _potential(params["potential"])
+    if default is None:
         raise ConfigError(f"task {task} requires a potential")
-    return potential
+    return default
 
 
 def _physical_memory() -> int:
@@ -163,13 +200,29 @@ def _refuse_beyond(have: int, need: float, what: str) -> None:
         raise ConfigError(f"{what.format(need / 1e9)}; physical memory is {have / 1e9:.3g} GB")
 
 
+# Most grid points x solver steps (site-steps) a run may ask for.  A GP site-step
+# costs 98-154 ns on a 2-core host, so the budget is 16-26 minutes of Strang
+# steps; the largest sample config asks for about 2e7.
+_WORK_BUDGET = 1e10
+
+
+def _refuse_work(work: float, what: str) -> None:
+    """ConfigError when work site-steps (inf or NaN past float range) exceed _WORK_BUDGET."""
+    if not work <= _WORK_BUDGET:
+        raise ConfigError(f"{what} asks for {work:.3g} grid points x solver steps; the budget is {_WORK_BUDGET:.3g}")
+
+
+def _read_rule(spec: dict) -> tuple:
+    mode = _choice("coupling mode", spec.get("mode", "scattering-length"), ("scattering-length", "born"))
+    return mode, _potential(spec.get("potential"), "coupling potential")
+
+
 def _read_coupling(params: dict, default: float):
     """A number >= 0, or a validated (mode, potential) rule for _resolve_coupling."""
     spec = params.get("coupling", default)
     if not isinstance(spec, dict):
         return _nonnegative("coupling", spec)
-    mode = _choice("coupling mode", spec.get("mode", "scattering-length"), ("scattering-length", "born"))
-    return mode, _potential(spec.get("potential"), "coupling potential")
+    return _read_keys("coupling", spec, _read_rule)
 
 
 def _resolve_coupling(coupling, results: dict) -> float:
@@ -188,7 +241,8 @@ def parse_config(text: str) -> RunConfig:
     """Validate a JSON config document into a RunConfig.
 
     The task's reader checks every documented key here, so a malformed
-    config is a ConfigError before any solver runs.
+    config, a key no reader looks up, or a run beyond _WORK_BUDGET is a
+    ConfigError before any solver runs.
     """
     try:
         raw = json.loads(text)
@@ -209,9 +263,11 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _arguments(cfg: RunConfig) -> dict:
-    """The runner's keyword arguments, from the task's reader."""
-    potential = None if cfg.potential is None else _potential(cfg.potential)
-    return _TASKS[cfg.task][0](cfg.params, potential)
+    """The runner's keyword arguments, from the task's reader; it reads the potential too."""
+    params = dict(cfg.params)
+    if cfg.potential is not None:
+        params["potential"] = cfg.potential
+    return _read_keys(cfg.task, params, _TASKS[cfg.task][0])
 
 
 def _check(anchor: str, value: float, threshold: float, ok: bool) -> dict:
@@ -232,21 +288,20 @@ def _write_csv(path: Path, header: list[str], rows):
 
 
 # ---------------------------------------------------------------------------
-# Tasks: a reader turns (params, potential) into its runner's arguments
+# Tasks: a reader turns a config's keys into its runner's arguments
 # ---------------------------------------------------------------------------
 
 
-def _read_scatter(params: dict, potential) -> dict:
-    return {
-        "potential": _required(potential, "scatter"),
-        "phase_probe_k": _positive("phase_probe_k", params.get("phase_probe_k", 1e-3)),
-        "mapping_norm_diagnostic": _choice(
-            "mapping_norm_diagnostic", params.get("mapping_norm_diagnostic", False), (False, True)
-        ),
-    }
+# -delta0(k) / k = a0 + O(k^2), so the eq:LSE threshold 1e-4 presumes k a0 << 1:
+# at k = 0.3 the soft sphere (v0 2, radius 1) reads 2.1e-3.
+_PHASE_PROBE_K = 1e-3
 
 
-def _run_scatter(outdir: Path, seed: int, *, potential, phase_probe_k, mapping_norm_diagnostic):
+def _read_scatter(params: dict) -> dict:
+    return {"potential": _read_potential(params, "scatter")}
+
+
+def _run_scatter(outdir: Path, seed: int, *, potential):
     p = potential
     sol = scattering.solve_zero_energy(p)
     born = potentials.born_scattering_length(p)
@@ -254,9 +309,8 @@ def _run_scatter(outdir: Path, seed: int, *, potential, phase_probe_k, mapping_n
     a0 = sol.a0_asym
     scale_a0 = max(abs(a0), 1e-12)
     consistency = abs(sol.a0_int - a0) / scale_a0
-    ps = scattering.phase_shift(p, phase_probe_k)
     # + 0.0 prints V = 0's exact delta = 0 as 0.0, not -0.0
-    phase_route = -ps.delta0 / ps.k + 0.0
+    phase_route = -scattering.phase_shift(p, _PHASE_PROBE_K) / _PHASE_PROBE_K + 0.0
     results = {
         "a0_asym": a0,
         "a0_int": sol.a0_int,
@@ -266,11 +320,6 @@ def _run_scatter(outdir: Path, seed: int, *, potential, phase_probe_k, mapping_n
         "phase_shift_route": phase_route,
         "ode_residual": sol.residual,
     }
-    if mapping_norm_diagnostic:
-        # sampled L1->L1 ratio of the wave operator; reported, never asserted
-        tr = scattering.build_transform(p, k_max=8.0, n_k=256)
-        probe = propagators.gaussian_packet(tr.grid, sigma=1.0, r0=2.0)
-        results["l1_mapping_ratio"] = scattering.l1_ratio_diagnostic(tr, np.real(probe.u))
     # relative to |a0| when |a0| >= 1, absolute below
     lse_gap = abs(phase_route - a0) / max(abs(a0), 1.0)
     checks = [
@@ -321,7 +370,11 @@ def _read_gp(params: dict, width: float) -> dict:
         "box": box,
         "coupling": _read_coupling(params, 0.0),
         "trap": gp.harmonic_trap if trap else None,
-        "initial": _read_initial(params.get("initial", {"type": "gaussian", "width": width}), shape, box),
+        "initial": _read_keys(
+            "initial",
+            params.get("initial", {"type": "gaussian", "width": width}),
+            lambda spec: _read_initial(spec, shape, box),
+        ),
     }
 
 
@@ -339,7 +392,7 @@ def _field_from_init(shape, box, init: dict) -> gp.Field:
     return f.normalize()
 
 
-def _read_evolve(params: dict, potential) -> dict:
+def _read_evolve(params: dict) -> dict:
     kw = _read_gp(params, 1.0)
     shape, box = kw["shape"], kw["box"]
     t_final = _positive("t_final", params.get("t_final", 1.0))
@@ -354,19 +407,17 @@ def _read_evolve(params: dict, potential) -> dict:
         steps = np.ceil(t_snap / dt - 1e-12)
     if not 1 <= steps <= sys.float_info.max:
         raise ConfigError(f"t_final / snapshots = {t_snap:.3g} takes no finite number of steps dt = {dt:.3g}")
+    _refuse_work(float(steps) * snapshots * math.prod(shape), "evolve")
     return {
         **kw,
         "t_final": t_final,
         "snapshots": snapshots,
         # dt snapped to divide the snapshot interval
         "dt": float(t_snap / int(steps)),
-        "density_slice": _choice("density_slice", params.get("density_slice", False), (False, True)),
     }
 
 
-def _run_evolve(
-    outdir: Path, seed: int, *, shape, box, coupling, trap, initial, t_final, snapshots, dt, density_slice
-):
+def _run_evolve(outdir: Path, seed: int, *, shape, box, coupling, trap, initial, t_final, snapshots, dt):
     results: dict = {}
     coupling = _resolve_coupling(coupling, results)
     f = _field_from_init(shape, box, initial)
@@ -411,30 +462,21 @@ def _run_evolve(
         results["dispersion_omega"] = float(omega)
         checks.append(_check("eq:GP1", phase_err, 1e-6, phase_err <= 1e-6))
     _write_csv(outdir / "observables.csv", columns, rows)
-    if density_slice:
-        sl = cur.values
-        while sl.ndim > 1:
-            sl = sl[sl.shape[0] // 2]
-        _write_csv(outdir / "density.csv", ["x", "density"], zip(cur.axes()[-1], np.abs(sl) ** 2))
     return results, checks
 
 
-def _read_groundstate(params: dict, potential) -> dict:
+def _read_groundstate(params: dict) -> dict:
     kw = _read_gp(params, 0.7)
     if kw["trap"] is None and kw["coupling"] == 0.0:
         raise ConfigError("no minimizer: groundstate needs a trap or g > 0")
-    return {
-        **kw,
-        "dtau": _positive("dtau", params.get("dtau", 0.02)),
-        "tol": _positive("tol", params.get("tol", 1e-10)),
-    }
+    return kw
 
 
-def _run_groundstate(outdir: Path, seed: int, *, shape, box, coupling, trap, initial, dtau, tol):
+def _run_groundstate(outdir: Path, seed: int, *, shape, box, coupling, trap, initial):
     results: dict = {}
     coupling = _resolve_coupling(coupling, results)
     gcfg = gp.GPConfig(coupling=coupling, trap=trap)
-    res = gp.gp_ground_state(gcfg, _field_from_init(shape, box, initial), dtau=dtau, tol=tol)
+    res = gp.gp_ground_state(gcfg, _field_from_init(shape, box, initial))
     energies = res["energies"]
     monotone = all(b <= a for a, b in zip(energies[:-1], energies[1:]))
     results.update(
@@ -455,15 +497,16 @@ def _run_groundstate(outdir: Path, seed: int, *, shape, box, coupling, trap, ini
     return results, checks
 
 
-def _read_two_body(params: dict, potential) -> dict:
+def _read_two_body(params: dict) -> dict:
     times = _list("times", params.get("times", [0.25, 0.5, 1.0]), _nonnegative)
     dt = _positive("dt", params.get("dt", 1e-3))
+    steps = 0  # of the interacting run, which goes through the sorted times once per N
     for t in times:
         try:
-            propagators.step_count(t, dt)
+            steps = max(steps, propagators.step_count(t, dt))
         except (ValueError, OverflowError) as exc:  # t / dt may overflow to inf
             raise ConfigError(f"times must be multiples of dt = {dt!r}, got {t!r}: {exc}") from exc
-    potential = _required(potential, "two-body-convergence")
+    potential = _read_potential(params, "two-body-convergence")
     n_list = _list("n_list", params.get("n_list", [8, 16, 32, 64, 128, 256]), lambda key, v: _integer(key, v, 1), 4)
     rmax = _positive("rmax", params.get("rmax", 24.0))
     # The largest N has the finest grid, of about rmax / step points.  A step
@@ -473,6 +516,8 @@ def _read_two_body(params: dict, potential) -> dict:
     step = propagators.radial_step(potential.range_hint / N)
     need = 16 * rmax / step if step else math.inf
     _refuse_beyond(have, need, f"n_list entry {N:.3g} needs at least {{:.3g}} GB per field on its radial grid")
+    points = sum(rmax / propagators.radial_step(potential.range_hint / N) for N in n_list)
+    _refuse_work(points * steps, "two-body-convergence")
     return {
         "potential": potential,
         "n_list": n_list,
@@ -508,9 +553,9 @@ def _run_two_body(outdir: Path, seed: int, *, potential, n_list, times, sigma, r
     return results, checks
 
 
-def _read_second_moment(params: dict, potential) -> dict:
+def _read_second_moment(params: dict) -> dict:
     return {
-        "potential": _required(potential, "second-moment"),
+        "potential": _read_potential(params, "second-moment"),
         "samples": _integer("samples", params.get("samples", 10), 1),
         "k_max": _positive("k_max", params.get("k_max", 14.0)),
         "n_k": _integer("n_k", params.get("n_k", 640), 1),
@@ -545,7 +590,13 @@ def _run_second_moment(outdir: Path, seed: int, *, potential, samples, k_max, n_
     return results, checks
 
 
-def _read_hierarchy(params: dict, potential) -> dict:
+# The eq:infhier control row puts the matched trajectory's residual at this
+# multiple of the coupling; its threshold, a ratio >= 10, presumes a clearly
+# wrong coupling (the ratio is exactly 1 at a factor of 1).
+_WRONG_FACTOR = 2.0
+
+
+def _read_hierarchy(params: dict) -> dict:
     dim = _choice("dim", params.get("dim", 1), (1, 2, 3))
     levels = _integer("levels", params.get("levels", 3), 2)
     shape = {
@@ -576,20 +627,26 @@ def _read_hierarchy(params: dict, potential) -> dict:
     _refuse_beyond(
         have, need, "hierarchy-check needs about {:.3g} GB for the trajectory and residual sweep of its finest level"
     )
+    work = 0.0
+    for level in (0, *range(levels)):  # the zero-coupling run at level 0, then the ladder
+        ds, steps = hierarchy.level_steps(
+            level, dim=dim, grid=shape["grid"], box=shape["box"], snapshot_dt=shape["snapshot_dt"]
+        )
+        work += (shape["grid"] * 2**level) ** dim * steps * round(shape["t_final"] / ds)
+    _refuse_work(work, "hierarchy-check")
     return {
         "coupling": _read_coupling(params, 1.0),
         "levels": levels,
         "shape": shape,
-        "wrong_factor": _finite("wrong_factor", params.get("wrong_factor", 2.0)),
     }
 
 
-def _run_hierarchy(outdir: Path, seed: int, *, coupling, levels, shape, wrong_factor):
+def _run_hierarchy(outdir: Path, seed: int, *, coupling, levels, shape):
     results: dict = {}
     coupling = _resolve_coupling(coupling, results)
     study = hierarchy.refinement_study(levels, coupling, **shape)
     res_fine = study["finest_residual"]
-    ratio = max(res_fine.differential(wrong_factor * coupling)) / max(res_fine.differential_residual)
+    ratio = max(res_fine.differential(_WRONG_FACTOR * coupling)) / max(res_fine.differential_residual)
 
     zero_traj = hierarchy.build_trajectory(0, coupling=0.0, **shape)
     zero_resid = hierarchy.integral_form_residual(zero_traj, 0.0)[-1]
@@ -619,7 +676,7 @@ def _run_hierarchy(outdir: Path, seed: int, *, coupling, levels, shape, wrong_fa
     return results, checks
 
 
-def _read_inequality(params: dict, potential) -> dict:
+def _read_inequality(params: dict) -> dict:
     """The kind's check and its arguments; _run_inequality runs the check."""
     if "kind" not in params:
         raise ConfigError("inequality-check requires a kind")
@@ -633,13 +690,13 @@ def _read_inequality(params: dict, potential) -> dict:
     if kind == "vl1":
         return {
             "check": _vl1,
-            "potential": potential if potential is not None else potentials.soft_sphere(2.0, 1.0),
+            "potential": _read_potential(params, "vl1", potentials.soft_sphere(2.0, 1.0)),
             "pairs": _integer("pairs", params.get("pairs", 100), 1),
         }
     if kind == "vl12":
         return {
             "check": _vl12,
-            "potential": potential if potential is not None else potentials.gaussian(1.0, 1.0),
+            "potential": _read_potential(params, "vl12", potentials.gaussian(1.0, 1.0)),
             "alphas": _list("alphas", params.get("alphas", [0.5 / 2**j for j in range(11)]), _positive),
         }
     n_particles = _integer("n_particles", params.get("n_particles", 10), 2)
@@ -773,7 +830,8 @@ def _theta(outdir: Path, seed: int, *, cutoff, samples):
 
 
 # task -> (reader, runner): parse_config checks a config with its reader, and run
-# hands the reader's output to the runner
+# hands the reader's output to the runner.  A reader takes the config's keys
+# (the potential among them) and looks up each key it reads.
 _TASKS = {
     "scatter": (_read_scatter, _run_scatter),
     "evolve": (_read_evolve, _run_evolve),

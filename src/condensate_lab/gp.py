@@ -277,6 +277,9 @@ _EIGH_AXIS_MAX = 1024
 # Accepted-step budget of the backtracking descent.
 _MAX_ITERS = 20000
 
+# First imaginary-time step of the descent; backtracking halves it.
+_DTAU = 0.02
+
 
 def _harmonic_minimiser(f: Field) -> Field:
     """Lowest eigenvector of -Lap + |x|^2 on f's grid, of unit mass.
@@ -298,10 +301,11 @@ def _harmonic_minimiser(f: Field) -> Field:
     return Field(phi / np.sqrt(f.dvol), f.box, f.time)
 
 
-def _descend(f: Field, cfg: GPConfig, energies: list, dtau: float, tol: float):
+def _descend(f: Field, cfg: GPConfig, energies: list, tol: float):
     """Backtracking imaginary-time descent from f; appends accepted energies."""
     plan = cfg._plan(f)
     g = cfg.coupling
+    dtau = _DTAU
     energy = energies[-1]
     iters = 0
     built = None
@@ -336,19 +340,15 @@ def _descend(f: Field, cfg: GPConfig, energies: list, dtau: float, tol: float):
     return f, iters
 
 
-def gp_ground_state(
-    cfg: GPConfig,
-    init: Field,
-    dtau: float = 0.02,
-    tol: float = 1e-10,
-) -> dict:
+def gp_ground_state(cfg: GPConfig, init: Field, tol: float = 1e-10) -> dict:
     """Normalized imaginary-time minimization of the energy functional.
 
-    Each accepted step renormalizes and must not raise the energy; a step
-    that does is retried with half the step size (backtracking), so the
-    recorded energy sequence is monotone nonincreasing.  The descent stops
-    when an accepted step lowers the energy by less than tol, or after
-    _MAX_ITERS steps.  The returned field is complex128, like every Field.
+    The descent starts at step size _DTAU.  Each accepted step renormalizes
+    and must not raise the energy; a step that does is retried with half
+    the step size (backtracking), so the recorded energy sequence is
+    monotone nonincreasing.  The descent stops when an accepted step lowers
+    the energy by less than tol, or after _MAX_ITERS steps.  The returned
+    field is complex128, like every Field.
 
     At g = 0 in harmonic_trap the functional is quadratic, and on grids of
     at most _EIGH_AXIS_MAX points per axis its minimiser is computed
@@ -369,5 +369,5 @@ def gp_ground_state(
             energies.append(e_new)
         iters = 1
     else:
-        f, iters = _descend(f, cfg, energies, dtau, tol)
+        f, iters = _descend(f, cfg, energies, tol)
     return {"field": f, "energy": energies[-1], "iterations": iters, "energies": energies}

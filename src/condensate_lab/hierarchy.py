@@ -88,6 +88,19 @@ def _pulled_back(trajectory: list[Field]) -> np.ndarray:
     return fields.reshape(len(fields), -1).T
 
 
+def level_steps(level: int, *, dim: int, grid: int, box: float, snapshot_dt: float) -> tuple[float, float]:
+    """Snapshot spacing ds of one ladder level and the Strang steps per spacing.
+
+    Level l has grid * 2**l points per axis and spacing snapshot_dt / 2**l.
+    A spacing takes 10 c steps, c >= 1 the least integer that keeps
+    dt * max k^2 below 0.8 pi.  The count is a float, inf when c leaves
+    float range, so a config reader can bound the work of any level.
+    """
+    ds = snapshot_dt / 2**level
+    k2_max = gp.max_k_squared((grid * 2**level,) * dim, (box,) * dim)
+    return ds, 10.0 * max(1.0, float(np.ceil(ds / 10.0 * k2_max / (0.8 * np.pi))))
+
+
 def build_trajectory(
     level: int,
     *,
@@ -104,11 +117,10 @@ def build_trajectory(
 
     The cosine mode runs along the first axis and the sine mode along the
     last, at twice the wavenumber when that is the same axis (d = 1).
-    Level l has grid * 2**l points per axis and snapshot spacing
-    snapshot_dt / 2**l; the Strang step divides the spacing and keeps
-    dt * max k^2 below 0.8 pi.  Each snapshot is one gp_evolve call, so
-    the phase half steps split only at snapshots, and the guard reads the
-    spectrum each step already holds.
+    Level l has grid * 2**l points per axis, and level_steps gives its
+    snapshot spacing and Strang steps.  Each snapshot is one gp_evolve
+    call, so the phase half steps split only at snapshots, and the guard
+    reads the spectrum each step already holds.
     """
     M = grid * 2**level
     coords = np.meshgrid(*gp.centered_axes((M,) * dim, (box,) * dim), indexing="ij")
@@ -119,11 +131,8 @@ def build_trajectory(
         + amp_sin * np.sin(2 * np.pi * wavenumber * coords[-1] / box)
     )
     f = Field(phi0.astype(complex), (box,) * dim).normalize()
-    ds = snapshot_dt / 2**level
-    dt = ds / 10.0
-    dt /= max(1, int(np.ceil(dt * gp.max_k_squared(f.shape, f.box) / (0.8 * np.pi))))
-    dt = ds / int(round(ds / dt))
-    cfg = gp.GPConfig(coupling=coupling, dt=dt)
+    ds, steps = level_steps(level, dim=dim, grid=grid, box=box, snapshot_dt=snapshot_dt)
+    cfg = gp.GPConfig(coupling=coupling, dt=ds / steps)
     traj = [f]
     for _ in range(int(round(t_final / ds))):
         traj.append(gp.gp_evolve(traj[-1], cfg, ds))

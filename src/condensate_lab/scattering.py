@@ -178,14 +178,8 @@ def zero_energy_state_integral(sol: ZeroEnergySolution) -> dict:
     return {"integral": integral, "eight_pi_a0": target, "relative_gap": gap}
 
 
-@dataclass(frozen=True)
-class PhaseShift:
-    k: float
-    delta0: float
-
-
-def phase_shift(p, k: float) -> PhaseShift:
-    """s-wave phase shift by outward integration of the phase ODE."""
+def phase_shift(p, k: float) -> float:
+    """s-wave phase shift delta_0(k) by outward integration of the phase ODE."""
     if k <= 0:
         raise ValueError("phase shift requires k > 0")
     if not np.isfinite(p.range_hint) or p.sigma <= 1.0:
@@ -202,7 +196,7 @@ def phase_shift(p, k: float) -> PhaseShift:
         hh = (b - a) / seg_steps
         q_half = 0.5 * half_step_samples(p, a, hh, seg_steps, a, b)
         delta = _kernels.rk4_phase(q_half, k, hh, r0=a, d0=delta)
-    return PhaseShift(k=float(k), delta0=float(delta))
+    return float(delta)
 
 
 # ---------------------------------------------------------------------------
@@ -336,11 +330,3 @@ def apply_hamiltonian(grid: RadialGrid, p, u: np.ndarray) -> np.ndarray:
     k = grid.modes()
     upp = grid.idst(-(k**2) * c)
     return -upp + 0.5 * potential_node_samples(p, grid) * u
-
-
-def l1_ratio_diagnostic(t: ScatteringTransform, u: np.ndarray) -> float:
-    """||W u||_1 / ||u||_1 on the 3-d radial representation (no assertion)."""
-    w = t.wave_operator(u)
-    l1 = np.sqrt(4.0 * np.pi) * np.sum(t.grid.weights * np.abs(u) * t.grid.r)
-    l1w = np.sqrt(4.0 * np.pi) * np.sum(t.grid.weights * np.abs(w) * t.grid.r)
-    return float(l1w / l1)

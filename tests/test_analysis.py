@@ -1,6 +1,7 @@
 """Kernel integrals, Gaussian-pair inequalities, and the pair cutoffs."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -251,6 +252,16 @@ def test_theta_hessian_against_finite_differences():
 def test_theta_monotonicity_exact():
     cfg = an.default_cutoff_config()
     res = an.theta_inequalities(cfg, samples=200, seed=1)
+    assert res["monotonicity_ok"]
+
+
+def test_theta_near_the_largest_n_warns_of_no_overflow():
+    # strength(1021) * S_k leaves float range on some draws; exp(-inf) = 0 is the
+    # right cutoff value, and reaching it is no numerical fault to report
+    cfg = an.default_cutoff_config(n=1021)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = an.theta_inequalities(cfg, samples=100, seed=0)
     assert res["monotonicity_ok"]
 
 

@@ -73,8 +73,7 @@ def test_scatter_rows_pass_exactly_when_value_is_within_threshold(tmp_path, monk
     real = sc.phase_shift
 
     def shifted(p, k):
-        ps = real(p, k)
-        return sc.PhaseShift(k=ps.k, delta0=ps.delta0 - offset * ps.k)
+        return real(p, k) - offset * k
 
     monkeypatch.setattr(sc, "phase_shift", shifted)
     report = cli.run(cli.parse_config(MINIMAL_SCATTER), tmp_path)
@@ -120,37 +119,12 @@ def test_evolve_memory_does_not_grow_with_snapshots(tmp_path):
     assert peak < 20 * field, peak
 
 
-def test_density_slice_is_the_central_slice_of_the_final_density(tmp_path):
-    doc = {"task": "evolve", "dim": 2, "grid": [32, 24], "coupling": 1.0, "t_final": 0.1, "snapshots": 2,
-           "initial": {"type": "cosine"}}
-    for on in (False, True):
-        cli.run(cli.parse_config(json.dumps({**doc, "density_slice": on})), tmp_path / str(on))
-        assert (tmp_path / str(on) / "density.csv").exists() == on
-    kw = cli._arguments(cli.parse_config(json.dumps(doc)))
-    f = cli._field_from_init(kw["shape"], kw["box"], kw["initial"])
-    cfg = gp.GPConfig(coupling=1.0, dt=kw["dt"])
-    for _ in range(2):
-        f = gp.gp_evolve(f, cfg, 0.05)
-    rows = np.loadtxt(tmp_path / "True" / "density.csv", delimiter=",", skiprows=1)
-    np.testing.assert_array_equal(rows[:, 0], f.axes()[-1])
-    np.testing.assert_array_equal(rows[:, 1], np.abs(f.values[16]) ** 2)
-
-
-def test_mapping_norm_diagnostic_reports_a_finite_ratio(tmp_path):
-    for on in (False, True):
-        doc = {"task": "scatter", "potential": SOFT, "mapping_norm_diagnostic": on}
-        report = cli.run(cli.parse_config(json.dumps(doc)), tmp_path / str(on))
-        assert ("l1_mapping_ratio" in report.results) == on
-    assert np.isfinite(report.results["l1_mapping_ratio"])
-
-
 def test_zero_potential_scatter_takes_the_general_path(tmp_path):
-    doc = {"task": "scatter", "potential": {"family": "zero"}, "mapping_norm_diagnostic": True}
+    doc = {"task": "scatter", "potential": {"family": "zero"}}
     report = cli.run(cli.parse_config(json.dumps(doc)), tmp_path)
     assert report.passed()
     route = report.results["phase_shift_route"]
     assert route == 0.0 and np.copysign(1.0, route) == 1.0
-    assert abs(report.results["l1_mapping_ratio"] - 1.0) < 1e-9
 
 
 def test_reports_are_deterministic(tmp_path):
@@ -384,6 +358,91 @@ def test_malformed_task_key_is_config_error(tmp_path, doc):
     assert cli.main([doc["task"], "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
 
 
+def _refused_within_a_second(tmp_path, doc, match):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    with pytest.raises(cli.ConfigError, match=match):
+        cli.parse_config(cfg_path.read_text())
+    start = time.perf_counter()
+    assert cli.main([doc["task"], "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        # retired keys, each at its former default
+        ({"task": "scatter", "potential": SOFT, "phase_probe_k": 1e-3}, "phase_probe_k"),
+        ({"task": "scatter", "potential": SOFT, "mapping_norm_diagnostic": False}, "mapping_norm_diagnostic"),
+        ({"task": "evolve", "density_slice": False}, "density_slice"),
+        ({"task": "groundstate", "trap": "harmonic", "dtau": 0.02}, "dtau"),
+        ({"task": "groundstate", "trap": "harmonic", "tol": 1e-10}, "tol"),
+        ({"task": "hierarchy-check", "wrong_factor": 2.0}, "wrong_factor"),
+        # typos, and keys the task or object does not read
+        ({"task": "evolve", "snapshot": 3}, "snapshot"),
+        ({"task": "evolve", "initial": {"type": "cosine", "amplitud": 0.2}}, "initial key: 'amplitud'"),
+        ({"task": "scatter", "potential": {"family": "gaussian", "v0": 1.0, "width": 1.0, "radius": 1.0}}, "radius"),
+        ({"task": "evolve", "potential": SOFT}, "evolve key: 'potential'"),
+        ({"task": "evolve", "coupling": {"mode": "born", "potential": SOFT, "v0": 1.0}}, "coupling key: 'v0'"),
+        ({"task": "evolve", "coupling": {"potential": {"family": "zero", "v0": 1.0}}}, "coupling potential key"),
+        ({"task": "inequality-check", "kind": "int1", "pairs": 10}, "pairs"),
+        ({"task": "inequality-check", "kind": "int1", "potential": SOFT}, "potential"),
+    ],
+)
+def test_a_key_no_reader_reads_is_config_error(tmp_path, doc, key):
+    _refused_within_a_second(tmp_path, doc, f"unknown .*{key}")
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        # a default dt of 3.9e-12 on the 256-point grid: 2.6e11 Strang steps
+        {"task": "evolve", "box": 0.001},
+        # 8e8 Strang steps per snapshot on level 0 alone
+        {"task": "hierarchy-check", "box": 0.001},
+        {"task": "evolve", "dt": 1e-300},
+        {"task": "two-body-convergence", "potential": SOFT, "dt": 1e-300, "times": [0.25]},
+    ],
+)
+def test_a_run_beyond_the_work_budget_is_config_error(tmp_path, doc):
+    _refused_within_a_second(tmp_path, doc, "grid points x solver steps; the budget is")
+
+
+def test_the_sample_configs_fit_a_hundredth_of_the_work_budget(monkeypatch):
+    root = Path(__file__).parents[1]
+    paths = [*(root / "configs").glob("*.json"), *(root / "perfbench" / "configs").glob("*.json")]
+    assert len(paths) == 13
+    monkeypatch.setattr(cli, "_WORK_BUDGET", cli._WORK_BUDGET / 100)
+    for path in paths:
+        cli.parse_config(path.read_text())
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"task": "evolve", "dim": 2, "grid": [12, 10], "dt": 2e-3, "t_final": 0.1, "snapshots": 3,
+         "initial": {"type": "cosine"}},
+        {"task": "hierarchy-check", "grid": 32, "levels": 2, "t_final": 0.2},
+        {"task": "hierarchy-check", "dim": 2, "grid": 6, "levels": 2, "t_final": 0.2},
+    ],
+)
+def test_the_work_count_is_the_strang_site_steps_a_run_takes(tmp_path, monkeypatch, doc):
+    # the reader's count is exact: a budget one site-step short refuses the config
+    evolve, taken = gp.gp_evolve, []
+
+    def counted(f, cfg, t):
+        taken.append(f.values.size * int(round(t / cfg.dt)))
+        return evolve(f, cfg, t)
+
+    monkeypatch.setattr(gp, "gp_evolve", counted)
+    cli.run(cli.parse_config(json.dumps(doc)), tmp_path)
+    monkeypatch.setattr(cli, "_WORK_BUDGET", sum(taken))
+    cli.parse_config(json.dumps(doc))
+    monkeypatch.setattr(cli, "_WORK_BUDGET", sum(taken) - 1)
+    with pytest.raises(cli.ConfigError, match="budget"):
+        cli.parse_config(json.dumps(doc))
+
+
 @pytest.mark.parametrize("coupling", [0.0, {"mode": "born", "potential": {"family": "zero"}}])
 def test_zero_energy_state_evolves_with_absolute_energy_drift(tmp_path, coupling):
     # a constant state at g = 0 has E = 0, so its energy drift cannot be relative
@@ -424,15 +483,22 @@ _json = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
     max_leaves=12,
 )
-_potentials = _json | st.fixed_dictionaries(
-    {"family": st.sampled_from(["zero", "soft-sphere", "gaussian", "tabulated", "other"])},
-    optional={
-        key: _json
-        | st.floats(-2.0, 3.0)
-        | st.sampled_from([float("nan"), float("inf"), -float("inf")])
-        | st.lists(st.floats(-1.0, 3.0) | st.floats(allow_nan=True, allow_infinity=True), max_size=5)
-        for key in ("v0", "radius", "width", "r", "v", "sigma", "path")
-    },
+_values = (
+    _json
+    | st.floats(-2.0, 3.0)
+    | st.sampled_from([float("nan"), float("inf"), -float("inf")])
+    | st.lists(st.floats(-1.0, 3.0) | st.floats(allow_nan=True, allow_infinity=True), max_size=5)
+)
+# each family with its own keys, and any family with any potential keys
+_potentials = _json | st.one_of(
+    st.fixed_dictionaries({"family": st.just("zero")}),
+    st.fixed_dictionaries({"family": st.just("soft-sphere"), "v0": _values, "radius": _values}),
+    st.fixed_dictionaries({"family": st.just("gaussian"), "v0": _values, "width": _values}),
+    st.fixed_dictionaries({"family": st.just("tabulated"), "r": _values, "v": _values}, optional={"sigma": _values}),
+    st.fixed_dictionaries(
+        {"family": st.sampled_from(["zero", "soft-sphere", "gaussian", "tabulated", "other"])},
+        optional={key: _values for key in ("v0", "radius", "width", "r", "v", "sigma", "path")},
+    ),
 )
 _counts = _json | st.integers(-2, 5) | st.lists(st.integers(-2, 64) | _json, max_size=4)
 _lengths = (
@@ -441,38 +507,69 @@ _lengths = (
     | st.sampled_from([float("nan"), float("inf"), 10**400])
     | st.lists(st.floats(-1.0, 10.0) | _json, max_size=4)
 )
-_documents = st.fixed_dictionaries(
-    {"task": st.sampled_from(cli.TASKS) | _json},
-    optional={
-        "seed": _json,
+_seeds = _json | st.integers(0, 2**64)
+_couplings = (
+    _json
+    | st.floats(0.0, 5.0)
+    | st.fixed_dictionaries(
+        {}, optional={"mode": st.sampled_from(["scattering-length", "born", "x"]), "potential": _potentials}
+    )
+)
+_initials = _json | st.fixed_dictionaries(
+    {"type": st.sampled_from(["plane-wave", "gaussian", "cosine", "other"])},
+    optional={"mode": _counts, "amplitude": _lengths, "width": _lengths},
+)
+_gp_keys = {
+    "dim": _counts,
+    "grid": _counts,
+    "box": _lengths,
+    "coupling": _couplings,
+    "trap": _json | st.just("harmonic"),
+    "initial": _initials,
+}
+# the keys each task's reader reads, and those of each inequality kind
+_task_keys = {
+    "scatter": {"potential": _potentials},
+    "evolve": {**_gp_keys, "dt": _lengths, "t_final": _lengths, "snapshots": _counts},
+    "groundstate": _gp_keys,
+    "two-body-convergence": {
         "potential": _potentials,
-        "dt": _json,
-        "tol": _json,
-        "coupling": _json,
-        "kind": _json | st.sampled_from(["int1", "trivv", "vl1", "vl12", "theta"]),
-        "dim": _counts,
-        "grid": _counts,
-        "box": _lengths,
-        "t_final": _lengths,
-        "snapshots": _counts,
-        "levels": _counts,
-        "snapshot_dt": _lengths,
-        "amp_cos": _lengths,
-        "samples": _counts | st.integers(90, 110),
         "n_list": _counts,
         "times": _lengths,
-        "pairs": _counts,
-        "alphas": _lengths,
-        "p_grid": _lengths,
-        "initial": _json
-        | st.fixed_dictionaries(
-            {"type": st.sampled_from(["plane-wave", "gaussian", "cosine", "other"])},
-            optional={"mode": _counts, "amplitude": _lengths, "width": _lengths},
-        ),
-        "trap": _json | st.just("harmonic"),
-        "wrong_factor": _lengths,
-        "phase_probe_k": _lengths,
+        "sigma": _lengths,
+        "rmax": _lengths,
+        "dt": _lengths,
     },
+    "second-moment": {"potential": _potentials, "samples": _counts, "k_max": _lengths, "n_k": _counts},
+    "hierarchy-check": {
+        "coupling": _couplings,
+        **{key: _counts for key in ("dim", "grid", "levels")},
+        **{key: _lengths for key in ("box", "snapshot_dt", "t_final", "amp_cos", "amp_sin")},
+    },
+}
+_kind_keys = {
+    "int1": {"p_grid": _lengths},
+    "trivv": {"p_grid": _lengths},
+    "vl1": {"potential": _potentials, "pairs": _counts},
+    "vl12": {"potential": _potentials, "alphas": _lengths},
+    "theta": {"n_particles": _counts, "k": _counts, "n": _counts, "samples": _counts | st.integers(90, 110)},
+}
+_documents = st.one_of(
+    *(
+        st.fixed_dictionaries({"task": st.just(task)}, optional={"seed": _seeds, **keys})
+        for task, keys in _task_keys.items()
+    ),
+    *(
+        st.fixed_dictionaries(
+            {"task": st.just("inequality-check"), "kind": st.just(kind)}, optional={"seed": _seeds, **keys}
+        )
+        for kind, keys in _kind_keys.items()
+    ),
+    # any task with foreign keys, the retired ones among them
+    st.fixed_dictionaries(
+        {"task": st.sampled_from(cli.TASKS) | _json},
+        optional={key: _json for key in ("kind", "snapshot", "wrong_factor", "phase_probe_k", "tol", "potential")},
+    ),
 )
 
 
