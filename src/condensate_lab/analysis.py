@@ -7,7 +7,8 @@ Three groups of checks live here:
   * the pairing inequality |<phi, V(x1-x2) psi>| <= C ||V||_1 sqrt(Q(phi) Q(psi))
     with Q = <(grad1.grad2)^2 - Lap1 - Lap2 + 1>, and its delta-approximation
     refinement with rate alpha^(1/12), evaluated on separable Gaussian pairs
-    where every ingredient reduces to closed forms or 1-d quadratures;
+    where every ingredient is a closed form but the radial pairing integral,
+    one Gauss-Legendre sum with panel edges at the knots of V;
   * the exponential pair-repulsion cutoffs: pointwise evaluation, analytic
     gradients/Hessians, exact monotonicity, and the gradient/Hessian ratio
     bounds sampled over random configurations.
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .potentials import Potential, dilate
+from .radial import gauss_panels
 
 
 # ---------------------------------------------------------------------------
@@ -170,44 +172,36 @@ def delta_pairing(pair: GaussianTestPair) -> complex:
     return complex(k0)
 
 
-def potential_pairing(pair: GaussianTestPair, V: Potential) -> complex:
-    """<phi, V(x1 - x2) psi> = int V(|v|) K(v) dv by radial quadrature.
+# The pairing sum's Gauss-Legendre rule (16 nodes per panel; built once, since an
+# eigenproblem builds it), and its least panel count across the span
+_PAIRING_RULE = np.polynomial.legendre.leggauss(16)
+_SPAN_PANELS = 32
 
-    The quadrature runs to 4 V.range_hint, split at V's breakpoints.  The
-    angular integral of exp(B.v) over the sphere of radius r is
-    4 pi sinh(r sqrt(B.B)) / (r sqrt(B.B)), an even analytic function of
-    the complex square root.
+# e^x underflows to 0 below this x
+_EXP_UNDERFLOW = math.log(np.finfo(np.float64).smallest_subnormal)
+
+
+def potential_pairing(pair: GaussianTestPair, V: Potential) -> complex:
+    """<phi, V(x1 - x2) psi> = int V(|v|) K(v) dv as one Gauss-Legendre sum.
+
+    The angular integral of exp(B.v) over the sphere of radius r is
+    4 pi sinh(s r) / (s r), s = sqrt(B.B), an even analytic function of
+    the complex root.  The radial sum takes 16 nodes on each panel.  The
+    span ends at 4 V.range_hint or where e^{-A r^2 + |Re s| r} underflows,
+    whichever comes first.  The panels are a uniform grid over the span, of
+    step at most K's width 1/sqrt(A) and 1/_SPAN_PANELS of the span, with
+    every knot of V added as an edge, so V is analytic on each.
     """
     A, B, k0 = _correlation_params(pair)
-    b2 = complex(np.dot(B, B))
-    s = np.sqrt(b2)
-
-    def sinhc(z):
-        if abs(z) < 1e-8:
-            return 1.0 + z**2 / 6.0
-        return np.sinh(z) / z
-
-    def integrand(r, part):
-        val = (
-            4.0
-            * np.pi
-            * r**2
-            * float(V(np.asarray([r]))[0])
-            * k0
-            * np.exp(-A * r**2)
-            * sinhc(s * r)
-        )
-        return val.real if part == 0 else val.imag
-
-    from scipy.integrate import quad
-
-    edges = [0.0, *sorted(V.breakpoints), 4.0 * V.range_hint]
-    total = 0.0 + 0.0j
-    for a, b in zip(edges[:-1], edges[1:]):
-        re, _ = quad(lambda r: integrand(r, 0), a, b, epsabs=1e-13, epsrel=1e-10, limit=300)
-        im, _ = quad(lambda r: integrand(r, 1), a, b, epsabs=1e-13, epsrel=1e-10, limit=300)
-        total += re + 1j * im
-    return complex(total)
+    s = np.sqrt(complex(np.dot(B, B)))  # the principal root: Re s >= 0
+    end = min(4.0 * V.range_hint, (s.real + math.sqrt(s.real**2 - 4.0 * A * _EXP_UNDERFLOW)) / (2.0 * A))
+    width = min(1.0 / math.sqrt(A), end / _SPAN_PANELS)
+    edges = np.union1d(np.linspace(0.0, end, math.ceil(end / width) + 1), [k for k in V.knots if k < end])
+    r, w = gauss_panels(edges, _PAIRING_RULE)
+    # e^{-A r^2} sinh(z) / z as e^{z - A r^2} (1 - e^{-2z}) / 2z, where no factor overflows
+    z = s * r
+    kernel = np.exp(z - A * r**2) * (-np.expm1(-2.0 * z) / (2.0 * z) if s else 1.0)
+    return complex(4.0 * np.pi * k0 * np.sum(w * r**2 * V(r) * kernel))
 
 
 def _pair_moments(f: GaussianFactor):

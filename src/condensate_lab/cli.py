@@ -38,6 +38,8 @@ class RunConfig:
     seed: int = 0
     potential: dict | None = None
     params: dict = field(default_factory=dict)
+    # the runner's keyword arguments, as the task's reader made them of the keys above
+    arguments: dict = field(default_factory=dict, repr=False)
 
     def as_dict(self) -> dict:
         out = {"task": self.task, "seed": self.seed, "params": dict(self.params)}
@@ -242,7 +244,7 @@ def parse_config(text: str) -> RunConfig:
 
     The task's reader checks every documented key here, so a malformed
     config, a key no reader looks up, or a run beyond _WORK_BUDGET is a
-    ConfigError before any solver runs.
+    ConfigError before any solver runs; run executes what the reader made.
     """
     try:
         raw = json.loads(text)
@@ -254,20 +256,12 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(task, str) or task not in _TASKS:
         raise ConfigError(f"unknown task: {task!r}")
     seed = _integer("seed", raw.get("seed", 0), 0)
-    params = {
-        k: v for k, v in raw.items() if k not in ("task", "seed", "potential")
-    }
-    cfg = RunConfig(task=task, seed=seed, potential=raw.get("potential"), params=params)
-    _arguments(cfg)
-    return cfg
-
-
-def _arguments(cfg: RunConfig) -> dict:
-    """The runner's keyword arguments, from the task's reader; it reads the potential too."""
-    params = dict(cfg.params)
-    if cfg.potential is not None:
-        params["potential"] = cfg.potential
-    return _read_keys(cfg.task, params, _TASKS[cfg.task][0])
+    params = {k: v for k, v in raw.items() if k not in ("task", "seed", "potential")}
+    potential = raw.get("potential")
+    # the reader reads the potential too
+    keys = params if potential is None else {**params, "potential": potential}
+    arguments = _read_keys(task, keys, _TASKS[task][0])
+    return RunConfig(task=task, seed=seed, potential=potential, params=params, arguments=arguments)
 
 
 def _check(anchor: str, value: float, threshold: float, ok: bool) -> dict:
@@ -403,7 +397,7 @@ def _read_evolve(params: dict) -> dict:
             dt = _positive("dt", params["dt"])
         else:
             # the kinetic-scale precondition at the grid's largest |k|^2
-            dt = min(1e-3, 0.8 * np.pi / gp.max_k_squared(shape, box))
+            dt = min(1e-3, gp.KINETIC_PHASE / gp.max_k_squared(shape, box))
         steps = np.ceil(t_snap / dt - 1e-12)
     if not 1 <= steps <= sys.float_info.max:
         raise ConfigError(f"t_final / snapshots = {t_snap:.3g} takes no finite number of steps dt = {dt:.3g}")
@@ -676,6 +670,15 @@ def _run_hierarchy(outdir: Path, seed: int, *, coupling, levels, shape):
     return results, checks
 
 
+def _dilation(key: str, value) -> float:
+    """A vl12 alpha: potentials.dilate divides by alpha^3, which must be a normal float."""
+    alpha = _positive(key, value)
+    lo, hi = sys.float_info.min ** (1 / 3), sys.float_info.max ** (1 / 3)
+    if not lo <= alpha <= hi:
+        raise ConfigError(f"{key} entries must lie in [{lo:.3g}, {hi:.3g}], where alpha^3 is a normal float, got {value!r}")
+    return alpha
+
+
 def _read_inequality(params: dict) -> dict:
     """The kind's check and its arguments; _run_inequality runs the check."""
     if "kind" not in params:
@@ -697,7 +700,7 @@ def _read_inequality(params: dict) -> dict:
         return {
             "check": _vl12,
             "potential": _read_potential(params, "vl12", potentials.gaussian(1.0, 1.0)),
-            "alphas": _list("alphas", params.get("alphas", [0.5 / 2**j for j in range(11)]), _positive),
+            "alphas": _list("alphas", params.get("alphas", [0.5 / 2**j for j in range(11)]), _dilation),
         }
     n_particles = _integer("n_particles", params.get("n_particles", 10), 2)
     # clamped at the memory size, which it alone would exceed, so need stays within float range
@@ -829,8 +832,8 @@ def _theta(outdir: Path, seed: int, *, cutoff, samples):
     return results, checks
 
 
-# task -> (reader, runner): parse_config checks a config with its reader, and run
-# hands the reader's output to the runner.  A reader takes the config's keys
+# task -> (reader, runner): parse_config keeps the reader's output on the RunConfig,
+# and run hands it to the runner, which must not mutate it.  A reader takes the config's keys
 # (the potential among them) and looks up each key it reads.
 _TASKS = {
     "scatter": (_read_scatter, _run_scatter),
@@ -850,7 +853,7 @@ def run(cfg: RunConfig, outdir: str | Path | None = None) -> Report:
     outdir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     try:
-        results, checks = _TASKS[cfg.task][1](outdir, cfg.seed, **_arguments(cfg))
+        results, checks = _TASKS[cfg.task][1](outdir, cfg.seed, **cfg.arguments)
     except (ValueError, RuntimeError) as exc:
         raise RuntimeError(f"task {cfg.task} failed: {exc}") from exc
     report = Report(

@@ -211,6 +211,10 @@ def _damp(phi: np.ndarray, tau: float, g: float, v_factor: np.ndarray | None):
         phi *= v_factor
 
 
+# The kinetic phase dt * max|k|^2 of default steps, below gp_evolve's limit pi
+KINETIC_PHASE = 0.8 * np.pi
+
+
 def gp_evolve(f: Field, cfg: GPConfig, t: float) -> Field:
     """Strang-split evolution by time t >= 0 (an integer number of dt steps).
 

@@ -93,12 +93,12 @@ def level_steps(level: int, *, dim: int, grid: int, box: float, snapshot_dt: flo
 
     Level l has grid * 2**l points per axis and spacing snapshot_dt / 2**l.
     A spacing takes 10 c steps, c >= 1 the least integer that keeps
-    dt * max k^2 below 0.8 pi.  The count is a float, inf when c leaves
-    float range, so a config reader can bound the work of any level.
+    dt * max k^2 below gp.KINETIC_PHASE.  The count is a float, inf when c
+    leaves float range, so a config reader can bound the work of any level.
     """
     ds = snapshot_dt / 2**level
     k2_max = gp.max_k_squared((grid * 2**level,) * dim, (box,) * dim)
-    return ds, 10.0 * max(1.0, float(np.ceil(ds / 10.0 * k2_max / (0.8 * np.pi))))
+    return ds, 10.0 * max(1.0, float(np.ceil(ds / 10.0 * k2_max / gp.KINETIC_PHASE)))
 
 
 def build_trajectory(

@@ -3,11 +3,14 @@
 Supported families: zero, soft-sphere (piecewise constant ball), gaussian,
 and tabulated radial samples.  Every potential is V(r) = A profile(s r):
 the family fixes the profile, its decay exponent sigma, an effective range
-used to size radial grids, the breakpoints where it is non-smooth and the
-exact integral of the profile over R^3; the transforms below change only
-the amplitude A and the rate s, and every derived quantity follows from
-(A, s).  Rescaling by N maps V to N^2 V(N r), which divides the effective
-range and the scattering length by N.
+used to size radial grids, the breakpoints where it jumps, the knots where
+it is not analytic (the soft-sphere radius, every tabulated sample) and the
+exact integral of the profile over R^3.  The soft-sphere and gaussian
+profiles have unit height, so v0 is A; a table is its own profile, with
+A = 1.  The transforms below change only the amplitude A and the rate s,
+and every derived quantity follows from (A, s).  Rescaling by N maps V to
+N^2 V(N r), which divides the effective range and the scattering length
+by N.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from typing import Callable
 
 import numpy as np
 
+from .radial import gauss_panels
 
 class PotentialError(ValueError):
     pass
@@ -27,23 +31,21 @@ class PotentialError(ValueError):
 class Potential:
     """Radial repulsive potential V(r) = amplitude * profile(rate * r) >= 0.
 
-    family: one of "zero", "soft-sphere", "gaussian", "tabulated"
-    params: family parameters of the profile (see factory functions below)
     sigma: decay exponent in V(r) <= C (1+r)^(-sigma); inf for compact
         or super-exponential tails.  Enforced where it matters: l1 and
         scattering.solve_zero_energy refuse sigma <= 3, and
         scattering.phase_shift refuses sigma <= 1.
-    profile_range, profile_breakpoints, profile_l1: effective range,
-        non-smooth points and integral over R^3 of the profile.
+    profile_range, profile_l1, profile_breakpoints, profile_knots:
+        effective range, integral over R^3, jumps and non-analytic points
+        of the profile.
     """
 
-    family: str
-    params: dict
     sigma: float
     profile: Callable[[np.ndarray], np.ndarray]
     profile_range: float
     profile_l1: float
     profile_breakpoints: tuple[float, ...] = ()
+    profile_knots: tuple[float, ...] = ()
     amplitude: float = 1.0
     rate: float = 1.0
 
@@ -60,6 +62,10 @@ class Potential:
         return tuple(b / self.rate for b in self.profile_breakpoints)
 
     @property
+    def knots(self) -> tuple[float, ...]:
+        return tuple(b / self.rate for b in self.profile_knots)
+
+    @property
     def l1(self) -> float:
         """int_{R^3} V, in closed form from the profile's."""
         if self.sigma <= 3.0:
@@ -69,8 +75,6 @@ class Potential:
 
 def zero_potential() -> Potential:
     return Potential(
-        family="zero",
-        params={},
         sigma=np.inf,
         profile=lambda r: np.zeros_like(np.asarray(r, dtype=np.float64)),
         profile_range=1.0,
@@ -90,16 +94,16 @@ def soft_sphere(v0: float, radius: float) -> Potential:
 
     def ev(r):
         r = np.asarray(r, dtype=np.float64)
-        return np.where(r <= radius, v0, 0.0)
+        return np.where(r <= radius, 1.0, 0.0)
 
     return Potential(
-        family="soft-sphere",
-        params={"v0": v0, "radius": radius},
         sigma=np.inf,
         profile=ev,
         profile_range=radius,
-        profile_l1=4.0 * np.pi * v0 * radius**3 / 3.0,
+        profile_l1=4.0 * np.pi * radius**3 / 3.0,
         profile_breakpoints=(radius,),
+        profile_knots=(radius,),
+        amplitude=v0,
     )
 
 
@@ -115,23 +119,22 @@ def gaussian(v0: float, width: float) -> Potential:
 
     def ev(r):
         r = np.asarray(r, dtype=np.float64)
-        return v0 * np.exp(-((r / width) ** 2))
+        return np.exp(-((r / width) ** 2))
 
     return Potential(
-        family="gaussian",
-        params={"v0": v0, "width": width},
         sigma=np.inf,
         profile=ev,
         profile_range=6.0 * width,
-        profile_l1=np.pi**1.5 * v0 * width**3,
+        profile_l1=np.pi**1.5 * width**3,
+        amplitude=v0,
     )
 
 
 def tabulated(r_samples, v_samples, sigma: float = np.inf) -> Potential:
     r_samples = np.asarray(r_samples, dtype=np.float64)
     v_samples = np.asarray(v_samples, dtype=np.float64)
-    if r_samples.ndim != 1 or r_samples.shape != v_samples.shape:
-        raise PotentialError("tabulated data must be two matching 1-d columns")
+    if r_samples.ndim != 1 or r_samples.shape != v_samples.shape or r_samples.size < 2:
+        raise PotentialError("tabulated data must be two matching 1-d columns of at least 2 samples")
     if not (np.all(np.isfinite(r_samples)) and np.all(np.isfinite(v_samples))):
         raise PotentialError("tabulated samples must be finite")
     if np.isnan(sigma):
@@ -151,29 +154,20 @@ def tabulated(r_samples, v_samples, sigma: float = np.inf) -> Potential:
 
     def ev(r):
         r = np.asarray(r, dtype=np.float64)
-        out = np.where(r < r_lo, v_lo, 0.0)
-        inside = (r >= r_lo) & (r <= r_hi)
-        if np.any(inside):
-            vals = interp(r[inside])
-            out = out.astype(np.float64)
-            out[inside] = np.maximum(vals, 0.0)
-        return out
+        # the interpolant is NaN beyond the samples, which fmax takes to 0
+        return np.where(r < r_lo, v_lo, np.fmax(interp(r), 0.0))
 
     # r^2 times each PCHIP cubic is a quintic, which 3-point Gauss-Legendre integrates exactly
-    nodes, weights = np.polynomial.legendre.leggauss(3)
-    mid = 0.5 * (r_samples[1:] + r_samples[:-1])
-    half = 0.5 * np.diff(r_samples)
-    x = mid[:, None] + half[:, None] * nodes
-    inner = float(np.sum(half[:, None] * weights * x**2 * ev(x)))
+    x, w = gauss_panels(r_samples, np.polynomial.legendre.leggauss(3))
+    inner = float(np.sum(w * x**2 * ev(x)))
     return Potential(
-        family="tabulated",
-        params={"r": r_samples.tolist(), "v": v_samples.tolist()},
         sigma=float(sigma),
         profile=ev,
         profile_range=r_hi,
         profile_l1=4.0 * np.pi * (v_lo * r_lo**3 / 3.0 + inner),
         # a nonzero last sample jumps to 0 there
         profile_breakpoints=(r_hi,) if v_samples[-1] > 0 else (),
+        profile_knots=tuple(r_samples.tolist()),
     )
 
 
@@ -220,7 +214,7 @@ def unit_l1(p: Potential) -> Potential:
 
 
 def from_config(spec: dict) -> Potential:
-    """Build a potential from its {family, params} serialization."""
+    """Build a potential from its config object: a family and its keys."""
     fam = spec.get("family")
     if fam == "zero":
         return zero_potential()

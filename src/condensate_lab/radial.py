@@ -114,6 +114,15 @@ def gaussian_bump(grid: RadialGrid, sigma: float, r0: float = 0.0) -> np.ndarray
     return u / grid.norm(u)
 
 
+def gauss_panels(edges, rule) -> tuple[np.ndarray, np.ndarray]:
+    """Points and weights of a Gauss-Legendre rule, numpy's leggauss (x, w) on
+    [-1, 1], on each panel between ascending edges."""
+    x, w = rule
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * np.diff(edges)
+    return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
+
+
 def half_step_samples(evaluator, a: float, h: float, nsteps: int, lo: float, hi: float):
     """Sample evaluator at nodes and midpoints of [a, a + nsteps h].
 

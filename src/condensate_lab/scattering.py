@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _kernels
 from .potentials import PotentialError
-from .radial import RadialGrid, build_grid, gaussian_bump, half_step_samples
+from .radial import RadialGrid, build_grid, gauss_panels, gaussian_bump, half_step_samples
 
 
 # Radial steps per effective range of V, on both the zero-energy and the
@@ -208,18 +208,6 @@ def phase_shift(p, k: float) -> float:
 _PER_PANEL = 16
 
 
-def _gauss_panels(k_max: float, n_k: int):
-    n_panels = max(1, int(np.ceil(n_k / _PER_PANEL)))
-    x, w = np.polynomial.legendre.leggauss(_PER_PANEL)
-    edges = np.linspace(0.0, k_max, n_panels + 1)
-    ks, ws = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        ks.append(mid + half * x)
-        ws.append(half * w)
-    return np.concatenate(ks), np.concatenate(ws)
-
-
 @dataclass
 class ScatteringTransform:
     """Generalized sine-basis pair for -d^2/dr^2 + V/2 on [0, rmax].
@@ -277,7 +265,8 @@ def build_transform(p, k_max: float, n_k: int, rmax: float | None = None) -> Sca
 
     n_needed = int(np.ceil(4.5 * k_max * grid.rmax / (2.0 * np.pi)))
     n_k = max(n_k, n_needed)
-    k, wk = _gauss_panels(k_max, n_k)
+    n_panels = max(1, int(np.ceil(n_k / _PER_PANEL)))
+    k, wk = gauss_panels(np.linspace(0.0, k_max, n_panels + 1), np.polynomial.legendre.leggauss(_PER_PANEL))
 
     r_match = rng if p.breakpoints else min(1.3 * rng, 0.8 * grid.rmax)
     U, up_end, i_stop = _integrate_radial(p, grid, k**2, r_stop=r_match)

@@ -101,6 +101,52 @@ def test_pairing_against_grid_riemann_oracle():
     assert abs(brute - val) / abs(val) < 1e-6
 
 
+def _whole_space_pairing(pair, v0, width):
+    """int v0 e^{-|v|^2 / width^2} K(v) dv in closed form; width inf is the constant v0."""
+    A, B, k0 = an._correlation_params(pair)
+    a = A + 1.0 / width**2
+    return v0 * k0 * (np.pi / a) ** 1.5 * np.exp(np.dot(B, B) / (4.0 * a))
+
+
+@pytest.mark.parametrize(
+    "V, width",
+    [
+        (pot.gaussian(1.0, 0.01), 0.01),
+        (pot.gaussian(1.0, 1.0), 1.0),
+        (pot.gaussian(1.0, 50.0), 50.0),
+        # the ball is far wider than any K, so it pairs like the constant 2
+        (pot.soft_sphere(2.0, 1e4), np.inf),
+    ],
+)
+def test_pairing_matches_closed_forms(V, width):
+    v0 = V.amplitude
+    for spread in (0.5, 1.0, 3.0):
+        rng = np.random.default_rng(0)
+        for _ in range(30):
+            pair = an.random_pair(rng, spread)
+            exact = _whole_space_pairing(pair, v0, width)
+            assert abs(an.potential_pairing(pair, V) - exact) <= 1e-13 * abs(exact)
+
+
+def test_pairing_on_a_table_breaks_panels_at_its_knots(monkeypatch):
+    # PCHIP kinks at every sample: the sum converges only with an edge on each
+    r = np.concatenate([[0.0], np.sort(np.random.default_rng(0).uniform(0.05, 2.3, 11)), [2.37]])
+    V = pot.tabulated(r, 2.0 * np.exp(-(r**2)))
+    assert V.knots == tuple(r)
+    pairs = [an.random_pair(np.random.default_rng(seed)) for seed in range(5)]
+    values = [an.potential_pairing(pair, V) for pair in pairs]
+    monkeypatch.setattr(an, "_SPAN_PANELS", 100 * an._SPAN_PANELS)
+    for pair, value in zip(pairs, values):
+        reference = an.potential_pairing(pair, V)
+        assert abs(value - reference) <= 1e-12 * abs(reference)
+
+
+def test_vl1_is_finite_for_a_wide_soft_sphere():
+    # sinh(s r) alone overflows long before the radius 1e4
+    ratio = an.vl1_check(pot.soft_sphere(2.0, 1e4), an.random_pair(np.random.default_rng(0)))
+    assert 0.0 < ratio < np.inf
+
+
 def test_delta_pairing_is_quadruple_product_integral():
     rng = np.random.default_rng(4)
     pair = an.random_pair(rng, spread=0.4)
@@ -173,6 +219,15 @@ def test_vl12_gap_ladder():
     # alpha -> 0 recovers the contact pairing
     tiny = an.vl12_rate(base, pair, [1e-3])["gaps"][0]
     assert tiny <= 1e-6
+
+
+def test_vl12_gaps_do_not_depend_on_the_scale_of_v0():
+    # v0 is the amplitude, which unit_l1 divides out before any dilation
+    pair = an.random_pair(np.random.default_rng(0))
+    ladder = [0.5 / 2**j for j in range(11)]
+    gaps = {v0: np.array(an.vl12_rate(pot.unit_l1(pot.gaussian(v0, 1.0)), pair, ladder)["gaps"]) for v0 in (1e-300, 1.0, 1e300)}
+    for v0 in (1e-300, 1e300):
+        assert np.all(np.abs(gaps[v0] - gaps[1.0]) <= 1e-12 * gaps[1.0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Config parsing, the task runner, report schema and determinism."""
 
+import contextlib
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import IntegrationWarning
 
 from condensate_lab import analysis as an
 from condensate_lab import cli, gp
@@ -146,6 +148,26 @@ def test_reports_are_deterministic(tmp_path):
     assert r1.config_hash == r2.config_hash
 
 
+@pytest.mark.parametrize("path", sorted((Path(__file__).parents[1] / "configs").glob("*.json")), ids=lambda p: p.stem)
+def test_one_parsed_config_runs_twice_alike(tmp_path, path):
+    # run hands the reader's arguments to the runner, so no runner may change them
+    cfg = cli.parse_config(path.read_text())
+    a, b = (cli.run(cfg, tmp_path / out).as_dict() for out in "ab")
+    a["runtime_s"] = b["runtime_s"] = 0.0
+    assert cli.canonical_json(a) == cli.canonical_json(b)
+
+
+def test_a_table_rewritten_after_parsing_does_not_change_the_run(tmp_path):
+    path = tmp_path / "v.csv"
+    path.write_text("0.0,2.0\n0.5,2.0\n1.0,2.0\n")
+    doc = json.dumps({"task": "scatter", "potential": {"family": "tabulated", "path": str(path)}})
+    cfg = cli.parse_config(doc)
+    before = cli.run(cfg, tmp_path / "a").results
+    path.write_text("0.0,1.0\n2.0,1.0\n")
+    assert cli.run(cfg, tmp_path / "b").results == before
+    assert cli.run(cli.parse_config(doc), tmp_path / "c").results != before
+
+
 def test_main_exit_codes(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(MINIMAL_SCATTER)
@@ -182,6 +204,7 @@ def test_tabulated_soft_sphere_passes_like_the_soft_sphere(tmp_path):
         {"family": "tabulated", "r": [0.5, float("inf")], "v": [1.0, 0.0]},
         {"family": "tabulated", "r": [0.5, 1.0], "v": [1.0, 0.0], "sigma": float("nan")},
         {"family": "tabulated", "r": [-0.5, 1.0], "v": [1.0, 0.0]},
+        {"family": "tabulated", "r": [], "v": []},
     ],
 )
 def test_malformed_potential_is_config_error(tmp_path, potential):
@@ -289,7 +312,7 @@ def test_seed_override(tmp_path):
 def _coupling(rule, out):
     """The value of an evolve config's coupling, through its reader."""
     cfg = cli.parse_config(json.dumps({"task": "evolve", "coupling": rule}))
-    return cli._resolve_coupling(cli._arguments(cfg)["coupling"], out)
+    return cli._resolve_coupling(cfg.arguments["coupling"], out)
 
 
 def test_coupling_rules():
@@ -311,7 +334,7 @@ def test_default_dt_matches_the_grid_spectrum():
     # coupling and no potential: the documented default g = 0
     for shape, box in (((64,), (2 * np.pi,)), ((33, 48), (3.0, 7.5)), ((8, 9, 10), (1.0, 2.0, 12.0))):
         doc = {"task": "evolve", "dim": len(shape), "grid": list(shape), "box": list(box)}
-        kw = cli._arguments(cli.parse_config(json.dumps(doc)))
+        kw = cli.parse_config(json.dumps(doc)).arguments
         assert kw["coupling"] == 0.0
         dt = kw["dt"]
         k2 = float(np.max(gp.Field(np.zeros(shape), box).k_squared()))
@@ -463,15 +486,20 @@ def test_zero_energy_state_evolves_with_absolute_energy_drift(tmp_path, coupling
         ({"kind": "theta", "n": 1100}, 2),
         # every ratio is 0, so the sup does not move under doubling
         ({"kind": "vl1", "potential": {"family": "zero"}}, 0),
-        # the integrands overflow and the quadrature reports it
+        # the integrands overflow and the quadrature reports it, with a warning
         ({"kind": "int1", "p_grid": [1e153]}, 1),
         ({"kind": "trivv", "p_grid": [1e300]}, 1),
+        # alpha^3 overflows or underflows: refused at parse time
+        ({"kind": "vl12", "alphas": [1e200]}, 2),
+        ({"kind": "vl12", "alphas": [1e-200]}, 2),
     ],
 )
 def test_inequality_extremes_end_with_an_exit_code(tmp_path, doc, code):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"task": "inequality-check", **doc}))
-    assert cli.main(["inequality-check", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == code
+    quad = doc["kind"] in ("int1", "trivv")
+    with pytest.warns(IntegrationWarning) if quad else contextlib.nullcontext():
+        assert cli.main(["inequality-check", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == code
 
 
 _json = st.recursive(
@@ -583,10 +611,10 @@ def test_parse_config_raises_only_config_error(doc):
     assert cfg.task in cli.TASKS
     if cfg.potential is not None:
         p = pot.from_config(cfg.potential)
-        assert all(np.all(np.isfinite(v)) for v in p.params.values())
+        assert all(np.isfinite(v) for v in (p.amplitude, p.rate, p.profile_l1, *p.knots))
         assert not np.isnan(p.sigma)
-    # the reader accepts again what parse_config accepted
-    kw = cli._arguments(cfg)
+    # the runner's arguments, as the reader made them
+    kw = cfg.arguments
     if cfg.task in ("evolve", "groundstate"):
         shape, box = kw["shape"], kw["box"]
         assert len(shape) == len(box) in (1, 2, 3)
@@ -599,7 +627,8 @@ def test_parse_config_raises_only_config_error(doc):
 
 
 def test_importing_the_cli_skips_quadrature_and_interpolation(tmp_path):
-    # after the import, and again after the benchmarked scatter and coupled GP configs run
+    # after the import, and again after the benchmarked scatter and coupled GP configs
+    # and the two pairing configs run
     code = """
 import sys
 from pathlib import Path
@@ -609,7 +638,8 @@ for path in sys.argv[2:]:
     cli.run(cli.parse_config(Path(path).read_text()), Path(sys.argv[1]) / Path(path).stem)
 print([m for m in ('scipy.integrate', 'scipy.interpolate') if m in sys.modules])
 """
-    configs = [str(Path(__file__).parents[1] / "configs" / name) for name in ("scatter.json", "evolve_gp_coupling.json")]
+    names = ("scatter.json", "evolve_gp_coupling.json", "inequality_vl1.json", "inequality_vl12.json")
+    configs = [str(Path(__file__).parents[1] / "configs" / name) for name in names]
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     out = subprocess.run(
         [sys.executable, "-c", code, str(tmp_path), *configs], capture_output=True, text=True, env=env, check=True

@@ -29,12 +29,17 @@ def test_zero_potential_all_norms_vanish():
 
 
 def test_scaling_exactness_same_arithmetic_path():
+    # scale multiplies the amplitude v0 by N^2: N^2 V(N r) but for the rounding of v0 N^2,
+    # and bit for bit where v0 N^2 is exact (v0 = 2)
     rng = np.random.default_rng(0)
     for p in (pot.soft_sphere(2.0, 1.0), pot.gaussian(1.5, 0.7)):
         for N in (2, 7, 31):
             sp = pot.scale(p, N)
             r = rng.uniform(0.0, 3.0, 50)
-            assert np.array_equal(sp(r), N**2 * p(N * r))
+            assert np.array_equal(sp(r), (p.amplitude * N**2) * p.profile(N * r))
+            assert np.allclose(sp(r), N**2 * p(N * r), rtol=2.3e-16, atol=0.0)
+            if p.amplitude == 2.0:
+                assert np.array_equal(sp(r), N**2 * p(N * r))
 
 
 def test_scale_identity_at_one():
@@ -115,7 +120,7 @@ def test_tabulated_from_csv(tmp_path):
     path = tmp_path / "v.csv"
     path.write_text("# r, V\n0.0,2.0\n1.0,1.0\n2.0,0.0\n")
     p = pot.tabulated_from_csv(path)
-    assert p.family == "tabulated"
+    assert p.knots == (0.0, 1.0, 2.0)
     assert abs(p(np.array([1.0]))[0] - 1.0) < 1e-12
 
 
@@ -128,7 +133,7 @@ def test_divergent_norm_for_slow_decay():
 def test_from_config_round_trip_and_errors():
     spec = {"family": "soft-sphere", "v0": 2.0, "radius": 1.0}
     p = pot.from_config(spec)
-    assert p.params == {"v0": 2.0, "radius": 1.0}
+    assert p(np.array([0.5, 1.5])).tolist() == [2.0, 0.0]
     with pytest.raises(pot.PotentialError, match="unknown potential family"):
         pot.from_config({"family": "lennard-jones"})
 
