@@ -17,6 +17,7 @@ Three groups of checks live here:
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,6 +177,8 @@ def delta_pairing(pair: GaussianTestPair) -> complex:
 # eigenproblem builds it), and its least panel count across the span
 _PAIRING_RULE = np.polynomial.legendre.leggauss(16)
 _SPAN_PANELS = 32
+# the least node count of one pairing sum
+PAIRING_NODES = len(_PAIRING_RULE[0]) * _SPAN_PANELS
 
 # e^x underflows to 0 below this x
 _EXP_UNDERFLOW = math.log(np.finfo(np.float64).smallest_subnormal)
@@ -296,12 +299,6 @@ def default_cutoff_config(N: int = 10, k: int = 3, n: int = 1) -> CutoffConfig:
     return CutoffConfig(ell=float(N) ** (-0.4), eps=0.1, n=n, k=k, N=N)
 
 
-def pair_array_bytes(N: int) -> int:
-    """Peak bytes of theta_eval, in _pair_geometry: 21 N x N float64 arrays (diff and grad
-    3 each, rho2, rho, hmat, hess 9, three coefficient temporaries) and numpy's buffers."""
-    return 21 * 8 * N * N + 4 * 8 * np.getbufsize()
-
-
 def _pair_geometry(cfg: CutoffConfig, positions: np.ndarray):
     """h values, gradients and Hessian blocks of h(x_a - x_b) for all pairs.
 
@@ -391,9 +388,8 @@ def cumulative_values(cfg_base: CutoffConfig, row_sums: np.ndarray) -> np.ndarra
         return np.exp(-cfg_base.strength * np.cumsum(row_sums[: cfg_base.N - 1]))
 
 
-def sample_configurations(cfg: CutoffConfig, samples: int, seed: int) -> list[np.ndarray]:
-    """Uniform box of side 10 ell plus clustered variants, per-sample streams."""
-    out = []
+def sample_configurations(cfg: CutoffConfig, samples: int, seed: int) -> Iterator[np.ndarray]:
+    """Uniform box of side 10 ell plus clustered variants, per-sample streams, drawn one at a time."""
     for i in range(samples):
         rng = np.random.default_rng([seed, i])
         pos = rng.uniform(-5.0 * cfg.ell, 5.0 * cfg.ell, size=(cfg.N, 3))
@@ -403,8 +399,7 @@ def sample_configurations(cfg: CutoffConfig, samples: int, seed: int) -> list[np
         elif i % 3 == 2:
             # tight cluster of four particles
             pos[1:4] = pos[0] + rng.normal(scale=0.3 * cfg.ell, size=(3, 3))
-        out.append(pos)
-    return out
+        yield pos
 
 
 def theta_inequalities(cfg: CutoffConfig, samples: int = 100, seed: int = 0) -> dict:

@@ -202,16 +202,20 @@ def _refuse_beyond(have: int, need: float, what: str) -> None:
         raise ConfigError(f"{what.format(need / 1e9)}; physical memory is {have / 1e9:.3g} GB")
 
 
-# Most grid points x solver steps (site-steps) a run may ask for.  A GP site-step
-# costs 98-154 ns on a 2-core host, so the budget is 16-26 minutes of Strang
-# steps; the largest sample config asks for about 2e7.
+# Most work a run may ask for: grid points x solver steps for a solver, and
+# evaluations x the points one evaluation touches for a sampled check.  On a
+# 2-core host a GP site-step costs 98-154 ns and a descent trial point 117 ns,
+# so the budget is 16-26 minutes of Strang steps or 20 minutes of descent; a
+# second-moment transform point costs 0.37 ns (4 s), a vl1 pairing node 630 ns
+# (1.8 hours) and a theta particle pair 2.0 us (5.5 hours).  The largest sample
+# config, second-moment, asks for 7.7e7.
 _WORK_BUDGET = 1e10
 
 
-def _refuse_work(work: float, what: str) -> None:
-    """ConfigError when work site-steps (inf or NaN past float range) exceed _WORK_BUDGET."""
+def _refuse_work(work: float, what: str, unit: str = "grid points x solver steps") -> None:
+    """ConfigError when work (inf or NaN past float range) exceeds _WORK_BUDGET."""
     if not work <= _WORK_BUDGET:
-        raise ConfigError(f"{what} asks for {work:.3g} grid points x solver steps; the budget is {_WORK_BUDGET:.3g}")
+        raise ConfigError(f"{what} asks for {work:.3g} {unit}; the budget is {_WORK_BUDGET:.3g}")
 
 
 def _read_rule(spec: dict) -> tuple:
@@ -402,13 +406,12 @@ def _read_evolve(params: dict) -> dict:
     if not 1 <= steps <= sys.float_info.max:
         raise ConfigError(f"t_final / snapshots = {t_snap:.3g} takes no finite number of steps dt = {dt:.3g}")
     _refuse_work(float(steps) * snapshots * math.prod(shape), "evolve")
-    return {
-        **kw,
-        "t_final": t_final,
-        "snapshots": snapshots,
-        # dt snapped to divide the snapshot interval
-        "dt": float(t_snap / int(steps)),
-    }
+    # dt snapped to divide the snapshot interval, within gp_evolve's kinetic bound
+    dt = float(t_snap / int(steps))
+    phase = dt * gp.max_k_squared(shape, box)
+    if phase > gp.KINETIC_LIMIT:
+        raise ConfigError(f"dt = {dt:.3g} takes a kinetic phase dt * max|k|^2 = {phase:.3g} above pi on this grid")
+    return {**kw, "t_final": t_final, "snapshots": snapshots, "dt": dt}
 
 
 def _run_evolve(outdir: Path, seed: int, *, shape, box, coupling, trap, initial, t_final, snapshots, dt):
@@ -463,6 +466,9 @@ def _read_groundstate(params: dict) -> dict:
     kw = _read_gp(params, 0.7)
     if kw["trap"] is None and kw["coupling"] == 0.0:
         raise ConfigError("no minimizer: groundstate needs a trap or g > 0")
+    # a coupling rule, whose value is known only when the task runs, is never 0.0: it counts as g > 0
+    trials = gp.ground_state_trials(kw["coupling"], kw["trap"], kw["shape"])
+    _refuse_work(math.prod(kw["shape"]) * trials, "groundstate", "grid points x descent trials")
     return kw
 
 
@@ -502,7 +508,7 @@ def _read_two_body(params: dict) -> dict:
             raise ConfigError(f"times must be multiples of dt = {dt!r}, got {t!r}: {exc}") from exc
     potential = _read_potential(params, "two-body-convergence")
     n_list = _list("n_list", params.get("n_list", [8, 16, 32, 64, 128, 256]), lambda key, v: _integer(key, v, 1), 4)
-    rmax = _positive("rmax", params.get("rmax", 24.0))
+    rmax = propagators.DEFECT_RMAX
     # The largest N has the finest grid, of about rmax / step points.  A step
     # that underflows to 0 and a quotient beyond float range read as inf.
     have = _physical_memory()
@@ -516,16 +522,12 @@ def _read_two_body(params: dict) -> dict:
         "potential": potential,
         "n_list": n_list,
         "times": times,
-        "sigma": _positive("sigma", params.get("sigma", 1.0)),
-        "rmax": rmax,
         "dt": dt,
     }
 
 
-def _run_two_body(outdir: Path, seed: int, *, potential, n_list, times, sigma, rmax, dt):
-    curve = propagators.convergence_experiment(
-        potential, n_list, times=tuple(times), sigma=sigma, rmax=rmax, dt=dt
-    )
+def _run_two_body(outdir: Path, seed: int, *, potential, n_list, times, dt):
+    curve = propagators.convergence_experiment(potential, n_list, times=tuple(times), dt=dt)
     results = {
         "N_values": curve.N_values,
         "defects": curve.defects,
@@ -548,17 +550,16 @@ def _run_two_body(outdir: Path, seed: int, *, potential, n_list, times, sigma, r
 
 
 def _read_second_moment(params: dict) -> dict:
-    return {
-        "potential": _read_potential(params, "second-moment"),
-        "samples": _integer("samples", params.get("samples", 10), 1),
-        "k_max": _positive("k_max", params.get("k_max", 14.0)),
-        "n_k": _integer("n_k", params.get("n_k", 640), 1),
-    }
+    potential = _read_potential(params, "second-moment")
+    samples = _integer("samples", params.get("samples", 10), 1)
+    # each sample's check is a product with the transform's k nodes x grid nodes matrix
+    _refuse_work(samples * propagators.second_moment_points(potential), "second-moment", "transform points x samples")
+    return {"potential": potential, "samples": samples}
 
 
-def _run_second_moment(outdir: Path, seed: int, *, potential, samples, k_max, n_k):
+def _run_second_moment(outdir: Path, seed: int, *, potential, samples):
     rng = np.random.default_rng(seed)
-    transform = scattering.build_transform(potentials.scale(potential, 2), k_max=k_max, n_k=n_k)
+    transform = propagators.second_moment_transform(potential)
     rows = []
     for i in range(samples):
         chi = propagators.CenterProfile(
@@ -593,28 +594,16 @@ _WRONG_FACTOR = 2.0
 def _read_hierarchy(params: dict) -> dict:
     dim = _choice("dim", params.get("dim", 1), (1, 2, 3))
     levels = _integer("levels", params.get("levels", 3), 2)
-    shape = {
-        "dim": dim,
-        "grid": _integer("grid", params.get("grid", {1: 64, 2: 20, 3: 8}[dim]), 2),
-        "box": _positive("box", params.get("box", 2.0 * np.pi)),
-        "snapshot_dt": _positive("snapshot_dt", params.get("snapshot_dt", 0.05)),
-        "t_final": _positive("t_final", params.get("t_final", 0.5)),
-        "amp_cos": _finite("amp_cos", params.get("amp_cos", 0.4)),
-        "amp_sin": _finite("amp_sin", params.get("amp_sin", 0.3)),
-    }
-    # the five-point stencil needs 5 snapshots on the coarsest level
-    steps = shape["t_final"] / shape["snapshot_dt"]
-    if steps < 3.5:
-        raise ConfigError("t_final must be at least 4 snapshot_dt (5 snapshots)")
+    grid, spacings = hierarchy.GRID[dim], round(hierarchy.T_FINAL / hierarchy.SNAPSHOT_DT)
     # Beside the finest level's T snapshots of n complex points, the residual sweep
     # holds the r x 2T coordinates of their QR (r = min(n, 2T)), either the 2T
     # pulled-back fields and a field of scratch or six r x r matrices, and a numpy
-    # iterator buffer.  Integer arithmetic: each factor is clamped at the memory
-    # size, which it alone would exceed, so a huge level count or grid stays finite.
+    # iterator buffer.  Integer arithmetic: the level factor is clamped at the memory
+    # size, which it alone would exceed, so a huge level count stays finite.
     have = _physical_memory()
     scale = 2 ** min(levels - 1, have.bit_length())
-    n = (min(shape["grid"], have) * scale) ** dim
-    snapshots = round(min(steps, have)) * scale + 1
+    n = (grid * scale) ** dim
+    snapshots = spacings * scale + 1
     r = min(n, 2 * snapshots)
     sweep = 2 * snapshots * r + max((2 * snapshots + 1) * n, 6 * r * r) + np.getbufsize()
     need = 16 * (snapshots * n + sweep)
@@ -623,26 +612,20 @@ def _read_hierarchy(params: dict) -> dict:
     )
     work = 0.0
     for level in (0, *range(levels)):  # the zero-coupling run at level 0, then the ladder
-        ds, steps = hierarchy.level_steps(
-            level, dim=dim, grid=shape["grid"], box=shape["box"], snapshot_dt=shape["snapshot_dt"]
-        )
-        work += (shape["grid"] * 2**level) ** dim * steps * round(shape["t_final"] / ds)
+        ds, steps = hierarchy.level_steps(level, dim=dim, grid=grid)
+        work += (grid * 2**level) ** dim * steps * round(hierarchy.T_FINAL / ds)
     _refuse_work(work, "hierarchy-check")
-    return {
-        "coupling": _read_coupling(params, 1.0),
-        "levels": levels,
-        "shape": shape,
-    }
+    return {"coupling": _read_coupling(params, 1.0), "levels": levels, "dim": dim}
 
 
-def _run_hierarchy(outdir: Path, seed: int, *, coupling, levels, shape):
+def _run_hierarchy(outdir: Path, seed: int, *, coupling, levels, dim):
     results: dict = {}
     coupling = _resolve_coupling(coupling, results)
-    study = hierarchy.refinement_study(levels, coupling, **shape)
+    study = hierarchy.refinement_study(levels, coupling, dim=dim)
     res_fine = study["finest_residual"]
     ratio = max(res_fine.differential(_WRONG_FACTOR * coupling)) / max(res_fine.differential_residual)
 
-    zero_traj = hierarchy.build_trajectory(0, coupling=0.0, **shape)
+    zero_traj = hierarchy.build_trajectory(0, coupling=0.0, dim=dim)
     zero_resid = hierarchy.integral_form_residual(zero_traj, 0.0)[-1]
     columns = ("t", "differential_residual", "integral_residual")
     table = list(zip(res_fine.times, res_fine.differential_residual, res_fine.integral_residual))
@@ -650,7 +633,7 @@ def _run_hierarchy(outdir: Path, seed: int, *, coupling, levels, shape):
     results.update(
         {
             "coupling": coupling,
-            "dim": shape["dim"],
+            "dim": dim,
             "differential_residuals": study["differential"],
             "integral_residuals": study["integral"],
             "slope_differential": study["slope_differential"],
@@ -670,13 +653,11 @@ def _run_hierarchy(outdir: Path, seed: int, *, coupling, levels, shape):
     return results, checks
 
 
-def _dilation(key: str, value) -> float:
-    """A vl12 alpha: potentials.dilate divides by alpha^3, which must be a normal float."""
-    alpha = _positive(key, value)
-    lo, hi = sys.float_info.min ** (1 / 3), sys.float_info.max ** (1 / 3)
-    if not lo <= alpha <= hi:
-        raise ConfigError(f"{key} entries must lie in [{lo:.3g}, {hi:.3g}], where alpha^3 is a normal float, got {value!r}")
-    return alpha
+# The momenta int1 and trivv evaluate their kernels at, each grid from p = 0, where
+# both checks compare; and the vl12 dilation ladder, alpha from 0.5 down.
+_INT1_P_GRID = (0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0)
+_TRIVV_P_GRID = (0.0, 1.0, 5.0, 20.0)
+_VL12_ALPHAS = tuple(0.5 / 2**j for j in range(11))
 
 
 def _read_inequality(params: dict) -> dict:
@@ -685,50 +666,25 @@ def _read_inequality(params: dict) -> dict:
         raise ConfigError("inequality-check requires a kind")
     kind = _choice("kind", params["kind"], ("int1", "trivv", "vl1", "vl12", "theta"))
     if kind in ("int1", "trivv"):
-        default = [0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0] if kind == "int1" else [0.0, 1.0, 5.0, 20.0]
-        return {
-            "check": _int1 if kind == "int1" else _trivv,
-            "p_grid": _list("p_grid", params.get("p_grid", default), _finite),
-        }
+        return {"check": _int1 if kind == "int1" else _trivv}
     if kind == "vl1":
+        pairs = _integer("pairs", params.get("pairs", 100), 1)
+        _refuse_work(2 * pairs * analysis.PAIRING_NODES, "vl1", "pairing nodes x evaluations")
         return {
             "check": _vl1,
             "potential": _read_potential(params, "vl1", potentials.soft_sphere(2.0, 1.0)),
-            "pairs": _integer("pairs", params.get("pairs", 100), 1),
+            "pairs": pairs,
         }
     if kind == "vl12":
-        return {
-            "check": _vl12,
-            "potential": _read_potential(params, "vl12", potentials.gaussian(1.0, 1.0)),
-            "alphas": _list("alphas", params.get("alphas", [0.5 / 2**j for j in range(11)]), _dilation),
-        }
-    n_particles = _integer("n_particles", params.get("n_particles", 10), 2)
-    # clamped at the memory size, which it alone would exceed, so need stays within float range
-    have = _physical_memory()
-    need = analysis.pair_array_bytes(min(n_particles, have))
-    _refuse_beyond(have, need, f"n_particles = {n_particles:.3g} needs at least {{:.3g}} GB of pair arrays")
-    k = _integer("k", params.get("k", 3), 1)
-    if k >= n_particles:
-        raise ConfigError(f"k must be below n_particles = {n_particles}, got {k}")
-    n = _integer("n", params.get("n", 1), 1)
-    try:
-        cutoff = analysis.default_cutoff_config(N=n_particles, k=k, n=n)
-    except ValueError as exc:  # a strength 2^n / ell^eps beyond float range
-        raise ConfigError(f"invalid theta n: {exc}") from exc
-    return {
-        "check": _theta,
-        "cutoff": cutoff,
-        "samples": _integer("samples", params.get("samples", 1000), 100),
-    }
+        return {"check": _vl12, "potential": _read_potential(params, "vl12", potentials.gaussian(1.0, 1.0))}
+    samples = _integer("samples", params.get("samples", 1000), 100)
+    cutoff = analysis.default_cutoff_config()
+    _refuse_work(2 * samples * cutoff.N**2, "theta", "particle pairs x evaluations")
+    return {"check": _theta, "cutoff": cutoff, "samples": samples}
 
 
 def _run_inequality(outdir: Path, seed: int, *, check, **kw):
     return check(outdir, seed, **kw)
-
-
-def _at_zero(kind: str, p_grid: list, values: list) -> float:
-    """The kernel at p = 0: its p_grid value, or computed when p_grid lacks 0."""
-    return values[p_grid.index(0.0)] if 0.0 in p_grid else analysis.kernel_integral(kind, 0.0)
 
 
 def _doubling_change(sup_full: float, sup_half: float) -> float:
@@ -738,9 +694,10 @@ def _doubling_change(sup_full: float, sup_half: float) -> float:
     return 0.0 if sup_full == 0.0 else math.inf
 
 
-def _int1(outdir: Path, seed: int, *, p_grid):
+def _int1(outdir: Path, seed: int):
+    p_grid = _INT1_P_GRID
     values = [analysis.kernel_integral("int1", p) for p in p_grid]
-    v0 = _at_zero("int1", p_grid, values)
+    v0 = values[0]
     cal = abs(v0 - np.pi**2)
     sup_ok = max(values) <= v0 + 1e-6
     results = {"p_grid": p_grid, "values": values, "calibration_gap": cal}
@@ -752,11 +709,12 @@ def _int1(outdir: Path, seed: int, *, p_grid):
     return results, checks
 
 
-def _trivv(outdir: Path, seed: int, *, p_grid):
+def _trivv(outdir: Path, seed: int):
     from scipy.special import gamma as _gamma
 
+    p_grid = _TRIVV_P_GRID
     values = [analysis.kernel_integral("trivv", p) for p in p_grid]
-    v0 = _at_zero("trivv", p_grid, values)
+    v0 = values[0]
     oracle = float(4.0 * np.pi * (0.5 * _gamma(1.75) * _gamma(0.25) + np.pi / 4.0))
     gap = abs(v0 - oracle)
     results = {"p_grid": p_grid, "values": values, "beta_oracle": oracle}
@@ -786,7 +744,8 @@ def _vl1(outdir: Path, seed: int, *, potential, pairs):
     return results, checks
 
 
-def _vl12(outdir: Path, seed: int, *, potential, alphas):
+def _vl12(outdir: Path, seed: int, *, potential):
+    alphas = _VL12_ALPHAS
     pair = analysis.random_pair(np.random.default_rng(seed))
     res = analysis.vl12_rate(potentials.unit_l1(potential), pair, alphas)
     gaps = res["gaps"]

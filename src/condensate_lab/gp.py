@@ -25,6 +25,7 @@ Fields are complex128 throughout, so every solver uses the one spectrum k^2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -211,8 +212,10 @@ def _damp(phi: np.ndarray, tau: float, g: float, v_factor: np.ndarray | None):
         phi *= v_factor
 
 
-# The kinetic phase dt * max|k|^2 of default steps, below gp_evolve's limit pi
-KINETIC_PHASE = 0.8 * np.pi
+# gp_evolve's bound on the kinetic phase dt * max|k|^2 of a step, and the phase
+# of default steps below it
+KINETIC_LIMIT = np.pi
+KINETIC_PHASE = 0.8 * KINETIC_LIMIT
 
 
 def gp_evolve(f: Field, cfg: GPConfig, t: float) -> Field:
@@ -230,7 +233,7 @@ def gp_evolve(f: Field, cfg: GPConfig, t: float) -> Field:
     if nsteps < 0:
         raise ValueError("t must be nonnegative")
     plan = cfg._plan(f)
-    if cfg.dt * plan.k2_max > np.pi:
+    if cfg.dt * plan.k2_max > KINETIC_LIMIT:
         raise ValueError("dt too large for the grid kinetic scale")
     _guard(plan, plan.fft(f.values), "initial data")
     kin = plan.kinetic(cfg.dt)
@@ -281,8 +284,20 @@ _EIGH_AXIS_MAX = 1024
 # Accepted-step budget of the backtracking descent.
 _MAX_ITERS = 20000
 
-# First imaginary-time step of the descent; backtracking halves it.
+# First imaginary-time step of the descent; backtracking halves it, and the
+# descent ends when it has fallen to _DTAU_MIN.
 _DTAU = 0.02
+_DTAU_MIN = 1e-12
+
+
+def ground_state_trials(coupling: float, trap, shape: tuple[int, ...]) -> int:
+    """Most trial steps gp_ground_state takes: 0 where it solves exactly (g = 0 in
+    harmonic_trap on at most _EIGH_AXIS_MAX points per axis), else _MAX_ITERS
+    accepted steps and one rejected trial per halving of dtau from _DTAU to
+    _DTAU_MIN, since dtau never grows."""
+    if coupling == 0.0 and trap is harmonic_trap and max(shape) <= _EIGH_AXIS_MAX:
+        return 0
+    return _MAX_ITERS + math.ceil(math.log2(_DTAU / _DTAU_MIN))
 
 
 def _harmonic_minimiser(f: Field) -> Field:
@@ -316,7 +331,7 @@ def _descend(f: Field, cfg: GPConfig, energies: list, tol: float):
     while iters < _MAX_ITERS:
         iters += 1
         stepped = False
-        while dtau > 1e-12:
+        while dtau > _DTAU_MIN:
             if dtau != built:  # the step factors change only when dtau halves
                 kin = np.exp(-plan.k2 * dtau)
                 v_factor = None if plan.trap is None else np.exp(-0.5 * dtau * plan.trap)
@@ -365,7 +380,7 @@ def gp_ground_state(cfg: GPConfig, init: Field, tol: float = 1e-10) -> dict:
         raise ValueError("initial state must be normalized")
     f = init.copy()
     energies = [gp_energy(f, cfg)["total"]]
-    if cfg.coupling == 0.0 and cfg.trap is harmonic_trap and max(f.shape) <= _EIGH_AXIS_MAX:
+    if not ground_state_trials(cfg.coupling, cfg.trap, f.shape):
         cand = _harmonic_minimiser(f)
         e_new = gp_energy(cand, cfg)["total"]
         if e_new <= energies[-1]:

@@ -88,7 +88,19 @@ def _pulled_back(trajectory: list[Field]) -> np.ndarray:
     return fields.reshape(len(fields), -1).T
 
 
-def level_steps(level: int, *, dim: int, grid: int, box: float, snapshot_dt: float) -> tuple[float, float]:
+# The ladder every hierarchy check runs: the base grid per dimension, the box,
+# the base snapshot spacing, the trajectory length and the initial state's two
+# mode amplitudes.  The checks' thresholds were set at these values.
+GRID = {1: 64, 2: 20, 3: 8}
+BOX = 2.0 * np.pi
+SNAPSHOT_DT = 0.05
+T_FINAL = 0.5
+AMP_COS, AMP_SIN = 0.4, 0.3
+
+
+def level_steps(
+    level: int, *, dim: int, grid: int, box: float = BOX, snapshot_dt: float = SNAPSHOT_DT
+) -> tuple[float, float]:
     """Snapshot spacing ds of one ladder level and the Strang steps per spacing.
 
     Level l has grid * 2**l points per axis and spacing snapshot_dt / 2**l.
@@ -106,22 +118,23 @@ def build_trajectory(
     *,
     coupling: float,
     dim: int = 1,
-    grid: int = 64,
-    box: float = 2.0 * np.pi,
-    snapshot_dt: float = 0.05,
-    t_final: float = 0.5,
-    amp_cos: float = 0.4,
-    amp_sin: float = 0.3,
+    grid: int | None = None,
+    box: float = BOX,
+    snapshot_dt: float = SNAPSHOT_DT,
+    t_final: float = T_FINAL,
+    amp_cos: float = AMP_COS,
+    amp_sin: float = AMP_SIN,
 ) -> list[Field]:
     """GP trajectory of a two-mode state at one level of a refinement ladder.
 
     The cosine mode runs along the first axis and the sine mode along the
     last, at twice the wavenumber when that is the same axis (d = 1).
-    Level l has grid * 2**l points per axis, and level_steps gives its
-    snapshot spacing and Strang steps.  Each snapshot is one gp_evolve
-    call, so the phase half steps split only at snapshots, and the guard
-    reads the spectrum each step already holds.
+    Level l has grid * 2**l points per axis (grid None: GRID[dim]), and
+    level_steps gives its snapshot spacing and Strang steps.  Each snapshot
+    is one gp_evolve call, so the phase half steps split only at snapshots,
+    and the guard reads the spectrum each step already holds.
     """
+    grid = GRID[dim] if grid is None else grid
     M = grid * 2**level
     coords = np.meshgrid(*gp.centered_axes((M,) * dim, (box,) * dim), indexing="ij")
     wavenumber = 2 if dim == 1 else 1

@@ -20,6 +20,7 @@ from . import _kernels
 from .potentials import Potential, scale
 from .radial import RadialGrid, build_grid, gaussian_bump
 from .scattering import ScatteringTransform, apply_hamiltonian, build_transform, potential_node_samples
+from .scattering import transform_points
 
 
 @dataclass
@@ -156,8 +157,9 @@ class DefectCurve:
         return all(b < a for a, b in zip(self.defects[:-1], self.defects[1:]))
 
 
-# convergence_experiment's per-N grid resolves the range of V_N by
-# _POINTS_PER_CORE steps, none longer than _H_CAP.
+# convergence_experiment's per-N grid on [0, DEFECT_RMAX] resolves the range of
+# V_N by _POINTS_PER_CORE steps, none longer than _H_CAP.
+DEFECT_RMAX = 24.0
 _POINTS_PER_CORE = 10
 _H_CAP = 0.02
 
@@ -172,7 +174,6 @@ def convergence_experiment(
     N_list,
     times=(0.25, 0.5, 1.0),
     sigma: float = 1.0,
-    rmax: float = 24.0,
     dt: float = 1e-3,
 ) -> DefectCurve:
     """Defect versus N on per-N grids; reports the log-log slope.
@@ -194,7 +195,7 @@ def convergence_experiment(
     wall = 0.0
     for N in N_list:
         pN = scale(p, N)
-        grid = build_grid(rmax, radial_step(pN.range_hint), breakpoints=pN.breakpoints)
+        grid = build_grid(DEFECT_RMAX, radial_step(pN.range_hint), breakpoints=pN.breakpoints)
         w = gaussian_packet(grid, sigma=sigma)
         if h1 is None:
             h1 = w.h1_norm()
@@ -253,6 +254,22 @@ class SecondMomentResult:
     slack: float
 
 
+# second_moment_check's N = 2 transform: its spectral cutoff and least k node count
+_SECOND_MOMENT_K_MAX = 14.0
+_SECOND_MOMENT_N_K = 640
+
+
+def second_moment_transform(p: Potential) -> ScatteringTransform:
+    """The transform of scale(p, 2) that second_moment_check uses when given none."""
+    return build_transform(scale(p, 2), k_max=_SECOND_MOMENT_K_MAX, n_k=_SECOND_MOMENT_N_K)
+
+
+def second_moment_points(p: Potential) -> float:
+    """About k nodes x grid nodes of second_moment_transform(p), without building it:
+    the points one second_moment_check on it touches."""
+    return transform_points(scale(p, 2), k_max=_SECOND_MOMENT_K_MAX, n_k=_SECOND_MOMENT_N_K)
+
+
 def second_moment_check(
     chi: CenterProfile,
     g: RadialWavepacket,
@@ -269,7 +286,7 @@ def second_moment_check(
     """
     pN = scale(p, 2)
     if transform is None:
-        transform = build_transform(pN, k_max=14.0, n_k=640)
+        transform = second_moment_transform(p)
     grid = transform.grid
     if g.grid is not grid and g.grid.n != grid.n:
         raise ValueError("g must live on the transform grid")

@@ -247,6 +247,26 @@ class ScatteringTransform:
         return self.inverse_free(self.forward_interacting(u))
 
 
+def _radial_extent(p, k_max: float) -> tuple[float, float, float]:
+    """build_transform's range of p, its default rmax and its grid step target."""
+    rng = max(p.range_hint, 1e-6)
+    return rng, max(30.0, 5.0 * rng + 20.0), min(rng / _STEPS_PER_RANGE, np.pi / (20.0 * k_max), 0.02)
+
+
+def _k_nodes(k_max: float, n_k: int, rmax: float) -> float:
+    """build_transform's k node count (inf past float range): n_k, raised to resolve
+    the synthesis kernels at rmax, in whole panels of _PER_PANEL nodes."""
+    n_k = max(n_k, np.ceil(4.5 * k_max * rmax / (2.0 * np.pi)))
+    return _PER_PANEL * max(1.0, np.ceil(n_k / _PER_PANEL))
+
+
+def transform_points(p, k_max: float, n_k: int) -> float:
+    """About k nodes x grid nodes of build_transform(p, k_max, n_k), the size of each
+    of its matrices, from the rules it builds by but without building anything."""
+    _, rmax, h = _radial_extent(p, k_max)
+    return float(_k_nodes(k_max, n_k, rmax) * (rmax / h + 1.0))
+
+
 def build_transform(p, k_max: float, n_k: int, rmax: float | None = None) -> ScatteringTransform:
     """Construct the s-wave transform pair for potential p on [0, rmax].
 
@@ -256,16 +276,11 @@ def build_transform(p, k_max: float, n_k: int, rmax: float | None = None) -> Sca
     synthesis kernels at rmax; a completeness defect above
     _COMPLETENESS_TOL raises "insufficient k resolution".
     """
-    rng = max(p.range_hint, 1e-6)
-    if rmax is None:
-        rmax = max(30.0, 5.0 * rng + 20.0)
-    h = min(rng / _STEPS_PER_RANGE, np.pi / (20.0 * k_max), 0.02)
-    grid = build_grid(rmax, h, breakpoints=p.breakpoints)
+    rng, default_rmax, h = _radial_extent(p, k_max)
+    grid = build_grid(default_rmax if rmax is None else rmax, h, breakpoints=p.breakpoints)
     _check_repulsive(p, grid)
 
-    n_needed = int(np.ceil(4.5 * k_max * grid.rmax / (2.0 * np.pi)))
-    n_k = max(n_k, n_needed)
-    n_panels = max(1, int(np.ceil(n_k / _PER_PANEL)))
+    n_panels = int(_k_nodes(k_max, n_k, grid.rmax)) // _PER_PANEL
     k, wk = gauss_panels(np.linspace(0.0, k_max, n_panels + 1), np.polynomial.legendre.leggauss(_PER_PANEL))
 
     r_match = rng if p.breakpoints else min(1.3 * rng, 0.8 * grid.rmax)

@@ -412,3 +412,18 @@ def test_real_input_is_stored_complex_and_evolves_alike():
     assert gp.gp_energy(real, cfg) == gp.gp_energy(f, cfg)
     out = gp.gp_evolve(real, cfg, 0.05)
     assert np.array_equal(out.values, gp.gp_evolve(f, cfg, 0.05).values)
+
+
+@pytest.mark.parametrize("dtau", [0.02, 50.0])
+def test_the_descent_takes_at_most_its_counted_trials(monkeypatch, dtau):
+    # each trial evaluates the energy once, after the initial energy; a first
+    # step of 50 is rejected and halved before the descent accepts one
+    monkeypatch.setattr(gp, "_DTAU", dtau)
+    monkeypatch.setattr(gp, "_MAX_ITERS", 40)
+    energy, trials = gp.gp_energy, []
+    monkeypatch.setattr(gp, "gp_energy", lambda f, cfg: trials.append(f) or energy(f, cfg))
+    init = _gaussian((32,), (10.0,))
+    cfg = gp.GPConfig(coupling=10.0, trap=gp.harmonic_trap)
+    res = gp.gp_ground_state(cfg, init)
+    assert res["iterations"] <= len(trials) - 1 <= gp.ground_state_trials(10.0, gp.harmonic_trap, init.shape)
+    assert gp.ground_state_trials(0.0, gp.harmonic_trap, init.shape) == 0

@@ -282,16 +282,18 @@ def test_sweep_memory_matches_the_parse_time_refusal(monkeypatch):
     # T = 401), where the r x 2T QR coordinates are as large as the 2T
     # pulled-back fields.  The count adds one numpy iterator buffer for the
     # r x r matrices, which a ladder may leave unused.
+    # The last ladder is no config's: it patches the fixed grid and length.
     buffer = 16 * np.getbufsize()
     cases = [
-        ({"dim": 3, "grid": 8, "levels": 3}, 0),
-        ({"dim": 1, "grid": 64, "levels": 3}, buffer),
-        ({"dim": 1, "grid": 32, "levels": 2, "t_final": 10.0}, buffer),
+        (3, 3, hr.GRID[3], hr.T_FINAL, 0),
+        (1, 3, hr.GRID[1], hr.T_FINAL, buffer),
+        (1, 2, 32, 10.0, buffer),
     ]
-    for params, slack in cases:
-        doc = json.dumps({"task": "hierarchy-check", **params})
-        shape = {key: value for key, value in params.items() if key != "levels"}
-        traj = hr.build_trajectory(params["levels"] - 1, coupling=1.0, **shape)
+    for dim, levels, grid, t_final, slack in cases:
+        monkeypatch.setattr(hr, "GRID", {**hr.GRID, dim: grid})
+        monkeypatch.setattr(hr, "T_FINAL", t_final)
+        doc = json.dumps({"task": "hierarchy-check", "dim": dim, "levels": levels})
+        traj = hr.build_trajectory(levels - 1, coupling=1.0, dim=dim, t_final=t_final)
         field = traj[0].values.nbytes
         tracemalloc.start()
         try:
