@@ -527,10 +527,13 @@ def test_zero_energy_state_evolves_with_absolute_energy_drift(tmp_path, coupling
 @pytest.mark.parametrize(
     "doc, code",
     [
+        # the fewest samples theta accepts
+        ({"kind": "theta", "samples": 100}, 0),
+        # 2e14 particle pairs: refused within a second
+        ({"kind": "theta", "samples": 10**12}, 2),
         # every ratio is 0, so the sup does not move under doubling
         ({"kind": "vl1", "potential": {"family": "zero"}}, 0),
-        # 2e14 particle pairs and 1e15 pairing nodes: refused within a second
-        ({"kind": "theta", "samples": 10**12}, 2),
+        # 1e15 pairing nodes: refused within a second
         ({"kind": "vl1", "pairs": 10**12}, 2),
     ],
 )
