@@ -218,9 +218,24 @@ def _refuse_work(work: float, what: str, unit: str = "grid points x solver steps
         raise ConfigError(f"{what} asks for {work:.3g} {unit}; the budget is {_WORK_BUDGET:.3g}")
 
 
+# Bytes scattering.solve_zero_energy holds per radial node at its peak: 74 measured
+# on 1e4 to 1e6 nodes, plus the profile a scatter run writes
+_ZERO_ENERGY_NODE_BYTES = 80
+
+
+def _refuse_zero_energy_grid(p: potentials.Potential, what: str) -> None:
+    """ConfigError when p's zero-energy grid exceeds memory: a soft-sphere radius far
+    below the grid step sets the step, so a radius of 1e-300 asks for 2e296 nodes."""
+    need = _ZERO_ENERGY_NODE_BYTES * scattering.zero_energy_points(p)
+    _refuse_beyond(_physical_memory(), need, f"{what} needs about {{:.3g}} GB for its zero-energy radial grid")
+
+
 def _read_rule(spec: dict) -> tuple:
     mode = _choice("coupling mode", spec.get("mode", "scattering-length"), ("scattering-length", "born"))
-    return mode, _potential(spec.get("potential"), "coupling potential")
+    p = _potential(spec.get("potential"), "coupling potential")
+    if mode == "scattering-length":
+        _refuse_zero_energy_grid(p, "the coupling's scattering length")
+    return mode, p
 
 
 def _read_coupling(params: dict, default: float):
@@ -296,7 +311,9 @@ _PHASE_PROBE_K = 1e-3
 
 
 def _read_scatter(params: dict) -> dict:
-    return {"potential": _read_potential(params, "scatter")}
+    p = _read_potential(params, "scatter")
+    _refuse_zero_energy_grid(p, "scatter")
+    return {"potential": p}
 
 
 def _run_scatter(outdir: Path, seed: int, *, potential):
@@ -676,7 +693,11 @@ def _read_inequality(params: dict) -> dict:
             "pairs": pairs,
         }
     if kind == "vl12":
-        return {"check": _vl12, "potential": _read_potential(params, "vl12", potentials.gaussian(1.0, 1.0))}
+        p = _read_potential(params, "vl12", potentials.gaussian(1.0, 1.0))
+        try:
+            return {"check": _vl12, "potential": potentials.unit_l1(p)}
+        except potentials.PotentialError as exc:  # int V = 0, as for the zero family
+            raise ConfigError(f"vl12 needs a potential with int V > 0: {exc}") from exc
     samples = _integer("samples", params.get("samples", 1000), 100)
     cutoff = analysis.default_cutoff_config()
     _refuse_work(2 * samples * cutoff.N**2, "theta", "particle pairs x evaluations")
@@ -747,7 +768,7 @@ def _vl1(outdir: Path, seed: int, *, potential, pairs):
 def _vl12(outdir: Path, seed: int, *, potential):
     alphas = _VL12_ALPHAS
     pair = analysis.random_pair(np.random.default_rng(seed))
-    res = analysis.vl12_rate(potentials.unit_l1(potential), pair, alphas)
+    res = analysis.vl12_rate(potential, pair, alphas)
     gaps = res["gaps"]
     mono = all(b <= a + 1e-8 for a, b in zip(gaps[:-1], gaps[1:]))
     cfit = gaps[0] / (alphas[0] ** (1.0 / 12.0) * res["form_scale"])

@@ -10,16 +10,18 @@ is an explicit parameter; 8 pi a0 from the scattering module is one
 natural choice, the bare integral of V another.
 
 The grid operators of a run form one plan: k^2, the trap values, the
-top-octave mask of the spectral guard, the kinetic factor exp(-i k^2 dt)
-and the transform pair (fft/ifft on 1-d grids, fftn/ifftn otherwise; the
-same bits).  A GPConfig builds the plan the first time it meets a (shape,
-box) and keeps it, so every solver call with that config reads the same
-arrays.  The phase step keeps |phi| pointwise, so gp_evolve runs adjacent
-phase half steps as one full step, split only at the end of a call.  The
-guard probes every max(1, nsteps // 8) steps and at the last step, on the
-spectrum the step already holds after the kinetic factor: that factor has
-modulus 1, so this is the spectrum of the state after the leading phase
-half step, and only the initial data needs a transform for its guard.
+top-octave mask of the spectral guard and the kinetic factor exp(-i k^2 dt).
+A GPConfig builds the plan the first time it meets a (shape, box) and keeps
+it, so every solver call with that config reads the same arrays.  Every
+solver uses one transform pair, the c2c call of fftn/ifftn without their
+dispatch; gp_evolve runs it in place and rotates through buffers it
+allocates once per call, so its steps allocate no field.  The phase step
+keeps |phi| pointwise, so gp_evolve runs adjacent phase half steps as one
+full step, split only at the end of a call.  The guard probes every
+max(1, nsteps // 8) steps and at the last step, on the spectrum the step
+already holds after the kinetic factor: that factor has modulus 1, so this
+is the spectrum of the state after the leading phase half step, and only
+the initial data needs a transform for its guard.
 Fields are complex128 throughout, so every solver uses the one spectrum k^2.
 """
 
@@ -32,6 +34,7 @@ from typing import Callable
 import numpy as np
 import scipy.fft
 import scipy.linalg
+from scipy.fft._pocketfft.pypocketfft import c2c as _c2c
 
 
 def _sum_of_squares(axes: list[np.ndarray]) -> np.ndarray:
@@ -129,6 +132,15 @@ class Field:
         return Field(self.values.copy(), self.box, self.time)
 
 
+# The one transform pair, fftn/ifftn's own c2c call without their costlier dispatch; out=a is in place
+def _fft(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return _c2c(a, None, True, 0, out, 1)
+
+
+def _ifft(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return _c2c(a, None, False, 2, out, 1)  # inorm 2 divides by the grid size
+
+
 class _Plan:
     """Grid operators of one (shape, box) under one GPConfig, built once."""
 
@@ -138,8 +150,6 @@ class _Plan:
         self.k2_max = max_k_squared(f.shape, f.box)
         self.trap = None if cfg.trap is None else cfg.trap_values(f)
         self.top_octave = _top_octave(axes)
-        # fft skips fftn's axes handling, which sets the cost of a short 1-d step
-        self.fft, self.ifft = (scipy.fft.fft, scipy.fft.ifft) if f.dim == 1 else (scipy.fft.fftn, scipy.fft.ifftn)
         self._dt = None
         self._kinetic = None
 
@@ -192,13 +202,12 @@ def _guard(plan: _Plan, spectrum: np.ndarray, where: str):
         raise RuntimeError(f"spectral blow-up: top-octave fraction {tail:.2e} ({where})")
 
 
-def _rotate(phi: np.ndarray, tau: float, g: float, v: np.ndarray | None):
-    """phi <- exp(-i tau (g |phi|^2 + V)) phi in place; |phi| is unchanged."""
-    theta = np.abs(phi) ** 2
+def _rotate(phi: np.ndarray, tau: float, g: float, v: np.ndarray | None, theta: np.ndarray, rot: np.ndarray):
+    """phi <- exp(-i tau (g |phi|^2 + V)) phi in place via the buffers theta, rot; |phi| is kept."""
+    np.square(np.abs(phi, out=theta), out=theta)
     theta *= -tau * g
     if v is not None:
         theta -= tau * v
-    rot = np.empty_like(phi)
     np.cos(theta, out=rot.real)
     np.sin(theta, out=rot.imag)
     phi *= rot
@@ -235,21 +244,22 @@ def gp_evolve(f: Field, cfg: GPConfig, t: float) -> Field:
     plan = cfg._plan(f)
     if cfg.dt * plan.k2_max > KINETIC_LIMIT:
         raise ValueError("dt too large for the grid kinetic scale")
-    _guard(plan, plan.fft(f.values), "initial data")
+    _guard(plan, _fft(f.values), "initial data")
     kin = plan.kinetic(cfg.dt)
     g, v, half = cfg.coupling, plan.trap, 0.5 * cfg.dt
     phi = f.values.copy()
+    scratch = np.empty(phi.shape), np.empty_like(phi)  # _rotate's theta and rot
     probe = max(1, nsteps // 8)
     lead = half  # phase time owed before the next kinetic step
     for step in range(1, nsteps + 1):
-        _rotate(phi, lead, g, v)
-        phi = plan.fft(phi, overwrite_x=True)
+        _rotate(phi, lead, g, v, *scratch)
+        _fft(phi, phi)
         phi *= kin
         if step % probe == 0 or step == nsteps:
             _guard(plan, phi, f"step {step}")
-        phi = plan.ifft(phi, overwrite_x=True)
+        _ifft(phi, phi)
         if step == nsteps:
-            _rotate(phi, half, g, v)
+            _rotate(phi, half, g, v, *scratch)
         lead = cfg.dt
     return Field(phi, f.box, f.time + nsteps * cfg.dt)
 
@@ -264,7 +274,7 @@ def gp_energy(f: Field, cfg: GPConfig) -> dict:
     """
     plan = cfg._plan(f)
     norm = f.dvol / np.prod(f.shape)
-    kinetic = float(np.sum(plan.k2 * np.abs(plan.fft(f.values)) ** 2) * norm)
+    kinetic = float(np.sum(plan.k2 * np.abs(_fft(f.values)) ** 2) * norm)
     dens = np.abs(f.values) ** 2
     interaction = float(0.5 * cfg.coupling * np.sum(dens**2) * f.dvol)
     trap = 0.0 if plan.trap is None else float(np.sum(plan.trap * dens) * f.dvol)
@@ -338,9 +348,9 @@ def _descend(f: Field, cfg: GPConfig, energies: list, tol: float):
                 built = dtau
             phi = f.values.copy()
             _damp(phi, 0.5 * dtau, g, v_factor)
-            phi = plan.fft(phi, overwrite_x=True)
+            _fft(phi, phi)
             phi *= kin
-            phi = plan.ifft(phi, overwrite_x=True)
+            _ifft(phi, phi)
             _damp(phi, 0.5 * dtau, g, v_factor)
             cand = Field(phi, f.box, f.time)
             cand.normalize()

@@ -72,22 +72,31 @@ class RadialGrid:
         return out
 
 
+def _spacing(rmax: float, h_target: float, breakpoints) -> tuple[tuple[float, ...], float]:
+    """build_grid's interior breakpoints and step: h <= h_target, splitting the first
+    piece into an even number of intervals."""
+    breakpoints = tuple(b for b in sorted(breakpoints) if 0.0 < b < rmax)
+    if len(breakpoints) > 1:
+        raise ValueError("at most one interior breakpoint is supported")
+    end = breakpoints[0] if breakpoints else rmax
+    m = max(1, int(np.ceil(end / h_target / 2.0)))
+    return breakpoints, end / (2 * m)
+
+
+def grid_points(rmax: float, h_target: float, breakpoints=()) -> float:
+    """Node count of build_grid(rmax, h_target, breakpoints), without building it;
+    a breakpoint far below h_target sets the step, and so the count."""
+    _, h = _spacing(rmax, h_target, breakpoints)
+    return 2.0 * np.ceil(rmax / h / 2.0) + 1.0
+
+
 def build_grid(rmax: float, h_target: float, breakpoints=()) -> RadialGrid:
     """Uniform grid with h <= h_target, breakpoints on even node indices.
 
     rmax is rounded up so every piece holds an even number of intervals
     (required by the Simpson weights and by the DST length conventions).
     """
-    breakpoints = tuple(b for b in sorted(breakpoints) if 0.0 < b < rmax)
-    if len(breakpoints) > 1:
-        raise ValueError("at most one interior breakpoint is supported")
-    if breakpoints:
-        bp = breakpoints[0]
-        m = max(1, int(np.ceil(bp / h_target / 2.0)))
-        h = bp / (2 * m)
-    else:
-        m = max(1, int(np.ceil(rmax / h_target / 2.0)))
-        h = rmax / (2 * m)
+    breakpoints, h = _spacing(rmax, h_target, breakpoints)
     n_total = int(np.ceil(rmax / h / 2.0)) * 2
     r = np.arange(n_total + 1) * h
     grid = RadialGrid(r=r, h=h, breakpoints=breakpoints)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _kernels
 from .potentials import PotentialError
-from .radial import RadialGrid, build_grid, gauss_panels, gaussian_bump, half_step_samples
+from .radial import RadialGrid, build_grid, gauss_panels, gaussian_bump, grid_points, half_step_samples
 
 
 # Radial steps per effective range of V, on both the zero-energy and the
@@ -55,6 +55,7 @@ def potential_node_samples(p, grid: RadialGrid) -> np.ndarray:
     return vals
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _integrate_radial(p, grid: RadialGrid, k2: np.ndarray, r_stop: float | None = None):
     """March u'' = (V/2 - k^2) u from u(0)=0, u'(0)=1 over the grid pieces.
 
@@ -96,6 +97,9 @@ def _integrate_radial(p, grid: RadialGrid, k2: np.ndarray, r_stop: float | None 
             u = U[ib]
         if ib == i_stop:
             break
+    # inf and NaN persist to the last node: a core too strong for the grid ends the solve
+    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(up))):
+        raise RuntimeError("divergent quadrature: the radial march left float range")
     return U, up, i_stop
 
 
@@ -132,6 +136,17 @@ def _ode_residual(p, grid: RadialGrid, u: np.ndarray) -> float:
     return worst
 
 
+def _zero_energy_extent(p) -> tuple[float, float]:
+    """solve_zero_energy's R_max and grid step target."""
+    rng = max(p.range_hint, 1e-6)
+    return 50.0 * rng, rng / _STEPS_PER_RANGE
+
+
+def zero_energy_points(p) -> float:
+    """Node count of solve_zero_energy(p)'s grid, without building it."""
+    return grid_points(*_zero_energy_extent(p), p.breakpoints)
+
+
 def solve_zero_energy(p) -> ZeroEnergySolution:
     """Outward integration of the k = 0 radial problem.
 
@@ -143,8 +158,7 @@ def solve_zero_energy(p) -> ZeroEnergySolution:
     """
     if p.sigma <= 3.0:
         raise PotentialError("divergent norm: decay exponent sigma <= 3")
-    rng = max(p.range_hint, 1e-6)
-    grid = build_grid(50.0 * rng, rng / _STEPS_PER_RANGE, breakpoints=p.breakpoints)
+    grid = build_grid(*_zero_energy_extent(p), breakpoints=p.breakpoints)
     _check_repulsive(p, grid)
     U, slope, _ = _integrate_radial(p, grid, np.array([0.0]))
     u = U[:, 0] / slope[0]

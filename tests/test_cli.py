@@ -373,6 +373,11 @@ def test_default_dt_matches_the_grid_spectrum():
         {"task": "two-body-convergence", "potential": SOFT, "n_list": [8, 16, 32, 10**200]},
         # a transform of 3.8e12 points for each sample
         {"task": "second-moment", "potential": {"family": "soft-sphere", "v0": 2.0, "radius": 1e-300}},
+        # a zero-energy radial grid of 2e296 nodes, for the scatter task and for a coupling
+        {"task": "scatter", "potential": {"family": "soft-sphere", "v0": 2.0, "radius": 1e-300}},
+        {"task": "evolve", "coupling": {"potential": {"family": "soft-sphere", "v0": 2.0, "radius": 1e-300}}},
+        # int V = 0 leaves nothing for the vl12 ladder to normalize
+        {"task": "inequality-check", "kind": "vl12", "potential": {"family": "zero"}},
     ],
 )
 def test_malformed_task_key_is_config_error(tmp_path, doc):
@@ -381,6 +386,15 @@ def test_malformed_task_key_is_config_error(tmp_path, doc):
     with pytest.raises(cli.ConfigError):
         cli.parse_config(cfg_path.read_text())
     assert cli.main([doc["task"], "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_a_core_that_marches_past_float_range_fails_on_purpose(tmp_path, capsys):
+    # RK4 meets exp(sqrt(v0 / 2) r) growth in the core: the march raises the solver's
+    # own error (exit 1), not numpy's overflow warning, which this suite makes an error
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"task": "scatter", "potential": {"family": "gaussian", "v0": 1e300, "width": 1.0}}))
+    assert cli.main(["scatter", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    assert "divergent quadrature: the radial march left float range" in capsys.readouterr().err
 
 
 def _refused_within_a_second(tmp_path, doc, match):

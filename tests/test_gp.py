@@ -1,5 +1,7 @@
 """Split-step dynamics and imaginary-time ground states on periodic boxes."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -360,20 +362,58 @@ def test_merged_half_steps_match_two_half_step_loop(monkeypatch, dim, M, trapped
 @pytest.mark.parametrize("dim, M", [(1, 48), (3, 12)])
 def test_each_step_costs_two_transforms(monkeypatch, dim, M, nsteps):
     # one transform pair per Strang step plus the guard on the initial data:
-    # a probe that transforms, or a split phase step, would show here
+    # a probe that transforms, or a split phase step, would show here.  Every
+    # transform is a call of gp._c2c; the spy records its forward flag
     calls = []
-    for name in ("fft", "ifft", "fftn", "ifftn"):
-        fn = getattr(scipy.fft, name)
-        monkeypatch.setattr(scipy.fft, name, lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k))
-    ax = (np.arange(M) - M // 2) * (TWO_PI / M)
-    mesh = np.meshgrid(*([ax] * dim), indexing="ij")
-    f = gp.Field(1.0 + 0.2 * np.cos(mesh[0]), (TWO_PI,) * dim).normalize()
-    cfg = gp.GPConfig(coupling=1.0, dt=1e-3)  # a new config builds its plan from the patched module
-    out = gp.gp_evolve(f, cfg, nsteps * cfg.dt)
-    forward, inverse = ("fft", "ifft") if dim == 1 else ("fftn", "ifftn")
-    assert calls == [forward] + [forward, inverse] * nsteps
+    c2c = gp._c2c
+    monkeypatch.setattr(gp, "_c2c", lambda a, axes, forward, *rest: calls.append(forward) or c2c(a, axes, forward, *rest))
+    f = _cosine(dim, M)
+    out = gp.gp_evolve(f, gp.GPConfig(coupling=1.0, dt=1e-3), nsteps * 1e-3)
+    assert calls == [True] + [True, False] * nsteps
     if nsteps == 0:
         assert np.array_equal(out.values, f.values)
+
+
+def _cosine(dim, M):
+    ax = (np.arange(M) - M // 2) * (TWO_PI / M)
+    mesh = np.meshgrid(*([ax] * dim), indexing="ij")
+    return gp.Field(1.0 + 0.2 * np.cos(mesh[0]), (TWO_PI,) * dim).normalize()
+
+
+# the sample configs' grids, the hierarchy ladder (dims 1-3 at levels 0-2), the
+# acceptance battery's 48^3 and 64^3, and an odd length
+@pytest.mark.parametrize(
+    "shape",
+    [(64,), (128,), (256,), (20, 20), (40, 40), (80, 80), (8,) * 3, (16,) * 3, (32,) * 3, (48,) * 3, (64,) * 3, (31,)],
+)
+def test_the_transform_pair_is_fftn_bit_for_bit(shape):
+    rng = np.random.default_rng(sum(shape))
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for pair, ref in ((gp._fft, scipy.fft.fftn(a)), (gp._ifft, scipy.fft.ifftn(a))):
+        assert np.array_equal(pair(a), ref)
+        inplace = a.copy()
+        assert pair(inplace, inplace) is inplace
+        assert np.array_equal(inplace, ref)
+
+
+def test_gp_evolve_peak_memory_does_not_grow_with_steps():
+    # in units of one field: the state (1), _rotate's theta (1/2) and rot (1),
+    # and the guard's |spectrum| and its square (1); Python objects add under
+    # 1/100 field.  An allocation per step that outlived it would grow the peak
+    # with the step count, and a copy of the spectrum in the guard would pass 4
+    f = _cosine(3, 24)
+    cfg = gp.GPConfig(coupling=1.0, dt=1e-3)
+    gp.gp_evolve(f, cfg, cfg.dt)  # builds the plan and its kinetic factor
+    peaks = []
+    for nsteps in (1, 20):
+        tracemalloc.start()
+        try:
+            gp.gp_evolve(f, cfg, nsteps * cfg.dt)
+            peaks.append(tracemalloc.get_traced_memory()[1] / f.values.nbytes)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 0.01
+    assert max(peaks) <= 3.51
 
 
 @pytest.mark.parametrize("g, step", [(50.0, 372), (200.0, 124), (1000.0, 62)])

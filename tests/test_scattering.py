@@ -315,3 +315,14 @@ def test_transform_builds_its_matrices_without_temporaries(soft):
     r = t.grid.r[-64:]
     assert np.array_equal(t.sines[:, -64:], np.sin(np.outer(t.k, r)))
     assert np.array_equal(t.states[:, -64:], np.sin(np.outer(t.k, r) + t.delta0[:, None]))
+
+
+@pytest.mark.parametrize("p", [pot.soft_sphere(2.0, 1.0), pot.gaussian(1.0, 1.0), pot.soft_sphere(2.0, 1e-4), pot.soft_sphere(2.0, 3e-9)])
+def test_zero_energy_points_counts_the_solver_grid(p):
+    assert sc.zero_energy_points(p) == sc.solve_zero_energy(p).grid.n
+
+
+def test_a_tiny_radius_sets_the_zero_energy_step():
+    # below the 1e-6 range floor the radius is the first piece, of two intervals
+    for radius in (1e-9, 1e-100, 1e-300):
+        assert sc.zero_energy_points(pot.soft_sphere(2.0, radius)) == pytest.approx(1e-4 / radius, rel=1e-4)
