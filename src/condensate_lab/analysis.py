@@ -8,7 +8,7 @@ Three groups of checks live here:
     with Q = <(grad1.grad2)^2 - Lap1 - Lap2 + 1>, and its delta-approximation
     refinement with rate alpha^(1/12), evaluated on separable Gaussian pairs
     where every ingredient is a closed form but the radial pairing integral,
-    one Gauss-Legendre sum with panel edges at the knots of V;
+    one Gauss-Legendre sum with panel edges at the breakpoints of V;
   * the exponential pair-repulsion cutoffs: pointwise evaluation, analytic
     gradients/Hessians, exact monotonicity, and the gradient/Hessian ratio
     bounds sampled over random configurations.
@@ -193,13 +193,13 @@ def potential_pairing(pair: GaussianTestPair, V: Potential) -> complex:
     span ends at 4 V.range_hint or where e^{-A r^2 + |Re s| r} underflows,
     whichever comes first.  The panels are a uniform grid over the span, of
     step at most K's width 1/sqrt(A) and 1/_SPAN_PANELS of the span, with
-    every knot of V added as an edge, so V is analytic on each.
+    every breakpoint of V added as an edge, so V is analytic on each.
     """
     A, B, k0 = _correlation_params(pair)
     s = np.sqrt(complex(np.dot(B, B)))  # the principal root: Re s >= 0
     end = min(4.0 * V.range_hint, (s.real + math.sqrt(s.real**2 - 4.0 * A * _EXP_UNDERFLOW)) / (2.0 * A))
     width = min(1.0 / math.sqrt(A), end / _SPAN_PANELS)
-    edges = np.union1d(np.linspace(0.0, end, math.ceil(end / width) + 1), [k for k in V.knots if k < end])
+    edges = np.union1d(np.linspace(0.0, end, math.ceil(end / width) + 1), [b for b in V.breakpoints if b < end])
     r, w = gauss_panels(edges, _PAIRING_RULE)
     # e^{-A r^2} sinh(z) / z as e^{z - A r^2} (1 - e^{-2z}) / 2z, where no factor overflows
     z = s * r
@@ -276,27 +276,26 @@ def vl12_rate(V: Potential, pair: GaussianTestPair, alphas) -> dict:
 class CutoffConfig:
     ell: float
     eps: float
-    n: int
     k: int
     N: int
 
     def __post_init__(self):
         if not (self.ell > 0 and 0 < self.eps < 1):
             raise ValueError("need ell > 0 and 0 < eps < 1")
-        if not (self.n >= 1 and 1 <= self.k < self.N):
-            raise ValueError("need n >= 1 and 1 <= k < N")
-        # 2.0 ** n raises from n = 1024 on, and the quotient may overflow before that
-        if self.n >= 1024 or not math.isfinite(self.strength):
-            raise ValueError(f"need a finite strength 2^n / ell^eps, got n = {self.n}")
+        if not 1 <= self.k < self.N:
+            raise ValueError("need 1 <= k < N")
+        # 2 / ell^eps overflows for ell far below 1 with eps near 1
+        if not math.isfinite(self.strength):
+            raise ValueError(f"need a finite strength 2 / ell^eps, got ell = {self.ell}, eps = {self.eps}")
 
     @property
     def strength(self) -> float:
-        """2^n / ell^eps."""
-        return 2.0**self.n / self.ell**self.eps
+        """2 / ell^eps."""
+        return 2.0 / self.ell**self.eps
 
 
-def default_cutoff_config(N: int = 10, k: int = 3, n: int = 1) -> CutoffConfig:
-    return CutoffConfig(ell=float(N) ** (-0.4), eps=0.1, n=n, k=k, N=N)
+def default_cutoff_config(N: int = 10, k: int = 3) -> CutoffConfig:
+    return CutoffConfig(ell=float(N) ** (-0.4), eps=0.1, k=k, N=N)
 
 
 def _pair_geometry(cfg: CutoffConfig, positions: np.ndarray):
@@ -379,7 +378,7 @@ def theta_eval(cfg: CutoffConfig, positions: np.ndarray) -> CutoffEvaluation:
 
 
 def cumulative_values(cfg_base: CutoffConfig, row_sums: np.ndarray) -> np.ndarray:
-    """Theta_k^(n) for k = 1..N-1 at fixed n, via monotone partial sums.
+    """Theta_k for k = 1..N-1, via monotone partial sums.
 
     row_sums is CutoffEvaluation.row_sums of the configuration.  A product
     strength * sum beyond float range is inf, and exp(-inf) = 0 is the value.
@@ -403,40 +402,30 @@ def sample_configurations(cfg: CutoffConfig, samples: int, seed: int) -> Iterato
 
 
 def theta_inequalities(cfg: CutoffConfig, samples: int = 100, seed: int = 0) -> dict:
-    """Monotonicity and the two ratio bounds over random configurations.
+    """Monotonicity in k and the two ratio bounds over random configurations.
 
-    ratio_ii  = [sum_j |grad_j Theta_k^(n)|^2 / Theta_k^(n)] / [ell^-2 Theta_k^(n-1)]
-    ratio_iii = [sum_{i,j} |hess block| ] / [ell^-2 Theta_k^(n-1)]
-    Both are ell^2 (grad_free or hess_free) exp(2 ln c - (c - c_prev) S_k) with
-    c = strength(n), c_prev = strength(n-1), so no Theta is a divisor.  The
-    per-sample ratios are returned in draw order beside their sups.
-    Monotonicity in k and n must hold exactly (monotone partial sums feed
-    a monotone exponential).  k-monotonicity comes from the partial sums at
-    fixed n; n-monotonicity compares Theta_k^(n) with
-    Theta_k^(n-1) = exp(-strength(n-1) S_k), strength(n-1) taken from the
-    n - 1 configuration, so at n = 1 only k-monotonicity is checked.
+    Theta_k = exp(-c S_k) with c = strength, and Theta_k' = exp(-(c / 2) S_k)
+    is the cutoff at half the strength:
+    ratio_ii  = [sum_j |grad_j Theta_k|^2 / Theta_k] / [ell^-2 Theta_k']
+    ratio_iii = [sum_{i,j} |hess block| ] / [ell^-2 Theta_k']
+    Both are ell^2 (grad_free or hess_free) exp(2 ln c - (c / 2) S_k), so no
+    Theta is a divisor.  The per-sample ratios are returned in draw order
+    beside their sups.  Monotonicity in k must hold exactly: monotone
+    partial sums feed a monotone exponential.
     """
     if samples < 100:
         raise ValueError("need at least 100 samples")
     c = cfg.strength
-    # strength(n - 1) = strength(n) / 2; at n = 1 there is no n - 1 configuration
-    if cfg.n > 1:
-        strength_prev = CutoffConfig(cfg.ell, cfg.eps, cfg.n - 1, cfg.k, cfg.N).strength
-    else:
-        strength_prev = 0.5 * c
     mono_ok = True
     ratio_ii, ratio_iii = [], []
     for pos in sample_configurations(cfg, samples, seed):
         ev = theta_eval(cfg, pos)
-        # k-monotonicity at fixed n, from monotone partial sums
+        # k-monotonicity, from monotone partial sums
         cums = cumulative_values(cfg, ev.row_sums)
         if np.any(np.diff(cums) > 0) or np.any(cums > 1.0):
             mono_ok = False
-        # n-monotonicity at fixed k
-        if cfg.n > 1 and ev.Theta > float(np.exp(-strength_prev * ev.cumulative_sum)):
-            mono_ok = False
-        # ell^2 c^2 Theta / Theta^(n-1)
-        scale = cfg.ell**2 * float(np.exp(2.0 * math.log(c) - (c - strength_prev) * ev.cumulative_sum))
+        # ell^2 c^2 Theta / Theta'
+        scale = cfg.ell**2 * float(np.exp(2.0 * math.log(c) - 0.5 * c * ev.cumulative_sum))
         ratio_ii.append(ev.grad_free * scale)
         ratio_iii.append(ev.hess_free * scale)
     return {

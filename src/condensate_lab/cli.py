@@ -178,8 +178,8 @@ def _potential(spec, key: str = "potential") -> potentials.Potential:
         return _read_keys(key, spec, potentials.from_config)
     except ConfigError:
         raise
-    except (KeyError, TypeError, AttributeError, ValueError, OverflowError, OSError) as exc:
-        # PotentialError is a ValueError; OSError covers a tabulated CSV path
+    except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
+        # PotentialError is a ValueError
         raise ConfigError(f"invalid {key}: {exc!r}") from exc
 
 
@@ -230,16 +230,15 @@ def _refuse_zero_energy_grid(p: potentials.Potential, what: str) -> None:
     _refuse_beyond(_physical_memory(), need, f"{what} needs about {{:.3g}} GB for its zero-energy radial grid")
 
 
-def _read_rule(spec: dict) -> tuple:
-    mode = _choice("coupling mode", spec.get("mode", "scattering-length"), ("scattering-length", "born"))
+def _read_rule(spec: dict) -> potentials.Potential:
+    _choice("coupling mode", spec.get("mode", "scattering-length"), ("scattering-length",))
     p = _potential(spec.get("potential"), "coupling potential")
-    if mode == "scattering-length":
-        _refuse_zero_energy_grid(p, "the coupling's scattering length")
-    return mode, p
+    _refuse_zero_energy_grid(p, "the coupling's scattering length")
+    return p
 
 
 def _read_coupling(params: dict, default: float):
-    """A number >= 0, or a validated (mode, potential) rule for _resolve_coupling."""
+    """A number >= 0, or the validated potential of a scattering-length rule for _resolve_coupling."""
     spec = params.get("coupling", default)
     if not isinstance(spec, dict):
         return _nonnegative("coupling", spec)
@@ -247,13 +246,10 @@ def _read_coupling(params: dict, default: float):
 
 
 def _resolve_coupling(coupling, results: dict) -> float:
-    """The value of a _read_coupling result; a scattering-length rule also reports a0."""
-    if not isinstance(coupling, tuple):
+    """The value of a _read_coupling result: 8 pi a0 for a rule's potential, which also reports a0."""
+    if not isinstance(coupling, potentials.Potential):
         return coupling
-    mode, p = coupling
-    if mode == "born":
-        return p.l1
-    sol = scattering.solve_zero_energy(p)
+    sol = scattering.solve_zero_energy(coupling)
     results["a0"] = sol.a0_asym
     return float(8.0 * np.pi * sol.a0_asym)
 

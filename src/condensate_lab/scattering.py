@@ -150,14 +150,12 @@ def zero_energy_points(p) -> float:
 def solve_zero_energy(p) -> ZeroEnergySolution:
     """Outward integration of the k = 0 radial problem.
 
-    The grid runs to R_max = 50 range in steps of range / _STEPS_PER_RANGE;
-    a decay exponent sigma <= 3 is refused.  Beyond the potential u is
-    affine and _integrate_radial fills it in closed form, so dividing by
-    its slope gives u(r) = r - a0 there exactly: a0_asym is the intercept
-    R_max - u(R_max), and a0_int the weighted-profile value.
+    The grid runs to R_max = 50 range in steps of range / _STEPS_PER_RANGE.
+    Beyond the potential u is affine and _integrate_radial fills it in
+    closed form, so dividing by its slope gives u(r) = r - a0 there
+    exactly: a0_asym is the intercept R_max - u(R_max), and a0_int the
+    weighted-profile value.
     """
-    if p.sigma <= 3.0:
-        raise PotentialError("divergent norm: decay exponent sigma <= 3")
     grid = build_grid(*_zero_energy_extent(p), breakpoints=p.breakpoints)
     _check_repulsive(p, grid)
     U, slope, _ = _integrate_radial(p, grid, np.array([0.0]))
@@ -196,7 +194,7 @@ def phase_shift(p, k: float) -> float:
     """s-wave phase shift delta_0(k) by outward integration of the phase ODE."""
     if k <= 0:
         raise ValueError("phase shift requires k > 0")
-    if not np.isfinite(p.range_hint) or p.sigma <= 1.0:
+    if not np.isfinite(p.range_hint):
         raise PotentialError("non-decaying tail")
     rng = max(p.range_hint, 1e-6)
     r_end = rng if p.breakpoints else 1.4 * rng

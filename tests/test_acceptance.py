@@ -285,7 +285,7 @@ def test_criterion_12_pairing_inequalities():
 
 def test_criterion_13_cutoff_battery():
     with _Budget(13, "pair cutoff battery", 60.0):
-        cfg = an.default_cutoff_config(N=10, k=3, n=1)
+        cfg = an.default_cutoff_config(N=10, k=3)
         r1 = an.theta_inequalities(cfg, samples=1000, seed=0)
         assert r1["monotonicity_ok"]
         r2 = an.theta_inequalities(cfg, samples=2000, seed=0)

@@ -1,7 +1,7 @@
 """Kernel integrals, Gaussian-pair inequalities, and the pair cutoffs."""
 
 import tracemalloc
-import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -128,17 +128,31 @@ def test_pairing_matches_closed_forms(V, width):
             assert abs(an.potential_pairing(pair, V) - exact) <= 1e-13 * abs(exact)
 
 
-def test_pairing_on_a_table_breaks_panels_at_its_knots(monkeypatch):
-    # PCHIP kinks at every sample: the sum converges only with an edge on each
-    r = np.concatenate([[0.0], np.sort(np.random.default_rng(0).uniform(0.05, 2.3, 11)), [2.37]])
-    V = pot.tabulated(r, 2.0 * np.exp(-(r**2)))
-    assert V.knots == tuple(r)
-    pairs = [an.random_pair(np.random.default_rng(seed)) for seed in range(5)]
+def _narrow_pair(seed):
+    """Factors of width 0.09 whose K peaks near |v| = 1 and is narrower than a span panel."""
+    rng = np.random.default_rng(seed)
+
+    def factor(x):
+        center = np.array([x, 0.0, 0.0]) + rng.uniform(-0.05, 0.05, 3)
+        return an.GaussianFactor(center=center, width=0.09, momentum=rng.uniform(-1.0, 1.0, 3))
+
+    return an.GaussianTestPair(factor(0.5), factor(-0.5), factor(0.5), factor(-0.5))
+
+
+def test_pairing_on_a_soft_sphere_breaks_panels_at_its_radius(monkeypatch):
+    # the panels take K's width, so the jump at the radius falls inside one unless it is
+    # an edge: the sum converges only with that edge
+    V = pot.soft_sphere(2.0, 1.07)
+    assert V.breakpoints == (1.07,)
+    no_edge = replace(V, profile_breakpoints=())
+    pairs = [_narrow_pair(seed) for seed in range(5)]
     values = [an.potential_pairing(pair, V) for pair in pairs]
+    unbroken = [an.potential_pairing(pair, no_edge) for pair in pairs]
     monkeypatch.setattr(an, "_SPAN_PANELS", 100 * an._SPAN_PANELS)
-    for pair, value in zip(pairs, values):
+    for pair, value, rough in zip(pairs, values, unbroken):
         reference = an.potential_pairing(pair, V)
         assert abs(value - reference) <= 1e-12 * abs(reference)
+        assert abs(rough - reference) > 1e-6 * abs(reference)
 
 
 def test_vl1_is_finite_for_a_wide_soft_sphere():
@@ -237,15 +251,15 @@ def test_vl12_gaps_do_not_depend_on_the_scale_of_v0():
 
 def test_cutoff_config_validation():
     with pytest.raises(ValueError):
-        an.CutoffConfig(ell=-0.1, eps=0.1, n=1, k=1, N=4)
+        an.CutoffConfig(ell=-0.1, eps=0.1, k=1, N=4)
     with pytest.raises(ValueError):
-        an.CutoffConfig(ell=0.4, eps=0.1, n=0, k=1, N=4)
+        an.CutoffConfig(ell=0.4, eps=1.0, k=1, N=4)
     with pytest.raises(ValueError):
-        an.CutoffConfig(ell=0.4, eps=0.1, n=1, k=4, N=4)
+        an.CutoffConfig(ell=0.4, eps=0.1, k=4, N=4)
 
 
 def test_theta_far_pair_is_near_one():
-    cfg = an.CutoffConfig(ell=0.4, eps=0.1, n=1, k=1, N=2)
+    cfg = an.CutoffConfig(ell=0.4, eps=0.1, k=1, N=2)
     d = 30 * cfg.ell
     pos = np.array([[0.0, 0.0, 0.0], [d, 0.0, 0.0]])
     ev = an.theta_eval(cfg, pos)
@@ -254,7 +268,7 @@ def test_theta_far_pair_is_near_one():
 
 def test_theta_all_coincident_closed_form():
     N = 10
-    cfg = an.CutoffConfig(ell=float(N) ** -0.4, eps=0.1, n=2, k=1, N=N)
+    cfg = an.CutoffConfig(ell=float(N) ** -0.4, eps=0.1, k=1, N=N)
     ev = an.theta_eval(cfg, np.zeros((N, 3)))
     expected = np.exp(-cfg.strength * np.exp(-1.0) * (N - 1))
     assert ev.Theta == expected
@@ -278,7 +292,7 @@ def test_theta_gradient_matches_finite_differences():
 
 
 def test_theta_hessian_against_finite_differences():
-    cfg = an.CutoffConfig(ell=0.4, eps=0.1, n=1, k=1, N=3)
+    cfg = an.CutoffConfig(ell=0.4, eps=0.1, k=1, N=3)
     rng = np.random.default_rng(8)
     pos = rng.uniform(-0.5, 0.5, (3, 3))
     h = 2e-5
@@ -310,27 +324,8 @@ def test_theta_monotonicity_exact():
     assert res["monotonicity_ok"]
 
 
-def test_theta_near_the_largest_n_warns_of_no_overflow():
-    # strength(1021) * S_k leaves float range on some draws; exp(-inf) = 0 is the
-    # right cutoff value, and reaching it is no numerical fault to report
-    cfg = an.default_cutoff_config(n=1021)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        res = an.theta_inequalities(cfg, samples=100, seed=0)
-    assert res["monotonicity_ok"]
-
-
-def test_theta_n_monotonicity_compares_independent_evaluations(monkeypatch):
-    cfg = an.default_cutoff_config(n=2)
-    assert an.theta_inequalities(cfg, samples=100, seed=1)["monotonicity_ok"]
-    # a strength that falls with n makes Theta^(n-1) < Theta^(n): the check must trip
-    falling = property(lambda c: 2.0 ** (-c.n) / c.ell**c.eps)
-    monkeypatch.setattr(an.CutoffConfig, "strength", falling)
-    assert not an.theta_inequalities(cfg, samples=100, seed=1)["monotonicity_ok"]
-
-
 def test_theta_single_pair_closed_form_ratio():
-    cfg = an.CutoffConfig(ell=0.4, eps=0.1, n=1, k=1, N=2)
+    cfg = an.CutoffConfig(ell=0.4, eps=0.1, k=1, N=2)
     d = 0.7 * cfg.ell
     pos = np.array([[0.0, 0.0, 0.0], [d, 0.0, 0.0]])
     ev = an.theta_eval(cfg, pos)
@@ -343,9 +338,10 @@ def test_theta_single_pair_closed_form_ratio():
     assert abs(generic - closed) < 1e-12 * closed
 
 
-def test_theta_ratios_at_large_n_divide_by_no_theta():
-    # At n = 8 Theta underflows to 0 on many draws, so a ratio that divides by it fails.
-    cfg = an.default_cutoff_config(n=8)
+def test_theta_ratios_at_small_ell_divide_by_no_theta():
+    # At strength 2 / ell^eps = 502 Theta underflows to 0 on many draws, so a ratio
+    # that divides by it fails.
+    cfg = an.CutoffConfig(ell=1e-3, eps=0.8, k=3, N=10)
     res = an.theta_inequalities(cfg, samples=300, seed=0)
     assert np.all(np.isfinite(res["ratio_ii"])) and np.all(np.isfinite(res["ratio_iii"]))
     underflows = 0
@@ -362,13 +358,11 @@ def test_theta_ratios_at_large_n_divide_by_no_theta():
 
 
 def test_cutoff_strength_must_be_finite():
-    assert np.isfinite(an.default_cutoff_config(n=1023).strength)
-    for n in (1024, 10**300):
+    # at the least ell, 2 / ell^eps is a float for eps = 0.9 and overflows for eps near 1
+    assert np.isfinite(an.CutoffConfig(ell=5e-324, eps=0.9, k=1, N=2).strength)
+    for eps in (0.999, 1.0 - 2.0**-53):
         with pytest.raises(ValueError, match="finite strength"):
-            an.default_cutoff_config(n=n)
-    # 2^1023 is a float, 2^1023 / ell^eps is not
-    with pytest.raises(ValueError, match="finite strength"):
-        an.CutoffConfig(ell=1e-10, eps=0.1, n=1023, k=1, N=2)
+            an.CutoffConfig(ell=5e-324, eps=eps, k=1, N=2)
 
 
 def test_theta_ratio_sups_stable_under_doubling():
@@ -419,8 +413,7 @@ def _cutoff_configurations(draw):
     N = draw(st.integers(2, 8))
     cfg = an.CutoffConfig(
         ell=draw(st.floats(0.2, 1.0)),
-        eps=0.1,
-        n=draw(st.integers(1, 3)),
+        eps=draw(st.floats(0.1, 0.9)),
         k=draw(st.integers(1, N - 1)),
         N=N,
     )

@@ -155,17 +155,6 @@ def test_one_parsed_config_runs_twice_alike(tmp_path, path):
     assert cli.canonical_json(a) == cli.canonical_json(b)
 
 
-def test_a_table_rewritten_after_parsing_does_not_change_the_run(tmp_path):
-    path = tmp_path / "v.csv"
-    path.write_text("0.0,2.0\n0.5,2.0\n1.0,2.0\n")
-    doc = json.dumps({"task": "scatter", "potential": {"family": "tabulated", "path": str(path)}})
-    cfg = cli.parse_config(doc)
-    before = cli.run(cfg, tmp_path / "a").results
-    path.write_text("0.0,1.0\n2.0,1.0\n")
-    assert cli.run(cfg, tmp_path / "b").results == before
-    assert cli.run(cli.parse_config(doc), tmp_path / "c").results != before
-
-
 def test_main_exit_codes(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(MINIMAL_SCATTER)
@@ -177,17 +166,6 @@ def test_main_exit_codes(tmp_path):
     assert mismatch == 2
 
 
-def test_tabulated_soft_sphere_passes_like_the_soft_sphere(tmp_path):
-    # the table's nonzero last sample is a jump to 0 that the radial grids must meet
-    table = {"family": "tabulated", "r": [0.0, 0.5, 1.0], "v": [2.0, 2.0, 2.0]}
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"task": "scatter", "potential": table}))
-    assert cli.main(["scatter", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
-    tab = json.loads((tmp_path / "o" / "report.json").read_text())["results"]["a0_asym"]
-    soft = cli.run(cli.parse_config(MINIMAL_SCATTER), tmp_path / "soft").results["a0_asym"]
-    assert tab == pytest.approx(soft, rel=1e-9)
-
-
 @pytest.mark.parametrize(
     "potential",
     [
@@ -195,14 +173,17 @@ def test_tabulated_soft_sphere_passes_like_the_soft_sphere(tmp_path):
         [],
         {"family": "soft-sphere", "v0": -1.0, "radius": 1.0},
         {"family": "gaussian", "v0": "2", "width": 1.0},
-        {"family": "tabulated", "path": 0},
-        {"family": "tabulated", "path": "no-such-file.csv"},
+        # a retired family, with the keys it read
+        {"family": "tabulated", "r": [0.0, 1.0], "v": [2.0, 0.0]},
         {"family": "gaussian", "v0": float("nan"), "width": 1.0},
         {"family": "soft-sphere", "v0": 2.0, "radius": float("inf")},
-        {"family": "tabulated", "r": [0.5, float("inf")], "v": [1.0, 0.0]},
-        {"family": "tabulated", "r": [0.5, 1.0], "v": [1.0, 0.0], "sigma": float("nan")},
-        {"family": "tabulated", "r": [-0.5, 1.0], "v": [1.0, 0.0]},
-        {"family": "tabulated", "r": [], "v": []},
+        # no family, and a family no dict key can be
+        {},
+        {"family": ["zero"]},
+        # parameters outside their ranges
+        {"family": "soft-sphere", "v0": 2.0, "radius": 0.0},
+        {"family": "gaussian", "v0": 1.0, "width": -1.0},
+        {"family": "gaussian", "v0": float("inf"), "width": 1.0},
     ],
 )
 def test_malformed_potential_is_config_error(tmp_path, potential):
@@ -324,9 +305,8 @@ def test_coupling_rules():
     )
     assert abs(g - 8.0 * np.pi * SOFT_A0) < 1e-6
     assert abs(out["a0"] - SOFT_A0) < 1e-7
-    g_born = _coupling({"mode": "born", "potential": {"family": "gaussian", "v0": 1.0, "width": 1.0}}, {})
-    assert abs(g_born - np.pi**1.5) < 1e-14 * np.pi**1.5
-    assert g < g_born * 8 * np.pi  # sanity: both positive couplings
+    # mode defaults to its one value
+    assert _coupling({"potential": {"family": "soft-sphere", "v0": 2.0, "radius": 1.0}}, {}) == g
     assert _coupling(2, {}) == 2.0
 
 
@@ -353,7 +333,7 @@ def test_default_dt_matches_the_grid_spectrum():
         {"task": "inequality-check", "kind": "theta", "samples": 10},
         {"task": "inequality-check", "kind": "theta", "samples": True},
         {"task": "inequality-check", "kind": "nope"},
-        {"task": "evolve", "coupling": {"mode": "born", "potential": {"family": "gaussian", "width": 1.0}}},
+        {"task": "evolve", "coupling": {"mode": "scattering-length", "potential": {"family": "gaussian", "width": 1.0}}},
         {"task": "evolve", "coupling": -1},
         {"task": "evolve", "coupling": 1.0, "initial": {"type": "plane-wave", "mode": [1, 1, 1]}},
         {"task": "evolve", "coupling": 1.0, "initial": {"type": "plane-wave", "amplitude": 0.0}},
@@ -378,6 +358,8 @@ def test_default_dt_matches_the_grid_spectrum():
         {"task": "evolve", "coupling": {"potential": {"family": "soft-sphere", "v0": 2.0, "radius": 1e-300}}},
         # int V = 0 leaves nothing for the vl12 ladder to normalize
         {"task": "inequality-check", "kind": "vl12", "potential": {"family": "zero"}},
+        # a retired coupling mode
+        {"task": "evolve", "coupling": {"mode": "born", "potential": {"family": "zero"}}},
     ],
 )
 def test_malformed_task_key_is_config_error(tmp_path, doc):
@@ -422,7 +404,7 @@ def _refused_within_a_second(tmp_path, doc, match):
         ({"task": "evolve", "initial": {"type": "cosine", "amplitud": 0.2}}, "initial key: 'amplitud'"),
         ({"task": "scatter", "potential": {"family": "gaussian", "v0": 1.0, "width": 1.0, "radius": 1.0}}, "radius"),
         ({"task": "evolve", "potential": SOFT}, "evolve key: 'potential'"),
-        ({"task": "evolve", "coupling": {"mode": "born", "potential": SOFT, "v0": 1.0}}, "coupling key: 'v0'"),
+        ({"task": "evolve", "coupling": {"mode": "scattering-length", "potential": SOFT, "v0": 1.0}}, "coupling key: 'v0'"),
         ({"task": "evolve", "coupling": {"potential": {"family": "zero", "v0": 1.0}}}, "coupling potential key"),
         ({"task": "inequality-check", "kind": "int1", "pairs": 10}, "pairs"),
         ({"task": "inequality-check", "kind": "int1", "potential": SOFT}, "potential"),
@@ -447,6 +429,17 @@ def _refused_within_a_second(tmp_path, doc, match):
 )
 def test_a_key_no_reader_reads_is_config_error(tmp_path, doc, key):
     _refused_within_a_second(tmp_path, doc, f"unknown .*{key}")
+
+
+@pytest.mark.parametrize(
+    "doc, value",
+    [
+        ({"task": "scatter", "potential": {"family": "tabulated", "r": [0.0, 1.0], "v": [2.0, 0.0]}}, "tabulated"),
+        ({"task": "evolve", "coupling": {"mode": "born", "potential": SOFT}}, "born"),
+    ],
+)
+def test_a_retired_value_is_refused_by_name(tmp_path, doc, value):
+    _refused_within_a_second(tmp_path, doc, f"'{value}'")
 
 
 @pytest.mark.parametrize(
@@ -527,7 +520,7 @@ def test_the_work_count_is_the_strang_site_steps_a_run_takes(tmp_path, monkeypat
         cli.parse_config(json.dumps(doc))
 
 
-@pytest.mark.parametrize("coupling", [0.0, {"mode": "born", "potential": {"family": "zero"}}])
+@pytest.mark.parametrize("coupling", [0.0, {"mode": "scattering-length", "potential": {"family": "zero"}}])
 def test_zero_energy_state_evolves_with_absolute_energy_drift(tmp_path, coupling):
     # a constant state at g = 0 has E = 0, so its energy drift cannot be relative
     doc = {"task": "evolve", "coupling": coupling, "initial": {"type": "plane-wave", "mode": [0]}}
@@ -574,12 +567,12 @@ _values = (
     | st.sampled_from([float("nan"), float("inf"), -float("inf")])
     | st.lists(st.floats(-1.0, 3.0) | st.floats(allow_nan=True, allow_infinity=True), max_size=5)
 )
-# each family with its own keys, and any family with any potential keys
+# each family with its own keys, and any family, the retired "tabulated" among them,
+# with any potential keys, the retired table keys among them
 _potentials = _json | st.one_of(
     st.fixed_dictionaries({"family": st.just("zero")}),
     st.fixed_dictionaries({"family": st.just("soft-sphere"), "v0": _values, "radius": _values}),
     st.fixed_dictionaries({"family": st.just("gaussian"), "v0": _values, "width": _values}),
-    st.fixed_dictionaries({"family": st.just("tabulated"), "r": _values, "v": _values}, optional={"sigma": _values}),
     st.fixed_dictionaries(
         {"family": st.sampled_from(["zero", "soft-sphere", "gaussian", "tabulated", "other"])},
         optional={key: _values for key in ("v0", "radius", "width", "r", "v", "sigma", "path")},
@@ -660,8 +653,7 @@ def test_parse_config_raises_only_config_error(doc):
     assert cfg.task in cli.TASKS
     if cfg.potential is not None:
         p = pot.from_config(cfg.potential)
-        assert all(np.isfinite(v) for v in (p.amplitude, p.rate, p.profile_l1, *p.knots))
-        assert not np.isnan(p.sigma)
+        assert all(np.isfinite(v) for v in (p.amplitude, p.rate, p.profile_l1, *p.breakpoints))
     # the runner's arguments, as the reader made them
     kw = cfg.arguments
     if cfg.task in ("evolve", "groundstate"):
@@ -738,13 +730,17 @@ _UNSET_KEYS_KEPT = {
 }
 
 
-def test_every_key_a_reader_looks_up_is_set_by_a_sample_config():
-    # a key no workload sets is a setting no workload needs: it belongs in a constant
+def _sample_config_paths() -> list[Path]:
     root = Path(__file__).parents[1]
     paths = [*(root / "configs").glob("*.json"), *(root / "perfbench" / "configs").glob("*.json")]
     assert len(paths) == 13
+    return paths
+
+
+def test_every_key_a_reader_looks_up_is_set_by_a_sample_config():
+    # a key no workload sets is a setting no workload needs: it belongs in a constant
     set_by, looked_up = {}, {}
-    for path in paths:
+    for path in _sample_config_paths():
         doc = json.loads(path.read_text())
         params = {key: value for key, value in doc.items() if key not in ("task", "seed")}
         seen = cli._Seen(params)
@@ -756,3 +752,39 @@ def test_every_key_a_reader_looks_up_is_set_by_a_sample_config():
     assert set(looked_up) == {*cli.TASKS, "int1", "trivv", "vl1", "vl12", "theta"} - {"inequality-check"}
     unset = {(where, key) for where, keys in looked_up.items() for key in keys - set_by[where]}
     assert unset == _UNSET_KEYS_KEPT
+
+
+# Values a reader offers that no sample config takes, each kept for its reason.  A
+# default counts as taken: the groundstate config takes the gaussian initial state,
+# and the evolve configs take no trap.
+_UNTAKEN_VALUES_KEPT = {
+    # the exact V = 0 control, which the tests run (the vl1 extreme case among them)
+    ("potential family", "zero"),
+    # ROADMAP items name dim 2, and a fixed dim would hide the failing dim-2 slope
+    ("dim", 2),
+}
+
+
+def test_every_value_a_reader_offers_is_taken_by_a_sample_config(monkeypatch):
+    # an option no workload takes is a branch no workload runs
+    offered, taken = {}, set()
+    choice, from_config = cli._choice, pot.from_config
+
+    def recorded_choice(key, value, options):
+        offered.setdefault(key, set()).update(options)
+        taken.add((key, value))
+        return choice(key, value, options)
+
+    def recorded_family(spec):
+        offered.setdefault("potential family", set()).update(pot.FAMILIES)
+        taken.add(("potential family", spec.get("family")))
+        return from_config(spec)
+
+    monkeypatch.setattr(cli, "_choice", recorded_choice)
+    monkeypatch.setattr(pot, "from_config", recorded_family)
+    for path in _sample_config_paths():
+        cli.parse_config(path.read_text())
+    # every enumerated key is read by some sample config
+    assert set(offered) == {"potential family", "coupling mode", "initial type", "trap", "dim", "kind"}
+    untaken = {(key, option) for key, options in offered.items() for option in options} - taken
+    assert untaken == _UNTAKEN_VALUES_KEPT

@@ -71,71 +71,14 @@ def test_invalid_scale_rejected():
         pot.scale(p, 0)
 
 
-def test_tabulated_rejects_negative_samples():
-    with pytest.raises(pot.PotentialError, match="repulsivity violated"):
-        pot.tabulated([0.0, 1.0, 2.0], [1.0, -0.1, 0.0])
-
-
-def test_tabulated_rejects_negative_radii():
-    with pytest.raises(pot.PotentialError, match="radii must be >= 0"):
-        pot.tabulated([-0.5, 1.0, 2.0], [1.0, 0.5, 0.0])
-
-
-def _quad_l1(p, r_samples):
-    """Test-side 4 pi int r^2 V dr: exact ball below the first sample, quad on each interval."""
-    from scipy.integrate import quad
-
-    r0 = r_samples[0]
-    total = float(p(np.asarray([0.0]))[0]) * r0**3 / 3.0
-    for a, b in zip(r_samples[:-1], r_samples[1:]):
-        val, _ = quad(lambda r: r**2 * float(p(np.asarray([r]))[0]), a, b, epsabs=0.0, epsrel=1e-13, limit=200)
-        total += val
-    return 4.0 * np.pi * total
-
-
-def test_tabulated_l1_matches_per_interval_quadrature():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        r = np.cumsum(rng.uniform(0.05, 1.0, rng.integers(2, 10)))
-        if rng.random() < 0.5:
-            r = r - r[0]  # first sample at the origin
-        v = rng.uniform(0.0, 2.0, r.size)
-        v[-1] = rng.uniform(0.5, 2.0)  # nonzero last sample: V jumps to 0 there
-        p = pot.tabulated(r, v)
-        assert _rel(p.l1, _quad_l1(p, r)) < 1e-12
-
-
-def test_tabulated_interpolation_stays_nonnegative():
-    r = np.linspace(0.0, 3.0, 13)
-    v = np.maximum(2.0 - r, 0.0)
-    p = pot.tabulated(r, v)
-    rr = np.linspace(0.0, 4.0, 400)
-    vals = p(rr)
-    assert np.all(vals >= 0.0)
-    assert abs(p(np.array([0.5]))[0] - 1.5) < 1e-10
-    assert p(np.array([3.5]))[0] == 0.0
-
-
-def test_tabulated_from_csv(tmp_path):
-    path = tmp_path / "v.csv"
-    path.write_text("# r, V\n0.0,2.0\n1.0,1.0\n2.0,0.0\n")
-    p = pot.tabulated_from_csv(path)
-    assert p.knots == (0.0, 1.0, 2.0)
-    assert abs(p(np.array([1.0]))[0] - 1.0) < 1e-12
-
-
-def test_divergent_norm_for_slow_decay():
-    p = pot.tabulated([0.0, 1.0, 2.0], [1.0, 0.5, 0.2], sigma=2.5)
-    with pytest.raises(pot.PotentialError, match="divergent norm"):
-        p.l1
-
-
 def test_from_config_round_trip_and_errors():
     spec = {"family": "soft-sphere", "v0": 2.0, "radius": 1.0}
     p = pot.from_config(spec)
     assert p(np.array([0.5, 1.5])).tolist() == [2.0, 0.0]
-    with pytest.raises(pot.PotentialError, match="unknown potential family"):
-        pot.from_config({"family": "lennard-jones"})
+    # a retired family, and a family no dict key can be
+    for fam in ("lennard-jones", "tabulated", ["zero"]):
+        with pytest.raises(pot.PotentialError, match="unknown potential family"):
+            pot.from_config({"family": fam})
 
 
 def test_born_length_is_l1_over_8pi():
@@ -168,13 +111,6 @@ _positive = st.floats(0.3, 3.0)
 _bases = st.one_of(
     st.builds(pot.soft_sphere, _positive, _positive),
     st.builds(pot.gaussian, _positive, _positive),
-    st.builds(
-        lambda v0, r_end: pot.tabulated(
-            np.linspace(0.0, r_end, 9), v0 * (1.0 - np.linspace(0.0, 1.0, 9)) ** 2
-        ),
-        _positive,
-        _positive,
-    ),
 )
 
 _transforms = st.lists(

@@ -136,12 +136,6 @@ def test_grid_does_not_grow_with_the_scattering_length():
     assert weak.grid.n == strong.grid.n
 
 
-def test_slowly_decaying_tabulated_potential_is_refused():
-    p = pot.tabulated([0.0, 1.0, 2.0], [1.0, 0.5, 0.0], sigma=2.5)
-    with pytest.raises(pot.PotentialError, match="divergent norm"):
-        sc.solve_zero_energy(p)
-
-
 def _full_march(p, grid, k2):
     """RK4 over every step of every grid piece, as the zero-energy solve did before."""
     u, up = np.zeros(len(k2)), np.ones(len(k2))
