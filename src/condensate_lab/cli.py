@@ -127,14 +127,6 @@ def _nonnegative(key: str, value) -> float:
     return float(value)
 
 
-def _per_axis(key: str, value, dim: int, read) -> tuple:
-    """One entry per axis: a list of dim entries, or one entry for every axis."""
-    entries = value if isinstance(value, list) else [value] * dim
-    if len(entries) != dim:
-        raise ConfigError(f"{key} needs {dim} entries (one per axis), got {len(entries)}")
-    return tuple(read(key, v) for v in entries)
-
-
 def _list(key: str, value, read, least: int = 1) -> list:
     if not isinstance(value, list) or len(value) < least:
         raise ConfigError(f"{key} must be a list of at least {least} entries, got {value!r}")
@@ -161,10 +153,17 @@ class _Seen(dict):
         return super().__contains__(key)
 
 
+def _required(spec: dict, key: str, what: str):
+    if key not in spec:
+        raise ConfigError(f"{what} requires a {key}")
+    return spec[key]
+
+
 def _read_keys(what: str, spec, reader):
-    """reader(spec); then, for an object spec, a ConfigError naming every key reader never looked up."""
+    """reader(spec) for an object spec, then a ConfigError naming every key reader never
+    looked up; any other spec is a ConfigError."""
     if not isinstance(spec, dict):
-        return reader(spec)
+        raise ConfigError(f"{what} must be an object, got {spec!r}")
     seen = _Seen(spec)
     out = reader(seen)
     unread = [key for key in spec if key not in seen.looked_up]
@@ -173,22 +172,30 @@ def _read_keys(what: str, spec, reader):
     return out
 
 
-def _potential(spec, key: str = "potential") -> potentials.Potential:
-    try:
-        return _read_keys(key, spec, potentials.from_config)
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
-        # PotentialError is a ValueError
-        raise ConfigError(f"invalid {key}: {exc!r}") from exc
+def _read_family(spec: dict, what: str) -> potentials.Potential:
+    """A potential object's family and that family's keys: v0 >= 0 and a positive length."""
+    family = _choice("potential family", _required(spec, "family", what), ("zero", "soft-sphere", "gaussian"))
+    if family == "zero":
+        return potentials.zero_potential()
+    v0 = _nonnegative(f"{what} v0", _required(spec, "v0", what))
+    if family == "soft-sphere":
+        p = potentials.soft_sphere(v0, _positive(f"{what} radius", _required(spec, "radius", what)))
+    else:
+        p = potentials.gaussian(v0, _positive(f"{what} width", _required(spec, "width", what)))
+    # int V grows as the cube of the length, which may pass float range
+    if not p.l1 < math.inf:
+        raise ConfigError(f"{what} has int V = {p.l1!r}; it must be finite")
+    return p
+
+
+def _potential(spec, what: str = "potential") -> potentials.Potential:
+    return _read_keys(what, spec, lambda spec: _read_family(spec, what))
 
 
 def _read_potential(params: dict, task: str, default: potentials.Potential | None = None) -> potentials.Potential:
     """The config's potential, else default; with no default the task requires one."""
-    if "potential" in params:
-        return _potential(params["potential"])
-    if default is None:
-        raise ConfigError(f"task {task} requires a potential")
+    if "potential" in params or default is None:
+        return _potential(_required(params, "potential", f"task {task}"))
     return default
 
 
@@ -232,26 +239,18 @@ def _refuse_zero_energy_grid(p: potentials.Potential, what: str) -> None:
 
 def _read_rule(spec: dict) -> potentials.Potential:
     _choice("coupling mode", spec.get("mode", "scattering-length"), ("scattering-length",))
-    p = _potential(spec.get("potential"), "coupling potential")
+    p = _potential(_required(spec, "potential", "coupling"), "coupling potential")
     _refuse_zero_energy_grid(p, "the coupling's scattering length")
     return p
 
 
-def _read_coupling(params: dict, default: float):
-    """A number >= 0, or the validated potential of a scattering-length rule for _resolve_coupling."""
-    spec = params.get("coupling", default)
-    if not isinstance(spec, dict):
-        return _nonnegative("coupling", spec)
-    return _read_keys("coupling", spec, _read_rule)
-
-
-def _resolve_coupling(coupling, results: dict) -> float:
-    """The value of a _read_coupling result: 8 pi a0 for a rule's potential, which also reports a0."""
-    if not isinstance(coupling, potentials.Potential):
-        return coupling
-    sol = scattering.solve_zero_energy(coupling)
-    results["a0"] = sol.a0_asym
-    return float(8.0 * np.pi * sol.a0_asym)
+def _read_coupling(params: dict):
+    """evolve's coupling: a number >= 0, or the validated potential of a scattering-length
+    rule, whose 8 pi a0 the run computes."""
+    spec = params.get("coupling", 0.0)
+    if isinstance(spec, dict):
+        return _read_keys("coupling", spec, _read_rule)
+    return _nonnegative("coupling", spec)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -345,8 +344,6 @@ def _run_scatter(outdir: Path, seed: int, *, potential):
 
 def _read_initial(spec, shape: tuple[int, ...], box: tuple[float, ...]) -> dict:
     """An initial state: its type and every parameter, defaults filled in."""
-    if not isinstance(spec, dict):
-        raise ConfigError(f"initial must be an object, got {spec!r}")
     kind = _choice("initial type", spec.get("type", "gaussian"), ("plane-wave", "gaussian", "cosine"))
     if kind == "gaussian":
         return {"type": kind, "width": _positive("initial width", spec.get("width", 1.0))}
@@ -365,21 +362,19 @@ def _read_initial(spec, shape: tuple[int, ...], box: tuple[float, ...]) -> dict:
     return {"type": kind, "amplitude": amplitude, "mode": mode}
 
 
-def _read_gp(params: dict, width: float) -> dict:
-    """Grid, coupling, trap and initial state of an evolve or groundstate config."""
+def _read_gp(params: dict, width: float, coupling) -> dict:
+    """Grid, trap and initial state of an evolve or groundstate config, beside its coupling."""
     dim = _choice("dim", params.get("dim", 1), (1, 2, 3))
-    M = params.get("grid", {1: 256, 2: 128, 3: 64}[dim])
-    shape = _per_axis("grid", M, dim, lambda key, v: _integer(key, v, 2))
-    box = _per_axis("box", params.get("box", 2.0 * np.pi), dim, _positive)
-    # each factor is clamped at the memory size, which it alone would exceed
+    M = _integer("grid", params.get("grid", {1: 256, 2: 128, 3: 64}[dim]), 2)
+    shape, box = (M,) * dim, (_positive("box", params.get("box", 2.0 * np.pi)),) * dim
+    # M is clamped at the memory size, which it alone would exceed
     have = _physical_memory()
-    need = 16 * math.prod(min(M, have) for M in shape)
-    _refuse_beyond(have, need, "the grid needs about {:.3g} GB per field")
+    _refuse_beyond(have, 16 * min(M, have) ** dim, "the grid needs about {:.3g} GB per field")
     trap = _choice("trap", params.get("trap"), (None, "harmonic"))
     return {
         "shape": shape,
         "box": box,
-        "coupling": _read_coupling(params, 0.0),
+        "coupling": coupling,
         "trap": gp.harmonic_trap if trap else None,
         "initial": _read_keys(
             "initial",
@@ -404,7 +399,7 @@ def _field_from_init(shape, box, init: dict) -> gp.Field:
 
 
 def _read_evolve(params: dict) -> dict:
-    kw = _read_gp(params, 1.0)
+    kw = _read_gp(params, 1.0, _read_coupling(params))
     shape, box = kw["shape"], kw["box"]
     t_final = _positive("t_final", params.get("t_final", 1.0))
     snapshots = _integer("snapshots", params.get("snapshots", 10), 1)
@@ -429,7 +424,9 @@ def _read_evolve(params: dict) -> dict:
 
 def _run_evolve(outdir: Path, seed: int, *, shape, box, coupling, trap, initial, t_final, snapshots, dt):
     results: dict = {}
-    coupling = _resolve_coupling(coupling, results)
+    if isinstance(coupling, potentials.Potential):  # a scattering-length rule: 8 pi a0
+        results["a0"] = scattering.solve_zero_energy(coupling).a0_asym
+        coupling = float(8.0 * np.pi * results["a0"])
     f = _field_from_init(shape, box, initial)
     t_snap = t_final / snapshots
     gcfg = gp.GPConfig(coupling=coupling, trap=trap, dt=dt)
@@ -476,30 +473,25 @@ def _run_evolve(outdir: Path, seed: int, *, shape, box, coupling, trap, initial,
 
 
 def _read_groundstate(params: dict) -> dict:
-    kw = _read_gp(params, 0.7)
+    kw = _read_gp(params, 0.7, _nonnegative("coupling", params.get("coupling", 0.0)))
     if kw["trap"] is None and kw["coupling"] == 0.0:
         raise ConfigError("no minimizer: groundstate needs a trap or g > 0")
-    # a coupling rule, whose value is known only when the task runs, is never 0.0: it counts as g > 0
     trials = gp.ground_state_trials(kw["coupling"], kw["trap"], kw["shape"])
     _refuse_work(math.prod(kw["shape"]) * trials, "groundstate", "grid points x descent trials")
     return kw
 
 
 def _run_groundstate(outdir: Path, seed: int, *, shape, box, coupling, trap, initial):
-    results: dict = {}
-    coupling = _resolve_coupling(coupling, results)
     gcfg = gp.GPConfig(coupling=coupling, trap=trap)
     res = gp.gp_ground_state(gcfg, _field_from_init(shape, box, initial))
     energies = res["energies"]
     monotone = all(b <= a for a, b in zip(energies[:-1], energies[1:]))
-    results.update(
-        {
-            "coupling": coupling,
-            "energy": res["energy"],
-            "iterations": res["iterations"],
-            "monotone_descent": monotone,
-        }
-    )
+    results = {
+        "coupling": coupling,
+        "energy": res["energy"],
+        "iterations": res["iterations"],
+        "monotone_descent": monotone,
+    }
     checks = [_check("E-GP", 0.0 if monotone else 1.0, 0.5, monotone)]
     if trap is not None and coupling == 0.0:
         dim = len(shape)
@@ -521,16 +513,11 @@ def _read_two_body(params: dict) -> dict:
             raise ConfigError(f"times must be multiples of dt = {dt!r}, got {t!r}: {exc}") from exc
     potential = _read_potential(params, "two-body-convergence")
     n_list = _list("n_list", params.get("n_list", [8, 16, 32, 64, 128, 256]), lambda key, v: _integer(key, v, 1), 4)
-    rmax = propagators.DEFECT_RMAX
-    # The largest N has the finest grid, of about rmax / step points.  A step
-    # that underflows to 0 and a quotient beyond float range read as inf.
-    have = _physical_memory()
-    N = max(n_list)
-    step = propagators.radial_step(potential.range_hint / N)
-    need = 16 * rmax / step if step else math.inf
-    _refuse_beyond(have, need, f"n_list entry {N:.3g} needs at least {{:.3g}} GB per field on its radial grid")
-    points = sum(rmax / propagators.radial_step(potential.range_hint / N) for N in n_list)
-    _refuse_work(points * steps, "two-body-convergence")
+    # the nodes of each N's radial grid
+    points = [propagators.defect_points(potential, N) for N in n_list]
+    finest, N = max(zip(points, n_list))
+    _refuse_beyond(_physical_memory(), 16 * finest, f"n_list entry {N:.3g} needs about {{:.3g}} GB per field on its radial grid")
+    _refuse_work(sum(points) * steps, "two-body-convergence")
     return {
         "potential": potential,
         "n_list": n_list,
@@ -628,12 +615,10 @@ def _read_hierarchy(params: dict) -> dict:
         ds, steps = hierarchy.level_steps(level, dim=dim, grid=grid)
         work += (grid * 2**level) ** dim * steps * round(hierarchy.T_FINAL / ds)
     _refuse_work(work, "hierarchy-check")
-    return {"coupling": _read_coupling(params, 1.0), "levels": levels, "dim": dim}
+    return {"coupling": _nonnegative("coupling", params.get("coupling", 1.0)), "levels": levels, "dim": dim}
 
 
 def _run_hierarchy(outdir: Path, seed: int, *, coupling, levels, dim):
-    results: dict = {}
-    coupling = _resolve_coupling(coupling, results)
     study = hierarchy.refinement_study(levels, coupling, dim=dim)
     res_fine = study["finest_residual"]
     ratio = max(res_fine.differential(_WRONG_FACTOR * coupling)) / max(res_fine.differential_residual)
@@ -643,19 +628,17 @@ def _run_hierarchy(outdir: Path, seed: int, *, coupling, levels, dim):
     columns = ("t", "differential_residual", "integral_residual")
     table = list(zip(res_fine.times, res_fine.differential_residual, res_fine.integral_residual))
 
-    results.update(
-        {
-            "coupling": coupling,
-            "dim": dim,
-            "differential_residuals": study["differential"],
-            "integral_residuals": study["integral"],
-            "slope_differential": study["slope_differential"],
-            "slope_integral": study["slope_integral"],
-            "wrong_coupling_ratio": float(ratio),
-            "zero_coupling_integral_residual": float(zero_resid),
-            "rows": [dict(zip(columns, r)) for r in table],
-        }
-    )
+    results = {
+        "coupling": coupling,
+        "dim": dim,
+        "differential_residuals": study["differential"],
+        "integral_residuals": study["integral"],
+        "slope_differential": study["slope_differential"],
+        "slope_integral": study["slope_integral"],
+        "wrong_coupling_ratio": float(ratio),
+        "zero_coupling_integral_residual": float(zero_resid),
+        "rows": [dict(zip(columns, r)) for r in table],
+    }
     checks = [
         _check("eq:infhier", study["slope_differential"], 2.0, study["slope_differential"] >= 2.0),
         _check("eq:BBGKYinf", study["slope_integral"], 2.0, study["slope_integral"] >= 2.0),
@@ -675,9 +658,7 @@ _VL12_ALPHAS = tuple(0.5 / 2**j for j in range(11))
 
 def _read_inequality(params: dict) -> dict:
     """The kind's check and its arguments; _run_inequality runs the check."""
-    if "kind" not in params:
-        raise ConfigError("inequality-check requires a kind")
-    kind = _choice("kind", params["kind"], ("int1", "trivv", "vl1", "vl12", "theta"))
+    kind = _choice("kind", _required(params, "kind", "inequality-check"), ("int1", "trivv", "vl1", "vl12", "theta"))
     if kind in ("int1", "trivv"):
         return {"check": _int1 if kind == "int1" else _trivv}
     if kind == "vl1":
@@ -690,10 +671,9 @@ def _read_inequality(params: dict) -> dict:
         }
     if kind == "vl12":
         p = _read_potential(params, "vl12", potentials.gaussian(1.0, 1.0))
-        try:
-            return {"check": _vl12, "potential": potentials.unit_l1(p)}
-        except potentials.PotentialError as exc:  # int V = 0, as for the zero family
-            raise ConfigError(f"vl12 needs a potential with int V > 0: {exc}") from exc
+        if not p.l1 > 0.0:  # as for the zero family
+            raise ConfigError(f"vl12 needs a potential with int V > 0, got int V = {p.l1!r}")
+        return {"check": _vl12, "potential": potentials.unit_l1(p)}
     samples = _integer("samples", params.get("samples", 1000), 100)
     cutoff = analysis.default_cutoff_config()
     _refuse_work(2 * samples * cutoff.N**2, "theta", "particle pairs x evaluations")

@@ -198,7 +198,7 @@ def harmonic_trap(*coords):
 
 def _guard(plan: _Plan, spectrum: np.ndarray, where: str):
     tail = _tail_fraction(spectrum, plan.top_octave)
-    if tail > 1e-6:
+    if not tail <= 1e-6:  # NaN from non-finite data fails every comparison
         raise RuntimeError(f"spectral blow-up: top-octave fraction {tail:.2e} ({where})")
 
 

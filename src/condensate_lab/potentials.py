@@ -9,7 +9,9 @@ the profile over R^3.  The soft-sphere and gaussian profiles have unit
 height, so v0 is A.  The transforms below change only the amplitude A and
 the rate s, and every derived quantity follows from (A, s).  Rescaling by
 N maps V to N^2 V(N r), which divides the effective range and the
-scattering length by N.
+scattering length by N.  The builders refuse parameters outside their
+ranges; a config's potential object is read by the CLI, with the number
+readers it uses for every other key (docs/config-reference.md).
 """
 
 from __future__ import annotations
@@ -82,7 +84,8 @@ def soft_sphere(v0: float, radius: float) -> Potential:
     return Potential(
         profile=ev,
         profile_range=radius,
-        profile_l1=4.0 * np.pi * radius**3 / 3.0,
+        # a product, not **, so that a cube past float range is inf, not an OverflowError
+        profile_l1=4.0 * np.pi * (radius * radius * radius) / 3.0,
         profile_breakpoints=(radius,),
         amplitude=v0,
     )
@@ -105,7 +108,7 @@ def gaussian(v0: float, width: float) -> Potential:
     return Potential(
         profile=ev,
         profile_range=6.0 * width,
-        profile_l1=np.pi**1.5 * width**3,
+        profile_l1=np.pi**1.5 * (width * width * width),
         amplitude=v0,
     )
 
@@ -136,19 +139,3 @@ def unit_l1(p: Potential) -> Potential:
     if l1 <= 0.0:
         raise PotentialError("cannot normalize a vanishing potential")
     return replace(p, amplitude=p.amplitude / l1)
-
-
-# each family's builder, from its config object
-FAMILIES: dict[str, Callable[[dict], Potential]] = {
-    "zero": lambda spec: zero_potential(),
-    "soft-sphere": lambda spec: soft_sphere(spec["v0"], spec["radius"]),
-    "gaussian": lambda spec: gaussian(spec["v0"], spec["width"]),
-}
-
-
-def from_config(spec: dict) -> Potential:
-    """Build a potential from its config object: a family and its keys."""
-    fam = spec.get("family")
-    if not isinstance(fam, str) or fam not in FAMILIES:
-        raise PotentialError(f"unknown potential family: {fam!r}")
-    return FAMILIES[fam](spec)

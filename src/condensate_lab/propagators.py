@@ -12,13 +12,13 @@ separable two-particle states at N = 2.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import _kernels
 from .potentials import Potential, scale
-from .radial import RadialGrid, build_grid, gaussian_bump
+from .radial import RadialGrid, build_grid, gaussian_bump, grid_points
 from .scattering import ScatteringTransform, apply_hamiltonian, build_transform, potential_node_samples
 from .scattering import transform_points
 
@@ -169,6 +169,19 @@ def radial_step(range_hint: float) -> float:
     return min(_H_CAP, range_hint / _POINTS_PER_CORE)
 
 
+def _defect_extent(p: Potential, N: int) -> tuple:
+    """build_grid's arguments for convergence_experiment's grid of scale(p, N).  They
+    depend on V_N's rate alone, so its height N^2 A, which passes float range for
+    N > 1.3e154, is never formed."""
+    shape = replace(p, rate=p.rate * N)
+    return DEFECT_RMAX, radial_step(shape.range_hint), shape.breakpoints
+
+
+def defect_points(p: Potential, N: int) -> float:
+    """Node count of convergence_experiment's grid for N, without building it."""
+    return grid_points(*_defect_extent(p, N))
+
+
 def convergence_experiment(
     p: Potential,
     N_list,
@@ -195,7 +208,7 @@ def convergence_experiment(
     wall = 0.0
     for N in N_list:
         pN = scale(p, N)
-        grid = build_grid(DEFECT_RMAX, radial_step(pN.range_hint), breakpoints=pN.breakpoints)
+        grid = build_grid(*_defect_extent(p, N))
         w = gaussian_packet(grid, sigma=sigma)
         if h1 is None:
             h1 = w.h1_norm()
@@ -260,7 +273,7 @@ _SECOND_MOMENT_N_K = 640
 
 
 def second_moment_transform(p: Potential) -> ScatteringTransform:
-    """The transform of scale(p, 2) that second_moment_check uses when given none."""
+    """The transform of scale(p, 2) that second_moment_check takes."""
     return build_transform(scale(p, 2), k_max=_SECOND_MOMENT_K_MAX, n_k=_SECOND_MOMENT_N_K)
 
 
@@ -274,21 +287,20 @@ def second_moment_check(
     chi: CenterProfile,
     g: RadialWavepacket,
     p: Potential,
-    transform: ScatteringTransform | None = None,
+    transform: ScatteringTransform,
 ) -> SecondMomentResult:
     """Quadratic-form energy inequality at N = 2 for chi(u) g(|v|).
 
     lhs = <psi, H^2 psi> with H = -(1/2) Lap_u - 2 Lap_v + V_N(v), computed
     as ||H psi||^2 from 1-d Gaussian moments and radial quadratures.
     rhs = <W* psi, ((1/4) Lap_u - Lap_v)^2 W* psi> via the scattering
-    transform of g (the multiplier k^2 plays Lap_v).  The bound is
-    lhs >= 2 rhs, so slack = lhs - 2 rhs.
+    transform of g (the multiplier k^2 plays Lap_v), which is
+    second_moment_transform(p).  The bound is lhs >= 2 rhs, so
+    slack = lhs - 2 rhs.
     """
     pN = scale(p, 2)
-    if transform is None:
-        transform = second_moment_transform(p)
     grid = transform.grid
-    if g.grid is not grid and g.grid.n != grid.n:
+    if not np.array_equal(g.grid.r, grid.r):
         raise ValueError("g must live on the transform grid")
     u = np.real(g.u)
 

@@ -8,6 +8,8 @@ nodes so that composite Simpson weights retain full order on each piece.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,9 +87,12 @@ def _spacing(rmax: float, h_target: float, breakpoints) -> tuple[tuple[float, ..
 
 def grid_points(rmax: float, h_target: float, breakpoints=()) -> float:
     """Node count of build_grid(rmax, h_target, breakpoints), without building it;
-    a breakpoint far below h_target sets the step, and so the count."""
+    a breakpoint far below h_target sets the step, and so the count.  A step so small
+    that rmax / step passes float range, or that underflows to 0, counts as inf."""
+    if not h_target > rmax / sys.float_info.max:
+        return math.inf
     _, h = _spacing(rmax, h_target, breakpoints)
-    return 2.0 * np.ceil(rmax / h / 2.0) + 1.0
+    return 2.0 * np.ceil(rmax / h / 2.0) + 1.0 if h else math.inf
 
 
 def build_grid(rmax: float, h_target: float, breakpoints=()) -> RadialGrid:

@@ -1,5 +1,6 @@
 """Config parsing, the task runner, report schema and determinism."""
 
+import ast
 import json
 import os
 import subprocess
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from condensate_lab import analysis as an
 from condensate_lab import cli, gp
-from condensate_lab import potentials as pot
+from condensate_lab import propagators as pr
 from condensate_lab import scattering as sc
 
 SOFT_A0 = 1.0 - np.tanh(1.0)
@@ -184,12 +185,15 @@ def test_main_exit_codes(tmp_path):
         {"family": "soft-sphere", "v0": 2.0, "radius": 0.0},
         {"family": "gaussian", "v0": 1.0, "width": -1.0},
         {"family": "gaussian", "v0": float("inf"), "width": 1.0},
+        # a boolean is no number, and a radius whose ball has int V beyond float range
+        {"family": "soft-sphere", "v0": True, "radius": 1.0},
+        {"family": "soft-sphere", "v0": 2.0, "radius": 1e200},
     ],
 )
 def test_malformed_potential_is_config_error(tmp_path, potential):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"task": "scatter", "potential": potential}))
-    with pytest.raises(cli.ConfigError, match="invalid potential"):
+    with pytest.raises(cli.ConfigError, match="^potential "):
         cli.parse_config(cfg_path.read_text())
     assert cli.main(["scatter", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
 
@@ -217,6 +221,9 @@ def test_malformed_potential_is_config_error(tmp_path, potential):
         {"task": "groundstate", "trap": "harmonic", "dim": 3, "grid": [48]},
         {"task": "groundstate", "trap": "harmonic", "dim": "3"},
         {"task": "groundstate", "trap": "harmonic", "box": 10**400},
+        # one number per key: per-axis lists, of dim entries too, are refused
+        {"task": "evolve", "dim": 2, "grid": [32, 32]},
+        {"task": "groundstate", "trap": "harmonic", "dim": 2, "box": [6.0, 6.0]},
     ],
 )
 def test_malformed_grid_shape_is_config_error(tmp_path, doc):
@@ -225,6 +232,26 @@ def test_malformed_grid_shape_is_config_error(tmp_path, doc):
     with pytest.raises(cli.ConfigError):
         cli.parse_config(cfg_path.read_text())
     assert cli.main([doc["task"], "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize(
+    "potential, message",
+    [
+        ({"family": "soft-sphere", "v0": True, "radius": 1.0}, "potential v0 must be a finite number"),
+        ({"family": "soft-sphere", "v0": 2.0, "radius": "1"}, "potential radius must be a finite number"),
+        ({"family": "gaussian", "v0": -1.0, "width": 1.0}, "potential v0 must be >= 0"),
+        ({"family": "gaussian", "v0": 1.0, "width": 0}, "potential width must be positive"),
+        ({"family": "gaussian", "width": 1.0}, "potential requires a v0"),
+    ],
+)
+def test_a_potential_is_read_like_every_other_number(potential, message):
+    # the readers of every other key read the potential's, so a message names its key
+    for doc, what in (
+        ({"task": "scatter", "potential": potential}, ""),
+        ({"task": "evolve", "coupling": {"potential": potential}}, "coupling "),
+    ):
+        with pytest.raises(cli.ConfigError, match=f"^{what}{message}"):
+            cli.parse_config(json.dumps(doc))
 
 
 def test_hierarchy_refuses_kernels_beyond_physical_memory(tmp_path):
@@ -291,32 +318,30 @@ def test_seed_override(tmp_path):
     assert main({"kind": "theta"}, "-1") == 2
 
 
-def _coupling(rule, out):
-    """The value of an evolve config's coupling, through its reader."""
-    cfg = cli.parse_config(json.dumps({"task": "evolve", "coupling": rule}))
-    return cli._resolve_coupling(cfg.arguments["coupling"], out)
+def _coupling(tmp_path, rule):
+    """The results of a short evolve run with this coupling."""
+    doc = {"task": "evolve", "coupling": rule, "t_final": 1e-3, "snapshots": 1}
+    return cli.run(cli.parse_config(json.dumps(doc)), tmp_path).results
 
 
-def test_coupling_rules():
-    out = {}
-    g = _coupling(
-        {"mode": "scattering-length", "potential": {"family": "soft-sphere", "v0": 2.0, "radius": 1.0}},
-        out,
-    )
-    assert abs(g - 8.0 * np.pi * SOFT_A0) < 1e-6
+def test_coupling_rules(tmp_path):
+    out = _coupling(tmp_path, {"mode": "scattering-length", "potential": SOFT})
+    assert abs(out["coupling"] - 8.0 * np.pi * SOFT_A0) < 1e-6
     assert abs(out["a0"] - SOFT_A0) < 1e-7
     # mode defaults to its one value
-    assert _coupling({"potential": {"family": "soft-sphere", "v0": 2.0, "radius": 1.0}}, {}) == g
-    assert _coupling(2, {}) == 2.0
+    assert _coupling(tmp_path, {"potential": SOFT})["coupling"] == out["coupling"]
+    assert _coupling(tmp_path, 2)["coupling"] == 2.0
 
 
 def test_default_dt_matches_the_grid_spectrum():
     # the evolve reader's default dt against the full gp.Field.k_squared grid; no
     # coupling and no potential: the documented default g = 0
-    for shape, box in (((64,), (2 * np.pi,)), ((33, 48), (3.0, 7.5)), ((8, 9, 10), (1.0, 2.0, 12.0))):
-        doc = {"task": "evolve", "dim": len(shape), "grid": list(shape), "box": list(box)}
+    for dim, M, L in ((1, 63, 3.0), (2, 33, 7.5), (3, 9, 12.0)):
+        doc = {"task": "evolve", "dim": dim, "grid": M, "box": L}
         kw = cli.parse_config(json.dumps(doc)).arguments
         assert kw["coupling"] == 0.0
+        shape, box = kw["shape"], kw["box"]
+        assert shape == (M,) * dim and box == (L,) * dim
         dt = kw["dt"]
         k2 = float(np.max(gp.Field(np.zeros(shape), box).k_squared()))
         t_snap = 1.0 / 10
@@ -360,6 +385,8 @@ def test_default_dt_matches_the_grid_spectrum():
         {"task": "inequality-check", "kind": "vl12", "potential": {"family": "zero"}},
         # a retired coupling mode
         {"task": "evolve", "coupling": {"mode": "born", "potential": {"family": "zero"}}},
+        # a radius whose grid step underflows to 0
+        {"task": "scatter", "potential": {"family": "soft-sphere", "v0": 2.0, "radius": 5e-324}},
     ],
 )
 def test_malformed_task_key_is_config_error(tmp_path, doc):
@@ -443,6 +470,22 @@ def test_a_retired_value_is_refused_by_name(tmp_path, doc, value):
 
 
 @pytest.mark.parametrize(
+    "doc, match",
+    [
+        # a boolean is not the number 1.0
+        ({"task": "scatter", "potential": {"family": "soft-sphere", "v0": True, "radius": 1.0}}, "potential v0"),
+        # only evolve reads a coupling rule
+        ({"task": "groundstate", "coupling": {"potential": {"family": "zero"}}}, "coupling must be a finite number"),
+        ({"task": "hierarchy-check", "coupling": {"potential": SOFT}}, "coupling must be a finite number"),
+        # grid and box take one number
+        ({"task": "evolve", "grid": [64]}, "grid must be an integer"),
+    ],
+)
+def test_a_shape_no_sample_config_takes_is_refused(tmp_path, doc, match):
+    _refused_within_a_second(tmp_path, doc, match)
+
+
+@pytest.mark.parametrize(
     "doc",
     [
         # a default dt of 3.9e-12 on the 256-point grid: 2.6e11 Strang steps
@@ -497,7 +540,7 @@ def test_the_sample_configs_fit_a_hundredth_of_the_work_budget(monkeypatch):
 @pytest.mark.parametrize(
     "doc",
     [
-        {"task": "evolve", "dim": 2, "grid": [12, 10], "dt": 2e-3, "t_final": 0.1, "snapshots": 3,
+        {"task": "evolve", "dim": 2, "grid": 12, "dt": 2e-3, "t_final": 0.1, "snapshots": 3,
          "initial": {"type": "cosine"}},
         {"task": "hierarchy-check", "levels": 2},
         {"task": "hierarchy-check", "dim": 2, "levels": 2},
@@ -518,6 +561,37 @@ def test_the_work_count_is_the_strang_site_steps_a_run_takes(tmp_path, monkeypat
     monkeypatch.setattr(cli, "_WORK_BUDGET", sum(taken) - 1)
     with pytest.raises(cli.ConfigError, match="budget"):
         cli.parse_config(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "potential, n_list",
+    [
+        # a soft-sphere radius sets a finer step than the range rule: 1281 nodes at
+        # N = 16 for radius 6, and 1231 at N = 8 for radius 2.5, where 24 / step is 1200
+        ({"family": "soft-sphere", "v0": 2.0, "radius": 6.0}, [2, 4, 8, 16]),
+        ({"family": "soft-sphere", "v0": 2.0, "radius": 2.5}, [2, 4, 8, 16]),
+        ({"family": "gaussian", "v0": 2.0, "width": 1.0}, [8, 16, 32, 64]),
+    ],
+)
+def test_the_two_body_count_is_the_radial_nodes_a_run_builds(tmp_path, monkeypatch, potential, n_list):
+    # one Crank-Nicolson step per N, so the reader's count is the nodes of the grids
+    # convergence_experiment builds: a budget one node short refuses the config
+    build, nodes = pr.build_grid, []
+
+    def recorded(*args, **kw):
+        grid = build(*args, **kw)
+        nodes.append(grid.n)
+        return grid
+
+    monkeypatch.setattr(pr, "build_grid", recorded)
+    doc = json.dumps({"task": "two-body-convergence", "potential": potential, "n_list": n_list, "times": [1e-3]})
+    cli.run(cli.parse_config(doc), tmp_path)
+    assert len(nodes) == len(n_list)
+    monkeypatch.setattr(cli, "_WORK_BUDGET", sum(nodes))
+    cli.parse_config(doc)
+    monkeypatch.setattr(cli, "_WORK_BUDGET", sum(nodes) - 1)
+    with pytest.raises(cli.ConfigError, match="budget"):
+        cli.parse_config(doc)
 
 
 @pytest.mark.parametrize("coupling", [0.0, {"mode": "scattering-length", "potential": {"family": "zero"}}])
@@ -652,8 +726,8 @@ def test_parse_config_raises_only_config_error(doc):
         return
     assert cfg.task in cli.TASKS
     if cfg.potential is not None:
-        p = pot.from_config(cfg.potential)
-        assert all(np.isfinite(v) for v in (p.amplitude, p.rate, p.profile_l1, *p.breakpoints))
+        p = cli._potential(cfg.potential)
+        assert all(np.isfinite(v) for v in (p.amplitude, p.rate, p.profile_l1, p.l1, *p.breakpoints))
     # the runner's arguments, as the reader made them
     kw = cfg.arguments
     if cfg.task in ("evolve", "groundstate"):
@@ -768,23 +842,108 @@ _UNTAKEN_VALUES_KEPT = {
 def test_every_value_a_reader_offers_is_taken_by_a_sample_config(monkeypatch):
     # an option no workload takes is a branch no workload runs
     offered, taken = {}, set()
-    choice, from_config = cli._choice, pot.from_config
+    choice = cli._choice
 
     def recorded_choice(key, value, options):
         offered.setdefault(key, set()).update(options)
         taken.add((key, value))
         return choice(key, value, options)
 
-    def recorded_family(spec):
-        offered.setdefault("potential family", set()).update(pot.FAMILIES)
-        taken.add(("potential family", spec.get("family")))
-        return from_config(spec)
-
     monkeypatch.setattr(cli, "_choice", recorded_choice)
-    monkeypatch.setattr(pot, "from_config", recorded_family)
     for path in _sample_config_paths():
         cli.parse_config(path.read_text())
     # every enumerated key is read by some sample config
     assert set(offered) == {"potential family", "coupling mode", "initial type", "trap", "dim", "kind"}
     untaken = {(key, option) for key, options in offered.items() for option in options} - taken
     assert untaken == _UNTAKEN_VALUES_KEPT
+
+
+# One value of each shape a number-valued key might take, and a config of each task
+# that reads such a key, complete without it.
+_SHAPE_PROBES = {
+    "coupling": {"number": 1.0, "rule": {"potential": SOFT}},
+    "grid": {"number": 16, "list": [16]},
+    "box": {"number": 6.0, "list": [6.0]},
+}
+_SHAPE_BASES = {"evolve": {}, "groundstate": {"trap": "harmonic"}, "hierarchy-check": {}}
+
+
+def _shape(value) -> str:
+    return "rule" if isinstance(value, dict) else "list" if isinstance(value, list) else "number"
+
+
+def test_every_shape_a_reader_accepts_is_taken_by_a_sample_config():
+    # a per-axis list or a coupling rule that no workload takes is a branch no workload runs
+    taken = set()
+    for path in _sample_config_paths():
+        doc = json.loads(path.read_text())
+        taken.update((doc["task"], key, _shape(doc[key])) for key in _SHAPE_PROBES if key in doc)
+    accepted = set()
+    for task, base in _SHAPE_BASES.items():
+        for key, probes in _SHAPE_PROBES.items():
+            for shape, value in probes.items():
+                try:
+                    cli.parse_config(json.dumps({"task": task, **base, key: value}))
+                except cli.ConfigError:
+                    continue
+                accepted.add((task, key, shape))
+    assert accepted == taken
+
+
+# Functions in src/ that no sample config runs, each kept for its reason.
+_UNRUN_FUNCTIONS_KEPT = {
+    # the imaginary-time descent, the only ground-state path for g > 0
+    "gp._descend",
+    "gp._damp",
+    # the exact V = 0 control, which the tests run (the vl1 extreme case among them)
+    "potentials.zero_potential",
+    # the references the propagator tests compare the defect runs with
+    "propagators.evolve_free",
+    "propagators.interacting_energy",
+    "propagators.RadialWavepacket.mass",
+    # named by the benchmark's per-layer metrics
+    "propagators.evolve_interacting",
+    # the zero-step segment of _cn_steps, which a repeated or zero time takes
+    "propagators.RadialWavepacket.copy",
+}
+
+
+def _functions_defined_in_src() -> dict:
+    """{(file, first line): module.qualified.name} of every def in the package; the first
+    line is that of the first decorator, as the function's code object has it."""
+    defined = {}
+
+    def walk(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                line = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                defined[(str(path), line)] = prefix + child.name
+                walk(child, path, f"{prefix}{child.name}.<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                walk(child, path, f"{prefix}{child.name}.")
+            else:
+                walk(child, path, prefix)
+
+    for path in Path(cli.__file__).parent.glob("*.py"):
+        walk(ast.parse(path.read_text()), path, f"{path.stem}.")
+    return defined
+
+
+def test_every_function_in_src_runs_in_a_sample_config(tmp_path):
+    # a function no workload calls is code no workload needs
+    defined, called = _functions_defined_in_src(), set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            called.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+    codes = []
+    sys.setprofile(record)
+    try:
+        for path in _sample_config_paths():
+            task = json.loads(path.read_text())["task"]
+            codes.append(cli.main([task, "--config", str(path), "--out", str(tmp_path / path.stem)]))
+    finally:
+        sys.setprofile(None)
+    assert codes == [0] * len(codes)
+    assert {name for where, name in defined.items() if where not in called} == _UNRUN_FUNCTIONS_KEPT

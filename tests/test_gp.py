@@ -127,6 +127,17 @@ def test_resolution_guard_trips_on_rough_data():
         gp.gp_evolve(f, gp.GPConfig(coupling=0.0, dt=1e-4), 0.01)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_resolution_guard_trips_on_non_finite_data(bad):
+    # a NaN tail fraction fails every comparison, so the guard refuses unless the
+    # fraction is small; an inf entry makes it inf / inf, whose numpy warning is not
+    # the point here
+    f = make_1d()
+    f.values[5] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match="spectral blow-up"):
+        gp.gp_evolve(f, gp.GPConfig(coupling=0.0, dt=1e-4), 0.01)
+
+
 def test_defocusing_requires_nonnegative_coupling():
     with pytest.raises(ValueError):
         gp.GPConfig(coupling=-1.0)

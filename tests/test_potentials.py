@@ -71,16 +71,6 @@ def test_invalid_scale_rejected():
         pot.scale(p, 0)
 
 
-def test_from_config_round_trip_and_errors():
-    spec = {"family": "soft-sphere", "v0": 2.0, "radius": 1.0}
-    p = pot.from_config(spec)
-    assert p(np.array([0.5, 1.5])).tolist() == [2.0, 0.0]
-    # a retired family, and a family no dict key can be
-    for fam in ("lennard-jones", "tabulated", ["zero"]):
-        with pytest.raises(pot.PotentialError, match="unknown potential family"):
-            pot.from_config({"family": fam})
-
-
 def test_born_length_is_l1_over_8pi():
     p = pot.gaussian(1.0, 1.0)
     assert _rel(pot.born_scattering_length(p), np.pi**1.5 / (8 * np.pi)) < 1e-14

@@ -217,6 +217,15 @@ def test_second_moment_random_states(n2_transform):
         assert res.slack >= -1e-6 * abs(res.lhs)
 
 
+def test_second_moment_refuses_a_packet_on_another_grid_of_the_same_length(n2_transform):
+    grid = n2_transform.grid
+    half = build_grid(grid.rmax / 2, grid.h / 2)
+    assert half.n == grid.n and half.h != grid.h
+    chi = pr.CenterProfile(widths=(1.0, 1.0, 1.0))
+    with pytest.raises(ValueError, match="transform grid"):
+        pr.second_moment_check(chi, pr.gaussian_packet(half), SOFT, n2_transform)
+
+
 def test_second_moment_broadening_decreases_both_sides(n2_transform):
     chi = pr.CenterProfile(widths=(1.0, 1.0, 1.0))
     g1 = pr.gaussian_packet(n2_transform.grid, sigma=1.0)
