@@ -8,16 +8,39 @@ Kernels:
     propagators call it only for q != 0; the q = 0 scheme is diagonal in the
     DST-I basis and is applied there exactly (propagators._cn_steps).
 
+Each CN step's solve calls LAPACK zgttrs through the function pointer that
+scipy.linalg.cython_lapack exports, by ctypes, which releases the GIL for the
+call; scipy's f2py lapack.zgttrs holds it.  So CN runs on two threads
+overlap, and _pool_map runs them: convergence_experiment maps its N values,
+and build_transform its two row halves, over pool_size() threads.  Every
+thread does the same arithmetic on the same data as one thread would, so
+results do not change by a bit.
+
 ``python3 perfbench/run.py --workload radial --trace 1`` times each kernel.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import cython_lapack, lapack
 
 # Kept for callers that record the active kernel path; there is only one.
 HAVE_NUMBA = False
+
+
+def pool_size() -> int:
+    """Threads of _pool_map: the machine's two cores, fewer if the affinity mask allows fewer."""
+    return min(2, len(os.sched_getaffinity(0)))
+
+
+def _pool_map(fn, items) -> list:
+    """[fn(x) for x in items], taken in order by pool_size() threads."""
+    with ThreadPoolExecutor(max_workers=pool_size()) as pool:
+        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +107,15 @@ def rk4_phase(q_half, k, h, r0=0.0, d0=0.0):
 # is one solve with those factors.
 # ---------------------------------------------------------------------------
 
+# zgttrs(trans, n, nrhs, dl, d, du, du2, ipiv, b, ldb, info), every argument a
+# pointer.  A scipy that stops exporting it fails here, at import.
+_capsule = cython_lapack.__pyx_capi__["zgttrs"]
+_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
+_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi)
+)
+_zgttrs = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 11)(_capsule_pointer(_capsule, _capsule_name(_capsule)))
+
 
 def cn_evolve(u_interior, q_interior, h, dt, nsteps):
     """Advance interior Dirichlet values by nsteps Crank-Nicolson steps."""
@@ -101,14 +133,22 @@ def cn_evolve(u_interior, q_interior, h, dt, nsteps):
     dl, dd, du, du2, ipiv, info = lapack.zgttrf(off, diag, off)
     if info != 0:
         raise RuntimeError("tridiagonal factorization failed")
+    # y is zgttrs's right-hand side b, overwritten by the solution
+    y = np.empty_like(u)
+    trans, n, nrhs, status = ctypes.c_char(b"N"), ctypes.c_int(m), ctypes.c_int(1), ctypes.c_int(0)
+    args = [ctypes.addressof(c) for c in (trans, n, nrhs)]
+    args += [a.ctypes.data for a in (dl, dd, du, du2, ipiv, y)]
+    args += [ctypes.addressof(n), ctypes.addressof(status)]
     for _ in range(int(nsteps)):
         # Cayley map in resolvent form: u+ = 2 (I + i theta A)^{-1} u - u.
         # No amplifying matvec appears, so roundoff stays at the eps level:
         # over 1000 steps on ~1200-point grids the norm drifted by 4e-14
         # relative, and the state stayed within 1.2e-12 of the exact
         # propagator of the same matrix.
-        y, info = lapack.zgttrs(dl, dd, du, du2, ipiv, u)
-        if info != 0:
+        np.copyto(y, u)
+        _zgttrs(*args)
+        if status.value != 0:
             raise RuntimeError("tridiagonal solve failed")
-        u = 2.0 * y - u
+        y *= 2.0
+        np.subtract(y, u, out=u)
     return u

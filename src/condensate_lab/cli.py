@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, gp, hierarchy, potentials, propagators, scattering
+from . import _kernels, analysis, gp, hierarchy, potentials, propagators, scattering
 
 
 class ConfigError(ValueError):
@@ -513,10 +513,13 @@ def _read_two_body(params: dict) -> dict:
             raise ConfigError(f"times must be multiples of dt = {dt!r}, got {t!r}: {exc}") from exc
     potential = _read_potential(params, "two-body-convergence")
     n_list = _list("n_list", params.get("n_list", [8, 16, 32, 64, 128, 256]), lambda key, v: _integer(key, v, 1), 4)
-    # the nodes of each N's radial grid
+    # the nodes of each N's radial grid; the pool runs the largest grids at once
     points = [propagators.defect_points(potential, N) for N in n_list]
-    finest, N = max(zip(points, n_list))
-    _refuse_beyond(_physical_memory(), 16 * finest, f"n_list entry {N:.3g} needs about {{:.3g}} GB per field on its radial grid")
+    live = sorted(zip(points, n_list))[-_kernels.pool_size() :]
+    entries = ", ".join(f"{N:.3g}" for _, N in live)
+    need = 16 * sum(nodes for nodes, _ in live)
+    what = f"n_list entries {entries} run at once and need about {{:.3g}} GB per field on their radial grids"
+    _refuse_beyond(_physical_memory(), need, what)
     _refuse_work(sum(points) * steps, "two-body-convergence")
     return {
         "potential": potential,
@@ -673,7 +676,10 @@ def _read_inequality(params: dict) -> dict:
         p = _read_potential(params, "vl12", potentials.gaussian(1.0, 1.0))
         if not p.l1 > 0.0:  # as for the zero family
             raise ConfigError(f"vl12 needs a potential with int V > 0, got int V = {p.l1!r}")
-        return {"check": _vl12, "potential": potentials.unit_l1(p)}
+        try:
+            return {"check": _vl12, "potential": potentials.unit_l1(p)}
+        except potentials.PotentialError as exc:  # a subnormal int V
+            raise ConfigError(f"vl12: {exc}") from exc
     samples = _integer("samples", params.get("samples", 1000), 100)
     cutoff = analysis.default_cutoff_config()
     _refuse_work(2 * samples * cutoff.N**2, "theta", "particle pairs x evaluations")

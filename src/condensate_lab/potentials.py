@@ -118,7 +118,13 @@ def scale(p: Potential, N: int) -> Potential:
     if int(N) != N or N < 1:
         raise PotentialError("invalid scale: N must be a positive integer")
     N = int(N)
-    return replace(p, amplitude=p.amplitude * N**2, rate=p.rate * N)
+    try:  # an int N^2 past float range raises; a float product past it is inf
+        amplitude, rate = p.amplitude * N**2, p.rate * N
+    except OverflowError:
+        amplitude = rate = np.inf
+    if not (np.isfinite(amplitude) and np.isfinite(rate)):
+        raise PotentialError("invalid scale: N^2 V(N r) leaves float range")
+    return replace(p, amplitude=amplitude, rate=rate)
 
 
 def dilate(p: Potential, alpha: float) -> Potential:
@@ -138,4 +144,7 @@ def unit_l1(p: Potential) -> Potential:
     l1 = p.l1
     if l1 <= 0.0:
         raise PotentialError("cannot normalize a vanishing potential")
-    return replace(p, amplitude=p.amplitude / l1)
+    amplitude = p.amplitude / l1
+    if not np.isfinite(amplitude):  # a subnormal int V
+        raise PotentialError(f"cannot normalize: int V = {l1!r} puts the amplitude past float range")
+    return replace(p, amplitude=amplitude)

@@ -7,6 +7,12 @@ basis.  On top of the propagators sit the quantitative
 experiments: the short-range defect ||(interacting - free) g|| as a function
 of the scaling parameter N, and the second-moment energy inequality for
 separable two-particle states at N = 2.
+
+convergence_experiment runs its N values on the threads of
+_kernels._pool_map, largest grid first.  The runs share no state, and each
+CN solve goes through a LAPACK call that releases the GIL
+(see _kernels), so two of them take both cores; every defect is the one a
+single thread computes, bit for bit.
 """
 
 from __future__ import annotations
@@ -182,6 +188,24 @@ def defect_points(p: Potential, N: int) -> float:
     return grid_points(*_defect_extent(p, N))
 
 
+def _defect_at(p: Potential, N: int, steps: list, sigma: float, dt: float) -> tuple:
+    """convergence_experiment's run at one N: the defect, the largest boundary_fraction
+    of the interacting state and the h1_norm of the initial packet."""
+    grid = build_grid(*_defect_extent(p, N))
+    w = gaussian_packet(grid, sigma=sigma)
+    _check_boundary(w)
+    q = 0.5 * potential_node_samples(scale(p, N), grid)
+    zero = np.zeros(grid.n)
+    a, b, done, best, wall = w, w, 0, 0.0, 0.0
+    for n in steps:
+        a = _cn_steps(a, q, n - done, dt)
+        b = _cn_steps(b, zero, n - done, dt)
+        done = n
+        best = max(best, float(grid.norm_flat(a.u - b.u)))
+        wall = max(wall, a.boundary_fraction())
+    return best, wall, w.h1_norm()
+
+
 def convergence_experiment(
     p: Potential,
     N_list,
@@ -195,7 +219,8 @@ def convergence_experiment(
     interacting state and the free reference, the scheme's exact V = 0
     propagator (see _cn_steps), each advance once through the sorted times.
     The boundary guard applies to the initial packet.  At least 4
-    geometrically spaced N values are required.
+    geometrically spaced N values are required.  The N values run on the
+    pool of _kernels._pool_map; the curve is the same as one thread's.
     """
     N_list = sorted(int(n) for n in N_list)
     if len(N_list) < 4:
@@ -203,26 +228,11 @@ def convergence_experiment(
     steps = sorted(step_count(tt, dt) for tt in times)
     if not steps:
         raise ValueError("need at least one sample time")
-    defects = []
-    h1 = None
-    wall = 0.0
-    for N in N_list:
-        pN = scale(p, N)
-        grid = build_grid(*_defect_extent(p, N))
-        w = gaussian_packet(grid, sigma=sigma)
-        if h1 is None:
-            h1 = w.h1_norm()
-        _check_boundary(w)
-        q = 0.5 * potential_node_samples(pN, grid)
-        zero = np.zeros(grid.n)
-        a, b, done, best = w, w, 0, 0.0
-        for n in steps:
-            a = _cn_steps(a, q, n - done, dt)
-            b = _cn_steps(b, zero, n - done, dt)
-            done = n
-            best = max(best, float(grid.norm_flat(a.u - b.u)))
-            wall = max(wall, a.boundary_fraction())
-        defects.append(best)
+    # the grid points grow with N: the largest grids go to the pool first
+    runs = _kernels._pool_map(lambda N: _defect_at(p, N, steps, sigma, dt), N_list[::-1])[::-1]
+    defects = [best for best, _, _ in runs]
+    wall = max(frac for _, frac, _ in runs)
+    h1 = runs[0][2]
     slope = None  # every defect below roundoff: exact, nothing to fit
     if not max(defects) < 1e-13:
         slope = float(np.polyfit(np.log(np.asarray(N_list, dtype=float)), np.log(defects), 1)[0])

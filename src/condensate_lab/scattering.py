@@ -307,12 +307,20 @@ def build_transform(p, k_max: float, n_k: int, rmax: float | None = None) -> Sca
     # filled in place: an outer-product temporary would be as large as states
     states = np.empty((k.shape[0], grid.n))
     states[:, : i_stop + 1] = (U / amp).T
-    tail = states[:, i_stop + 1 :]
-    np.multiply.outer(k, grid.r[i_stop + 1 :], out=tail)
-    tail += delta[:, None]
-    np.sin(tail, out=tail)
-    sines = np.multiply.outer(k, grid.r)
-    np.sin(sines, out=sines)
+    sines = np.empty_like(states)
+
+    def fill(rows: slice):
+        """The sine tails of states and the sines, on rows; elementwise, so two
+        threads on two row halves give the bits of one fill."""
+        tail = states[rows, i_stop + 1 :]
+        np.multiply.outer(k[rows], grid.r[i_stop + 1 :], out=tail)
+        tail += delta[rows, None]
+        np.sin(tail, out=tail)
+        np.multiply.outer(k[rows], grid.r, out=sines[rows])
+        np.sin(sines[rows], out=sines[rows])
+
+    half = k.shape[0] // 2
+    _kernels._pool_map(fill, (slice(0, half), slice(half, None)))
 
     t = ScatteringTransform(
         grid=grid,

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -383,6 +384,8 @@ def test_default_dt_matches_the_grid_spectrum():
         {"task": "evolve", "coupling": {"potential": {"family": "soft-sphere", "v0": 2.0, "radius": 1e-300}}},
         # int V = 0 leaves nothing for the vl12 ladder to normalize
         {"task": "inequality-check", "kind": "vl12", "potential": {"family": "zero"}},
+        # a subnormal int V, whose normalized amplitude is inf
+        {"task": "inequality-check", "kind": "vl12", "potential": {"family": "gaussian", "v0": 1.0, "width": 1e-105}},
         # a retired coupling mode
         {"task": "evolve", "coupling": {"mode": "born", "potential": {"family": "zero"}}},
         # a radius whose grid step underflows to 0
@@ -395,6 +398,23 @@ def test_malformed_task_key_is_config_error(tmp_path, doc):
     with pytest.raises(cli.ConfigError):
         cli.parse_config(cfg_path.read_text())
     assert cli.main([doc["task"], "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_the_two_body_memory_refusal_counts_the_grids_that_run_at_once(monkeypatch):
+    # two pool threads hold the two largest grids at once; one CPU holds one
+    doc = json.dumps({"task": "two-body-convergence", "potential": SOFT, "n_list": [8, 16, 32, 64]})
+    soft = cli.potentials.soft_sphere(2.0, 1.0)
+    finest, next_finest = (pr.defect_points(soft, N) for N in (64, 32))
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 16 * (finest + next_finest))
+    cli.parse_config(doc)
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 16 * (finest + next_finest) - 1)
+    with pytest.raises(cli.ConfigError, match="n_list entries 32, 64 run at once"):
+        cli.parse_config(doc)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    cli.parse_config(doc)
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 16 * finest - 1)
+    with pytest.raises(cli.ConfigError, match="n_list entries 64 run at once"):
+        cli.parse_config(doc)
 
 
 def test_a_core_that_marches_past_float_range_fails_on_purpose(tmp_path, capsys):
@@ -938,12 +958,15 @@ def test_every_function_in_src_runs_in_a_sample_config(tmp_path):
             called.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
 
     codes = []
+    # the radial stack runs on pool threads, which sys.setprofile does not see
     sys.setprofile(record)
+    threading.setprofile(record)
     try:
         for path in _sample_config_paths():
             task = json.loads(path.read_text())["task"]
             codes.append(cli.main([task, "--config", str(path), "--out", str(tmp_path / path.stem)]))
     finally:
+        threading.setprofile(None)
         sys.setprofile(None)
     assert codes == [0] * len(codes)
     assert {name for where, name in defined.items() if where not in called} == _UNRUN_FUNCTIONS_KEPT

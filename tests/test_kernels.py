@@ -1,6 +1,7 @@
 """Radial kernels against exact solutions and invariants."""
 
 import numpy as np
+from scipy.linalg import lapack
 
 from condensate_lab import _kernels as K
 
@@ -36,3 +37,23 @@ def test_cn_zero_steps_identity():
     u = np.arange(5, dtype=complex)
     out = K.cn_evolve(u, np.zeros(5), 0.1, 1e-3, 0)
     assert np.array_equal(out, u)
+
+
+def test_cn_evolve_equals_a_loop_over_scipys_f2py_zgttrs():
+    # cn_evolve solves through the zgttrs pointer of scipy.linalg.cython_lapack, which
+    # releases the GIL; it must give the bits of scipy's f2py wrapper, here on a soft core
+    m, h, dt, nsteps = 1200, 0.02, 1e-3, 200
+    r = h * np.arange(1, m + 1)
+    q = np.where(r <= 0.5, 8.0, 0.0)
+    u0 = np.sqrt(4.0 * np.pi) * r * np.exp(-0.5 * r**2)
+    theta = 0.5 * dt
+    off = 1j * theta * (-1.0 / h**2) * np.ones(m - 1, dtype=np.complex128)
+    diag = 1.0 + 1j * theta * (2.0 / h**2 + q).astype(np.complex128)
+    dl, dd, du, du2, ipiv, info = lapack.zgttrf(off, diag, off)
+    assert info == 0
+    ref = u0.astype(np.complex128)
+    for _ in range(nsteps):
+        y, info = lapack.zgttrs(dl, dd, du, du2, ipiv, ref)
+        assert info == 0
+        ref = 2.0 * y - ref
+    assert np.array_equal(K.cn_evolve(u0, q, h, dt, nsteps), ref)

@@ -69,6 +69,10 @@ def test_invalid_scale_rejected():
     p = pot.gaussian(1.0, 1.0)
     with pytest.raises(pot.PotentialError, match="invalid scale"):
         pot.scale(p, 0)
+    # an int N^2 past float range, and a float amplitude N^2 A past it
+    for p, N in ((p, 10**200), (pot.gaussian(1e300, 1.0), 10**5)):
+        with pytest.raises(pot.PotentialError, match="float range"):
+            pot.scale(p, N)
 
 
 def test_born_length_is_l1_over_8pi():
@@ -83,6 +87,9 @@ def test_unit_l1_normalization():
         assert unit.breakpoints == p.breakpoints
     with pytest.raises(pot.PotentialError):
         pot.unit_l1(pot.zero_potential())
+    # int V = 5.6e-315, subnormal: 1 / int V is inf
+    with pytest.raises(pot.PotentialError, match="float range"):
+        pot.unit_l1(pot.gaussian(1.0, 1e-105))
 
 
 def test_values_after_unit_l1_and_scale():

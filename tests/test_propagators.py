@@ -1,5 +1,9 @@
 """Free/interacting propagators, the defect experiment, the N=2 energy bound."""
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -160,6 +164,41 @@ def test_defect_discretization_converged(monkeypatch):
     fine = pr.convergence_experiment(GAUSS, N_list, times=(0.5,), dt=5e-4)
     for d_c, d_f in zip(coarse.defects, fine.defects):
         assert abs(d_c - d_f) / d_f < 0.05
+
+
+SAMPLE_N = [8, 16, 32, 64, 128, 256]
+
+
+@pytest.fixture(scope="module")
+def sample_curve():
+    # the sample two-body config: its Gaussian, n_list, times and dt
+    return pr.convergence_experiment(GAUSS, SAMPLE_N)
+
+
+def test_convergence_experiment_equals_one_n_at_a_time_on_the_main_thread(monkeypatch, sample_curve):
+    ran_on = set()
+
+    def one_at_a_time(fn, items):
+        ran_on.add(threading.get_ident())
+        return [fn(x) for x in items]
+
+    monkeypatch.setattr(K, "_pool_map", one_at_a_time)
+    assert pr.convergence_experiment(GAUSS, SAMPLE_N) == sample_curve
+    assert ran_on == {threading.main_thread().ident}
+
+
+def test_one_cpu_gives_one_worker_and_the_same_curve(monkeypatch, sample_curve):
+    workers = []
+
+    class Recorded(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(K, "ThreadPoolExecutor", Recorded)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert pr.convergence_experiment(GAUSS, SAMPLE_N) == sample_curve
+    assert workers == [1]
 
 
 def test_requires_four_values_of_n():

@@ -320,3 +320,13 @@ def test_a_tiny_radius_sets_the_zero_energy_step():
     # below the 1e-6 range floor the radius is the first piece, of two intervals
     for radius in (1e-9, 1e-100, 1e-300):
         assert sc.zero_energy_points(pot.soft_sphere(2.0, radius)) == pytest.approx(1e-4 / radius, rel=1e-4)
+
+
+def test_transform_fill_on_two_row_halves_equals_one_serial_fill(soft, monkeypatch):
+    # the sine fills are elementwise, so the pool's two row halves give the bits of
+    # one fill over every row on the main thread
+    threaded = sc.build_transform(pot.scale(soft, 2), k_max=14.0, n_k=640)
+    monkeypatch.setattr(_kernels, "_pool_map", lambda fill, halves: [fill(slice(None))])
+    serial = sc.build_transform(pot.scale(soft, 2), k_max=14.0, n_k=640)
+    assert np.array_equal(threaded.states, serial.states)
+    assert np.array_equal(threaded.sines, serial.sines)
