@@ -287,12 +287,18 @@ def _check(anchor: str, value: float, threshold: float, ok: bool) -> dict:
     }
 
 
-def _write_csv(path: Path, header: list[str], rows):
+def _write_csv(path: Path, header: list[str], columns):
+    """The header, then row i of the columns' i-th entries.
+
+    tolist() makes every entry a Python int or float, which csv writes as str
+    and repr; a numpy float, which is a float too, csv would write as its repr
+    np.float64(...).  Each column holds one kind of number: np.asarray would
+    write the ints of a mixed one as floats.
+    """
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for row in rows:
-            w.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row])
+        w.writerows(zip(*(np.asarray(c).tolist() for c in columns)))
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +344,7 @@ def _run_scatter(outdir: Path, seed: int, *, potential):
         _check("eq:scatt", a0 - born, 1e-12, a0 - born <= 1e-12),
         _check("eq:LSE", lse_gap, 1e-4, lse_gap <= 1e-4),
     ]
-    _write_csv(outdir / "profile.csv", ["r", "f"], zip(sol.grid.r, sol.f))
+    _write_csv(outdir / "profile.csv", ["r", "f"], (sol.grid.r, sol.f))
     return results, checks
 
 
@@ -375,7 +381,7 @@ def _read_gp(params: dict, width: float, coupling) -> dict:
         "shape": shape,
         "box": box,
         "coupling": coupling,
-        "trap": gp.harmonic_trap if trap else None,
+        "trap": trap,
         "initial": _read_keys(
             "initial",
             params.get("initial", {"type": "gaussian", "width": width}),
@@ -385,7 +391,8 @@ def _read_gp(params: dict, width: float, coupling) -> dict:
 
 
 def _field_from_init(shape, box, init: dict) -> gp.Field:
-    mesh = np.meshgrid(*gp.centered_axes(shape, box), indexing="ij")
+    # sparse: each sum below broadcasts to the grid, adding the same values in the same order
+    mesh = np.meshgrid(*gp.centered_axes(shape, box), indexing="ij", sparse=True)
     if init["type"] == "plane-wave":
         phase = sum((2.0 * np.pi * m / L) * x for m, L, x in zip(init["mode"], box, mesh))
         return gp.Field(init["amplitude"] * np.exp(1j * phase), box)
@@ -468,7 +475,7 @@ def _run_evolve(outdir: Path, seed: int, *, shape, box, coupling, trap, initial,
         results["plane_wave_phase_error"] = phase_err
         results["dispersion_omega"] = float(omega)
         checks.append(_check("eq:GP1", phase_err, 1e-6, phase_err <= 1e-6))
-    _write_csv(outdir / "observables.csv", columns, rows)
+    _write_csv(outdir / "observables.csv", columns, zip(*rows))
     return results, checks
 
 
@@ -498,7 +505,7 @@ def _run_groundstate(outdir: Path, seed: int, *, shape, box, coupling, trap, ini
         err = abs(res["energy"] - dim)
         results["harmonic_reference"] = float(dim)
         checks.append(_check("E-GP", err, 1e-4, err <= 1e-4))
-    _write_csv(outdir / "descent.csv", ["iteration", "energy"], list(enumerate(energies)))
+    _write_csv(outdir / "descent.csv", ["iteration", "energy"], (range(len(energies)), energies))
     return results, checks
 
 
@@ -548,7 +555,7 @@ def _run_two_body(outdir: Path, seed: int, *, potential, n_list, times, dt):
             _check("lm:WNto1", curve.fitted_slope, slope_limit, curve.fitted_slope <= slope_limit),
             _check("lm:WNto1", 0.0 if curve.monotone_decreasing() else 1.0, 0.5, curve.monotone_decreasing()),
         ]
-    _write_csv(outdir / "defect_curve.csv", ["N", "defect"], zip(curve.N_values, curve.defects))
+    _write_csv(outdir / "defect_curve.csv", ["N", "defect"], (curve.N_values, curve.defects))
     return results, checks
 
 
@@ -584,7 +591,7 @@ def _run_second_moment(outdir: Path, seed: int, *, potential, samples):
         "transform_defect": transform.completeness_defect,
     }
     checks = [_check("prop:energ2", worst, -1e-6, worst >= -1e-6)]
-    _write_csv(outdir / "second_moment.csv", ["sample", "lhs", "rhs", "slack", "rel_slack"], rows)
+    _write_csv(outdir / "second_moment.csv", ["sample", "lhs", "rhs", "slack", "rel_slack"], zip(*rows))
     return results, checks
 
 
@@ -648,7 +655,7 @@ def _run_hierarchy(outdir: Path, seed: int, *, coupling, levels, dim):
         _check("eq:infhier", ratio, 10.0, ratio >= 10.0),
         _check("eq:BBGKYinf", zero_resid, 1e-8, zero_resid <= 1e-8),
     ]
-    _write_csv(outdir / "residuals.csv", columns, table)
+    _write_csv(outdir / "residuals.csv", columns, zip(*table))
     return results, checks
 
 
@@ -708,7 +715,7 @@ def _int1(outdir: Path, seed: int):
         _check("eq:int1", cal, 1e-4, cal <= 1e-4),
         _check("eq:int1", max(values) - v0, 1e-6, sup_ok),
     ]
-    _write_csv(outdir / "kernel_int1.csv", ["p", "value"], zip(p_grid, values))
+    _write_csv(outdir / "kernel_int1.csv", ["p", "value"], (p_grid, values))
     return results, checks
 
 
@@ -721,7 +728,7 @@ def _trivv(outdir: Path, seed: int):
     oracle = float(4.0 * np.pi * (0.5 * _gamma(1.75) * _gamma(0.25) + np.pi / 4.0))
     gap = abs(v0 - oracle)
     results = {"p_grid": p_grid, "values": values, "beta_oracle": oracle}
-    _write_csv(outdir / "kernel_trivv.csv", ["p", "value"], zip(p_grid, values))
+    _write_csv(outdir / "kernel_trivv.csv", ["p", "value"], (p_grid, values))
     return results, [_check("eq:trivv", gap, 1e-4, gap <= 1e-4)]
 
 
@@ -743,7 +750,7 @@ def _vl1(outdir: Path, seed: int, *, potential, pairs):
         _check("lm:VL1", change, 0.1, change < 0.1),
         _check("lm:VL1", sup_full, bound, sup_full <= bound),
     ]
-    _write_csv(outdir / "vl1_ratios.csv", ["pair", "ratio"], list(enumerate(ratios)))
+    _write_csv(outdir / "vl1_ratios.csv", ["pair", "ratio"], (range(len(ratios)), ratios))
     return results, checks
 
 
@@ -768,7 +775,7 @@ def _vl12(outdir: Path, seed: int, *, potential):
         _check("lm:VL12", 0.0 if mono else 1.0, 0.5, mono),
         _check("lm:VL12", 0.0 if rate_ok else 1.0, 0.5, rate_ok),
     ]
-    _write_csv(outdir / "vl12_gaps.csv", ["alpha", "gap"], zip(alphas, gaps))
+    _write_csv(outdir / "vl12_gaps.csv", ["alpha", "gap"], (alphas, gaps))
     return results, checks
 
 

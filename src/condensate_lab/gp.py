@@ -23,10 +23,27 @@ already holds after the kinetic factor: that factor has modulus 1, so this
 is the spectrum of the state after the leading phase half step, and only
 the initial data needs a transform for its guard.
 Fields are complex128 throughout, so every solver uses the one spectrum k^2.
+
+On 2-d and 3-d grids of at least _THREAD_SITES = 2^15 sites gp_evolve runs on
+_kernels.pool_size() threads (two, or one if the affinity mask allows one),
+bit for bit.  Each transform runs as c2c's two passes, the axis-0 lines on
+slabs of axis 1 and the other axes on slabs of axis 0; the kinetic factor and
+the phase step ride the second pass's slabs, so a step joins the threads four
+times.  The calling thread takes one slab, and a worker, started once per
+call and pinned to another CPU, takes the other (_kernels._pinned_split); the
+initial data's transform uses it too.  The crossover was measured on the
+2-vCPU host, alternating one- and two-thread calls of 50 steps: 24^3 broke
+even, 32^3 (2^15 sites) ran 0.73x and 48^3 0.71x the one-thread step, and
+128^2 ran 1.28x.  gp_energy transforms once a call and stays on one thread:
+starting the worker costs about 0.3 ms, as much as the split saves at 48^3.
+The guard's probes and every sum stay on the calling thread over the whole
+grid, because a sum split in two adds in another order and rounds apart.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -35,6 +52,8 @@ import numpy as np
 import scipy.fft
 import scipy.linalg
 from scipy.fft._pocketfft.pypocketfft import c2c as _c2c
+
+from . import _kernels
 
 
 def _sum_of_squares(axes: list[np.ndarray]) -> np.ndarray:
@@ -59,7 +78,8 @@ def _top_octave(axes: list[np.ndarray]) -> np.ndarray:
 
 def _tail_fraction(spectrum: np.ndarray, top: np.ndarray) -> float:
     power = np.abs(spectrum) ** 2
-    return float(np.sum(power[top]) / np.sum(power))
+    # np.sum's own reduction without its dispatch, which costs more than the sums on small grids
+    return float(np.add.reduce(power[top], axis=None) / np.add.reduce(power, axis=None))
 
 
 def max_k_squared(shape: tuple[int, ...], box: tuple[float, ...]) -> float:
@@ -132,13 +152,63 @@ class Field:
         return Field(self.values.copy(), self.box, self.time)
 
 
-# The one transform pair, fftn/ifftn's own c2c call without their costlier dispatch; out=a is in place
-def _fft(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    return _c2c(a, None, True, 0, out, 1)
+# Smallest grid, in sites, whose transforms and steps run on two threads
+_THREAD_SITES = 2**15
 
 
-def _ifft(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    return _c2c(a, None, False, 2, out, 1)  # inorm 2 divides by the grid size
+def _team(a: np.ndarray):
+    """Context of the split that a's transforms and steps run on: _kernels._pinned_split()
+    for 2-d and 3-d grids of at least _THREAD_SITES sites when the affinity mask
+    allows two threads, else a context of None, the calling thread alone."""
+    if a.ndim > 1 and a.size >= _THREAD_SITES and _kernels.pool_size() > 1:
+        return _kernels._pinned_split()
+    return contextlib.nullcontext()
+
+
+def _slab_transform(a: np.ndarray, out: np.ndarray | None, forward: bool, split, then=None) -> np.ndarray:
+    """c2c's transform of a into out on a split; then(s) runs on each slab s of axis 0 once it is transformed.
+
+    c2c transforms the axes in order, axis 0 first, each line alike wherever
+    it lies, and the inverse's 1/N (in long double, then rounded) scales the
+    axis-0 pass's output before the other axes.  Here the axis-0 pass runs on
+    slabs of axis 1 and the rest on slabs of axis 0, which the 1/N scales
+    first, so every bit is c2c's.  The 1/N and then() work on slabs of axis 0
+    because those are contiguous: numpy copies a non-contiguous operand of an
+    in-place product first.
+    """
+    out = np.empty_like(a) if out is None else out
+    scale = np.float64(1 / np.longdouble(a.size))
+    rest = tuple(range(1, a.ndim))
+
+    def axis0(s):
+        _c2c(a[:, s], (0,), forward, 0, out[:, s], 1)
+
+    def others(s):
+        slab = out[s]
+        if not forward:
+            parts = slab.view(np.float64)  # real and imaginary parts, each scaled alone like c2c's
+            parts *= scale
+        _c2c(slab, rest, forward, 0, slab, 1)
+        if then is not None:
+            then(s)
+
+    split(axis0, a.shape[1])
+    split(others, a.shape[0])
+    return out
+
+
+# The one transform pair, fftn/ifftn bit for bit: their c2c call without their
+# costlier dispatch, or its passes on a split.  out=a is in place
+def _fft(a: np.ndarray, out: np.ndarray | None = None, split=None) -> np.ndarray:
+    if split is None:
+        return _c2c(a, None, True, 0, out, 1)
+    return _slab_transform(a, out, True, split)
+
+
+def _ifft(a: np.ndarray, out: np.ndarray | None = None, split=None) -> np.ndarray:
+    if split is None:
+        return _c2c(a, None, False, 2, out, 1)  # inorm 2 divides by the grid size
+    return _slab_transform(a, out, False, split)
 
 
 class _Plan:
@@ -162,10 +232,16 @@ class _Plan:
 
 @dataclass
 class GPConfig:
-    """Coupling, optional confining trap, and stepping parameters."""
+    """Coupling, optional confining trap, and stepping parameters.
+
+    The trap is a nonnegative function of the grid coordinates, or the name
+    "harmonic" of harmonic_trap, the one trap whose g = 0 ground state
+    gp_ground_state solves exactly.  The name, not the identity of a function
+    object, selects that path, so wrapping harmonic_trap changes no result.
+    """
 
     coupling: float
-    trap: Callable[..., np.ndarray] | None = None
+    trap: str | Callable[..., np.ndarray] | None = None
     dt: float = 1e-3
     _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -176,7 +252,8 @@ class GPConfig:
     def trap_values(self, f: Field) -> np.ndarray:
         if self.trap is None:
             return np.zeros(f.shape)
-        vals = np.asarray(self.trap(*f.meshgrid()), dtype=np.float64)
+        trap = harmonic_trap if self.trap == "harmonic" else self.trap
+        vals = np.asarray(trap(*f.meshgrid()), dtype=np.float64)
         if np.any(vals < 0):
             raise ValueError("trap must be nonnegative")
         return vals
@@ -202,7 +279,7 @@ def _guard(plan: _Plan, spectrum: np.ndarray, where: str):
         raise RuntimeError(f"spectral blow-up: top-octave fraction {tail:.2e} ({where})")
 
 
-def _rotate(phi: np.ndarray, tau: float, g: float, v: np.ndarray | None, theta: np.ndarray, rot: np.ndarray):
+def _rotate(phi: np.ndarray, v: np.ndarray | None, theta: np.ndarray, rot: np.ndarray, g: float, tau: float):
     """phi <- exp(-i tau (g |phi|^2 + V)) phi in place via the buffers theta, rot; |phi| is kept."""
     np.square(np.abs(phi, out=theta), out=theta)
     theta *= -tau * g
@@ -219,6 +296,41 @@ def _damp(phi: np.ndarray, tau: float, g: float, v_factor: np.ndarray | None):
         phi *= np.exp(-tau * g * np.abs(phi) ** 2)
     if v_factor is not None:
         phi *= v_factor
+
+
+def _strang_halves(split, phi: np.ndarray, v: np.ndarray | None, kin: np.ndarray, g: float):
+    """gp_evolve's step on phi in two halves, in place: rotate(tau) is a phase step
+    of time tau; kick() the transform and the kinetic factor kin; back(tau) the
+    inverse transform and then rotate(tau).
+
+    On a split the kinetic factor and the phase step ride the slabs of the
+    transforms' last pass, so a step joins the threads four times; the
+    arithmetic is the one-thread step's.
+    """
+    scratch = np.empty(phi.shape), np.empty_like(phi)  # _rotate's theta and rot
+    if split is None:
+        rotate = functools.partial(_rotate, phi, v, *scratch, g)
+
+        def kick():
+            _fft(phi, phi)
+            np.multiply(phi, kin, out=phi)
+
+        def back(tau):
+            _ifft(phi, phi)
+            rotate(tau)
+
+        return rotate, kick, back
+
+    def rotate_slab(tau, s):
+        _rotate(phi[s], None if v is None else v[s], scratch[0][s], scratch[1][s], g, tau)
+
+    def kick():
+        _slab_transform(phi, phi, True, split, lambda s: np.multiply(phi[s], kin[s], out=phi[s]))
+
+    def back(tau):
+        _slab_transform(phi, phi, False, split, functools.partial(rotate_slab, tau))
+
+    return lambda tau: split(functools.partial(rotate_slab, tau), phi.shape[0]), kick, back
 
 
 # gp_evolve's bound on the kinetic phase dt * max|k|^2 of a step, and the phase
@@ -244,23 +356,18 @@ def gp_evolve(f: Field, cfg: GPConfig, t: float) -> Field:
     plan = cfg._plan(f)
     if cfg.dt * plan.k2_max > KINETIC_LIMIT:
         raise ValueError("dt too large for the grid kinetic scale")
-    _guard(plan, _fft(f.values), "initial data")
-    kin = plan.kinetic(cfg.dt)
-    g, v, half = cfg.coupling, plan.trap, 0.5 * cfg.dt
-    phi = f.values.copy()
-    scratch = np.empty(phi.shape), np.empty_like(phi)  # _rotate's theta and rot
     probe = max(1, nsteps // 8)
-    lead = half  # phase time owed before the next kinetic step
-    for step in range(1, nsteps + 1):
-        _rotate(phi, lead, g, v, *scratch)
-        _fft(phi, phi)
-        phi *= kin
-        if step % probe == 0 or step == nsteps:
-            _guard(plan, phi, f"step {step}")
-        _ifft(phi, phi)
-        if step == nsteps:
-            _rotate(phi, half, g, v, *scratch)
-        lead = cfg.dt
+    with _team(f.values) as split:
+        _guard(plan, _fft(f.values, split=split), "initial data")
+        phi = f.values.copy()
+        if nsteps:
+            rotate, kick, back = _strang_halves(split, phi, plan.trap, plan.kinetic(cfg.dt), cfg.coupling)
+            rotate(0.5 * cfg.dt)
+        for step in range(1, nsteps + 1):
+            kick()
+            if step % probe == 0 or step == nsteps:
+                _guard(plan, phi, f"step {step}")
+            back(cfg.dt if step < nsteps else 0.5 * cfg.dt)
     return Field(phi, f.box, f.time + nsteps * cfg.dt)
 
 
@@ -302,10 +409,10 @@ _DTAU_MIN = 1e-12
 
 def ground_state_trials(coupling: float, trap, shape: tuple[int, ...]) -> int:
     """Most trial steps gp_ground_state takes: 0 where it solves exactly (g = 0 in
-    harmonic_trap on at most _EIGH_AXIS_MAX points per axis), else _MAX_ITERS
+    the trap "harmonic" on at most _EIGH_AXIS_MAX points per axis), else _MAX_ITERS
     accepted steps and one rejected trial per halving of dtau from _DTAU to
     _DTAU_MIN, since dtau never grows."""
-    if coupling == 0.0 and trap is harmonic_trap and max(shape) <= _EIGH_AXIS_MAX:
+    if coupling == 0.0 and trap == "harmonic" and max(shape) <= _EIGH_AXIS_MAX:
         return 0
     return _MAX_ITERS + math.ceil(math.log2(_DTAU / _DTAU_MIN))
 
@@ -379,7 +486,7 @@ def gp_ground_state(cfg: GPConfig, init: Field, tol: float = 1e-10) -> dict:
     the energy by less than tol, or after _MAX_ITERS steps.  The returned
     field is complex128, like every Field.
 
-    At g = 0 in harmonic_trap the functional is quadratic, and on grids of
+    At g = 0 in the trap "harmonic" the functional is quadratic, and on grids of
     at most _EIGH_AXIS_MAX points per axis its minimiser is computed
     exactly (_harmonic_minimiser).  That counts as one descent step: it
     replaces init only if the energy does not rise, and iterations is 1.

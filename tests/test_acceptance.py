@@ -238,7 +238,7 @@ def test_criterion_09_ground_states():
                 box = (L, L, L)
             init = gp.Field(vals.astype(complex), box)
             init.normalize()
-            res = gp.gp_ground_state(gp.GPConfig(coupling=0.0, trap=gp.harmonic_trap), init)
+            res = gp.gp_ground_state(gp.GPConfig(coupling=0.0, trap="harmonic"), init)
             assert abs(res["energy"] - dim) <= 1e-10, f"d={dim} energy {res['energy']}"
             es = res["energies"]
             assert all(b <= a for a, b in zip(es[:-1], es[1:])), "descent not monotone"

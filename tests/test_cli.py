@@ -55,6 +55,25 @@ def test_bad_json_rejected():
         cli.parse_config("{nope")
 
 
+def test_csv_cells_keep_their_bytes(tmp_path):
+    # floats, numpy's or Python's, as repr(float); ints as str; csv's \r\n rows
+    columns = (
+        np.array([0.1, -0.0, np.inf]),
+        [np.float64(1.5), float("nan"), 1e16],
+        [0, 7, -3],
+        range(3),
+        np.array([2**40, -1, 0]),
+        (2.5e-300, -np.inf, 1 / 3),
+    )
+    cli._write_csv(tmp_path / "t.csv", ["a", "b", "c", "d", "e", "f"], columns)
+    assert (tmp_path / "t.csv").read_bytes() == (
+        b"a,b,c,d,e,f\r\n"
+        b"0.1,1.5,0,0,1099511627776,2.5e-300\r\n"
+        b"-0.0,nan,7,1,-1,-inf\r\n"
+        b"inf,1e+16,-3,2,0,0.3333333333333333\r\n"
+    )
+
+
 def test_scatter_report_contents(tmp_path):
     cfg = cli.parse_config(MINIMAL_SCATTER)
     report = cli.run(cfg, tmp_path / "out")
@@ -155,6 +174,22 @@ def test_one_parsed_config_runs_twice_alike(tmp_path, path):
     a, b = (cli.run(cfg, tmp_path / out).as_dict() for out in "ab")
     a["runtime_s"] = b["runtime_s"] = 0.0
     assert cli.canonical_json(a) == cli.canonical_json(b)
+
+
+def test_a_wrapped_harmonic_trap_keeps_the_exact_ground_state(tmp_path, monkeypatch):
+    # a tracer rebinds gp.harmonic_trap after the configs are parsed; the config's
+    # trap name, not the function object, picks the exact g = 0 path
+    path = Path(__file__).parents[1] / "configs" / "groundstate_harmonic.json"
+    plain = cli.run(cli.parse_config(path.read_text()), tmp_path / "plain").as_dict()
+    cfg = cli.parse_config(path.read_text())
+    calls = []
+    trap = gp.harmonic_trap
+    monkeypatch.setattr(gp, "harmonic_trap", lambda *c: calls.append(len(c)) or trap(*c))
+    wrapped = cli.run(cfg, tmp_path / "wrapped").as_dict()
+    assert calls == [3]
+    assert wrapped["results"]["iterations"] == 1
+    plain["runtime_s"] = wrapped["runtime_s"] = 0.0
+    assert cli.canonical_json(wrapped) == cli.canonical_json(plain)
 
 
 def test_main_exit_codes(tmp_path):

@@ -1,5 +1,7 @@
 """Split-step dynamics and imaginary-time ground states on periodic boxes."""
 
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,7 +10,7 @@ import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from condensate_lab import gp
+from condensate_lab import _kernels, gp
 
 TWO_PI = 2.0 * np.pi
 
@@ -148,7 +150,7 @@ def test_ground_state_harmonic_1d():
     x = (np.arange(M) - M // 2) * (L / M)
     init = gp.Field(np.exp(-(x**2)).astype(complex), (L,))
     init.normalize()
-    res = gp.gp_ground_state(gp.GPConfig(coupling=0.0, trap=gp.harmonic_trap), init)
+    res = gp.gp_ground_state(gp.GPConfig(coupling=0.0, trap="harmonic"), init)
     assert abs(res["energy"] - 1.0) < 1e-4
     es = res["energies"]
     assert all(b <= a for a, b in zip(es[:-1], es[1:]))
@@ -171,7 +173,7 @@ def test_harmonic_ground_state_is_lowest_eigenvector_of_grid_operator(shape, box
         e = e.reshape(shape)
         H[:, j] = (np.fft.ifftn(k2 * np.fft.fftn(e)).real + trap * e).ravel()
     lam, vec = np.linalg.eigh(0.5 * (H + H.T))
-    res = gp.gp_ground_state(gp.GPConfig(coupling=0.0, trap=gp.harmonic_trap), _gaussian(shape, box))
+    res = gp.gp_ground_state(gp.GPConfig(coupling=0.0, trap="harmonic"), _gaussian(shape, box))
     assert res["iterations"] == 1 and len(res["energies"]) == 2
     assert res["energies"][1] <= res["energies"][0]
     assert abs(res["energy"] - lam[0]) <= 1e-10 * lam[0]
@@ -183,9 +185,9 @@ def test_harmonic_ground_state_is_lowest_eigenvector_of_grid_operator(shape, box
 def test_harmonic_ground_state_matches_descent(shape):
     box = (12.0,) * len(shape)
     init = _gaussian(shape, box, width=0.8)
-    exact = gp.gp_ground_state(gp.GPConfig(coupling=0.0, trap=gp.harmonic_trap), init)
-    # the same trap as a user callable takes the imaginary-time descent
-    descent = gp.gp_ground_state(gp.GPConfig(coupling=0.0, trap=lambda *c: gp.harmonic_trap(*c)), init)
+    exact = gp.gp_ground_state(gp.GPConfig(coupling=0.0, trap="harmonic"), init)
+    # the same trap as a function, not by its name, takes the imaginary-time descent
+    descent = gp.gp_ground_state(gp.GPConfig(coupling=0.0, trap=gp.harmonic_trap), init)
     assert exact["iterations"] == 1 < descent["iterations"]
     assert abs(exact["energy"] - descent["energy"]) <= 1e-6 * descent["energy"]
     assert exact["energy"] <= descent["energy"] + 1e-12
@@ -197,7 +199,7 @@ def test_harmonic_ground_state_aligns_phase():
     shape, box = (16, 12), (8.0, 7.0)
     for phase in (1.0, -1.0, np.exp(1j * np.pi / 7)):
         init = _gaussian(shape, box, width=0.7, phase=phase)
-        res = gp.gp_ground_state(gp.GPConfig(coupling=0.0, trap=gp.harmonic_trap), init)
+        res = gp.gp_ground_state(gp.GPConfig(coupling=0.0, trap="harmonic"), init)
         overlap = np.vdot(init.values, res["field"].values)
         assert overlap.real > 0.9 / init.dvol and abs(overlap.imag) <= 1e-12 * abs(overlap)
 
@@ -205,7 +207,7 @@ def test_harmonic_ground_state_aligns_phase():
 def test_harmonic_ground_state_from_odd_init():
     # orthogonal to the even ground state, which the descent cannot leave
     init = make_1d(64, 12.0, fn=lambda x: x * np.exp(-(x**2))).normalize()
-    res = gp.gp_ground_state(gp.GPConfig(coupling=0.0, trap=gp.harmonic_trap), init)
+    res = gp.gp_ground_state(gp.GPConfig(coupling=0.0, trap="harmonic"), init)
     assert np.all(np.isfinite(res["field"].values))
     assert abs(res["field"].mass() - 1.0) < 1e-12
     assert abs(res["energy"] - 1.0) < 1e-8
@@ -214,7 +216,7 @@ def test_harmonic_ground_state_from_odd_init():
 def test_harmonic_ground_state_descends_past_the_dense_axis_limit():
     M = gp._EIGH_AXIS_MAX + 2
     init = make_1d(M, 16.0, fn=lambda x: np.exp(-(x**2))).normalize()
-    res = gp.gp_ground_state(gp.GPConfig(coupling=0.0, trap=gp.harmonic_trap), init)
+    res = gp.gp_ground_state(gp.GPConfig(coupling=0.0, trap="harmonic"), init)
     assert res["iterations"] > 1
     assert abs(res["energy"] - 1.0) < 1e-4
 
@@ -229,7 +231,7 @@ def test_harmonic_ground_state_keeps_init_when_energy_would_rise(monkeypatch):
     init = _gaussian((32,), (10.0,))
     worse = make_1d(32, 10.0, fn=lambda x: np.exp(-((x - 1.0) ** 2))).normalize()
     monkeypatch.setattr(gp, "_harmonic_minimiser", lambda f: worse)
-    cfg = gp.GPConfig(coupling=0.0, trap=gp.harmonic_trap)
+    cfg = gp.GPConfig(coupling=0.0, trap="harmonic")
     res = gp.gp_ground_state(cfg, init)
     assert res["iterations"] == 1
     assert res["energies"] == [gp.gp_energy(init, cfg)["total"]]
@@ -243,7 +245,7 @@ def test_ground_state_monotone_in_coupling():
     init.normalize()
     energies = []
     for g in (0.0, 1.0, 10.0):
-        res = gp.gp_ground_state(gp.GPConfig(coupling=g, trap=gp.harmonic_trap), init)
+        res = gp.gp_ground_state(gp.GPConfig(coupling=g, trap="harmonic"), init)
         energies.append(res["energy"])
     assert energies[0] < energies[1] < energies[2]
 
@@ -392,19 +394,111 @@ def _cosine(dim, M):
 
 
 # the sample configs' grids, the hierarchy ladder (dims 1-3 at levels 0-2), the
-# acceptance battery's 48^3 and 64^3, and an odd length
+# acceptance battery's 48^3 and 64^3, and odd lengths, 97 and 101 of them
+# transformed by Bluestein's algorithm; on 3 x 23 x 67 sites 1/N in long double
+# rounds to another double than 1.0 / N does
 @pytest.mark.parametrize(
     "shape",
-    [(64,), (128,), (256,), (20, 20), (40, 40), (80, 80), (8,) * 3, (16,) * 3, (32,) * 3, (48,) * 3, (64,) * 3, (31,)],
+    [(64,), (128,), (256,), (20, 20), (40, 40), (80, 80), (8,) * 3, (16,) * 3, (32,) * 3, (48,) * 3, (64,) * 3, (31,)]
+    + [(33, 16, 16), (97, 8), (13, 101), (5, 1, 7), (3, 23, 67)],
 )
 def test_the_transform_pair_is_fftn_bit_for_bit(shape):
     rng = np.random.default_rng(sum(shape))
     a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    _check_pair(a, None)
+    if len(shape) > 1 and _kernels.pool_size() > 1:
+        # the passes on slabs of two pinned threads, as grids past the crossover run them
+        with _kernels._pinned_split() as split:
+            _check_pair(a, split)
+
+
+def _same_bits(x, y) -> bool:
+    return x.dtype == y.dtype and np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
+def _check_pair(a, split):
     for pair, ref in ((gp._fft, scipy.fft.fftn(a)), (gp._ifft, scipy.fft.ifftn(a))):
-        assert np.array_equal(pair(a), ref)
+        assert _same_bits(pair(a, split=split), ref)
         inplace = a.copy()
-        assert pair(inplace, inplace) is inplace
-        assert np.array_equal(inplace, ref)
+        assert pair(inplace, inplace, split) is inplace
+        assert _same_bits(inplace, ref)
+
+
+def _record_threads(monkeypatch) -> list:
+    """The names of the threads started from here on."""
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self.name)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Recorded)
+    return started
+
+
+def _two_threads_then_one_cpu(monkeypatch, run):
+    """run() with the crossover lowered to every grid, then with an affinity mask of
+    one CPU; returns both results and the threads each started."""
+    if _kernels.pool_size() < 2:
+        pytest.skip("the affinity mask allows one thread")
+    started = _record_threads(monkeypatch)
+    monkeypatch.setattr(gp, "_THREAD_SITES", 1)
+    threaded = run()
+    first = started.copy()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    return threaded, run(), first, started[len(first) :]
+
+
+@pytest.mark.parametrize("trapped", [False, True])
+@pytest.mark.parametrize("shape", [(24, 24, 24), (33, 24, 24), (40, 27)])
+def test_two_threads_take_the_one_thread_steps_bit_for_bit(monkeypatch, shape, trapped):
+    # odd axis lengths split into unequal slabs; 21 steps end between probes.  A
+    # localized packet, so the guard passes with the trap too
+    L = 8.0
+    mesh = np.meshgrid(*[(np.arange(M) - M // 2) * (L / M) for M in shape], indexing="ij")
+    f = gp.Field(np.exp(-sum(c**2 for c in mesh) / 2.0 + 0.5j * mesh[0]), (L,) * len(shape)).normalize()
+    cfg = gp.GPConfig(coupling=2.0, trap="harmonic" if trapped else None, dt=2e-3)
+    guard = gp._guard
+
+    def run():
+        spectra = []
+        monkeypatch.setattr(gp, "_guard", lambda plan, s, where: spectra.append(s.copy()) or guard(plan, s, where))
+        return gp.gp_evolve(f, cfg, 21 * cfg.dt), spectra
+
+    (threaded, probed), (serial, reference), started, one_cpu = _two_threads_then_one_cpu(monkeypatch, run)
+    assert started == ["condensate-lab split"] and one_cpu == []
+    assert _same_bits(threaded.values, serial.values) and threaded.time == serial.time
+    assert len(probed) == len(reference) == 12
+    assert all(_same_bits(a, b) for a, b in zip(probed, reference))
+
+
+def test_gp_energy_stays_on_one_thread_past_the_crossover(monkeypatch):
+    # its one transform saves less than starting a worker costs
+    f = _cosine(3, 24)
+    cfg = gp.GPConfig(coupling=1.0, trap="harmonic")
+    threaded, serial, started, _ = _two_threads_then_one_cpu(monkeypatch, lambda: gp.gp_energy(f, cfg))
+    assert threaded == serial and started == []
+
+
+def test_grids_below_the_crossover_start_no_worker(monkeypatch):
+    from condensate_lab import hierarchy
+
+    workers, calls = _record_threads(monkeypatch), []
+    c2c = gp._c2c
+    monkeypatch.setattr(gp, "_c2c", lambda a, axes, *rest: calls.append((axes, rest[-1])) or c2c(a, axes, *rest))
+    # the hierarchy workload's ladder, the sample configs' 1-d evolve grids, and the
+    # 2-d and 3-d hierarchy ladders below 2^15 sites
+    hierarchy.refinement_study(levels=3, coupling=1.0)
+    for dim, M in [(1, 64), (1, 128), (1, 256), (2, 20), (2, 40), (2, 80), (3, 8), (3, 16)]:
+        f = _cosine(dim, M)
+        cfg = gp.GPConfig(coupling=1.0, dt=1e-4)
+        gp.gp_energy(gp.gp_evolve(f, cfg, 3 * cfg.dt), cfg)
+    assert workers == []
+    assert calls and set(calls) == {(None, 1)}  # each transform one c2c call on one thread
+    if _kernels.pool_size() > 1:
+        gp.gp_evolve(_cosine(3, 32), gp.GPConfig(coupling=1.0, dt=1e-4), 1e-4)
+        assert workers == ["condensate-lab split"]
 
 
 def test_gp_evolve_peak_memory_does_not_grow_with_steps():
@@ -425,6 +519,27 @@ def test_gp_evolve_peak_memory_does_not_grow_with_steps():
             tracemalloc.stop()
     assert peaks[1] <= peaks[0] + 0.01
     assert max(peaks) <= 3.51
+
+
+def test_a_threaded_call_keeps_the_serial_peak_memory(monkeypatch):
+    # the slabs are views and every pass runs in place, so two threads hold the
+    # fields one does; the worker and its futures, about 7 kB, add under 1/50
+    # field at 32^3
+    f = _cosine(3, 32)
+    cfg = gp.GPConfig(coupling=1.0, dt=1e-3)
+    gp.gp_evolve(f, cfg, cfg.dt)
+
+    def peak():
+        tracemalloc.start()
+        try:
+            gp.gp_evolve(f, cfg, 20 * cfg.dt)
+            return tracemalloc.get_traced_memory()[1] / f.values.nbytes
+        finally:
+            tracemalloc.stop()
+
+    threaded, serial, started, _ = _two_threads_then_one_cpu(monkeypatch, peak)
+    assert started == ["condensate-lab split"]
+    assert threaded <= serial + 0.02 and threaded <= 3.51
 
 
 @pytest.mark.parametrize("g, step", [(50.0, 372), (200.0, 124), (1000.0, 62)])
@@ -477,4 +592,4 @@ def test_the_descent_takes_at_most_its_counted_trials(monkeypatch, dtau):
     cfg = gp.GPConfig(coupling=10.0, trap=gp.harmonic_trap)
     res = gp.gp_ground_state(cfg, init)
     assert res["iterations"] <= len(trials) - 1 <= gp.ground_state_trials(10.0, gp.harmonic_trap, init.shape)
-    assert gp.ground_state_trials(0.0, gp.harmonic_trap, init.shape) == 0
+    assert gp.ground_state_trials(0.0, "harmonic", init.shape) == 0

@@ -1,6 +1,11 @@
-"""Radial kernels against exact solutions and invariants."""
+"""Radial kernels against exact solutions and invariants, and the split GP threads share."""
+
+import os
+import sys
+import threading
 
 import numpy as np
+import pytest
 from scipy.linalg import lapack
 
 from condensate_lab import _kernels as K
@@ -57,3 +62,43 @@ def test_cn_evolve_equals_a_loop_over_scipys_f2py_zgttrs():
         assert info == 0
         ref = 2.0 * y - ref
     assert np.array_equal(K.cn_evolve(u0, q, h, dt, nsteps), ref)
+
+
+def test_pinned_split_covers_the_range_raises_either_halfs_error_and_cleans_up():
+    # the worker's exception comes back through the caller, the split stays usable,
+    # and exit stops the worker and restores the caller's affinity mask; a short
+    # switch interval makes the handoffs interleave with the interpreter's
+    if K.pool_size() < 2:
+        pytest.skip("the affinity mask allows one thread")
+    mask = os.sched_getaffinity(0)
+    seen, errors, masks = [], [], []
+
+    def body():
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with K._pinned_split() as split:
+                for n in range(200):
+                    split(lambda s: seen.append((s.start, s.stop)), n)
+                for bad in (0, 1):
+                    def fail(s, bad=bad):
+                        if (s.start > 0) == bad:
+                            raise ValueError(bad)
+                    try:
+                        split(fail, 4)
+                    except ValueError as exc:
+                        errors.append(exc.args[0])
+                masks.append(os.sched_getaffinity(0))
+            masks.append(os.sched_getaffinity(0))
+        finally:
+            sys.setswitchinterval(interval)
+
+    runner = threading.Thread(target=body)
+    before = threading.active_count()
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive()
+    assert sorted(seen) == sorted(p for n in range(200) for p in ((0, n // 2), (n // 2, n)))
+    assert errors == [0, 1]
+    assert threading.active_count() == before
+    assert len(masks[0]) == 1 and masks[1] == mask
