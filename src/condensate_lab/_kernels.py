@@ -13,8 +13,8 @@ zgttrs through the function pointer that scipy.linalg.cython_lapack exports,
 by ctypes, which releases the GIL for the call; scipy's f2py lapack.zgttrs
 holds it.  So CN runs on two threads overlap, and _pool_map runs them:
 convergence_experiment maps its N values, and build_transform its two row
-halves, over pool_size() threads.  gp's split-step on large grids shares its
-slabs between the calling thread and a pinned worker through _pinned_split.
+halves, over pool_size() threads.  gp's split-step on large 3-d grids shares
+its slabs between the calling thread and a pinned worker through _pinned_split.
 Every thread does the same arithmetic on the same data as one thread would,
 so results do not change by a bit.
 
@@ -100,8 +100,9 @@ def _pinned_split():
             while not done.acquire(False):  # see the docstring: the caller's CPU must not idle
                 time.sleep(0)  # lets the worker take the GIL
             job[0] = None
-        if job[2] is not None:
-            raise job[2]
+        exc, job[2] = job[2], None
+        if exc is not None:
+            raise exc
 
     worker = threading.Thread(target=work, name="condensate-lab split")
     worker.start()

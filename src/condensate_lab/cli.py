@@ -391,8 +391,7 @@ def _read_gp(params: dict, width: float, coupling) -> dict:
 
 
 def _field_from_init(shape, box, init: dict) -> gp.Field:
-    # sparse: each sum below broadcasts to the grid, adding the same values in the same order
-    mesh = np.meshgrid(*gp.centered_axes(shape, box), indexing="ij", sparse=True)
+    mesh = np.meshgrid(*gp.centered_axes(shape, box), indexing="ij")
     if init["type"] == "plane-wave":
         phase = sum((2.0 * np.pi * m / L) * x for m, L, x in zip(init["mode"], box, mesh))
         return gp.Field(init["amplitude"] * np.exp(1j * phase), box)

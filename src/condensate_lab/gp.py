@@ -24,18 +24,21 @@ is the spectrum of the state after the leading phase half step, and only
 the initial data needs a transform for its guard.
 Fields are complex128 throughout, so every solver uses the one spectrum k^2.
 
-On 2-d and 3-d grids of at least _THREAD_SITES = 2^15 sites gp_evolve runs on
+On 3-d grids of at least _THREAD_SITES = 2^15 sites gp_evolve runs on
 _kernels.pool_size() threads (two, or one if the affinity mask allows one),
 bit for bit.  Each transform runs as c2c's two passes, the axis-0 lines on
 slabs of axis 1 and the other axes on slabs of axis 0; the kinetic factor and
 the phase step ride the second pass's slabs, so a step joins the threads four
 times.  The calling thread takes one slab, and a worker, started once per
 call and pinned to another CPU, takes the other (_kernels._pinned_split); the
-initial data's transform uses it too.  The crossover was measured on the
-2-vCPU host, alternating one- and two-thread calls of 50 steps: 24^3 broke
-even, 32^3 (2^15 sites) ran 0.73x and 48^3 0.71x the one-thread step, and
-128^2 ran 1.28x.  gp_energy transforms once a call and stays on one thread:
-starting the worker costs about 0.3 ms, as much as the split saves at 48^3.
+initial data's transform uses it too.  Below the crossover there is no
+split: each transform is one c2c call, and each slab step runs once on the
+whole grid.  The crossover was measured on a 2-vCPU host, alternating
+one- and two-thread calls of 50 steps: 24^3 broke even, 32^3 (2^15 sites)
+ran 0.73x and 48^3 0.71x the one-thread step.  1-d and 2-d grids stay on one
+thread: the one 2-d grid measured, 128^2, ran 1.28x on two.
+gp_energy transforms once a call and stays on one thread: starting the
+worker costs about 0.3 ms, as much as the split saves at 48^3.
 The guard's probes and every sum stay on the calling thread over the whole
 grid, because a sum split in two adds in another order and rounds apart.
 """
@@ -78,8 +81,7 @@ def _top_octave(axes: list[np.ndarray]) -> np.ndarray:
 
 def _tail_fraction(spectrum: np.ndarray, top: np.ndarray) -> float:
     power = np.abs(spectrum) ** 2
-    # np.sum's own reduction without its dispatch, which costs more than the sums on small grids
-    return float(np.add.reduce(power[top], axis=None) / np.add.reduce(power, axis=None))
+    return float(np.sum(power[top]) / np.sum(power))
 
 
 def max_k_squared(shape: tuple[int, ...], box: tuple[float, ...]) -> float:
@@ -158,21 +160,46 @@ _THREAD_SITES = 2**15
 
 def _team(a: np.ndarray):
     """Context of the split that a's transforms and steps run on: _kernels._pinned_split()
-    for 2-d and 3-d grids of at least _THREAD_SITES sites when the affinity mask
-    allows two threads, else a context of None, the calling thread alone."""
-    if a.ndim > 1 and a.size >= _THREAD_SITES and _kernels.pool_size() > 1:
+    for 3-d grids of at least _THREAD_SITES sites when the affinity mask allows
+    two threads, else a context of None, the calling thread alone."""
+    if a.ndim == 3 and a.size >= _THREAD_SITES and _kernels.pool_size() > 1:
         return _kernels._pinned_split()
     return contextlib.nullcontext()
 
 
-def _slab_transform(a: np.ndarray, out: np.ndarray | None, forward: bool, split, then=None) -> np.ndarray:
-    """c2c's transform of a into out on a split; then(s) runs on each slab s of axis 0 once it is transformed.
+def _on_slabs(split, fn, *arrays):
+    """fn on the split's slabs of axis 0 of the arrays, each slab at once (None
+    stays None); with no split, one call on the whole arrays."""
+    if split is None:
+        fn(*arrays)
+    else:
+        split(lambda s: fn(*(x if x is None else x[s] for x in arrays)), len(arrays[0]))
+
+
+def _transform(forward: bool, a: np.ndarray, out: np.ndarray | None = None, split=None, then=None, *extra):
+    """fftn (forward) or ifftn of a into out, bit for bit, on a split; then, if
+    given, runs on the transformed slabs of axis 0: _on_slabs(split, then, out, *extra).
+
+    With no split this is fftn/ifftn's own c2c call without their costlier
+    dispatch.  A split runs in _slab_transform: its closures, here, would make
+    the locals they use cells and the one-thread call 0.2 us slower.
+    """
+    if split is not None:
+        return _slab_transform(forward, a, out, split, then, extra)
+    out = _c2c(a, None, forward, 0 if forward else 2, out, 1)  # inorm 2 divides by the grid size
+    if then is not None:
+        then(out, *extra)
+    return out
+
+
+def _slab_transform(forward: bool, a: np.ndarray, out: np.ndarray | None, split, then, extra) -> np.ndarray:
+    """_transform on a split.
 
     c2c transforms the axes in order, axis 0 first, each line alike wherever
     it lies, and the inverse's 1/N (in long double, then rounded) scales the
     axis-0 pass's output before the other axes.  Here the axis-0 pass runs on
     slabs of axis 1 and the rest on slabs of axis 0, which the 1/N scales
-    first, so every bit is c2c's.  The 1/N and then() work on slabs of axis 0
+    first, so every bit is c2c's.  The 1/N and then work on slabs of axis 0
     because those are contiguous: numpy copies a non-contiguous operand of an
     in-place product first.
     """
@@ -183,32 +210,22 @@ def _slab_transform(a: np.ndarray, out: np.ndarray | None, forward: bool, split,
     def axis0(s):
         _c2c(a[:, s], (0,), forward, 0, out[:, s], 1)
 
-    def others(s):
-        slab = out[s]
+    def others(slab, *extra):
         if not forward:
             parts = slab.view(np.float64)  # real and imaginary parts, each scaled alone like c2c's
             parts *= scale
         _c2c(slab, rest, forward, 0, slab, 1)
         if then is not None:
-            then(s)
+            then(slab, *extra)
 
     split(axis0, a.shape[1])
-    split(others, a.shape[0])
+    _on_slabs(split, others, out, *extra)
     return out
 
 
-# The one transform pair, fftn/ifftn bit for bit: their c2c call without their
-# costlier dispatch, or its passes on a split.  out=a is in place
-def _fft(a: np.ndarray, out: np.ndarray | None = None, split=None) -> np.ndarray:
-    if split is None:
-        return _c2c(a, None, True, 0, out, 1)
-    return _slab_transform(a, out, True, split)
-
-
-def _ifft(a: np.ndarray, out: np.ndarray | None = None, split=None) -> np.ndarray:
-    if split is None:
-        return _c2c(a, None, False, 2, out, 1)  # inorm 2 divides by the grid size
-    return _slab_transform(a, out, False, split)
+# The one transform pair: _fft(a, out=None, split=None, then=None, *extra); out=a is in place
+_fft = functools.partial(_transform, True)
+_ifft = functools.partial(_transform, False)
 
 
 class _Plan:
@@ -279,7 +296,7 @@ def _guard(plan: _Plan, spectrum: np.ndarray, where: str):
         raise RuntimeError(f"spectral blow-up: top-octave fraction {tail:.2e} ({where})")
 
 
-def _rotate(phi: np.ndarray, v: np.ndarray | None, theta: np.ndarray, rot: np.ndarray, g: float, tau: float):
+def _rotate(g: float, tau: float, phi: np.ndarray, v: np.ndarray | None, theta: np.ndarray, rot: np.ndarray):
     """phi <- exp(-i tau (g |phi|^2 + V)) phi in place via the buffers theta, rot; |phi| is kept."""
     np.square(np.abs(phi, out=theta), out=theta)
     theta *= -tau * g
@@ -296,41 +313,6 @@ def _damp(phi: np.ndarray, tau: float, g: float, v_factor: np.ndarray | None):
         phi *= np.exp(-tau * g * np.abs(phi) ** 2)
     if v_factor is not None:
         phi *= v_factor
-
-
-def _strang_halves(split, phi: np.ndarray, v: np.ndarray | None, kin: np.ndarray, g: float):
-    """gp_evolve's step on phi in two halves, in place: rotate(tau) is a phase step
-    of time tau; kick() the transform and the kinetic factor kin; back(tau) the
-    inverse transform and then rotate(tau).
-
-    On a split the kinetic factor and the phase step ride the slabs of the
-    transforms' last pass, so a step joins the threads four times; the
-    arithmetic is the one-thread step's.
-    """
-    scratch = np.empty(phi.shape), np.empty_like(phi)  # _rotate's theta and rot
-    if split is None:
-        rotate = functools.partial(_rotate, phi, v, *scratch, g)
-
-        def kick():
-            _fft(phi, phi)
-            np.multiply(phi, kin, out=phi)
-
-        def back(tau):
-            _ifft(phi, phi)
-            rotate(tau)
-
-        return rotate, kick, back
-
-    def rotate_slab(tau, s):
-        _rotate(phi[s], None if v is None else v[s], scratch[0][s], scratch[1][s], g, tau)
-
-    def kick():
-        _slab_transform(phi, phi, True, split, lambda s: np.multiply(phi[s], kin[s], out=phi[s]))
-
-    def back(tau):
-        _slab_transform(phi, phi, False, split, functools.partial(rotate_slab, tau))
-
-    return lambda tau: split(functools.partial(rotate_slab, tau), phi.shape[0]), kick, back
 
 
 # gp_evolve's bound on the kinetic phase dt * max|k|^2 of a step, and the phase
@@ -358,16 +340,21 @@ def gp_evolve(f: Field, cfg: GPConfig, t: float) -> Field:
         raise ValueError("dt too large for the grid kinetic scale")
     probe = max(1, nsteps // 8)
     with _team(f.values) as split:
-        _guard(plan, _fft(f.values, split=split), "initial data")
+        _guard(plan, _fft(f.values, None, split), "initial data")
         phi = f.values.copy()
+        kin = plan.kinetic(cfg.dt)
+        rotating = plan.trap, np.empty(phi.shape), np.empty_like(phi)  # _rotate's v, theta and rot
+        g, half = cfg.coupling, 0.5 * cfg.dt
+        inner, outer = functools.partial(_rotate, g, cfg.dt), functools.partial(_rotate, g, half)
         if nsteps:
-            rotate, kick, back = _strang_halves(split, phi, plan.trap, plan.kinetic(cfg.dt), cfg.coupling)
-            rotate(0.5 * cfg.dt)
+            _on_slabs(split, outer, phi, *rotating)
+        # the kinetic factor and the phase step ride the slabs of the transforms'
+        # last pass, so a split step joins the threads four times
         for step in range(1, nsteps + 1):
-            kick()
+            _fft(phi, phi, split, np.multiply, kin, phi)  # np.multiply(phi, kin, phi): phi *= kin
             if step % probe == 0 or step == nsteps:
                 _guard(plan, phi, f"step {step}")
-            back(cfg.dt if step < nsteps else 0.5 * cfg.dt)
+            _ifft(phi, phi, split, inner if step < nsteps else outer, *rotating)
     return Field(phi, f.box, f.time + nsteps * cfg.dt)
 
 
