@@ -31,9 +31,9 @@ slabs of axis 1 and the other axes on slabs of axis 0; the kinetic factor and
 the phase step ride the second pass's slabs, so a step joins the threads four
 times.  The calling thread takes one slab, and a worker, started once per
 call and pinned to another CPU, takes the other (_kernels._pinned_split); the
-initial data's transform uses it too.  Below the crossover there is no
-split: each transform is one c2c call, and each slab step runs once on the
-whole grid.  The crossover was measured on a 2-vCPU host, alternating
+initial data's transform uses it too.  Below the crossover the split is
+_one_thread: each transform is one c2c call, and each slab step runs once on
+the whole grid, bound to it once a call.  The crossover was measured on a 2-vCPU host, alternating
 one- and two-thread calls of 50 steps: 24^3 broke even, 32^3 (2^15 sites)
 ran 0.73x and 48^3 0.71x the one-thread step.  1-d and 2-d grids stay on one
 thread: the one 2-d grid measured, 128^2, ran 1.28x on two.
@@ -158,41 +158,48 @@ class Field:
 _THREAD_SITES = 2**15
 
 
+def _one_thread(step, n: int):
+    """The split of a grid below the crossover: step, made by _slabwise, on the whole grid."""
+    step()
+
+
 def _team(a: np.ndarray):
     """Context of the split that a's transforms and steps run on: _kernels._pinned_split()
     for 3-d grids of at least _THREAD_SITES sites when the affinity mask allows
-    two threads, else a context of None, the calling thread alone."""
+    two threads, else a context of _one_thread."""
     if a.ndim == 3 and a.size >= _THREAD_SITES and _kernels.pool_size() > 1:
         return _kernels._pinned_split()
-    return contextlib.nullcontext()
+    return contextlib.nullcontext(_one_thread)
 
 
-def _on_slabs(split, fn, *arrays):
-    """fn on the split's slabs of axis 0 of the arrays, each slab at once (None
-    stays None); with no split, one call on the whole arrays."""
-    if split is None:
-        fn(*arrays)
-    else:
-        split(lambda s: fn(*(x if x is None else x[s] for x in arrays)), len(arrays[0]))
+def _slabwise(split, fn, *arrays):
+    """fn on slabs of axis 0 of the arrays (None stays None), as split(step, n)
+    runs it: on _one_thread, fn bound to the whole arrays once, so a step adds
+    no slicing; on a split, a function of each slab's slice."""
+    if split is _one_thread:
+        return functools.partial(fn, *arrays)
+    # a list: a generator here left 4 kB more in allocator caches at 32^3
+    return lambda s: fn(*[x if x is None else x[s] for x in arrays])
 
 
-def _transform(forward: bool, a: np.ndarray, out: np.ndarray | None = None, split=None, then=None, *extra):
-    """fftn (forward) or ifftn of a into out, bit for bit, on a split; then, if
-    given, runs on the transformed slabs of axis 0: _on_slabs(split, then, out, *extra).
+def _transform(forward: bool, a: np.ndarray, out: np.ndarray | None = None, split=_one_thread, then=None):
+    """fftn (forward) or ifftn of a into out, bit for bit, on a split; then, a
+    _slabwise step of that split, runs on each slab of axis 0 once it is transformed.
 
-    With no split this is fftn/ifftn's own c2c call without their costlier
+    On _one_thread this is fftn/ifftn's own c2c call without their costlier
     dispatch.  A split runs in _slab_transform: its closures, here, would make
-    the locals they use cells and the one-thread call 0.2 us slower.
+    the locals they use cells and the one-thread call 0.2 us slower on a
+    2-vCPU host.
     """
-    if split is not None:
-        return _slab_transform(forward, a, out, split, then, extra)
+    if split is not _one_thread:
+        return _slab_transform(forward, a, out, split, then)
     out = _c2c(a, None, forward, 0 if forward else 2, out, 1)  # inorm 2 divides by the grid size
     if then is not None:
-        then(out, *extra)
+        then()
     return out
 
 
-def _slab_transform(forward: bool, a: np.ndarray, out: np.ndarray | None, split, then, extra) -> np.ndarray:
+def _slab_transform(forward: bool, a: np.ndarray, out: np.ndarray | None, split, then) -> np.ndarray:
     """_transform on a split.
 
     c2c transforms the axes in order, axis 0 first, each line alike wherever
@@ -210,20 +217,21 @@ def _slab_transform(forward: bool, a: np.ndarray, out: np.ndarray | None, split,
     def axis0(s):
         _c2c(a[:, s], (0,), forward, 0, out[:, s], 1)
 
-    def others(slab, *extra):
+    def others(s):
+        slab = out[s]
         if not forward:
             parts = slab.view(np.float64)  # real and imaginary parts, each scaled alone like c2c's
             parts *= scale
         _c2c(slab, rest, forward, 0, slab, 1)
         if then is not None:
-            then(slab, *extra)
+            then(s)
 
     split(axis0, a.shape[1])
-    _on_slabs(split, others, out, *extra)
+    split(others, a.shape[0])
     return out
 
 
-# The one transform pair: _fft(a, out=None, split=None, then=None, *extra); out=a is in place
+# The one transform pair: _fft(a, out=None, split=_one_thread, then=None); out=a is in place
 _fft = functools.partial(_transform, True)
 _ifft = functools.partial(_transform, False)
 
@@ -342,19 +350,19 @@ def gp_evolve(f: Field, cfg: GPConfig, t: float) -> Field:
     with _team(f.values) as split:
         _guard(plan, _fft(f.values, None, split), "initial data")
         phi = f.values.copy()
-        kin = plan.kinetic(cfg.dt)
-        rotating = plan.trap, np.empty(phi.shape), np.empty_like(phi)  # _rotate's v, theta and rot
-        g, half = cfg.coupling, 0.5 * cfg.dt
-        inner, outer = functools.partial(_rotate, g, cfg.dt), functools.partial(_rotate, g, half)
+        kick = _slabwise(split, np.multiply, phi, plan.kinetic(cfg.dt), phi)  # phi *= exp(-i k^2 dt)
+        rotating = phi, plan.trap, np.empty(phi.shape), np.empty_like(phi)  # _rotate's phi, v, theta, rot
+        inner = _slabwise(split, functools.partial(_rotate, cfg.coupling, cfg.dt), *rotating)
+        outer = _slabwise(split, functools.partial(_rotate, cfg.coupling, 0.5 * cfg.dt), *rotating)
         if nsteps:
-            _on_slabs(split, outer, phi, *rotating)
+            split(outer, len(phi))
         # the kinetic factor and the phase step ride the slabs of the transforms'
         # last pass, so a split step joins the threads four times
         for step in range(1, nsteps + 1):
-            _fft(phi, phi, split, np.multiply, kin, phi)  # np.multiply(phi, kin, phi): phi *= kin
+            _fft(phi, phi, split, kick)
             if step % probe == 0 or step == nsteps:
                 _guard(plan, phi, f"step {step}")
-            _ifft(phi, phi, split, inner if step < nsteps else outer, *rotating)
+            _ifft(phi, phi, split, inner if step < nsteps else outer)
     return Field(phi, f.box, f.time + nsteps * cfg.dt)
 
 
