@@ -33,10 +33,11 @@ times.  The calling thread takes one slab, and a worker, started once per
 call and pinned to another CPU, takes the other (_kernels._pinned_split); the
 initial data's transform uses it too.  Below the crossover the split is
 _one_thread: each transform is one c2c call, and each slab step runs once on
-the whole grid, bound to it once a call.  The crossover was measured on a 2-vCPU host, alternating
-one- and two-thread calls of 50 steps: 24^3 broke even, 32^3 (2^15 sites)
-ran 0.73x and 48^3 0.71x the one-thread step.  1-d and 2-d grids stay on one
-thread: the one 2-d grid measured, 128^2, ran 1.28x on two.
+the whole grid, bound to it once a call.  The crossover was measured on a
+2-vCPU host, alternating one- and two-thread calls of 50 steps: 24^3 broke
+even, 32^3 (2^15 sites) ran 0.73x and 48^3 0.71x the one-thread step.  1-d
+and 2-d grids stay on one thread: the one 2-d grid measured, 128^2, ran
+1.28x on two.
 gp_energy transforms once a call and stays on one thread: starting the
 worker costs about 0.3 ms, as much as the split saves at 48^3.
 The guard's probes and every sum stay on the calling thread over the whole
