@@ -95,17 +95,17 @@ def test_pairing_against_grid_riemann_oracle():
     xs = np.linspace(-9.0, 9.0, 151)
     X, Y, Z = np.meshgrid(xs, xs, xs, indexing="ij")
     R = np.sqrt(X**2 + Y**2 + Z**2)
-    A, B, K0 = an._correlation_params(pair)
-    Kv = K0 * np.exp(-A * R**2 + (B[0] * X + B[1] * Y + B[2] * Z))
+    A, B, log_k0 = an._correlation_params(pair)
+    Kv = np.exp(log_k0 - A * R**2 + (B[0] * X + B[1] * Y + B[2] * Z))
     brute = np.sum(p(R) * Kv) * (xs[1] - xs[0]) ** 3
     assert abs(brute - val) / abs(val) < 1e-6
 
 
 def _whole_space_pairing(pair, v0, width):
     """int v0 e^{-|v|^2 / width^2} K(v) dv in closed form; width inf is the constant v0."""
-    A, B, k0 = an._correlation_params(pair)
+    A, B, log_k0 = an._correlation_params(pair)
     a = A + 1.0 / width**2
-    return v0 * k0 * (np.pi / a) ** 1.5 * np.exp(np.dot(B, B) / (4.0 * a))
+    return v0 * (np.pi / a) ** 1.5 * np.exp(log_k0 + np.dot(B, B) / (4.0 * a))
 
 
 @pytest.mark.parametrize(
@@ -126,6 +126,36 @@ def test_pairing_matches_closed_forms(V, width):
             pair = an.random_pair(rng, spread)
             exact = _whole_space_pairing(pair, v0, width)
             assert abs(an.potential_pairing(pair, V) - exact) <= 1e-13 * abs(exact)
+
+
+def test_pairing_stays_finite_where_k0_underflows():
+    # at spread 30 the peak exponent (Re s)^2 / 4A reaches thousands: K0 alone underflows
+    # and e^{s r} alone overflows, so the pairing carries log K0 in its exponent
+    rng = np.random.default_rng(0)
+    V = pot.gaussian(1.0, 1.0)
+    normal = 0
+    for _ in range(2000):
+        pair = an.random_pair(rng, 30.0)
+        value = an.potential_pairing(pair, V)
+        assert np.isfinite(value)
+        exact = _whole_space_pairing(pair, 1.0, 1.0)
+        # below the normal range gradual underflow leaves fewer digits than this
+        if abs(exact) >= np.finfo(np.float64).tiny:
+            normal += 1
+            assert abs(value - exact) <= 1e-11 * abs(exact)
+    assert normal > 500
+
+
+def test_pairing_keeps_its_values_where_k0_is_a_normal_float():
+    # the first draws at spread 1, as the sum with K0 factored out of it gave them
+    rng = np.random.default_rng(0)
+    before = (
+        0.008610067351840884 + 0.0038931594705162898j,
+        0.022979095014988092 - 0.010542291995666375j,
+        0.014526795607302913 - 0.003933094903596444j,
+    )
+    for value in before:
+        assert abs(an.potential_pairing(an.random_pair(rng), pot.gaussian(1.0, 1.0)) - value) <= 1e-12 * abs(value)
 
 
 def _narrow_pair(seed):
@@ -166,7 +196,6 @@ def test_delta_pairing_is_quadruple_product_integral():
     pair = an.random_pair(rng, spread=0.4)
     xs = np.linspace(-9.0, 9.0, 151)
     X, Y, Z = np.meshgrid(xs, xs, xs, indexing="ij")
-    A, B, K0 = an._correlation_params(pair)
     target = an.delta_pairing(pair)
     # K(0) must equal the closed form, and also the direct 4-factor overlap
     def g(f, conj):
@@ -322,6 +351,28 @@ def test_theta_monotonicity_exact():
     cfg = an.default_cutoff_config()
     res = an.theta_inequalities(cfg, samples=200, seed=1)
     assert res["monotonicity_ok"]
+
+
+def test_theta_monotonicity_margin_fails_a_nan(monkeypatch):
+    # the margin is the largest Theta_k - Theta_{k-1} with Theta_0 = 1, and a NaN in any
+    # sample, first or last, makes it NaN, which fails where a test of diff > 0 would pass
+    cfg = an.default_cutoff_config()
+    clean = an.theta_inequalities(cfg, samples=100, seed=0)
+    assert clean["monotonicity_ok"] and clean["monotonicity_margin"] <= 0.0
+    real = an.cumulative_values
+    for bad_call in (0, 99):
+        calls = []
+
+        def with_a_nan(cfg_base, row_sums):
+            values = real(cfg_base, row_sums)
+            if len(calls) == bad_call:
+                values[4] = np.nan
+            calls.append(1)
+            return values
+
+        monkeypatch.setattr(an, "cumulative_values", with_a_nan)
+        res = an.theta_inequalities(cfg, samples=100, seed=0)
+        assert np.isnan(res["monotonicity_margin"]) and not res["monotonicity_ok"]
 
 
 def test_theta_single_pair_closed_form_ratio():

@@ -81,10 +81,14 @@ def test_scatter_report_contents(tmp_path):
     assert report.passed()
     data = json.loads((tmp_path / "out" / "report.json").read_text())
     assert set(data) == {"task", "config_hash", "results", "checks", "runtime_s"}
-    assert all({"anchor", "value", "threshold", "pass"} <= set(c) for c in data["checks"])
+    assert all(set(c) == {"anchor", "value", "sense", "threshold", "pass"} for c in data["checks"])
     profile = (tmp_path / "out" / "profile.csv").read_text().splitlines()
     assert profile[0] == "r,f"
     assert len(profile) > 1000
+
+
+# The verdict each sense names, written out apart from cli's own table
+_SENSE = {"<=": lambda v, t: v <= t, ">=": lambda v, t: v >= t, "<": lambda v, t: v < t}
 
 
 @pytest.mark.parametrize("offset", [3e-5, 9e-5, 2e-4])
@@ -99,9 +103,164 @@ def test_scatter_rows_pass_exactly_when_value_is_within_threshold(tmp_path, monk
     monkeypatch.setattr(sc, "phase_shift", shifted)
     report = cli.run(cli.parse_config(MINIMAL_SCATTER), tmp_path)
     for row in report.checks:
-        assert row["pass"] == (row["value"] <= row["threshold"])
+        assert row["pass"] == _SENSE[row["sense"]](row["value"], row["threshold"])
     (lse,) = [row for row in report.checks if row["anchor"] == "eq:LSE"]
     assert lse["pass"] == (offset < 1e-4)
+
+
+@pytest.mark.parametrize("sense", sorted(_SENSE))
+def test_a_nan_value_fails_every_sense(sense):
+    for threshold in (-np.inf, -1.0, 0.0, 1.0, np.inf):
+        row = cli._check("x", float("nan"), sense, threshold)
+        assert row["sense"] == sense and row["pass"] is False
+
+
+@pytest.fixture(scope="module")
+def sample_reports(tmp_path_factory):
+    """The report of each of the 13 sample configs, by file stem, run once for the module."""
+    out = tmp_path_factory.mktemp("samples")
+    return {path.stem: cli.run(cli.parse_config(path.read_text()), out / path.stem) for path in _sample_config_paths()}
+
+
+def test_every_sample_row_passes_exactly_by_its_sense(sample_reports):
+    for name, report in sample_reports.items():
+        for row in report.checks:
+            assert set(row) == {"anchor", "value", "sense", "threshold", "pass"}, (name, row)
+            assert row["pass"] is _SENSE[row["sense"]](row["value"], row["threshold"]), (name, row)
+
+
+# The (anchor, sense, threshold) of every row the sample configs emit: 28 from configs/
+# and 2 from perfbench/configs/evolve_d3_cosine.json.  Tolerances may only get tighter,
+# so a loosened threshold, a flipped sense or a row added or dropped fails here and is
+# edited on purpose.
+_ROW_TABLE = {
+    "evolve_d3_cosine": [("eq:GP1", "<=", 1e-10), ("eq:GP1", "<=", 1e-08)],
+    "evolve_gp_coupling": [("eq:GP1", "<=", 1e-10), ("eq:GP1", "<=", 1e-08)],
+    "evolve_plane_wave": [("eq:GP1", "<=", 1e-10), ("eq:GP1", "<=", 1e-08), ("eq:GP1", "<=", 1e-06)],
+    "groundstate_harmonic": [("E-GP", "<=", 0.0), ("E-GP", "<=", 0.0001)],
+    "hierarchy_check": [
+        ("eq:infhier", ">=", 2.0),
+        ("eq:BBGKYinf", ">=", 2.0),
+        ("eq:infhier", ">=", 10.0),
+        ("eq:BBGKYinf", "<=", 1e-08),
+    ],
+    "inequality_int1": [("eq:int1", "<=", 0.0001), ("eq:int1", "<=", 1e-06)],
+    "inequality_theta": [("lm:theta", "<=", 0.0), ("lm:theta", "<", 0.1), ("lm:theta", "<", 0.1)],
+    "inequality_trivv": [("eq:trivv", "<=", 0.0001)],
+    # pi^2 / (2 pi)^3
+    "inequality_vl1": [("lm:VL1", "<", 0.1), ("lm:VL1", "<=", 0.039788735772973836)],
+    "inequality_vl12": [("lm:VL12", "<=", 0.0), ("lm:VL12", "<=", 0.0)],
+    "scatter": [("eq:a0", "<=", 1e-06), ("eq:WV4", "<=", 1e-06), ("eq:scatt", "<=", 1e-12), ("eq:LSE", "<=", 0.0001)],
+    "second_moment": [("prop:energ2", ">=", -1e-06)],
+    # -1/6 + 0.05
+    "two_body_convergence": [("lm:WNto1", "<=", -0.11666666666666665), ("lm:WNto1", "<", 0.0)],
+}
+
+
+def test_sample_configs_emit_the_pinned_row_table(sample_reports):
+    table = {
+        name: [(row["anchor"], row["sense"], row["threshold"]) for row in report.checks]
+        for name, report in sample_reports.items()
+    }
+    assert table == _ROW_TABLE
+    assert sum(len(table[path.stem]) for path in (Path(__file__).parents[1] / "configs").glob("*.json")) == 28
+
+
+def _last_energy_rises(real):
+    # the last recorded descent energy one ulp above the one before it
+    def run(*args, **kw):
+        res = real(*args, **kw)
+        res["energies"][-1] = np.nextafter(res["energies"][-2], np.inf)
+        return res
+
+    return run
+
+
+def _last_defect_grows(real):
+    # the defect at the largest N one ulp above the one at the N before it
+    def run(*args, **kw):
+        curve = real(*args, **kw)
+        curve.defects[-1] = np.nextafter(curve.defects[-2], np.inf)
+        return curve
+
+    return run
+
+
+def _last_gap_rises(real):
+    # the gap at the smallest alpha above the one before it by just more than the 1e-8 allowance
+    def run(*args, **kw):
+        res = real(*args, **kw)
+        res["gaps"][-1] = res["gaps"][-2] + 1.01e-8
+        return res
+
+    return run
+
+
+def _second_gap_stays(real):
+    # the gap at alpha / 2 equal to the first: no rise, but above the first's C alpha^(1/12)
+    def run(*args, **kw):
+        res = real(*args, **kw)
+        res["gaps"][1] = res["gaps"][0]
+        return res
+
+    return run
+
+
+def _theta_one_above_one(real):
+    # Theta_1 one ulp above 1 in every sample
+    def run(*args, **kw):
+        values = real(*args, **kw)
+        values[0] = np.nextafter(1.0, 2.0)
+        return values
+
+    return run
+
+
+# fault -> (config, module, function the fault wraps, the wrapper, index of the row it flips)
+_MARGIN_ROW_FAULTS = {
+    "descent-rises": (
+        {"task": "groundstate", "coupling": 1.0, "grid": 32, "trap": "harmonic"},
+        gp,
+        "gp_ground_state",
+        _last_energy_rises,
+        0,
+    ),
+    "defect-grows": (
+        {
+            "task": "two-body-convergence",
+            "potential": {"family": "gaussian", "v0": 1.0, "width": 1.0},
+            "n_list": [8, 16, 32, 64],
+            "times": [0.25],
+        },
+        pr,
+        "convergence_experiment",
+        _last_defect_grows,
+        1,
+    ),
+    "vl12-gap-rises": ({"task": "inequality-check", "kind": "vl12"}, an, "vl12_rate", _last_gap_rises, 0),
+    "vl12-gap-leaves-envelope": ({"task": "inequality-check", "kind": "vl12"}, an, "vl12_rate", _second_gap_stays, 1),
+    "theta-above-one": (
+        {"task": "inequality-check", "kind": "theta", "samples": 100},
+        an,
+        "cumulative_values",
+        _theta_one_above_one,
+        0,
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_MARGIN_ROW_FAULTS))
+def test_a_small_fault_flips_its_margin_row(tmp_path, monkeypatch, fault):
+    # each row that once printed 0/1 now prints the margin it tests, so a fault just past
+    # the margin fails it through cli.run, and the same config passes it without the fault
+    doc, module, name, wrap, index = _MARGIN_ROW_FAULTS[fault]
+    cfg = cli.parse_config(json.dumps(doc))
+    clean = cli.run(cfg, tmp_path / "clean").checks[index]
+    monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+    faulty = cli.run(cfg, tmp_path / "faulty").checks[index]
+    assert clean["anchor"] == faulty["anchor"]
+    assert clean["pass"] and clean["value"] <= 0.0, clean
+    assert not faulty["pass"] and faulty["value"] > 0.0, faulty
 
 
 def test_evolve_plane_wave_passes(tmp_path):
