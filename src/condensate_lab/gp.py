@@ -2,12 +2,11 @@
 
 i phi_t = -Lap phi + g |phi|^2 phi + V_ext phi, integrated by Strang
 splitting (pointwise-exact phase half steps around an exact Fourier kinetic
-step).  Ground states come from the normalized imaginary-time flow with a
-backtracking step size, which makes the energy descent monotone by
-construction; at g = 0 in the harmonic trap the quadratic problem is
-solved exactly instead, one dense eigenproblem per axis.  The coupling g
-is an explicit parameter; 8 pi a0 from the scattering module is one
-natural choice, the bare integral of V another.
+step).  The one ground state solved is that of g = 0 in the harmonic trap
+|x|^2: the functional is quadratic there, and its grid minimiser is solved
+exactly, one dense eigenproblem per axis.  No minimiser for g > 0 is
+offered.  The coupling g is an explicit parameter; 8 pi a0 from the
+scattering module is one natural choice, the bare integral of V another.
 
 The grid operators of a run form one plan: k^2, the trap values, the
 top-octave mask of the spectral guard and the kinetic factor exp(-i k^2 dt).
@@ -48,7 +47,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -261,9 +259,9 @@ class GPConfig:
     """Coupling, optional confining trap, and stepping parameters.
 
     The trap is a nonnegative function of the grid coordinates, or the name
-    "harmonic" of harmonic_trap, the one trap whose g = 0 ground state
-    gp_ground_state solves exactly.  The name, not the identity of a function
-    object, selects that path, so wrapping harmonic_trap changes no result.
+    "harmonic" of harmonic_trap.  gp_ground_state solves g = 0 in a trap
+    whose grid values are harmonic_trap's, whatever names or wraps it, and
+    refuses every other case; gp_evolve takes any trap.
     """
 
     coupling: float
@@ -314,14 +312,6 @@ def _rotate(g: float, tau: float, phi: np.ndarray, v: np.ndarray | None, theta: 
     np.cos(theta, out=rot.real)
     np.sin(theta, out=rot.imag)
     phi *= rot
-
-
-def _damp(phi: np.ndarray, tau: float, g: float, v_factor: np.ndarray | None):
-    """phi <- exp(-tau (g |phi|^2 + V)) phi in place; v_factor is exp(-tau V)."""
-    if g:
-        phi *= np.exp(-tau * g * np.abs(phi) ** 2)
-    if v_factor is not None:
-        phi *= v_factor
 
 
 # gp_evolve's bound on the kinetic phase dt * max|k|^2 of a step, and the phase
@@ -389,28 +379,18 @@ def gp_energy(f: Field, cfg: GPConfig) -> dict:
     }
 
 
-# Longest axis whose dense M x M eigenproblem the exact g = 0 ground state
-# solves; past it eigh costs more than the descent (0.1 s at 1024, 0.7 s at
-# 2048 points on a 2-core host).
+# Longest axis whose dense M x M eigenproblem gp_ground_state solves: eigh
+# takes 0.1 s at 1024 and 0.7 s at 2048 points on a 2-core host.
 _EIGH_AXIS_MAX = 1024
 
-# Accepted-step budget of the backtracking descent.
-_MAX_ITERS = 20000
 
-# First imaginary-time step of the descent; backtracking halves it, and the
-# descent ends when it has fallen to _DTAU_MIN.
-_DTAU = 0.02
-_DTAU_MIN = 1e-12
-
-
-def ground_state_trials(coupling: float, trap, shape: tuple[int, ...]) -> int:
-    """Most trial steps gp_ground_state takes: 0 where it solves exactly (g = 0 in
-    the trap "harmonic" on at most _EIGH_AXIS_MAX points per axis), else _MAX_ITERS
-    accepted steps and one rejected trial per halving of dtau from _DTAU to
-    _DTAU_MIN, since dtau never grows."""
-    if coupling == 0.0 and trap == "harmonic" and max(shape) <= _EIGH_AXIS_MAX:
-        return 0
-    return _MAX_ITERS + math.ceil(math.log2(_DTAU / _DTAU_MIN))
+def check_ground_state(coupling: float, shape: tuple[int, ...]) -> None:
+    """ValueError, with its reason, unless gp_ground_state solves this coupling and grid:
+    g = 0 on at most _EIGH_AXIS_MAX points per axis."""
+    if coupling != 0.0:
+        raise ValueError(f"no minimiser for g = {coupling!r} > 0 is offered; only g = 0 is solved")
+    if max(shape) > _EIGH_AXIS_MAX:
+        raise ValueError(f"the exact ground state takes at most {_EIGH_AXIS_MAX} points per axis, got {max(shape)}")
 
 
 def _harmonic_minimiser(f: Field) -> Field:
@@ -433,73 +413,31 @@ def _harmonic_minimiser(f: Field) -> Field:
     return Field(phi / np.sqrt(f.dvol), f.box, f.time)
 
 
-def _descend(f: Field, cfg: GPConfig, energies: list, tol: float):
-    """Backtracking imaginary-time descent from f; appends accepted energies."""
-    plan = cfg._plan(f)
-    g = cfg.coupling
-    dtau = _DTAU
-    energy = energies[-1]
-    iters = 0
-    built = None
-    while iters < _MAX_ITERS:
-        iters += 1
-        stepped = False
-        while dtau > _DTAU_MIN:
-            if dtau != built:  # the step factors change only when dtau halves
-                kin = np.exp(-plan.k2 * dtau)
-                v_factor = None if plan.trap is None else np.exp(-0.5 * dtau * plan.trap)
-                built = dtau
-            phi = f.values.copy()
-            _damp(phi, 0.5 * dtau, g, v_factor)
-            _fft(phi, phi)
-            phi *= kin
-            _ifft(phi, phi)
-            _damp(phi, 0.5 * dtau, g, v_factor)
-            cand = Field(phi, f.box, f.time)
-            cand.normalize()
-            e_new = gp_energy(cand, cfg)["total"]
-            if e_new <= energy:
-                stepped = True
-                break
-            dtau *= 0.5
-        if not stepped:
-            break
-        drop = energy - e_new
-        f, energy = cand, e_new
-        energies.append(energy)
-        if drop < tol:
-            break
-    return f, iters
+def gp_ground_state(cfg: GPConfig, init: Field) -> dict:
+    """The grid minimiser of the energy at g = 0 in the trap |x|^2, solved exactly.
 
+    The functional is then quadratic, and _harmonic_minimiser solves it on
+    grids of at most _EIGH_AXIS_MAX points per axis.  The trap's grid values
+    pick this path, so a wrapped harmonic_trap takes it too.  Any other
+    coupling, trap or grid is a ValueError (check_ground_state, then the trap):
+    no minimiser for g > 0 is offered.
 
-def gp_ground_state(cfg: GPConfig, init: Field, tol: float = 1e-10) -> dict:
-    """Normalized imaginary-time minimization of the energy functional.
-
-    The descent starts at step size _DTAU.  Each accepted step renormalizes
-    and must not raise the energy; a step that does is retried with half
-    the step size (backtracking), so the recorded energy sequence is
-    monotone nonincreasing.  The descent stops when an accepted step lowers
-    the energy by less than tol, or after _MAX_ITERS steps.  The returned
-    field is complex128, like every Field.
-
-    At g = 0 in the trap "harmonic" the functional is quadratic, and on grids of
-    at most _EIGH_AXIS_MAX points per axis its minimiser is computed
-    exactly (_harmonic_minimiser).  That counts as one descent step: it
-    replaces init only if the energy does not rise, and iterations is 1.
+    The solve counts as one descent step: it replaces init only if the energy
+    does not rise, so the recorded energies never rise, and iterations is 1.
+    The returned field is complex128, like every Field.
     """
-    if cfg.trap is None and cfg.coupling == 0.0:
-        raise ValueError("no minimizer: need a confining trap or g > 0 on the torus")
     if abs(init.mass() - 1.0) > 1e-8:
         raise ValueError("initial state must be normalized")
+    check_ground_state(cfg.coupling, init.shape)
+    trap = cfg._plan(init).trap
+    # |x|^2 on the grid, harmonic_trap(*init.meshgrid()) bit for bit: the same squares summed in the same order
+    if trap is None or not np.array_equal(trap, _sum_of_squares(init.axes())):
+        raise ValueError("no minimizer solved for this trap: only g = 0 in the trap |x|^2 is")
     f = init.copy()
     energies = [gp_energy(f, cfg)["total"]]
-    if not ground_state_trials(cfg.coupling, cfg.trap, f.shape):
-        cand = _harmonic_minimiser(f)
-        e_new = gp_energy(cand, cfg)["total"]
-        if e_new <= energies[-1]:
-            f = cand
-            energies.append(e_new)
-        iters = 1
-    else:
-        f, iters = _descend(f, cfg, energies, tol)
-    return {"field": f, "energy": energies[-1], "iterations": iters, "energies": energies}
+    cand = _harmonic_minimiser(f)
+    e_new = gp_energy(cand, cfg)["total"]
+    if e_new <= energies[-1]:
+        f = cand
+        energies.append(e_new)
+    return {"field": f, "energy": energies[-1], "iterations": 1, "energies": energies}

@@ -206,6 +206,15 @@ def _second_gap_stays(real):
     return run
 
 
+def _int1_dips_at_five(real):
+    # I(5) lowered by 1e-5 relative: below I(0), so max(values) - I(0) does not see it
+    def run(kind, p):
+        value = real(kind, p)
+        return value * (1.0 - 1e-5) if p == 5.0 else value
+
+    return run
+
+
 def _theta_one_above_one(real):
     # Theta_1 one ulp above 1 in every sample
     def run(*args, **kw):
@@ -219,7 +228,7 @@ def _theta_one_above_one(real):
 # fault -> (config, module, function the fault wraps, the wrapper, index of the row it flips)
 _MARGIN_ROW_FAULTS = {
     "descent-rises": (
-        {"task": "groundstate", "coupling": 1.0, "grid": 32, "trap": "harmonic"},
+        {"task": "groundstate", "grid": 32, "trap": "harmonic"},
         gp,
         "gp_ground_state",
         _last_energy_rises,
@@ -237,6 +246,7 @@ _MARGIN_ROW_FAULTS = {
         _last_defect_grows,
         1,
     ),
+    "int1-dips": ({"task": "inequality-check", "kind": "int1"}, an, "kernel_integral", _int1_dips_at_five, 1),
     "vl12-gap-rises": ({"task": "inequality-check", "kind": "vl12"}, an, "vl12_rate", _last_gap_rises, 0),
     "vl12-gap-leaves-envelope": ({"task": "inequality-check", "kind": "vl12"}, an, "vl12_rate", _second_gap_stays, 1),
     "theta-above-one": (
@@ -251,16 +261,16 @@ _MARGIN_ROW_FAULTS = {
 
 @pytest.mark.parametrize("fault", sorted(_MARGIN_ROW_FAULTS))
 def test_a_small_fault_flips_its_margin_row(tmp_path, monkeypatch, fault):
-    # each row that once printed 0/1 now prints the margin it tests, so a fault just past
-    # the margin fails it through cli.run, and the same config passes it without the fault
+    # each row prints the margin it tests, so a fault just past the threshold fails it
+    # through cli.run, and the same config passes it without the fault
     doc, module, name, wrap, index = _MARGIN_ROW_FAULTS[fault]
     cfg = cli.parse_config(json.dumps(doc))
     clean = cli.run(cfg, tmp_path / "clean").checks[index]
     monkeypatch.setattr(module, name, wrap(getattr(module, name)))
     faulty = cli.run(cfg, tmp_path / "faulty").checks[index]
     assert clean["anchor"] == faulty["anchor"]
-    assert clean["pass"] and clean["value"] <= 0.0, clean
-    assert not faulty["pass"] and faulty["value"] > 0.0, faulty
+    assert clean["pass"] and clean["value"] <= clean["threshold"], clean
+    assert not faulty["pass"] and faulty["value"] > faulty["threshold"], faulty
 
 
 def test_evolve_plane_wave_passes(tmp_path):
@@ -336,8 +346,8 @@ def test_one_parsed_config_runs_twice_alike(tmp_path, path):
 
 
 def test_a_wrapped_harmonic_trap_keeps_the_exact_ground_state(tmp_path, monkeypatch):
-    # a tracer rebinds gp.harmonic_trap after the configs are parsed; the config's
-    # trap name, not the function object, picks the exact g = 0 path
+    # a tracer rebinds gp.harmonic_trap after the configs are parsed; the trap's grid
+    # values, which the wrapper keeps, pick the exact g = 0 path
     path = Path(__file__).parents[1] / "configs" / "groundstate_harmonic.json"
     plain = cli.run(cli.parse_config(path.read_text()), tmp_path / "plain").as_dict()
     cfg = cli.parse_config(path.read_text())
@@ -718,21 +728,69 @@ def test_a_run_beyond_the_work_budget_is_config_error(tmp_path, doc):
     "doc, unit",
     [
         ({"task": "second-moment", "potential": SOFT, "samples": 10**12}, "transform points x samples"),
-        # 512^3 points for each of 20035 descent trials; the exact g = 0 path counts nothing
-        ({"task": "groundstate", "dim": 3, "grid": 512, "coupling": 1.0}, "grid points x descent trials"),
     ],
 )
 def test_a_sampled_check_or_descent_beyond_the_work_budget_is_config_error(tmp_path, doc, unit):
     _refused_within_a_second(tmp_path, doc, f"{unit}; the budget is")
 
 
-def test_the_largest_dim3_descent_that_parses_is_79_cubed():
-    # the exact g = 0 path counts nothing, and the default 64^3 at g > 0 asks for 5.3e9
-    for grid, coupling in ((48, 0.0), (64, 1.0), (79, 1.0)):
-        doc = {"task": "groundstate", "dim": 3, "grid": grid, "coupling": coupling, "trap": "harmonic"}
-        cli.parse_config(json.dumps(doc))
-    with pytest.raises(cli.ConfigError, match="descent trials"):
-        cli.parse_config(json.dumps({"task": "groundstate", "dim": 3, "grid": 80, "coupling": 1.0}))
+@pytest.mark.parametrize(
+    "doc, reason",
+    [
+        ({"task": "groundstate", "coupling": 1.0, "trap": "harmonic"}, r"no minimiser for g = 1\.0 > 0"),
+        ({"task": "groundstate", "coupling": 1e-300}, "no minimiser for g = 1e-300 > 0"),
+        ({"task": "groundstate", "dim": 1, "grid": 1025, "trap": "harmonic"}, "at most 1024 points per axis, got 1025"),
+        ({"task": "groundstate", "dim": 2, "grid": 1100, "trap": "harmonic"}, "at most 1024 points per axis, got 1100"),
+        ({"task": "groundstate"}, "no minimizer: groundstate needs the harmonic trap"),
+    ],
+)
+def test_a_groundstate_the_exact_path_cannot_solve_is_refused(tmp_path, doc, reason):
+    # gp_ground_state solves g = 0 in the trap on at most 1024 points per axis, and nothing else
+    _refused_within_a_second(tmp_path, doc, reason)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_the_groundstate_default_box_holds_the_trapped_state(tmp_path, dim):
+    # the default box of 12 passes |E - d| <= 1e-4; evolve's 2 pi cuts the state off
+    # at the box edge, where the grid minimiser sits below d by 3.9e-4 per axis
+    doc = {"task": "groundstate", "dim": dim, "trap": "harmonic"}
+    report = cli.run(cli.parse_config(json.dumps(doc)), tmp_path / "default")
+    assert report.passed() and report.results["iterations"] == 1, report.checks
+    small = cli.run(cli.parse_config(json.dumps({**doc, "box": 2.0 * np.pi})), tmp_path / "small")
+    assert [row["pass"] for row in small.checks] == [True, False], small.checks
+
+
+# Each task's documented defaults: its minimal document (the keys it requires, with the
+# reference's example Gaussian), each hierarchy dim (dim 1 is that task's minimal document)
+# and the groundstate documents the exact path must run or refuse.
+_GAUSSIAN = {"family": "gaussian", "v0": 1.0, "width": 1.0}
+_DOCUMENTED_DEFAULTS = [
+    {"task": "scatter", "potential": _GAUSSIAN},
+    {"task": "evolve"},
+    {"task": "two-body-convergence", "potential": _GAUSSIAN},
+    {"task": "second-moment", "potential": _GAUSSIAN},
+    *({"task": "inequality-check", "kind": kind} for kind in ("int1", "trivv", "vl1", "vl12", "theta")),
+    {"task": "hierarchy-check", "dim": 1},
+    pytest.param(
+        {"task": "hierarchy-check", "dim": 2},
+        marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the eq:BBGKYinf slope reads 1.99485 against 2.0"),
+    ),
+    {"task": "hierarchy-check", "dim": 3},
+    {"task": "groundstate"},
+    {"task": "groundstate", "trap": "harmonic"},
+    {"task": "groundstate", "coupling": 1, "trap": "harmonic"},
+    {"task": "groundstate", "dim": 1, "grid": 2048, "trap": "harmonic"},
+]
+
+
+@pytest.mark.parametrize(
+    "doc", _DOCUMENTED_DEFAULTS, ids=lambda doc: ",".join(f"{k}={v}" for k, v in doc.items() if k != "potential")
+)
+def test_documented_defaults_run_or_refuse(tmp_path, doc):
+    # exit 0, or a refusal with exit 2: no failed row (1) and no traceback
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert cli.main([doc["task"], "--config", str(cfg_path), "--out", str(tmp_path / "o")]) in (0, 2)
 
 
 def test_an_evolve_dt_beyond_the_kinetic_bound_is_config_error(tmp_path):
@@ -1073,9 +1131,10 @@ def test_every_value_a_reader_offers_is_taken_by_a_sample_config(monkeypatch):
 
 
 # One value of each shape a number-valued key might take, and a config of each task
-# that reads such a key, complete without it.
+# that reads such a key, complete without it.  The coupling number is 0.0, the one
+# groundstate solves.
 _SHAPE_PROBES = {
-    "coupling": {"number": 1.0, "rule": {"potential": SOFT}},
+    "coupling": {"number": 0.0, "rule": {"potential": SOFT}},
     "grid": {"number": 16, "list": [16]},
     "box": {"number": 6.0, "list": [6.0]},
 }
@@ -1106,9 +1165,6 @@ def test_every_shape_a_reader_accepts_is_taken_by_a_sample_config():
 
 # Functions in src/ that no sample config runs, each kept for its reason.
 _UNRUN_FUNCTIONS_KEPT = {
-    # the imaginary-time descent, the only ground-state path for g > 0
-    "gp._descend",
-    "gp._damp",
     # the exact V = 0 control, which the tests run (the vl1 extreme case among them)
     "potentials.zero_potential",
     # the references the propagator tests compare the defect runs with
