@@ -18,6 +18,12 @@ its slabs between the calling thread and a pinned worker through _pinned_split.
 Every thread does the same arithmetic on the same data as one thread would,
 so results do not change by a bit.
 
+scipy loads where it is first used, never on import: here at the first CN
+solve (_tridiagonal_lapack), in gp at the entry of a solver that transforms,
+elsewhere inside the functions that call it.  The RK4 sweeps need numpy
+alone, so the scatter task, which runs only them, never loads scipy; nor do
+the vl1, vl12 and theta checks.
+
 ``python3 perfbench/run.py --workload radial --trace 1`` times each kernel.
 """
 
@@ -31,7 +37,6 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy.linalg import cython_lapack, lapack
 
 # Kept for callers that record the active kernel path; there is only one.
 HAVE_NUMBA = False
@@ -70,6 +75,11 @@ def _pinned_split():
     slower for about 0.2 s: a 1-d evolve config right after a two-thread 48^3
     run took 0.080 s against 0.052 s after a one-thread run.  Waiting awake it
     took 0.057 s, and the 48^3 step went from 4.68 to 4.45 ms.
+
+    No fn may call BLAS.  OpenBLAS runs its own threads, which then contend with
+    the two pinned ones: a guard that summed with np.vdot (zdotc) inside the
+    split took the evolve_d3_cosine config from 0.63-0.64 s to 1.10-1.25 s, and
+    to 0.52 s with OpenBLAS held to one thread.
     """
     mask = os.sched_getaffinity(0)
     here = {_sched_getcpu()}
@@ -181,18 +191,34 @@ def rk4_phase(q_half, k, h, r0=0.0, d0=0.0):
 # is one solve with those factors.
 # ---------------------------------------------------------------------------
 
-# zgttrs(trans, n, nrhs, dl, d, du, du2, ipiv, b, ldb, info), every argument a
-# pointer.  A scipy that stops exporting it fails here, at import.
-_capsule = cython_lapack.__pyx_capi__["zgttrs"]
-_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
-_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-    ("PyCapsule_GetPointer", ctypes.pythonapi)
-)
-_zgttrs = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 11)(_capsule_pointer(_capsule, _capsule_name(_capsule)))
+# (lapack.zgttrf, zgttrs), bound by _tridiagonal_lapack
+_tridiagonal = None
+
+
+def _tridiagonal_lapack():
+    """scipy's f2py zgttrf and, by ctypes, cython_lapack's zgttrs pointer, bound at the
+    first call: importing _kernels loads no scipy module.
+
+    zgttrs(trans, n, nrhs, dl, d, du, du2, ipiv, b, ldb, info) takes every argument
+    as a pointer.  A scipy that stops exporting it fails here, at the first CN solve.
+    """
+    global _tridiagonal
+    if _tridiagonal is None:
+        from scipy.linalg import cython_lapack, lapack
+
+        name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
+        pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+            ("PyCapsule_GetPointer", ctypes.pythonapi)
+        )
+        capsule = cython_lapack.__pyx_capi__["zgttrs"]
+        zgttrs = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 11)(pointer(capsule, name(capsule)))
+        _tridiagonal = lapack.zgttrf, zgttrs
+    return _tridiagonal
 
 
 def cn_evolve(u_interior, q_interior, h, dt, nsteps):
     """Advance interior Dirichlet values by nsteps Crank-Nicolson steps."""
+    zgttrf, zgttrs = _tridiagonal_lapack()
     q = np.ascontiguousarray(q_interior, dtype=np.float64)
     u = np.array(u_interior, dtype=np.complex128)
     if u.shape[0] < 3:
@@ -204,7 +230,7 @@ def cn_evolve(u_interior, q_interior, h, dt, nsteps):
     theta = 0.5 * float(dt)
     off = 1j * theta * (-1.0 / h**2) * np.ones(m - 1, dtype=np.complex128)
     diag = 1.0 + 1j * theta * (2.0 / h**2 + q).astype(np.complex128)
-    dl, dd, du, du2, ipiv, info = lapack.zgttrf(off, diag, off)
+    dl, dd, du, du2, ipiv, info = zgttrf(off, diag, off)
     if info != 0:
         raise RuntimeError("tridiagonal factorization failed")
     # y is zgttrs's right-hand side b, overwritten by the solution
@@ -220,7 +246,7 @@ def cn_evolve(u_interior, q_interior, h, dt, nsteps):
         # relative, and the state stayed within 1.2e-12 of the exact
         # propagator of the same matrix.
         np.copyto(y, u)
-        _zgttrs(*args)
+        zgttrs(*args)
         if status.value != 0:
             raise RuntimeError("tridiagonal solve failed")
         y *= 2.0

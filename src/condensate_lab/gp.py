@@ -13,7 +13,10 @@ top-octave mask of the spectral guard and the kinetic factor exp(-i k^2 dt).
 A GPConfig builds the plan the first time it meets a (shape, box) and keeps
 it, so every solver call with that config reads the same arrays.  Every
 solver uses one transform pair, the c2c call of fftn/ifftn without their
-dispatch; gp_evolve runs it in place and rotates through buffers it
+dispatch, which _bind_c2c binds at the entry of each solver that transforms;
+scipy loads there, or in _harmonic_minimiser, never when gp is imported or a
+config parsed, so the scatter, vl1, vl12 and theta tasks never load it.
+gp_evolve runs the pair in place and rotates through buffers it
 allocates once per call, so its steps allocate no field.  The phase step
 keeps |phi| pointwise, so gp_evolve runs adjacent phase half steps as one
 full step, split only at the end of a call.  The guard probes every
@@ -41,6 +44,8 @@ gp_energy transforms once a call and stays on one thread: starting the
 worker costs about 0.3 ms, as much as the split saves at 48^3.
 The guard's probes and every sum stay on the calling thread over the whole
 grid, because a sum split in two adds in another order and rounds apart.
+A sum there must not call BLAS either (see _kernels._pinned_split): a guard
+that summed with np.vdot inside the split ran evolve_d3_cosine 1.7-2x slower.
 """
 
 from __future__ import annotations
@@ -51,9 +56,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.fft
-import scipy.linalg
-from scipy.fft._pocketfft.pypocketfft import c2c as _c2c
 
 from . import _kernels
 
@@ -135,7 +137,7 @@ class Field:
 
     def k_axes(self) -> list[np.ndarray]:
         return [
-            2.0 * np.pi * scipy.fft.fftfreq(M, d=L / M)
+            2.0 * np.pi * np.fft.fftfreq(M, d=L / M)
             for L, M in zip(self.box, self.shape)
         ]
 
@@ -230,9 +232,23 @@ def _slab_transform(forward: bool, a: np.ndarray, out: np.ndarray | None, split,
     return out
 
 
-# The one transform pair: _fft(a, out=None, split=_one_thread, then=None); out=a is in place
+# The one transform pair: _fft(a, out=None, split=_one_thread, then=None); out=a is in place.
+# Its caller runs _bind_c2c first.
 _fft = functools.partial(_transform, True)
 _ifft = functools.partial(_transform, False)
+
+# pocketfft's c2c, bound by _bind_c2c: a transform looks it up as a global, once a call
+_c2c = None
+
+
+def _bind_c2c() -> None:
+    """Bind _c2c to pocketfft's c2c, unless it is bound: the entry of every solver that
+    transforms runs this, so importing gp loads no scipy module and a step looks up no more."""
+    global _c2c
+    if _c2c is None:
+        from scipy.fft._pocketfft.pypocketfft import c2c
+
+        _c2c = c2c
 
 
 class _Plan:
@@ -338,6 +354,7 @@ def gp_evolve(f: Field, cfg: GPConfig, t: float) -> Field:
     if cfg.dt * plan.k2_max > KINETIC_LIMIT:
         raise ValueError("dt too large for the grid kinetic scale")
     probe = max(1, nsteps // 8)
+    _bind_c2c()
     with _team(f.values) as split:
         _guard(plan, _fft(f.values, None, split), "initial data")
         phi = f.values.copy()
@@ -367,6 +384,7 @@ def gp_energy(f: Field, cfg: GPConfig) -> dict:
     """
     plan = cfg._plan(f)
     norm = f.dvol / np.prod(f.shape)
+    _bind_c2c()
     kinetic = float(np.sum(plan.k2 * np.abs(_fft(f.values)) ** 2) * norm)
     dens = np.abs(f.values) ** 2
     interaction = float(0.5 * cfg.coupling * np.sum(dens**2) * f.dvol)
@@ -401,6 +419,9 @@ def _harmonic_minimiser(f: Field) -> Field:
     the tensor product of their lowest eigenvectors.  The phase makes
     <f, phi> >= 0; any phase will do when they are orthogonal.
     """
+    import scipy.fft
+    import scipy.linalg
+
     phi = np.ones(())
     for x, k in zip(f.axes(), f.k_axes()):
         # F^-1 diag(k^2) F is the circulant of ifft(k^2)

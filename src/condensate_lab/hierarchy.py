@@ -35,8 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
-import scipy.linalg.lapack
 
 from . import gp
 from .gp import Field
@@ -48,7 +46,9 @@ def _coordinates(cols: np.ndarray) -> np.ndarray:
     One Householder QR, in place when cols is a Fortran-ordered complex128
     n x c matrix (cols is then overwritten); R is its top min(n, c) rows.
     """
-    qr, _, _, _ = scipy.linalg.lapack.zgeqrf(cols, overwrite_a=True)
+    from scipy.linalg.lapack import zgeqrf
+
+    qr, _, _, _ = zgeqrf(cols, overwrite_a=True)
     r = qr[: min(qr.shape)].copy()
     for j in range(1, len(r)):
         r[j, :j] = 0.0  # row by row: np.triu's where() would add a numpy iterator buffer
@@ -76,7 +76,8 @@ def _pulled_back(trajectory: list[Field]) -> np.ndarray:
         u.real *= dens
         u.imag *= dens
         del dens  # before the next snapshot's is built
-    fields = scipy.fft.fftn(fields, axes=range(1, fields.ndim), overwrite_x=True, norm="ortho")
+    gp._bind_c2c()
+    gp._c2c(fields, tuple(range(1, fields.ndim)), True, 1, fields, 1)  # in place; inorm 1 divides by sqrt(N)
     k2 = [
         np.reshape(k**2, [-1 if j == axis else 1 for j in range(f0.dim)])
         for axis, k in enumerate(f0.k_axes())
@@ -200,9 +201,10 @@ def hierarchy_residual(trajectory: list[Field], coupling: float) -> HierarchyRes
 
     k2 = trajectory[0].k_squared()
     coords = []
+    gp._bind_c2c()
     for n in range(2, len(trajectory) - 2):
         phi = trajectory[n].values
-        lap = scipy.fft.ifftn(-k2 * scipy.fft.fftn(phi))
+        lap = gp._ifft(-k2 * gp._fft(phi))
         cols = [(trajectory[n + k].values - phi).reshape(-1) for k in (2, 1, -1, -2)]
         cols += [phi.reshape(-1), lap.reshape(-1), (np.abs(phi) ** 2 * phi).reshape(-1)]
         coords.append(_coordinates(np.stack(cols, axis=1)))

@@ -13,7 +13,6 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
 
 
 def _simpson_weights(n_intervals: int, h: float) -> np.ndarray:
@@ -47,11 +46,15 @@ class RadialGrid:
 
     def dst(self, u: np.ndarray) -> np.ndarray:
         """Coefficients of u in the orthonormal sine basis on [0, rmax]."""
+        import scipy.fft
+
         # scipy's DST-I carries an extra factor 2 relative to sum_j u_j sin.
         scale = 0.5 * self.h * np.sqrt(2.0 / self.rmax)
         return scale * scipy.fft.dst(u[1:-1], type=1)
 
     def idst(self, c: np.ndarray) -> np.ndarray:
+        import scipy.fft
+
         interior = np.sqrt(2.0 / self.rmax) * 0.5 * scipy.fft.dst(c, type=1)
         out = np.zeros(self.n, dtype=interior.dtype)
         out[1:-1] = interior

@@ -1034,6 +1034,31 @@ print([m for m in ('scipy.integrate', 'scipy.interpolate') if m in sys.modules])
     assert out.stdout.split() == ["[]", "[]"]
 
 
+def test_parsing_every_sample_config_and_running_four_tasks_load_no_scipy(tmp_path):
+    # scipy loads where a solver first needs it: the import, every sample config's
+    # parse, and the scatter, vl1, vl12 and theta runs load no scipy module
+    code = """
+import sys
+from pathlib import Path
+from condensate_lab import cli
+scipy = lambda: [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]
+for path in sys.argv[2:]:
+    cli.parse_config(Path(path).read_text())
+print(len(sys.argv) - 2, scipy())
+for name in ('scatter', 'inequality_vl1', 'inequality_vl12', 'inequality_theta'):
+    path = next(p for p in sys.argv[2:] if Path(p).stem == name)
+    report = cli.run(cli.parse_config(Path(path).read_text()), Path(sys.argv[1]) / name)
+    print(name, report.passed(), scipy())
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    paths = [str(path) for path in _sample_config_paths()]
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path), *paths], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.splitlines() == [
+        "13 []",
+        *(f"{name} True []" for name in ("scatter", "inequality_vl1", "inequality_vl12", "inequality_theta")),
+    ]
+
+
 def test_trivv_compares_the_oracle_at_p_zero(tmp_path):
     # the fixed grid starts at p = 0, the point the Beta-function oracle is for
     report = cli.run(cli.parse_config(json.dumps({"task": "inequality-check", "kind": "trivv"})), tmp_path / "o")

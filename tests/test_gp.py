@@ -365,9 +365,10 @@ def test_merged_half_steps_match_two_half_step_loop(monkeypatch, dim, M, trapped
 def test_each_step_costs_two_transforms(monkeypatch, dim, M, nsteps):
     # one transform pair per Strang step plus the guard on the initial data:
     # a probe that transforms, or a split phase step, would show here.  Every
-    # transform is a call of gp._c2c; the spy records its forward flag
+    # transform is a call of gp._c2c; the spy records its forward flag.  gp binds
+    # _c2c at a solver's entry, not at import, and must not rebind it over the spy
     calls = []
-    c2c = gp._c2c
+    from scipy.fft._pocketfft.pypocketfft import c2c
     monkeypatch.setattr(gp, "_c2c", lambda a, axes, forward, *rest: calls.append(forward) or c2c(a, axes, forward, *rest))
     f = _cosine(dim, M)
     out = gp.gp_evolve(f, gp.GPConfig(coupling=1.0, dt=1e-3), nsteps * 1e-3)
@@ -394,6 +395,7 @@ def _cosine(dim, M):
 def test_the_transform_pair_is_fftn_bit_for_bit(shape):
     rng = np.random.default_rng(sum(shape))
     a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    gp._bind_c2c()  # as every caller of the pair does first
     _check_pair(a, gp._one_thread)
     if len(shape) == 3 and _kernels.pool_size() > 1:
         # the passes on slabs of two pinned threads, as grids past the crossover run them
@@ -474,7 +476,7 @@ def test_grids_below_the_crossover_start_no_worker(monkeypatch):
     from condensate_lab import hierarchy
 
     workers, calls = _record_threads(monkeypatch), []
-    c2c = gp._c2c
+    from scipy.fft._pocketfft.pypocketfft import c2c  # gp binds it at a solver's entry
     monkeypatch.setattr(gp, "_c2c", lambda a, axes, *rest: calls.append((axes, rest[-1])) or c2c(a, axes, *rest))
     # the hierarchy workload's ladder, the sample configs' 1-d evolve grids, the
     # 2-d and 3-d hierarchy ladders below 2^15 sites, and a 2-d grid past them
@@ -484,7 +486,9 @@ def test_grids_below_the_crossover_start_no_worker(monkeypatch):
         cfg = gp.GPConfig(coupling=1.0, dt=1e-4)
         gp.gp_energy(gp.gp_evolve(f, cfg, 3 * cfg.dt), cfg)
     assert workers == []
-    assert calls and set(calls) == {(None, 1)}  # each transform one c2c call on one thread
+    # each transform one c2c call on one thread: over the whole grid, or over the field
+    # axis of the 1-d ladder's stack of pulled-back fields (hierarchy._pulled_back)
+    assert calls and set(calls) == {(None, 1), ((1,), 1)}
     if _kernels.pool_size() > 1:
         gp.gp_evolve(_cosine(3, 32), gp.GPConfig(coupling=1.0, dt=1e-4), 1e-4)
         assert workers == ["condensate-lab split"]
