@@ -77,9 +77,10 @@ def _pinned_split():
     took 0.057 s, and the 48^3 step went from 4.68 to 4.45 ms.
 
     No fn may call BLAS.  OpenBLAS runs its own threads, which then contend with
-    the two pinned ones: a guard that summed with np.vdot (zdotc) inside the
-    split took the evolve_d3_cosine config from 0.63-0.64 s to 1.10-1.25 s, and
-    to 0.52 s with OpenBLAS held to one thread.
+    the two pinned ones: an np.vdot (zdotc) of each slab inside the split, once
+    a step, took the evolve_d3_cosine config from 0.86-1.02 s to 2.03-2.37 s on
+    the 2-vCPU host (4 alternating runs each), and to 0.86-0.94 s with OpenBLAS
+    held to one thread.
     """
     mask = os.sched_getaffinity(0)
     here = {_sched_getcpu()}

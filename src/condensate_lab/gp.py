@@ -44,8 +44,8 @@ gp_energy transforms once a call and stays on one thread: starting the
 worker costs about 0.3 ms, as much as the split saves at 48^3.
 The guard's probes and every sum stay on the calling thread over the whole
 grid, because a sum split in two adds in another order and rounds apart.
-A sum there must not call BLAS either (see _kernels._pinned_split): a guard
-that summed with np.vdot inside the split ran evolve_d3_cosine 1.7-2x slower.
+No sum may call BLAS inside the split either (see _kernels._pinned_split):
+an np.vdot of each slab there ran the evolve_d3_cosine config 2.4x slower.
 """
 
 from __future__ import annotations
