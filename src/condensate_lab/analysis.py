@@ -3,7 +3,8 @@
 Three groups of checks live here:
 
   * two momentum-space kernel integrals whose finiteness drives the pairing
-    bounds (closed-form angular reduction, adaptive radial quadrature);
+    bounds (closed-form angular reduction, then one Gauss-Legendre panel sum
+    over r, for |p| <= 64);
   * the pairing inequality |<phi, V(x1-x2) psi>| <= C ||V||_1 sqrt(Q(phi) Q(psi))
     with Q = <(grad1.grad2)^2 - Lap1 - Lap2 + 1>, and its delta-approximation
     refinement with rate alpha^(1/12), evaluated on separable Gaussian pairs
@@ -30,66 +31,58 @@ from .radial import gauss_panels
 # Momentum-space kernel integrals
 # ---------------------------------------------------------------------------
 
+# The Gauss-Legendre rule of the kernel and pairing sums, 16 nodes per panel
+# (built once, since an eigenproblem builds it)
+_PAIRING_RULE = np.polynomial.legendre.leggauss(16)
 
-def _int1_mu_integral(r: float, P: float) -> float:
-    """int_{-1}^{1} dmu / ((r P mu - r^2)^2 + r^2 + (P - q)^2 ... ) closed form.
+
+def _int1_mu_integral(r, P):
+    """int_{-1}^{1} dmu / ((r P mu - r^2)^2 + r^2 + (P - q)^2 ... ) closed form, for r > 0.
 
     The denominator is quadratic in mu with discriminant 4 r^2 P^4 > 0, so
     the angular integral is an arctangent difference, written in atan2 form
-    to stay stable for r -> 0 and across the ridge r P > r^2 + 1.
+    to stay stable for small r and across the ridge r P > r^2 + 1.
     """
-    if r == 0.0:
-        return 2.0 / (P**2 + 1.0)
     num = 2.0 * r * P**2
     den = P**2 + (r**2 + 1.0) ** 2 - r**2 * P**2
-    return float(np.arctan2(num, den) / (r * P**2))
+    return np.arctan2(num, den) / (r * P**2)
+
+
+# The kernel integrals' rule, _PAIRING_RULE on _KERNEL_PANELS uniform panels of
+# u in [0, 1] on each piece, and the largest |p| it resolves: the integrands'
+# ridge at r = |p| has width about 1, so a fixed rule fails at large |p|.  On
+# [0, 64] it agrees with twice the panels to 2.3e-14 relative.
+_KERNEL_PANELS = 64
+_KERNEL_P_MAX = 64.0
 
 
 def kernel_integral(kind: str, p_mag: float) -> float:
-    """3-d integral of the named kernel at momentum magnitude |p|.
+    """3-d integral of the named kernel at momentum magnitude |p| <= _KERNEL_P_MAX.
 
     kind "int1":  1 / ((q.(p-q))^2 + q^2 + (p-q)^2 + 1)
     kind "trivv": (|q|^(1/2) + 1) / ((1+q^2)(1+(q-p)^2))
-    A |p| whose powers leave float range makes the quadrature not converge.
+    The angular integral is closed; the radial one is one Gauss-Legendre sum,
+    through r = mid u^2 on [0, mid] (so trivv's sqrt(r) is smooth at 0) and
+    r = mid / u^2 on [mid, inf) (so both tails are smooth at u = 0), with
+    mid = max(4, 3|p|).  A larger |p|, or a NaN, is a ValueError.
     """
-    P = np.float64(abs(p_mag))
+    P = abs(float(p_mag))
+    if not P <= _KERNEL_P_MAX:
+        raise ValueError(f"kernel integral needs |p| <= {_KERNEL_P_MAX}, got {p_mag!r}")
+    mid = max(4.0, 3.0 * P)
+    u, w = gauss_panels(np.linspace(0.0, 1.0, _KERNEL_PANELS + 1), _PAIRING_RULE)
+    r = mid * np.concatenate((u**2, u**-2))
+    dr = 2.0 * mid * np.concatenate((u * w, w / u**3))
+    # the integral over mu, the cosine of the angle between q and p
     if kind == "int1":
-        if P < 1e-10:
-            integrand = lambda r: 2.0 * np.pi * r**2 * 2.0 / ((r**2 + 1.0) ** 2)
-        else:
-            integrand = lambda r: 2.0 * np.pi * r**2 * _int1_mu_integral(r, P)
+        angular = 2.0 / (r**2 + 1.0) ** 2 if P < 1e-10 else _int1_mu_integral(r, P)
     elif kind == "trivv":
-        if P < 1e-10:
-            integrand = (
-                lambda r: 4.0 * np.pi * r**2 * (np.sqrt(r) + 1.0) / (1.0 + r**2) ** 2
-            )
-        else:
-            def integrand(r):
-                if r == 0.0:
-                    return 0.0
-                log_term = np.log1p(
-                    4.0 * r * P / (1.0 + (r - P) ** 2)
-                )
-                return (
-                    2.0 * np.pi
-                    * r
-                    * (np.sqrt(r) + 1.0)
-                    / (1.0 + r**2)
-                    * log_term
-                    / (2.0 * P)
-                )
+        # that of 1 / (1 + (q - p)^2) is log((1 + (r + P)^2) / (1 + (r - P)^2)) / (2 r P)
+        shell = 2.0 / (1.0 + r**2) if P < 1e-10 else np.log1p(4.0 * r * P / (1.0 + (r - P) ** 2)) / (2.0 * r * P)
+        angular = (np.sqrt(r) + 1.0) / (1.0 + r**2) * shell
     else:
         raise ValueError(f"unknown kernel integral kind: {kind!r}")
-    from scipy.integrate import quad
-
-    f = lambda r: integrand(np.float64(r))  # a float64 power overflows to inf, a float's raises
-    mid = max(4.0, 3.0 * P)
-    with np.errstate(over="ignore", invalid="ignore"):
-        v1, e1 = quad(f, 0.0, mid, epsabs=0.0, epsrel=1e-9, limit=400)
-        v2, e2 = quad(f, mid, np.inf, epsabs=1e-13, epsrel=1e-9, limit=400)
-    if not np.isfinite(v1 + v2):
-        raise RuntimeError("kernel integral quadrature did not converge")
-    return float(v1 + v2)
+    return float(2.0 * np.pi * np.sum(dr * r**2 * angular))
 
 
 # ---------------------------------------------------------------------------
@@ -171,9 +164,7 @@ def delta_pairing(pair: GaussianTestPair) -> complex:
     return complex(np.exp(_correlation_params(pair)[2]))
 
 
-# The pairing sum's Gauss-Legendre rule (16 nodes per panel; built once, since an
-# eigenproblem builds it), and its least panel count across the span
-_PAIRING_RULE = np.polynomial.legendre.leggauss(16)
+# The pairing sum's least panel count across the span
 _SPAN_PANELS = 32
 # the least node count of one pairing sum
 PAIRING_NODES = len(_PAIRING_RULE[0]) * _SPAN_PANELS

@@ -716,25 +716,23 @@ def _int1(outdir: Path, seed: int):
     cal = abs(v0 - np.pi**2)
     results = {"p_grid": p_grid, "values": values, "calibration_gap": cal}
     checks = [
-        _check("eq:int1", cal, "<=", 1e-4),
+        _check("eq:int1", cal, "<=", 1e-11),
         # I(p) is pi^2 at every p, so the row is the largest departure from I(0), either way
-        _check("eq:int1", max(abs(v - v0) for v in values), "<=", 1e-6),
+        _check("eq:int1", max(abs(v - v0) for v in values), "<=", 1e-11),
     ]
     _write_csv(outdir / "kernel_int1.csv", ["p", "value"], (p_grid, values))
     return results, checks
 
 
 def _trivv(outdir: Path, seed: int):
-    from scipy.special import gamma as _gamma
-
     p_grid = _TRIVV_P_GRID
     values = [analysis.kernel_integral("trivv", p) for p in p_grid]
-    v0 = values[0]
-    oracle = float(4.0 * np.pi * (0.5 * _gamma(1.75) * _gamma(0.25) + np.pi / 4.0))
-    gap = abs(v0 - oracle)
+    # 4 pi (B(7/4, 1/4) / 2 + pi / 4), by Gamma(1/4) Gamma(3/4) = pi sqrt(2) and Gamma(7/4) = 3/4 Gamma(3/4)
+    oracle = math.pi**2 * (1.0 + 1.5 * math.sqrt(2.0))
+    gap = abs(values[0] - oracle)
     results = {"p_grid": p_grid, "values": values, "beta_oracle": oracle}
     _write_csv(outdir / "kernel_trivv.csv", ["p", "value"], (p_grid, values))
-    return results, [_check("eq:trivv", gap, "<=", 1e-4)]
+    return results, [_check("eq:trivv", gap, "<=", 1e-11)]
 
 
 def _vl1(outdir: Path, seed: int, *, potential, pairs):

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gamma
 
@@ -16,14 +16,22 @@ PI2 = np.pi**2
 
 
 def test_int1_at_zero_is_pi_squared():
-    assert abs(an.kernel_integral("int1", 0.0) - PI2) < 1e-8
+    assert abs(an.kernel_integral("int1", 0.0) - PI2) < 1e-11
 
 
 def test_int1_constant_in_p():
     # the quartic denominator factors so the value is p-independent;
-    # numerically every sample must sit at pi^2 within quadrature tolerance
+    # numerically every sample must sit at pi^2 within the rule's error
     for p in (0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0):
-        assert abs(an.kernel_integral("int1", p) - PI2) < 1e-6
+        assert abs(an.kernel_integral("int1", p) - PI2) < 1e-11
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(0.0, 64.0))
+@example(63.0)
+def test_int1_is_pi_squared_at_every_momentum_of_the_domain(p):
+    # the lm:VL1 bound pi^2 / (8 pi^3) takes sup_p I(p) = I(0) = pi^2
+    assert abs(an.kernel_integral("int1", p) - PI2) <= 1e-12 * PI2
 
 
 def test_int1_sup_attained_at_origin_within_tolerance():
@@ -35,7 +43,9 @@ def test_int1_sup_attained_at_origin_within_tolerance():
 def test_int1_angular_closed_form_against_quadrature():
     from scipy.integrate import quad
 
-    for r, P in ((0.3, 1.5), (2.0, 0.7), (10.0, 50.0)):
+    cases = ((0.3, 1.5), (2.0, 0.7), (10.0, 50.0))
+    directs = []
+    for r, P in cases:
         direct, _ = quad(
             lambda mu: 1.0
             / ((r * P * mu - r * r) ** 2 + r * r + P * P - 2 * r * P * mu + r * r + 1.0),
@@ -44,12 +54,34 @@ def test_int1_angular_closed_form_against_quadrature():
             epsrel=1e-12,
         )
         assert abs(an._int1_mu_integral(r, P) - direct) < 1e-12 * max(direct, 1.0)
+        directs.append(direct)
+    # the rule evaluates it on arrays of r
+    r, P = np.array(cases).T
+    assert np.all(np.abs(an._int1_mu_integral(r, P) - directs) < 1e-12 * np.maximum(directs, 1.0))
 
 
 def test_trivv_beta_function_oracle():
     # radial reduction at p = 0: 4 pi [ (1/2) B(7/4, 1/4) + pi/4 ]
     oracle = 4.0 * np.pi * (0.5 * gamma(1.75) * gamma(0.25) + np.pi / 4.0)
-    assert abs(an.kernel_integral("trivv", 0.0) - oracle) < 1e-6
+    assert abs(an.kernel_integral("trivv", 0.0) - oracle) < 1e-11
+
+
+@pytest.mark.parametrize("kind", ["int1", "trivv"])
+def test_kernel_integral_refuses_momenta_past_its_domain(kind):
+    # one fixed rule cannot follow the ridge at r = |p| far out, so it refuses there
+    for p in (64.5, -65.0, 1e200, float("nan")):
+        with pytest.raises(ValueError, match=r"\|p\| <= 64"):
+            an.kernel_integral(kind, p)
+    assert np.isfinite(an.kernel_integral(kind, -64.0))
+
+
+def test_kernel_integral_is_resolved_on_its_domain(monkeypatch):
+    # twice the panels moves no value on [0, 64] by more than 1e-13 relative
+    momenta = np.linspace(0.0, 64.0, 65)
+    values = [[an.kernel_integral(kind, p) for p in momenta] for kind in ("int1", "trivv")]
+    monkeypatch.setattr(an, "_KERNEL_PANELS", 2 * an._KERNEL_PANELS)
+    doubled = [[an.kernel_integral(kind, p) for p in momenta] for kind in ("int1", "trivv")]
+    np.testing.assert_allclose(values, doubled, rtol=1e-13, atol=0.0)
 
 
 def test_trivv_finite_and_decaying():

@@ -144,9 +144,9 @@ _ROW_TABLE = {
         ("eq:infhier", ">=", 10.0),
         ("eq:BBGKYinf", "<=", 1e-08),
     ],
-    "inequality_int1": [("eq:int1", "<=", 0.0001), ("eq:int1", "<=", 1e-06)],
+    "inequality_int1": [("eq:int1", "<=", 1e-11), ("eq:int1", "<=", 1e-11)],
     "inequality_theta": [("lm:theta", "<=", 0.0), ("lm:theta", "<", 0.1), ("lm:theta", "<", 0.1)],
-    "inequality_trivv": [("eq:trivv", "<=", 0.0001)],
+    "inequality_trivv": [("eq:trivv", "<=", 1e-11)],
     # pi^2 / (2 pi)^3
     "inequality_vl1": [("lm:VL1", "<", 0.1), ("lm:VL1", "<=", 0.039788735772973836)],
     "inequality_vl12": [("lm:VL12", "<=", 0.0), ("lm:VL12", "<=", 0.0)],
@@ -1014,8 +1014,8 @@ def test_parse_config_raises_only_config_error(doc):
 
 
 def test_importing_the_cli_skips_quadrature_and_interpolation(tmp_path):
-    # after the import, and again after the benchmarked scatter and coupled GP configs
-    # and the two pairing configs run
+    # after the import, and again after the benchmarked scatter and coupled GP configs,
+    # the two pairing configs and the two kernel-integral configs run
     code = """
 import sys
 from pathlib import Path
@@ -1025,7 +1025,14 @@ for path in sys.argv[2:]:
     cli.run(cli.parse_config(Path(path).read_text()), Path(sys.argv[1]) / Path(path).stem)
 print([m for m in ('scipy.integrate', 'scipy.interpolate') if m in sys.modules])
 """
-    names = ("scatter.json", "evolve_gp_coupling.json", "inequality_vl1.json", "inequality_vl12.json")
+    names = (
+        "scatter.json",
+        "evolve_gp_coupling.json",
+        "inequality_vl1.json",
+        "inequality_vl12.json",
+        "inequality_int1.json",
+        "inequality_trivv.json",
+    )
     configs = [str(Path(__file__).parents[1] / "configs" / name) for name in names]
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     out = subprocess.run(
@@ -1034,9 +1041,9 @@ print([m for m in ('scipy.integrate', 'scipy.interpolate') if m in sys.modules])
     assert out.stdout.split() == ["[]", "[]"]
 
 
-def test_parsing_every_sample_config_and_running_four_tasks_load_no_scipy(tmp_path):
+def test_parsing_every_sample_config_and_running_six_tasks_load_no_scipy(tmp_path):
     # scipy loads where a solver first needs it: the import, every sample config's
-    # parse, and the scatter, vl1, vl12 and theta runs load no scipy module
+    # parse, and the scatter, vl1, vl12, theta, int1 and trivv runs load no scipy module
     code = """
 import sys
 from pathlib import Path
@@ -1045,7 +1052,7 @@ scipy = lambda: [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'
 for path in sys.argv[2:]:
     cli.parse_config(Path(path).read_text())
 print(len(sys.argv) - 2, scipy())
-for name in ('scatter', 'inequality_vl1', 'inequality_vl12', 'inequality_theta'):
+for name in ('scatter', 'inequality_vl1', 'inequality_vl12', 'inequality_theta', 'inequality_int1', 'inequality_trivv'):
     path = next(p for p in sys.argv[2:] if Path(p).stem == name)
     report = cli.run(cli.parse_config(Path(path).read_text()), Path(sys.argv[1]) / name)
     print(name, report.passed(), scipy())
@@ -1055,7 +1062,17 @@ for name in ('scatter', 'inequality_vl1', 'inequality_vl12', 'inequality_theta')
     out = subprocess.run([sys.executable, "-c", code, str(tmp_path), *paths], capture_output=True, text=True, env=env, check=True)
     assert out.stdout.splitlines() == [
         "13 []",
-        *(f"{name} True []" for name in ("scatter", "inequality_vl1", "inequality_vl12", "inequality_theta")),
+        *(
+            f"{name} True []"
+            for name in (
+                "scatter",
+                "inequality_vl1",
+                "inequality_vl12",
+                "inequality_theta",
+                "inequality_int1",
+                "inequality_trivv",
+            )
+        ),
     ]
 
 
