@@ -12,11 +12,12 @@ Both stacks run on pool_size() threads.  Each CN step's solve calls LAPACK
 zgttrs through the function pointer that scipy.linalg.cython_lapack exports,
 by ctypes, which releases the GIL for the call; scipy's f2py lapack.zgttrs
 holds it.  So CN runs on two threads overlap, and _pool_map runs them:
-convergence_experiment maps its N values, and build_transform its two row
-halves, over pool_size() threads.  gp's split-step on large 3-d grids shares
-its slabs between the calling thread and a pinned worker through _pinned_split.
-Every thread does the same arithmetic on the same data as one thread would,
-so results do not change by a bit.
+convergence_experiment maps its N values over pool_size() threads.  gp's
+split-step on large 3-d grids shares its slabs between the calling thread and
+a pinned worker through _pinned_split.  Every thread does the same arithmetic
+on the same data as one thread would, so results do not change by a bit.
+OpenBLAS's own threads do not keep that promise for a GEMM, so the
+scattering transform's products run under _one_blas_thread.
 
 scipy loads where it is first used, never on import: here at the first CN
 solve (_tridiagonal_lapack), in gp at the entry of a solver that transforms,
@@ -126,6 +127,41 @@ def _pinned_split():
         go.release()
         worker.join()
         os.sched_setaffinity(0, mask)
+
+
+# [(set_num_threads, get_num_threads)] of each OpenBLAS loaded, bound by _one_blas_thread
+_openblas = None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Holds OpenBLAS to one thread inside, then restores its thread count.
+
+    A GEMM that OpenBLAS splits over two threads differs in its last bits from
+    the same GEMM on one, so without this a report would read otherwise on one
+    and two CPUs.  On one thread it gives the bits of OPENBLAS_NUM_THREADS=1
+    and of a one-CPU affinity mask.  The libraries are the OpenBLAS builds that
+    /proc/self/maps lists at the first call, numpy's among them; where none is
+    found it holds nothing.  Not for use from two threads at once.
+    """
+    global _openblas
+    if _openblas is None:
+        with open("/proc/self/maps") as maps:
+            libs = sorted({line.split()[-1] for line in maps if "openblas" in line.lower() and "/" in line})
+        _openblas = []
+        for handle in map(ctypes.CDLL, libs):
+            for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""), ("openblas", "64_"), ("openblas", "")):
+                if hasattr(handle, f"{prefix}_set_num_threads{suffix}"):
+                    _openblas.append((handle[f"{prefix}_set_num_threads{suffix}"], handle[f"{prefix}_get_num_threads{suffix}"]))
+                    break
+    counts = [get() for _, get in _openblas]
+    for set_threads, _ in _openblas:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for (set_threads, _), n in zip(_openblas, counts):
+            set_threads(n)
 
 
 # ---------------------------------------------------------------------------

@@ -289,7 +289,7 @@ def second_moment_transform(p: Potential) -> ScatteringTransform:
 
 def second_moment_points(p: Potential) -> float:
     """About k nodes x grid nodes of second_moment_transform(p), without building it:
-    the points one second_moment_check on it touches."""
+    the multiply-adds of each GEMM in one second_moment_check's transform product."""
     return transform_points(scale(p, 2), k_max=_SECOND_MOMENT_K_MAX, n_k=_SECOND_MOMENT_N_K)
 
 

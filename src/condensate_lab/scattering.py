@@ -220,6 +220,57 @@ def phase_shift(p, k: float) -> float:
 _PER_PANEL = 16
 
 
+class _SineKernel:
+    """The nk x n matrix M[i, j] = sin(k[i] j h + phase[i]), its first columns
+    replaced by head, applied as M @ x and d @ M without forming M.
+
+    With B = ceil(sqrt(n)) and j = b B + m, angle addition splits each entry
+    exactly into sin(k b B h + phase) cos(k m h) + cos(k b B h + phase) sin(k m h).
+    So M is held as the nk x B tables C, S of the offset m and the nk x nb tables
+    SB, CB of the block b: O(nk sqrt(n)) floats, and a product is two GEMMs
+    with x laid out as the B x nb array X[m, b] = x[b B + m], run on one
+    OpenBLAS thread so that its bits do not depend on the machine's CPUs.
+
+    A kernel built like another on the same k, h and n shares its C and S.
+    nbytes counts the head and the tables this kernel made, so the nbytes of
+    kernels that share add up to the bytes they hold.
+    """
+
+    # ndarray @ kernel returns NotImplemented, so Python calls __rmatmul__
+    __array_ufunc__ = None
+
+    def __init__(self, k: np.ndarray, phase: np.ndarray, h: float, n: int, head: np.ndarray, like=None):
+        B = int(np.ceil(np.sqrt(n)))
+        block = np.multiply.outer(k, (np.arange(-(-n // B)) * B) * h) + phase[:, None]
+        self.n = n
+        self.head = head
+        self.SB, self.CB = np.sin(block), np.cos(block)
+        self.nbytes = head.nbytes + self.SB.nbytes + self.CB.nbytes
+        if like is None:
+            offset = np.multiply.outer(k, np.arange(B) * h)
+            self.C, self.S = np.cos(offset), np.sin(offset)
+            self.nbytes += self.C.nbytes + self.S.nbytes
+        else:
+            self.C, self.S = like.C, like.S
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        j0 = self.head.shape[1]
+        B, nb = self.C.shape[1], self.SB.shape[1]
+        X = np.zeros(nb * B, dtype=np.result_type(x, self.C))
+        X[j0 : self.n] = x[j0:]
+        X = X.reshape(nb, B).T
+        with _kernels._one_blas_thread():
+            rows = self.SB * (self.C @ X) + self.CB * (self.S @ X)
+            return self.head @ x[:j0] + rows.sum(axis=1)
+
+    def __rmatmul__(self, d: np.ndarray) -> np.ndarray:
+        with _kernels._one_blas_thread():
+            Y = (d[:, None] * self.SB).T @ self.C + (d[:, None] * self.CB).T @ self.S
+            out = Y.reshape(-1)[: self.n]
+            out[: self.head.shape[1]] = d @ self.head
+        return out
+
+
 @dataclass
 class ScatteringTransform:
     """Generalized sine-basis pair for -d^2/dr^2 + V/2 on [0, rmax].
@@ -228,14 +279,19 @@ class ScatteringTransform:
     amplitude; sines[i] is sin(k[i] r).  Forward maps take u(r) samples to
     coefficients on the k grid, inverse maps synthesize back, and the wave
     operator is inverse-interacting after forward-free (adjoint: swap).
+
+    Neither k x n matrix is formed: both are _SineKernel tables on the
+    uniform grid r_j = j h.  states keeps the marched columns up to the match
+    point r_m as an explicit head block, where u_k is not yet a sine; past
+    it states[i] is sin(k[i] r + delta0[i]).  sines has phase 0 and no head.
     """
 
     grid: RadialGrid
     k: np.ndarray
     wk: np.ndarray
     delta0: np.ndarray
-    states: np.ndarray = field(repr=False)
-    sines: np.ndarray = field(repr=False)
+    states: _SineKernel = field(repr=False)
+    sines: _SineKernel = field(repr=False)
     completeness_defect: float = np.nan
 
     _SQ = np.sqrt(2.0 / np.pi)
@@ -273,8 +329,9 @@ def _k_nodes(k_max: float, n_k: int, rmax: float) -> float:
 
 
 def transform_points(p, k_max: float, n_k: int) -> float:
-    """About k nodes x grid nodes of build_transform(p, k_max, n_k), the size of each
-    of its matrices, from the rules it builds by but without building anything."""
+    """About k nodes x grid nodes of build_transform(p, k_max, n_k), the multiply-adds
+    of each of the two GEMMs one of its products makes, from the rules it builds by
+    but without building anything."""
     _, rmax, h = _radial_extent(p, k_max)
     return float(_k_nodes(k_max, n_k, rmax) * (rmax / h + 1.0))
 
@@ -303,31 +360,16 @@ def build_transform(p, k_max: float, n_k: int, rmax: float | None = None) -> Sca
     if np.any(amp < 1e-8):
         raise RuntimeError("near-singular normalization: resonance suspicion")
     delta = np.arctan2(k * u_m, up_end) - k * r_m
+    # normalized in place, after delta reads u_m: the head of states is U's transpose
+    U /= amp
 
-    # filled in place: an outer-product temporary would be as large as states
-    states = np.empty((k.shape[0], grid.n))
-    states[:, : i_stop + 1] = (U / amp).T
-    sines = np.empty_like(states)
-
-    def fill(rows: slice):
-        """The sine tails of states and the sines, on rows; elementwise, so two
-        threads on two row halves give the bits of one fill."""
-        tail = states[rows, i_stop + 1 :]
-        np.multiply.outer(k[rows], grid.r[i_stop + 1 :], out=tail)
-        tail += delta[rows, None]
-        np.sin(tail, out=tail)
-        np.multiply.outer(k[rows], grid.r, out=sines[rows])
-        np.sin(sines[rows], out=sines[rows])
-
-    half = k.shape[0] // 2
-    _kernels._pool_map(fill, (slice(0, half), slice(half, None)))
-
+    sines = _SineKernel(k, np.zeros_like(k), grid.h, grid.n, head=np.empty((k.shape[0], 0)))
     t = ScatteringTransform(
         grid=grid,
         k=k,
         wk=wk,
         delta0=delta,
-        states=states,
+        states=_SineKernel(k, delta, grid.h, grid.n, head=U.T, like=sines),
         sines=sines,
     )
     # Two calibration probes: a wave-operator round trip on a centered packet

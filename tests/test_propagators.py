@@ -2,6 +2,7 @@
 
 import os
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -274,6 +275,18 @@ def test_second_moment_broadening_decreases_both_sides(n2_transform):
     assert r2.lhs < r1.lhs
     assert r2.rhs < r1.rhs
     assert r2.slack >= -1e-6 * abs(r2.lhs)
+
+
+def test_a_small_soft_sphere_transform_builds_within_memory():
+    # 640 k nodes x 400003 grid nodes: two dense matrices would take 4.1 GB
+    tracemalloc.start()
+    try:
+        t = pr.second_moment_transform(pot.soft_sphere(2.0, 0.03))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t.k.shape[0] * t.grid.n * 16 > 4e9
+    assert peak < 100e6, peak
 
 
 # ---------------------------------------------------------------------------

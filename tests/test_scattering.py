@@ -237,8 +237,10 @@ def test_transform_free_case_is_sine_basis():
     u = np.real(w.u)
     out = tr.wave_operator(u)
     assert tr.grid.norm(out - u) < 1e-9
-    # states equal sines up to the RK4 phase error of the marched segment
-    assert np.max(np.abs(tr.states - tr.sines)) < 5e-6
+    # states equal sines up to the RK4 phase error of the marched segment; e_i @ M
+    # is row i of either kernel, entry for entry
+    rows = np.eye(tr.k.shape[0])
+    assert max(np.max(np.abs(e @ tr.states - e @ tr.sines)) for e in rows) < 5e-6
 
 
 def test_wave_operator_unitarity(soft_transform):
@@ -295,7 +297,8 @@ def test_insufficient_k_resolution_raises(soft, monkeypatch):
 
 
 def test_transform_builds_its_matrices_without_temporaries(soft):
-    # the second-moment task's transform: n_k 640 x 12001 nodes, 61 MB per matrix
+    # the second-moment task's transform: n_k 640 x 12001 nodes, which as two dense
+    # matrices would take 123 MB; their angle-addition tables take 4.4 MB
     p = pot.scale(soft, 2)
     tracemalloc.start()
     try:
@@ -303,12 +306,18 @@ def test_transform_builds_its_matrices_without_temporaries(soft):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert t.states.shape == (640, 12001)
-    assert peak - t.states.nbytes - t.sines.nbytes < t.states.nbytes / 10, peak
-    # filled in place with the values of the outer-product formulas
-    r = t.grid.r[-64:]
-    assert np.array_equal(t.sines[:, -64:], np.sin(np.outer(t.k, r)))
-    assert np.array_equal(t.states[:, -64:], np.sin(np.outer(t.k, r) + t.delta0[:, None]))
+    assert t.k.shape == (640,) and t.grid.n == 12001
+    assert peak <= 8e6, peak
+    # products with the outer-product formulas, on 256 columns past the marched head
+    rng = np.random.default_rng(0)
+    cols = np.sort(rng.choice(np.arange(t.states.head.shape[1], t.grid.n), 256, replace=False))
+    x = np.zeros(t.grid.n)
+    x[cols] = rng.standard_normal(256)
+    d = rng.standard_normal(640)
+    for kernel, phase in ((t.sines, 0.0), (t.states, t.delta0[:, None])):
+        dense = np.sin(np.outer(t.k, t.grid.r[cols]) + phase)
+        assert np.max(np.abs(kernel @ x - dense @ x[cols])) <= 1e-13 * np.sum(np.abs(x))
+        assert np.max(np.abs((d @ kernel)[cols] - d @ dense)) <= 1e-13 * np.sum(np.abs(d))
 
 
 @pytest.mark.parametrize("p", [pot.soft_sphere(2.0, 1.0), pot.gaussian(1.0, 1.0), pot.soft_sphere(2.0, 1e-4), pot.soft_sphere(2.0, 3e-9)])
@@ -322,11 +331,49 @@ def test_a_tiny_radius_sets_the_zero_energy_step():
         assert sc.zero_energy_points(pot.soft_sphere(2.0, radius)) == pytest.approx(1e-4 / radius, rel=1e-4)
 
 
-def test_transform_fill_on_two_row_halves_equals_one_serial_fill(soft, monkeypatch):
-    # the sine fills are elementwise, so the pool's two row halves give the bits of
-    # one fill over every row on the main thread
-    threaded = sc.build_transform(pot.scale(soft, 2), k_max=14.0, n_k=640)
-    monkeypatch.setattr(_kernels, "_pool_map", lambda fill, halves: [fill(slice(None))])
-    serial = sc.build_transform(pot.scale(soft, 2), k_max=14.0, n_k=640)
-    assert np.array_equal(threaded.states, serial.states)
-    assert np.array_equal(threaded.sines, serial.sines)
+def test_transform_products_do_not_depend_on_the_blas_thread_count(soft_transform):
+    # a GEMM that OpenBLAS splits over two threads sums in another order than on one
+    t = soft_transform
+    rng = np.random.default_rng(1)
+    x, d = rng.standard_normal(t.grid.n), rng.standard_normal(t.k.shape[0])
+    with _kernels._one_blas_thread():
+        pass
+    assert _kernels._openblas, "numpy's OpenBLAS is loaded"
+    counts = [get() for _, get in _kernels._openblas]
+    products = []
+    try:
+        for threads in (1, 2):
+            for set_threads, _ in _kernels._openblas:
+                set_threads(threads)
+            products.append(np.concatenate([t.states @ x, t.sines @ x, d @ t.states, d @ t.sines]))
+            assert [get() for _, get in _kernels._openblas] == [threads] * len(counts)
+    finally:
+        for (set_threads, _), n in zip(_kernels._openblas, counts):
+            set_threads(n)
+    assert np.array_equal(*products)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 3000),
+    h=st.floats(1e-4, 1.0),
+    k_frac=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+    phase=st.floats(-10.0, 10.0),
+    head_frac=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sine_kernel_products_match_the_dense_kernel(n, h, k_frac, phase, head_frac, seed):
+    # k spans |k r| <= 500 on r_j = j h; the reference sin(k r + phase) is taken in
+    # long double, so the bound measures the tables' rounding, not the reference's
+    k = np.array(k_frac) * 500.0 / max((n - 1) * h, 1.0)
+    phases = phase * np.linspace(1.0, -1.0, k.shape[0])
+    rng = np.random.default_rng(seed)
+    head = rng.standard_normal((k.shape[0], int(head_frac * n)))
+    kernel = sc._SineKernel(k, phases, h, n, head)
+    r = np.arange(n) * np.longdouble(h)
+    dense = np.sin(np.outer(k.astype(np.longdouble), r) + phases[:, None].astype(np.longdouble))
+    dense[:, : head.shape[1]] = head
+    x = rng.standard_normal(n)
+    d = rng.standard_normal(k.shape[0])
+    assert np.max(np.abs(kernel @ x - dense @ x)) <= 1e-13 * np.sum(np.abs(x))
+    assert np.max(np.abs(d @ kernel - d @ dense)) <= 1e-13 * np.sum(np.abs(d))
