@@ -129,31 +129,28 @@ def _pinned_split():
         os.sched_setaffinity(0, mask)
 
 
-# [(set_num_threads, get_num_threads)] of each OpenBLAS loaded, bound by _one_blas_thread
+# [(set_num_threads, get_num_threads)] of numpy's OpenBLAS, bound by _one_blas_thread
 _openblas = None
 
 
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Holds OpenBLAS to one thread inside, then restores its thread count.
+    """Holds numpy's OpenBLAS to one thread inside, then restores its thread count.
 
     A GEMM that OpenBLAS splits over two threads differs in its last bits from
     the same GEMM on one, so without this a report would read otherwise on one
     and two CPUs.  On one thread it gives the bits of OPENBLAS_NUM_THREADS=1
-    and of a one-CPU affinity mask.  The libraries are the OpenBLAS builds that
-    /proc/self/maps lists at the first call, numpy's among them; where none is
-    found it holds nothing.  Not for use from two threads at once.
+    and of a one-CPU affinity mask.  numpy's build is scipy-openblas64, the
+    library in /proc/self/maps that exports scipy_openblas_set_num_threads64_;
+    scipy's own OpenBLAS is not held.  Where none is found it holds nothing.
+    Not for use from two threads at once.
     """
     global _openblas
     if _openblas is None:
         with open("/proc/self/maps") as maps:
             libs = sorted({line.split()[-1] for line in maps if "openblas" in line.lower() and "/" in line})
-        _openblas = []
-        for handle in map(ctypes.CDLL, libs):
-            for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""), ("openblas", "64_"), ("openblas", "")):
-                if hasattr(handle, f"{prefix}_set_num_threads{suffix}"):
-                    _openblas.append((handle[f"{prefix}_set_num_threads{suffix}"], handle[f"{prefix}_get_num_threads{suffix}"]))
-                    break
+        handles = [h for h in map(ctypes.CDLL, libs) if hasattr(h, "scipy_openblas_set_num_threads64_")]
+        _openblas = [(h.scipy_openblas_set_num_threads64_, h.scipy_openblas_get_num_threads64_) for h in handles]
     counts = [get() for _, get in _openblas]
     for set_threads, _ in _openblas:
         set_threads(1)
