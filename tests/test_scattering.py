@@ -336,9 +336,8 @@ def test_transform_products_do_not_depend_on_the_blas_thread_count(soft_transfor
     t = soft_transform
     rng = np.random.default_rng(1)
     x, d = rng.standard_normal(t.grid.n), rng.standard_normal(t.k.shape[0])
-    with _kernels._one_blas_thread():
-        pass
-    assert _kernels._openblas, "numpy's OpenBLAS is loaded"
+    # the fixture's build bound numpy's OpenBLAS
+    assert _kernels._openblas
     counts = [get() for _, get in _kernels._openblas]
     products = []
     try:
