@@ -16,8 +16,9 @@ convergence_experiment maps its N values over pool_size() threads.  gp's
 split-step on large 3-d grids shares its slabs between the calling thread and
 a pinned worker through _pinned_split.  Every thread does the same arithmetic
 on the same data as one thread would, so results do not change by a bit.
-OpenBLAS's own threads do not keep that promise for a GEMM, so the
-scattering transform's products run under _one_blas_thread.
+OpenBLAS's own threads do not keep that promise for a GEMM or a QR, so the
+scattering transform's products, hierarchy's zgeqrf and every _pinned_split
+run under _one_blas_thread.
 
 scipy loads where it is first used, never on import: here at the first CN
 solve (_tridiagonal_lapack), in gp at the entry of a solver that transforms,
@@ -33,6 +34,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import os
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -77,11 +79,11 @@ def _pinned_split():
     run took 0.080 s against 0.052 s after a one-thread run.  Waiting awake it
     took 0.057 s, and the 48^3 step went from 4.68 to 4.45 ms.
 
-    No fn may call BLAS.  OpenBLAS runs its own threads, which then contend with
-    the two pinned ones: an np.vdot (zdotc) of each slab inside the split, once
-    a step, took the evolve_d3_cosine config from 0.86-1.02 s to 2.03-2.37 s on
-    the 2-vCPU host (4 alternating runs each), and to 0.86-0.94 s with OpenBLAS
-    held to one thread.
+    The split holds OpenBLAS to one thread for its lifetime (_one_blas_thread),
+    so a BLAS call in fn starts no thread to contend with the two pinned ones:
+    unheld, an np.vdot (zdotc) of each slab inside the split, once a step, took
+    the evolve_d3_cosine config from 0.86-1.02 s to 2.03-2.37 s on the 2-vCPU
+    host (4 alternating runs each), and held to one thread 0.86-0.94 s.
     """
     mask = os.sched_getaffinity(0)
     here = {_sched_getcpu()}
@@ -117,40 +119,54 @@ def _pinned_split():
             raise exc
 
     worker = threading.Thread(target=work, name="condensate-lab split")
-    worker.start()
-    try:
-        os.sched_setaffinity(worker.native_id, mask - here)
-        os.sched_setaffinity(0, here)
-        yield split
-    finally:
-        job[0] = None
-        go.release()
-        worker.join()
-        os.sched_setaffinity(0, mask)
+    with _one_blas_thread():
+        worker.start()
+        try:
+            os.sched_setaffinity(worker.native_id, mask - here)
+            os.sched_setaffinity(0, here)
+            yield split
+        finally:
+            job[0] = None
+            go.release()
+            worker.join()
+            os.sched_setaffinity(0, mask)
 
 
-# [(set_num_threads, get_num_threads)] of numpy's OpenBLAS, bound by _one_blas_thread
-_openblas = None
+# [(set_num_threads, get_num_threads)] of each OpenBLAS bound by _one_blas_thread,
+# the paths of those libraries, and len(sys.modules) when /proc/self/maps was last read
+_openblas = []
+_openblas_paths = set()
+_modules_seen = 0
+# the thread-count symbols of numpy's scipy-openblas64 and of scipy's scipy-openblas
+_OPENBLAS_SYMBOLS = ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads")
 
 
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Holds numpy's OpenBLAS to one thread inside, then restores its thread count.
+    """Holds every OpenBLAS mapped in to one thread inside, then restores their thread counts.
 
-    A GEMM that OpenBLAS splits over two threads differs in its last bits from
-    the same GEMM on one, so without this a report would read otherwise on one
-    and two CPUs.  On one thread it gives the bits of OPENBLAS_NUM_THREADS=1
-    and of a one-CPU affinity mask.  numpy's build is scipy-openblas64, the
-    library in /proc/self/maps that exports scipy_openblas_set_num_threads64_;
-    scipy's own OpenBLAS is not held.  Where none is found it holds nothing.
-    Not for use from two threads at once.
+    A GEMM or QR that OpenBLAS splits over two threads differs in its last bits
+    from the same call on one, so without this a report would read otherwise on
+    one and two CPUs.  On one thread it gives the bits of OPENBLAS_NUM_THREADS=1
+    and of a one-CPU affinity mask.  The libraries are those in /proc/self/maps
+    that export a symbol of _OPENBLAS_SYMBOLS: numpy's, mapped at its import,
+    and scipy's, mapped when scipy.linalg first loads.  A library maps in only
+    through an import, so the maps are read again only when sys.modules has
+    grown, and each library is bound once.  Where none is found it holds
+    nothing.  Not for use from two threads at once.
     """
-    global _openblas
-    if _openblas is None:
+    global _modules_seen
+    if len(sys.modules) != _modules_seen:
+        _modules_seen = len(sys.modules)
         with open("/proc/self/maps") as maps:
-            libs = sorted({line.split()[-1] for line in maps if "openblas" in line.lower() and "/" in line})
-        handles = [h for h in map(ctypes.CDLL, libs) if hasattr(h, "scipy_openblas_set_num_threads64_")]
-        _openblas = [(h.scipy_openblas_set_num_threads64_, h.scipy_openblas_get_num_threads64_) for h in handles]
+            libs = {line.split()[-1] for line in maps if "openblas" in line.lower() and "/" in line}
+        for path in sorted(libs - _openblas_paths):
+            _openblas_paths.add(path)
+            lib = ctypes.CDLL(path)
+            for symbol in _OPENBLAS_SYMBOLS:
+                if hasattr(lib, symbol.format("set")):
+                    _openblas.append((getattr(lib, symbol.format("set")), getattr(lib, symbol.format("get"))))
+                    break
     counts = [get() for _, get in _openblas]
     for set_threads, _ in _openblas:
         set_threads(1)
@@ -258,8 +274,6 @@ def cn_evolve(u_interior, q_interior, h, dt, nsteps):
     if u.shape[0] < 3:
         # LAPACK's tridiagonal factorization wrapper rejects shorter systems
         raise ValueError(f"Crank-Nicolson needs at least 3 interior points, got {u.shape[0]}")
-    if nsteps == 0:
-        return u
     m = u.shape[0]
     theta = 0.5 * float(dt)
     off = 1j * theta * (-1.0 / h**2) * np.ones(m - 1, dtype=np.complex128)

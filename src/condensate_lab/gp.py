@@ -44,8 +44,9 @@ gp_energy transforms once a call and stays on one thread: starting the
 worker costs about 0.3 ms, as much as the split saves at 48^3.
 The guard's probes and every sum stay on the calling thread over the whole
 grid, because a sum split in two adds in another order and rounds apart.
-No sum may call BLAS inside the split either (see _kernels._pinned_split):
-an np.vdot of each slab there ran the evolve_d3_cosine config 2.4x slower.
+The split holds OpenBLAS to one thread (see _kernels._pinned_split), so a
+BLAS call inside it starts no thread of its own: unheld, an np.vdot of each
+slab there ran the evolve_d3_cosine config 2.4x slower.
 """
 
 from __future__ import annotations
@@ -150,9 +151,6 @@ class Field:
     def normalize(self) -> "Field":
         self.values /= np.sqrt(self.mass())
         return self
-
-    def copy(self) -> "Field":
-        return Field(self.values.copy(), self.box, self.time)
 
 
 # Smallest grid, in sites, whose transforms and steps run on two threads
@@ -443,9 +441,10 @@ def gp_ground_state(cfg: GPConfig, init: Field) -> dict:
     coupling, trap or grid is a ValueError (check_ground_state, then the trap):
     no minimiser for g > 0 is offered.
 
-    The solve counts as one descent step: it replaces init only if the energy
-    does not rise, so the recorded energies never rise, and iterations is 1.
-    The returned field is complex128, like every Field.
+    The solve counts as one descent step, so iterations is 1 and energies
+    records E(init) and E(minimiser); the minimiser is returned whatever its
+    energy, so a rise in energies shows a wrong solve.  The returned field is
+    complex128, like every Field.
     """
     if abs(init.mass() - 1.0) > 1e-8:
         raise ValueError("initial state must be normalized")
@@ -454,11 +453,6 @@ def gp_ground_state(cfg: GPConfig, init: Field) -> dict:
     # |x|^2 on the grid, harmonic_trap(*init.meshgrid()) bit for bit: the same squares summed in the same order
     if trap is None or not np.array_equal(trap, _sum_of_squares(init.axes())):
         raise ValueError("no minimizer solved for this trap: only g = 0 in the trap |x|^2 is")
-    f = init.copy()
-    energies = [gp_energy(f, cfg)["total"]]
-    cand = _harmonic_minimiser(f)
-    e_new = gp_energy(cand, cfg)["total"]
-    if e_new <= energies[-1]:
-        f = cand
-        energies.append(e_new)
+    f = _harmonic_minimiser(init)
+    energies = [gp_energy(init, cfg)["total"], gp_energy(f, cfg)["total"]]
     return {"field": f, "energy": energies[-1], "iterations": 1, "energies": energies}

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gp
+from . import _kernels, gp
 from .gp import Field
 
 
@@ -45,10 +45,12 @@ def _coordinates(cols: np.ndarray) -> np.ndarray:
 
     One Householder QR, in place when cols is a Fortran-ordered complex128
     n x c matrix (cols is then overwritten); R is its top min(n, c) rows.
+    It runs on one OpenBLAS thread, whose sums do not depend on the CPU count.
     """
     from scipy.linalg.lapack import zgeqrf
 
-    qr, _, _, _ = zgeqrf(cols, overwrite_a=True)
+    with _kernels._one_blas_thread():
+        qr, _, _, _ = zgeqrf(cols, overwrite_a=True)
     r = qr[: min(qr.shape)].copy()
     for j in range(1, len(r)):
         r[j, :j] = 0.0  # row by row: np.triu's where() would add a numpy iterator buffer

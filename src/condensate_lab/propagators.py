@@ -1,12 +1,12 @@
 """Two-body relative dynamics in the s-wave sector.
 
-Free evolution is exact in the discrete sine basis; interacting evolution
-uses the unconditionally unitary implicit midpoint (Crank-Nicolson) scheme
-on the same Dirichlet grid, whose V = 0 case is applied exactly in that
-basis.  On top of the propagators sit the quantitative
-experiments: the short-range defect ||(interacting - free) g|| as a function
-of the scaling parameter N, and the second-moment energy inequality for
-separable two-particle states at N = 2.
+Evolution uses the unconditionally unitary implicit midpoint
+(Crank-Nicolson) scheme on a Dirichlet grid; its V = 0 case, the free
+reference, is diagonal in the discrete sine basis and applied exactly
+there.  On top of the propagator sit the quantitative experiments: the
+short-range defect ||(interacting - free) g|| as a function of the scaling
+parameter N, and the second-moment energy inequality for separable
+two-particle states at N = 2.
 
 convergence_experiment runs its N values on the threads of
 _kernels._pool_map, largest grid first.  The runs share no state, and each
@@ -41,9 +41,6 @@ class RadialWavepacket:
         if self.u.shape != (self.grid.n,):
             raise ValueError("wavepacket length does not match grid")
 
-    def mass(self) -> float:
-        return self.grid.norm_flat(self.u) ** 2
-
     def h1_norm(self) -> float:
         c = self.grid.dst(self.u)
         k = self.grid.modes()
@@ -75,12 +72,6 @@ def _check_boundary(w: RadialWavepacket):
 def _sine_multiply(w: RadialWavepacket, symbol: np.ndarray) -> RadialWavepacket:
     """Multiply the sine coefficients of w by symbol, one value per interior mode."""
     return RadialWavepacket(w.grid, w.grid.idst(symbol * w.grid.dst(w.u)))
-
-
-def evolve_free(w: RadialWavepacket, t: float) -> RadialWavepacket:
-    """exp(i Laplacian t) in the sine basis: coefficients get exp(-i k^2 t)."""
-    _check_boundary(w)
-    return _sine_multiply(w, np.exp(-1j * w.grid.modes() ** 2 * t))
 
 
 def step_count(t: float, dt: float) -> int:
@@ -131,16 +122,6 @@ def evolve_interacting(w: RadialWavepacket, p: Potential, t: float, dt: float) -
     _check_boundary(w)
     nsteps = step_count(t, dt)
     return _cn_steps(w, 0.5 * potential_node_samples(p, w.grid), nsteps, dt)
-
-
-def interacting_energy(w: RadialWavepacket, p) -> float:
-    """<u, (-d^2/dr^2 + V/2) u> with the same finite differences CN uses."""
-    u = w.u
-    h = w.grid.h
-    q = 0.5 * potential_node_samples(p, w.grid)
-    lap = np.zeros_like(u)
-    lap[1:-1] = (2.0 * u[1:-1] - u[:-2] - u[2:]) / h**2
-    return float(np.real(np.sum(np.conj(u) * (lap + q * u))) * h)
 
 
 @dataclass

@@ -176,6 +176,15 @@ def _last_energy_rises(real):
     return run
 
 
+def _minimiser_rises(real):
+    # the initial state boosted by one momentum quantum along axis 0 in place of the minimiser:
+    # of unit mass, with the initial trap energy and about (2 pi / L)^2 more kinetic energy
+    def run(f):
+        return gp.Field(f.values * np.exp(2j * np.pi * f.meshgrid()[0] / f.box[0]), f.box, f.time)
+
+    return run
+
+
 def _last_defect_grows(real):
     # the defect at the largest N one ulp above the one at the N before it
     def run(*args, **kw):
@@ -232,6 +241,13 @@ _MARGIN_ROW_FAULTS = {
         gp,
         "gp_ground_state",
         _last_energy_rises,
+        0,
+    ),
+    "minimiser-rises": (
+        {"task": "groundstate", "grid": 32, "trap": "harmonic"},
+        gp,
+        "_harmonic_minimiser",
+        _minimiser_rises,
         0,
     ),
     "defect-grows": (
@@ -1076,6 +1092,40 @@ for name in ('scatter', 'inequality_vl1', 'inequality_vl12', 'inequality_theta',
     ]
 
 
+def test_hierarchy_and_second_moment_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # hierarchy's zgeqrf and the transform's GEMMs run on one OpenBLAS thread, so both sample
+    # configs report the same bits as under OPENBLAS_NUM_THREADS=1, and every bound library
+    # (numpy's and scipy's) gets its thread count back
+    code = """
+import json, sys
+from pathlib import Path
+import scipy.linalg
+from condensate_lab import _kernels, cli
+with _kernels._one_blas_thread():
+    pass
+counts = lambda: [get() for _, get in _kernels._openblas]
+before, reports = counts(), {}
+for path in map(Path, sys.argv[2:]):
+    report = cli.run(cli.parse_config(path.read_text()), Path(sys.argv[1]) / path.stem).as_dict()
+    del report["runtime_s"]
+    reports[path.stem] = report
+print(json.dumps({"before": before, "after": counts(), "reports": reports}))
+"""
+    paths = [str(p) for p in _sample_config_paths() if p.stem in ("hierarchy_check", "second_moment")]
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    runs = {}
+    for name, extra in (("default", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})):
+        argv = [sys.executable, "-c", code, str(tmp_path / name), *paths]
+        out = subprocess.run(argv, capture_output=True, text=True, env={**env, **extra}, check=True)
+        runs[name] = json.loads(out.stdout)
+    assert len(paths) == 2 and len(runs["one"]["reports"]) == 2
+    assert runs["default"]["reports"] == runs["one"]["reports"]
+    assert runs["one"]["before"] == [1, 1]
+    for run in runs.values():
+        assert run["after"] == run["before"]
+
+
 def test_trivv_compares_the_oracle_at_p_zero(tmp_path):
     # the fixed grid starts at p = 0, the point the Beta-function oracle is for
     report = cli.run(cli.parse_config(json.dumps({"task": "inequality-check", "kind": "trivv"})), tmp_path / "o")
@@ -1209,11 +1259,8 @@ def test_every_shape_a_reader_accepts_is_taken_by_a_sample_config():
 _UNRUN_FUNCTIONS_KEPT = {
     # the exact V = 0 control, which the tests run (the vl1 extreme case among them)
     "potentials.zero_potential",
-    # the references the propagator tests compare the defect runs with
-    "propagators.evolve_free",
-    "propagators.interacting_energy",
-    "propagators.RadialWavepacket.mass",
-    # named by the benchmark's per-layer metrics
+    # the time-t entry to _cn_steps that the propagator tests run, and the benchmark's
+    # per-layer metrics name
     "propagators.evolve_interacting",
     # the zero-step segment of _cn_steps, which a repeated or zero time takes
     "propagators.RadialWavepacket.copy",

@@ -205,15 +205,17 @@ def test_harmonic_minimiser_takes_any_phase_when_orthogonal():
     assert abs(phi.mass() - 1.0) < 1e-12
 
 
-def test_harmonic_ground_state_keeps_init_when_energy_would_rise(monkeypatch):
+def test_harmonic_ground_state_returns_the_minimiser_when_energy_rises(monkeypatch):
+    # a minimiser above the initial energy is returned all the same, and energies shows the rise
     init = _gaussian((32,), (10.0,))
     worse = make_1d(32, 10.0, fn=lambda x: np.exp(-((x - 1.0) ** 2))).normalize()
     monkeypatch.setattr(gp, "_harmonic_minimiser", lambda f: worse)
     cfg = gp.GPConfig(coupling=0.0, trap="harmonic")
     res = gp.gp_ground_state(cfg, init)
     assert res["iterations"] == 1
-    assert res["energies"] == [gp.gp_energy(init, cfg)["total"]]
-    assert np.array_equal(res["field"].values, init.values)
+    assert res["energies"] == [gp.gp_energy(init, cfg)["total"], gp.gp_energy(worse, cfg)["total"]]
+    assert res["energies"][1] > res["energies"][0] and res["energy"] == res["energies"][1]
+    assert res["field"] is worse
 
 
 def test_ground_state_requires_minimizer():

@@ -210,8 +210,7 @@ def test_integral_sweep_matches_dense_schrodinger_picture():
 
 def test_integral_form_requires_uniform_spacing():
     traj = hr.build_trajectory(0, coupling=1.0)[:5]
-    traj[3] = traj[3].copy()
-    traj[3].time += 0.01
+    traj[3] = gp.Field(traj[3].values, traj[3].box, traj[3].time + 0.01)
     with pytest.raises(ValueError, match="uniformly spaced"):
         hr.integral_form_residual(traj, 1.0)
 

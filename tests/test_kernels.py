@@ -102,3 +102,26 @@ def test_pinned_split_covers_the_range_raises_either_halfs_error_and_cleans_up()
     assert errors == [0, 1]
     assert threading.active_count() == before
     assert len(masks[0]) == 1 and masks[1] == mask
+
+
+def test_a_split_holds_every_bound_openblas_to_one_thread():
+    # a BLAS call inside the split starts no OpenBLAS thread; exit gives each library its count back
+    if K.pool_size() < 2:
+        pytest.skip("the affinity mask allows one thread")
+    with K._one_blas_thread():  # binds numpy's OpenBLAS and scipy's, which the lapack import mapped
+        pass
+    assert len(K._openblas) == 2
+    counts = [get() for _, get in K._openblas]
+    inside = []
+    try:
+        for set_threads, _ in K._openblas:
+            set_threads(2)
+        with K._pinned_split() as split:
+            split(lambda s: inside.append([get() for _, get in K._openblas]), 2)
+            inside.append([get() for _, get in K._openblas])
+        after = [get() for _, get in K._openblas]
+    finally:
+        for (set_threads, _), n in zip(K._openblas, counts):
+            set_threads(n)
+    assert inside == [[1, 1]] * 3
+    assert after == [2, 2]
