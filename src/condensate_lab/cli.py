@@ -362,6 +362,14 @@ def _read_initial(spec, shape: tuple[int, ...], box: tuple[float, ...]) -> dict:
     return {"type": kind, "amplitude": amplitude, "mode": mode}
 
 
+# Grid fields (complex128 arrays of the grid's shape) an evolve or groundstate run holds
+# at its peak.  An evolve in a trap holds the most: the state, gp_evolve's copy of it,
+# its rotation buffer and the kinetic factor, one field each, and the phase buffer and
+# the trap, half a field each.  A groundstate holds at most four: the initial state,
+# the trap, the minimiser, and gp_energy's spectrum and |spectrum|^2 (1 + 1/2).
+_GP_RUN_FIELDS = 5
+
+
 def _read_gp(params: dict, width: float, side: float, coupling) -> dict:
     """Grid, trap and initial state of an evolve or groundstate config, beside its coupling;
     width and side are the task's default gaussian width and box side."""
@@ -370,7 +378,8 @@ def _read_gp(params: dict, width: float, side: float, coupling) -> dict:
     shape, box = (M,) * dim, (_positive("box", params.get("box", side)),) * dim
     # M is clamped at the memory size, which it alone would exceed
     have = _physical_memory()
-    _refuse_beyond(have, 16 * min(M, have) ** dim, "the grid needs about {:.3g} GB per field")
+    need = 16 * _GP_RUN_FIELDS * min(M, have) ** dim
+    _refuse_beyond(have, need, f"the grid needs about {{:.3g}} GB for the {_GP_RUN_FIELDS} fields a run holds")
     trap = _choice("trap", params.get("trap"), (None, "harmonic"))
     return {
         "shape": shape,
@@ -386,7 +395,7 @@ def _read_gp(params: dict, width: float, side: float, coupling) -> dict:
 
 
 def _field_from_init(shape, box, init: dict) -> gp.Field:
-    mesh = np.meshgrid(*gp.centered_axes(shape, box), indexing="ij")
+    mesh = np.meshgrid(*gp.centered_axes(shape, box), indexing="ij", sparse=True)  # open: the axes broadcast
     if init["type"] == "plane-wave":
         phase = sum((2.0 * np.pi * m / L) * x for m, L, x in zip(init["mode"], box, mesh))
         return gp.Field(init["amplitude"] * np.exp(1j * phase), box)
@@ -428,7 +437,6 @@ def _run_evolve(outdir: Path, seed: int, *, shape, box, coupling, trap, initial,
     if isinstance(coupling, potentials.Potential):  # a scattering-length rule: 8 pi a0
         results["a0"] = scattering.solve_zero_energy(coupling).a0_asym
         coupling = float(8.0 * np.pi * results["a0"])
-    f = _field_from_init(shape, box, initial)
     t_snap = t_final / snapshots
     gcfg = gp.GPConfig(coupling=coupling, trap=trap, dt=dt)
 
@@ -436,8 +444,9 @@ def _run_evolve(outdir: Path, seed: int, *, shape, box, coupling, trap, initial,
         e = gp.gp_energy(f, gcfg)
         return (f.time, f.mass(), e["kinetic"], e["interaction"], e["trap"], e["total"])
 
-    rows = [observe(f)]
-    cur = f
+    # cur is the one reference to the state, so each snapshot frees the one before
+    cur = _field_from_init(shape, box, initial)
+    rows = [observe(cur)]
     for _ in range(snapshots):
         cur = gp.gp_evolve(cur, gcfg, t_snap)
         rows.append(observe(cur))

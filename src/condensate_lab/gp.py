@@ -8,22 +8,28 @@ exactly, one dense eigenproblem per axis.  No minimiser for g > 0 is
 offered.  The coupling g is an explicit parameter; 8 pi a0 from the
 scattering module is one natural choice, the bare integral of V another.
 
-The grid operators of a run form one plan: k^2, the trap values, the
-top-octave mask of the spectral guard and the kinetic factor exp(-i k^2 dt).
+The grid operators of a run form one plan: the trap values, the low-mode
+corner blocks of the spectral guard and the kinetic factor exp(-i k^2 dt).
 A GPConfig builds the plan the first time it meets a (shape, box) and keeps
-it, so every solver call with that config reads the same arrays.  Every
+it, so every solver call with that config reads the same arrays.  The plan
+holds no k^2: _sum_of_squares rebuilds it, bit for bit, for the kinetic
+factor and for gp_energy, whose squares and products run in place.  Every
 solver uses one transform pair, the c2c call of fftn/ifftn without their
 dispatch, which _bind_c2c binds at the entry of each solver that transforms;
 scipy loads there, or in _harmonic_minimiser, never when gp is imported or a
 config parsed, so the scatter, vl1, vl12 and theta tasks never load it.
-gp_evolve runs the pair in place and rotates through buffers it
-allocates once per call, so its steps allocate no field.  The phase step
-keeps |phi| pointwise, so gp_evolve runs adjacent phase half steps as one
-full step, split only at the end of a call.  The guard probes every
+gp_evolve runs the pair in place and rotates through buffers it allocates
+once per call, after the kinetic factor: the state, the rotation rot and the
+phase theta, 2.5 fields beside its input, and its steps allocate no field.
+The phase step keeps |phi| pointwise, so gp_evolve runs adjacent phase half
+steps as one full step, split only at the end of a call.  The guard probes every
 max(1, nsteps // 8) steps and at the last step, on the spectrum the step
 already holds after the kinetic factor: that factor has modulus 1, so this
 is the spectrum of the state after the leading phase half step, and only
-the initial data needs a transform for its guard.
+the initial data needs a transform for its guard, which it takes into rot.
+A probe forms |spectrum|^2 in theta and takes the total less the 2^d corner
+blocks of modes below half-Nyquist on every axis, so it allocates no
+grid-sized array and calls no BLAS.
 Fields are complex128 throughout, so every solver uses the one spectrum k^2.
 
 On 3-d grids of at least _THREAD_SITES = 2^15 sites gp_evolve runs on
@@ -53,6 +59,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -62,28 +69,38 @@ from . import _kernels
 
 
 def _sum_of_squares(axes: list[np.ndarray]) -> np.ndarray:
-    """sum_j k_j^2 on the grid spanned by the 1-d frequency axes."""
+    """sum_j k_j^2 on the grid spanned by the 1-d frequency axes, summed in place."""
     out = np.zeros([k.size for k in axes])
     for axis, k in enumerate(axes):
         shape = [1] * len(axes)
         shape[axis] = -1
-        out = out + (k**2).reshape(shape)
+        out += (k**2).reshape(shape)
     return out
 
 
-def _top_octave(axes: list[np.ndarray]) -> np.ndarray:
-    """Mask of the modes above half-Nyquist on any axis."""
-    mask = np.zeros([k.size for k in axes], dtype=bool)
-    for axis, k in enumerate(axes):
-        shape = [1] * len(axes)
-        shape[axis] = -1
-        mask |= (np.abs(k) >= 0.5 * np.max(np.abs(k))).reshape(shape)
-    return mask
+def _low_blocks(shape: tuple[int, ...]) -> list[tuple[slice, ...]]:
+    """The 2^d corner blocks of the modes at or below half-Nyquist on every axis.
+
+    On an axis of M points the mode j (fftfreq order) lies below half-Nyquist
+    when 2|j| < M // 2, that is |j| <= c = (M // 2 - 1) // 2: the indices
+    0..c and M - c..M - 1.  The float comparison |k| >= max|k| / 2 on the
+    grid's k axis draws the same line, since (M // 2) / 2 is either a mode,
+    whose k halves max|k| exactly, or half-way between two.
+    """
+    halves = []
+    for M in shape:
+        c = (M // 2 - 1) // 2  # -1 when M = 1: the one mode, k = 0, is max|k| and not below it
+        halves.append((slice(0, c + 1), slice(M - c, M)))
+    return list(itertools.product(*halves))
 
 
-def _tail_fraction(spectrum: np.ndarray, top: np.ndarray) -> float:
-    power = np.abs(spectrum) ** 2
-    return float(np.sum(power[top]) / np.sum(power))
+def _tail_fraction(spectrum: np.ndarray, low: list[tuple[slice, ...]], power: np.ndarray) -> float:
+    """Share of |spectrum|^2 above half-Nyquist on any axis: the total less the
+    corner blocks low, formed in the float buffer power of the spectrum's shape.
+    It allocates no grid-sized array and makes no BLAS call."""
+    np.square(np.abs(spectrum, out=power), out=power)
+    total = power.sum()
+    return float((total - sum(power[block].sum() for block in low)) / total)
 
 
 def max_k_squared(shape: tuple[int, ...], box: tuple[float, ...]) -> float:
@@ -134,7 +151,8 @@ class Field:
         return centered_axes(self.shape, self.box)
 
     def meshgrid(self) -> list[np.ndarray]:
-        return list(np.meshgrid(*self.axes(), indexing="ij"))
+        """The open grid: each axis's coordinates, shaped to broadcast against the others."""
+        return list(np.meshgrid(*self.axes(), indexing="ij", sparse=True))
 
     def k_axes(self) -> list[np.ndarray]:
         return [
@@ -253,18 +271,17 @@ class _Plan:
     """Grid operators of one (shape, box) under one GPConfig, built once."""
 
     def __init__(self, f: Field, cfg: "GPConfig"):
-        axes = f.k_axes()
-        self.k2 = _sum_of_squares(axes)
+        self.k_axes = f.k_axes()
         self.k2_max = max_k_squared(f.shape, f.box)
         self.trap = None if cfg.trap is None else cfg.trap_values(f)
-        self.top_octave = _top_octave(axes)
+        self.low = _low_blocks(f.shape)
         self._dt = None
         self._kinetic = None
 
     def kinetic(self, dt: float) -> np.ndarray:
         """exp(-i k^2 dt), rebuilt only when dt changes."""
         if dt != self._dt:
-            self._kinetic, self._dt = np.exp(-1j * self.k2 * dt), dt
+            self._kinetic, self._dt = np.exp(-1j * _sum_of_squares(self.k_axes) * dt), dt
         return self._kinetic
 
 
@@ -291,7 +308,8 @@ class GPConfig:
         if self.trap is None:
             return np.zeros(f.shape)
         trap = harmonic_trap if self.trap == "harmonic" else self.trap
-        vals = np.asarray(trap(*f.meshgrid()), dtype=np.float64)
+        # a trap of the open grid's coordinates may return fewer axes than the grid's
+        vals = np.broadcast_to(np.asarray(trap(*f.meshgrid()), dtype=np.float64), f.shape)
         if np.any(vals < 0):
             raise ValueError("trap must be nonnegative")
         return vals
@@ -311,8 +329,10 @@ def harmonic_trap(*coords):
     return out
 
 
-def _guard(plan: _Plan, spectrum: np.ndarray, where: str):
-    tail = _tail_fraction(spectrum, plan.top_octave)
+def _guard(plan: _Plan, spectrum: np.ndarray, power: np.ndarray, where: str):
+    """RuntimeError unless spectrum's top-octave share is at most 1e-6; power is
+    a float buffer of its shape that the guard overwrites."""
+    tail = _tail_fraction(spectrum, plan.low, power)
     if not tail <= 1e-6:  # NaN from non-finite data fails every comparison
         raise RuntimeError(f"spectral blow-up: top-octave fraction {tail:.2e} ({where})")
 
@@ -322,7 +342,7 @@ def _rotate(g: float, tau: float, phi: np.ndarray, v: np.ndarray | None, theta: 
     np.square(np.abs(phi, out=theta), out=theta)
     theta *= -tau * g
     if v is not None:
-        theta -= tau * v
+        theta -= np.multiply(tau, v, out=rot.real)  # rot is free until the cosine below
     np.cos(theta, out=rot.real)
     np.sin(theta, out=rot.imag)
     phi *= rot
@@ -353,11 +373,15 @@ def gp_evolve(f: Field, cfg: GPConfig, t: float) -> Field:
         raise ValueError("dt too large for the grid kinetic scale")
     probe = max(1, nsteps // 8)
     _bind_c2c()
+    kinetic = plan.kinetic(cfg.dt)  # before the step's buffers, so its temporaries do not stack on them
     with _team(f.values) as split:
-        _guard(plan, _fft(f.values, None, split), "initial data")
+        theta, rot = np.empty(f.shape), np.empty_like(f.values)
+        # the initial data's spectrum in rot and the guard's power in theta: both are
+        # overwritten before the first step reads them
+        _guard(plan, _fft(f.values, rot, split), theta, "initial data")
         phi = f.values.copy()
-        kick = _slabwise(split, np.multiply, phi, plan.kinetic(cfg.dt), phi)  # phi *= exp(-i k^2 dt)
-        rotating = phi, plan.trap, np.empty(phi.shape), np.empty_like(phi)  # _rotate's phi, v, theta, rot
+        kick = _slabwise(split, np.multiply, phi, kinetic, phi)  # phi *= exp(-i k^2 dt)
+        rotating = phi, plan.trap, theta, rot  # _rotate's phi, v, theta, rot
         inner = _slabwise(split, functools.partial(_rotate, cfg.coupling, cfg.dt), *rotating)
         outer = _slabwise(split, functools.partial(_rotate, cfg.coupling, 0.5 * cfg.dt), *rotating)
         if nsteps:
@@ -367,7 +391,7 @@ def gp_evolve(f: Field, cfg: GPConfig, t: float) -> Field:
         for step in range(1, nsteps + 1):
             _fft(phi, phi, split, kick)
             if step % probe == 0 or step == nsteps:
-                _guard(plan, phi, f"step {step}")
+                _guard(plan, phi, theta, f"step {step}")
             _ifft(phi, phi, split, inner if step < nsteps else outer)
     return Field(phi, f.box, f.time + nsteps * cfg.dt)
 
@@ -383,10 +407,15 @@ def gp_energy(f: Field, cfg: GPConfig) -> dict:
     plan = cfg._plan(f)
     norm = f.dvol / np.prod(f.shape)
     _bind_c2c()
-    kinetic = float(np.sum(plan.k2 * np.abs(_fft(f.values)) ** 2) * norm)
-    dens = np.abs(f.values) ** 2
-    interaction = float(0.5 * cfg.coupling * np.sum(dens**2) * f.dvol)
-    trap = 0.0 if plan.trap is None else float(np.sum(plan.trap * dens) * f.dvol)
+    # |spectrum|^2, |phi|^2 and their products formed in place, in two float buffers
+    power = np.abs(_fft(f.values))  # the spectrum is freed here
+    np.square(power, out=power)
+    power *= f.k_squared()
+    kinetic = float(np.sum(power) * norm)
+    dens = np.abs(f.values)
+    np.square(dens, out=dens)
+    interaction = float(0.5 * cfg.coupling * np.sum(np.square(dens, out=power)) * f.dvol)
+    trap = 0.0 if plan.trap is None else float(np.sum(np.multiply(plan.trap, dens, out=power)) * f.dvol)
     return {
         "kinetic": kinetic,
         "interaction": interaction,
@@ -429,7 +458,8 @@ def _harmonic_minimiser(f: Field) -> Field:
     overlap = np.vdot(f.values, phi)
     if overlap:
         phi = phi * (np.conj(overlap) / abs(overlap))
-    return Field(phi / np.sqrt(f.dvol), f.box, f.time)
+    phi /= np.sqrt(f.dvol)
+    return Field(phi, f.box, f.time)
 
 
 def gp_ground_state(cfg: GPConfig, init: Field) -> dict:
@@ -453,6 +483,7 @@ def gp_ground_state(cfg: GPConfig, init: Field) -> dict:
     # |x|^2 on the grid, harmonic_trap(*init.meshgrid()) bit for bit: the same squares summed in the same order
     if trap is None or not np.array_equal(trap, _sum_of_squares(init.axes())):
         raise ValueError("no minimizer solved for this trap: only g = 0 in the trap |x|^2 is")
+    energies = [gp_energy(init, cfg)["total"]]  # before the minimiser, so the two do not stack
     f = _harmonic_minimiser(init)
-    energies = [gp_energy(init, cfg)["total"], gp_energy(f, cfg)["total"]]
+    energies.append(gp_energy(f, cfg)["total"])
     return {"field": f, "energy": energies[-1], "iterations": 1, "energies": energies}

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines and timings.  Tolerances are fixed here, not configurable.
 """
 
+import itertools
 import time
 
 import numpy as np
@@ -183,35 +184,87 @@ def _gp_1d_battery():
     assert abs(slope - 2.0) <= 0.1, f"dt slope {slope:.3f}"
 
 
-def _gp_3d_battery():
+def _gp_3d_drifts(M: int, dts, t_final: float = 1.0, snapshots: int = 4) -> list:
+    """(relative energy drift, mass drift), each the largest over the snapshots,
+    of the cosine state on an M^3 grid at g = 1, for each step dt."""
     L = TWO_PI
-    M = 48
     ax = (np.arange(M) - M // 2) * (L / M)
-    X, Y, Z = np.meshgrid(ax, ax, ax, indexing="ij")
+    X, Y, Z = np.meshgrid(ax, ax, ax, indexing="ij", sparse=True)
     f = gp.Field((1.0 + 0.15 * np.cos(X) + 0.1 * np.cos(Y) * np.cos(Z)).astype(complex), (L, L, L))
     f.normalize()
-    cfg = gp.GPConfig(coupling=1.0, dt=2.5e-4)
-    e0 = gp.gp_energy(f, cfg)["total"]
-    cur, mass_drift, energy_drift = f, 0.0, 0.0
-    for _ in range(4):
-        cur = gp.gp_evolve(cur, cfg, 0.25)
-        mass_drift = max(mass_drift, abs(cur.mass() - f.mass()))
-        energy_drift = max(
-            energy_drift, abs(gp.gp_energy(cur, cfg)["total"] - e0) / abs(e0)
-        )
-    assert mass_drift <= 1e-10, f"d=3 mass drift {mass_drift:.2e}"
-    assert energy_drift <= 1e-8, f"d=3 energy drift {energy_drift:.2e}"
+    out = []
+    for dt in dts:
+        cfg = gp.GPConfig(coupling=1.0, dt=dt)
+        e0 = gp.gp_energy(f, cfg)["total"]
+        cur, mass_drift, energy_drift = f, 0.0, 0.0
+        for _ in range(snapshots):
+            cur = gp.gp_evolve(cur, cfg, t_final / snapshots)
+            mass_drift = max(mass_drift, abs(cur.mass() - f.mass()))
+            energy_drift = max(energy_drift, abs(gp.gp_energy(cur, cfg)["total"] - e0) / abs(e0))
+        out.append((energy_drift, mass_drift))
+    return out
 
-    M = 64
+
+# Strang splitting's energy error model on the 48^3 state: drift <= C dt^2.  It
+# measured 2.354e-9 at dt = 1e-3 and 5.89e-10 at 5e-4 (C = 2.35e-3); the bound
+# takes C about twice that.  The kinetic bound caps dt at pi / 1728 = 1.8e-3 here.
+STRANG_DRIFT_C = 5e-3
+# Halving dt divides a second-order drift by 4 (3.995 measured; the next term,
+# O(dt^4), moves it by under 1%) and a first-order one, Lie splitting's, by 2
+STRANG_ORDER_BAND = (3.5, 4.5)
+
+
+def _assert_second_order(drifts, dts):
+    ratio = drifts[0] / drifts[1]
+    assert dts[0] == 2 * dts[1]
+    low, high = STRANG_ORDER_BAND
+    assert low <= ratio <= high, f"drift ratio {ratio:.3f} at dt halved: not second order"
+
+
+def _gp_3d_battery():
+    dts = (1e-3, 5e-4)
+    runs = _gp_3d_drifts(48, dts)
+    for dt, (energy_drift, mass_drift) in zip(dts, runs):
+        assert mass_drift <= 1e-10, f"d=3 mass drift {mass_drift:.2e} at dt {dt}"
+        assert energy_drift <= STRANG_DRIFT_C * dt**2, f"d=3 energy drift {energy_drift:.2e} at dt {dt}"
+    _assert_second_order([e for e, _ in runs], dts)
+
+    # Strang is exact on a plane wave, so its phase error is roundoff: each step's
+    # transform pair and rotation add about eps (0.5-1.1 eps a step measured over
+    # 10-200 steps), which 4 eps a step bounds.  100 steps reach 1.1e-14
+    L, M, steps, dt = TWO_PI, 64, 100, 1e-3
     ax = (np.arange(M) - M // 2) * (L / M)
     X, Y, Z = np.meshgrid(ax, ax, ax, indexing="ij")
     A, g = 0.6, 1.1
     pw = gp.Field(A * np.exp(1j * (X + 2.0 * Y)), (L, L, L))
-    out = gp.gp_evolve(pw, gp.GPConfig(coupling=g, dt=1e-3), 1.0)
+    out = gp.gp_evolve(pw, gp.GPConfig(coupling=g, dt=dt), steps * dt)
     omega = 5.0 + g * A**2
-    exact = A * np.exp(1j * (X + 2.0 * Y - omega))
+    exact = A * np.exp(1j * (X + 2.0 * Y - omega * out.time))
     phase = np.max(np.abs(np.angle(out.values / exact)))
-    assert phase <= 1e-6, f"d=3 plane-wave phase error {phase:.2e}"
+    assert phase <= 4 * steps * np.finfo(float).eps, f"d=3 plane-wave phase error {phase:.2e}"
+
+
+def test_the_order_check_fails_lie_splitting(monkeypatch):
+    # Lie splitting through gp_evolve: of each call's two outer phase half steps
+    # the leading one turns by 0 and the trailing one by a full step, so a call
+    # runs K P K P ... K P.  A 24^3 grid stays on one thread, so each half step is
+    # one _rotate call.  Strang passes the order check there; Lie's drift only
+    # halves with dt (1.9995 measured), and the check refuses it
+    dts = (1e-3, 5e-4)
+    _assert_second_order([e for e, _ in _gp_3d_drifts(24, dts, 0.25, 1)], dts)
+    rotate, drifts = gp._rotate, []
+    for dt in dts:
+        halves = itertools.count()
+
+        def lie(g, tau, *buffers, dt=dt, halves=halves):
+            if tau == 0.5 * dt:
+                tau = 0.0 if next(halves) % 2 == 0 else 2.0 * tau
+            rotate(g, tau, *buffers)
+
+        monkeypatch.setattr(gp, "_rotate", lie)
+        drifts += [e for e, _ in _gp_3d_drifts(24, [dt], 0.25, 1)]
+    with pytest.raises(AssertionError, match="not second order"):
+        _assert_second_order(drifts, dts)
 
 
 def test_criterion_08_gp_solver_d1():
@@ -220,7 +273,7 @@ def test_criterion_08_gp_solver_d1():
 
 
 def test_criterion_08_gp_solver_d3():
-    with _Budget(8, "condensate dynamics, d=3", 120.0):
+    with _Budget(8, "condensate dynamics, d=3", 60.0):
         _gp_3d_battery()
 
 

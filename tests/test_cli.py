@@ -488,6 +488,54 @@ def test_hierarchy_refuses_kernels_beyond_physical_memory(tmp_path):
         assert cli.main(["hierarchy-check", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
 
 
+# 24^3 runs of each GP task: an evolve, the same evolve in the trap (which holds the
+# most fields) and the groundstate
+_GP_RUNS = [
+    {"task": "evolve", "dim": 3, "grid": 24, "coupling": 1.0, "t_final": 0.005, "snapshots": 2,
+     "initial": {"type": "cosine", "amplitude": 0.15}},
+    {"task": "evolve", "dim": 3, "grid": 24, "box": 12.0, "coupling": 1.0, "trap": "harmonic", "t_final": 0.005,
+     "snapshots": 2, "initial": {"type": "gaussian", "width": 1.5}},
+    {"task": "groundstate", "dim": 3, "grid": 24, "box": 12.0, "trap": "harmonic"},
+]
+
+
+def test_a_gp_run_holds_the_fields_its_memory_refusal_counts(tmp_path):
+    field = 16 * 24**3
+    peaks = []
+    for n, doc in enumerate(_GP_RUNS):
+        cli.run(cli.parse_config(json.dumps(doc)), tmp_path / f"warm{n}")  # imports and caches, outside the count
+        cfg = cli.parse_config(json.dumps(doc))
+        tracemalloc.start()
+        try:
+            cli.run(cfg, tmp_path / f"run{n}")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # beyond the fields, the report, its CSV and Python objects: about 9 kB measured
+    assert max(peaks) <= cli._GP_RUN_FIELDS * field + 32 * 1024, [p / field for p in peaks]
+    # and the count is not loose by half a field: the trapped evolve holds 5.04
+    assert max(peaks) > (cli._GP_RUN_FIELDS - 0.5) * field, [p / field for p in peaks]
+
+
+def test_a_gp_grid_whose_run_does_not_fit_is_refused_at_parse_time(monkeypatch, tmp_path):
+    # a 500^3 evolve: one field, 2.0 GB, fits in 8.4 GB, but the run's five fields do not.
+    # Parsed only: nothing of the grid is allocated
+    big = json.dumps({"task": "evolve", "dim": 3, "grid": 500, "t_final": 1e-6, "snapshots": 1})
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 8_400_000_000)
+    with pytest.raises(cli.ConfigError, match="GB for the 5 fields a run holds; physical memory is 8.4 GB"):
+        cli.parse_config(big)
+    # a 24^3 grid with memory for its five fields runs, and one byte less exits 2
+    field = 16 * 24**3
+    for doc in (_GP_RUNS[0], _GP_RUNS[2]):
+        path = tmp_path / "gp.json"
+        path.write_text(json.dumps(doc))
+        monkeypatch.setattr(cli, "_physical_memory", lambda: cli._GP_RUN_FIELDS * field)
+        cli.parse_config(path.read_text())
+        monkeypatch.setattr(cli, "_physical_memory", lambda: cli._GP_RUN_FIELDS * field - 1)
+        assert cli.main([doc["task"], "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
+
 def test_hierarchy_ladder_runs_in_three_dimensions(tmp_path):
     cfg_path = tmp_path / "d3.json"
     cfg_path.write_text(json.dumps({"task": "hierarchy-check", "dim": 3, "levels": 2}))
