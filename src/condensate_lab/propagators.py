@@ -1,4 +1,5 @@
-"""Two-body relative dynamics in the s-wave sector.
+"""Two-body relative dynamics in the s-wave sector, on states carried, as in
+radial and scattering, by their samples u(r) = sqrt(4 pi) r g(|x|) on a RadialGrid.
 
 Evolution uses the unconditionally unitary implicit midpoint
 (Crank-Nicolson) scheme on a Dirichlet grid; its V = 0 case, the free
@@ -6,7 +7,8 @@ reference, is diagonal in the discrete sine basis and applied exactly
 there.  On top of the propagator sit the quantitative experiments: the
 short-range defect ||(interacting - free) g|| as a function of the scaling
 parameter N, and the second-moment energy inequality for separable
-two-particle states at N = 2.
+two-particle states at N = 2, whose transform carries the potential it
+diagonalises.
 
 convergence_experiment runs its N values on the threads of
 _kernels._pool_map, largest grid first.  The runs share no state, and each
@@ -29,49 +31,22 @@ from .scattering import ScatteringTransform, apply_hamiltonian, build_transform,
 from .scattering import transform_points
 
 
-@dataclass
-class RadialWavepacket:
-    """u(r) = sqrt(4 pi) r g(|x|) samples on a Dirichlet radial grid."""
-
-    grid: RadialGrid
-    u: np.ndarray
-
-    def __post_init__(self):
-        self.u = np.asarray(self.u, dtype=np.complex128)
-        if self.u.shape != (self.grid.n,):
-            raise ValueError("wavepacket length does not match grid")
-
-    def h1_norm(self) -> float:
-        c = self.grid.dst(self.u)
-        k = self.grid.modes()
-        return float(np.sqrt(np.sum((1.0 + k**2) * np.abs(c) ** 2)))
-
-    def boundary_fraction(self) -> float:
-        tail = slice(int(0.95 * self.grid.n), None)
-        total = np.sum(np.abs(self.u) ** 2)
-        return float(np.sum(np.abs(self.u[tail]) ** 2) / total)
-
-    def copy(self) -> "RadialWavepacket":
-        return RadialWavepacket(self.grid, self.u.copy())
+def _h1_norm(grid: RadialGrid, u: np.ndarray) -> float:
+    """The H^1 norm of u from its sine coefficients."""
+    return float(np.sqrt(np.sum((1.0 + grid.modes() ** 2) * np.abs(grid.dst(u)) ** 2)))
 
 
-def gaussian_packet(grid: RadialGrid, sigma: float = 1.0, r0: float = 0.0) -> RadialWavepacket:
-    """radial.gaussian_bump as a wavepacket."""
-    return RadialWavepacket(grid, gaussian_bump(grid, sigma, r0))
+def _boundary_fraction(u: np.ndarray) -> float:
+    """The share of the mass of u on its last 5% of nodes."""
+    return float(np.sum(np.abs(u[int(0.95 * u.shape[0]) :]) ** 2) / np.sum(np.abs(u) ** 2))
 
 
-def _check_boundary(w: RadialWavepacket):
-    frac = w.boundary_fraction()
+def _check_boundary(u: np.ndarray):
+    frac = _boundary_fraction(u)
     if frac > 1e-4:
         raise RuntimeError(f"boundary contamination {frac:.2e} above 1e-4")
     if frac > 1e-8:
         warnings.warn(f"boundary contamination {frac:.2e} above 1e-8", RuntimeWarning)
-    return frac
-
-
-def _sine_multiply(w: RadialWavepacket, symbol: np.ndarray) -> RadialWavepacket:
-    """Multiply the sine coefficients of w by symbol, one value per interior mode."""
-    return RadialWavepacket(w.grid, w.grid.idst(symbol * w.grid.dst(w.u)))
 
 
 def step_count(t: float, dt: float) -> int:
@@ -84,7 +59,7 @@ def step_count(t: float, dt: float) -> int:
     return nsteps
 
 
-def _cn_steps(w: RadialWavepacket, q: np.ndarray, nsteps: int, dt: float) -> RadialWavepacket:
+def _cn_steps(grid: RadialGrid, u: np.ndarray, q: np.ndarray, nsteps: int, dt: float) -> np.ndarray:
     """nsteps Crank-Nicolson steps of i u_t = (-u'' + q u), q sampled on the grid.
 
     For q = 0 on the interior the CN matrix tridiag(-1, 2, -1) / h^2 is
@@ -94,34 +69,33 @@ def _cn_steps(w: RadialWavepacket, q: np.ndarray, nsteps: int, dt: float) -> Rad
     = exp(-2 i nsteps arctan(theta lam_m)), theta = dt / 2.  That is the
     discrete propagator itself, not exp(-i k^2 t).
 
-    Norm drift above 1e-8 per step (roundoff health check) is an error.
+    Zero steps return u itself; otherwise the result is a new complex128
+    array.  Norm drift above 1e-8 per step (roundoff health check) is an error.
     """
     if nsteps == 0:
-        return w.copy()
-    grid = w.grid
+        return u
+    u = np.asarray(u, dtype=np.complex128)
     if np.any(q[1:-1]):
-        res = np.zeros_like(w.u)
-        res[1:-1] = _kernels.cn_evolve(w.u[1:-1], q[1:-1], grid.h, dt, nsteps)
-        new = RadialWavepacket(grid, res)
+        new = np.zeros_like(u)
+        new[1:-1] = _kernels.cn_evolve(u[1:-1], q[1:-1], grid.h, dt, nsteps)
     else:
         lam = (2.0 / grid.h * np.sin(0.5 * grid.h * grid.modes())) ** 2
-        new = _sine_multiply(w, np.exp(-2j * nsteps * np.arctan(0.5 * dt * lam)))
-    drift = abs(grid.norm_flat(new.u) - grid.norm_flat(w.u))
+        new = grid.idst(np.exp(-2j * nsteps * np.arctan(0.5 * dt * lam)) * grid.dst(u))
+    drift = abs(grid.norm_flat(new) - grid.norm_flat(u))
     if drift > 1e-8 * nsteps:
         raise RuntimeError("step size: norm drift per step exceeds 1e-8")
     return new
 
 
-def evolve_interacting(w: RadialWavepacket, p: Potential, t: float, dt: float) -> RadialWavepacket:
+def evolve_interacting(grid: RadialGrid, u: np.ndarray, p: Potential, t: float, dt: float) -> np.ndarray:
     """Crank-Nicolson propagation of i u_t = (-u'' + (V/2) u).
 
     Unitary for every dt; dt must still resolve the phases of interest.
     A potential that vanishes on the grid interior takes the exact DST-I
     form of the same scheme (see _cn_steps).
     """
-    _check_boundary(w)
-    nsteps = step_count(t, dt)
-    return _cn_steps(w, 0.5 * potential_node_samples(p, w.grid), nsteps, dt)
+    _check_boundary(u)
+    return _cn_steps(grid, u, 0.5 * potential_node_samples(p, grid), step_count(t, dt), dt)
 
 
 @dataclass
@@ -140,13 +114,12 @@ class DefectCurve:
     def exact(self) -> bool:
         return self.fitted_slope is None
 
-    def monotone_decreasing(self) -> bool:
-        return all(b < a for a, b in zip(self.defects[:-1], self.defects[1:]))
-
 
 # convergence_experiment's per-N grid on [0, DEFECT_RMAX] resolves the range of
-# V_N by _POINTS_PER_CORE steps, none longer than _H_CAP.
+# V_N by _POINTS_PER_CORE steps, none longer than _H_CAP; its state starts as the
+# Gaussian bump of width DEFECT_SIGMA at the origin.
 DEFECT_RMAX = 24.0
+DEFECT_SIGMA = 1.0
 _POINTS_PER_CORE = 10
 _H_CAP = 0.02
 
@@ -169,29 +142,28 @@ def defect_points(p: Potential, N: int) -> float:
     return grid_points(*_defect_extent(p, N))
 
 
-def _defect_at(p: Potential, N: int, steps: list, sigma: float, dt: float) -> tuple:
-    """convergence_experiment's run at one N: the defect, the largest boundary_fraction
-    of the interacting state and the h1_norm of the initial packet."""
+def _defect_at(p: Potential, N: int, steps: list, dt: float) -> tuple:
+    """convergence_experiment's run at one N: the defect, the largest boundary fraction
+    of the interacting state and the H^1 norm of the initial state."""
     grid = build_grid(*_defect_extent(p, N))
-    w = gaussian_packet(grid, sigma=sigma)
-    _check_boundary(w)
+    u0 = gaussian_bump(grid, DEFECT_SIGMA)
+    _check_boundary(u0)
     q = 0.5 * potential_node_samples(scale(p, N), grid)
     zero = np.zeros(grid.n)
-    a, b, done, best, wall = w, w, 0, 0.0, 0.0
+    a, b, done, best, wall = u0, u0, 0, 0.0, 0.0
     for n in steps:
-        a = _cn_steps(a, q, n - done, dt)
-        b = _cn_steps(b, zero, n - done, dt)
+        a = _cn_steps(grid, a, q, n - done, dt)
+        b = _cn_steps(grid, b, zero, n - done, dt)
         done = n
-        best = max(best, float(grid.norm_flat(a.u - b.u)))
-        wall = max(wall, a.boundary_fraction())
-    return best, wall, w.h1_norm()
+        best = max(best, float(grid.norm_flat(a - b)))
+        wall = max(wall, _boundary_fraction(a))
+    return best, wall, _h1_norm(grid, u0)
 
 
 def convergence_experiment(
     p: Potential,
     N_list,
     times=(0.25, 0.5, 1.0),
-    sigma: float = 1.0,
     dt: float = 1e-3,
 ) -> DefectCurve:
     """Defect versus N on per-N grids; reports the log-log slope.
@@ -199,7 +171,7 @@ def convergence_experiment(
     The defect for each N is the maximum over the sampled times.  The
     interacting state and the free reference, the scheme's exact V = 0
     propagator (see _cn_steps), each advance once through the sorted times.
-    The boundary guard applies to the initial packet.  At least 4
+    The boundary guard applies to the initial state.  At least 4
     geometrically spaced N values are required.  The N values run on the
     pool of _kernels._pool_map; the curve is the same as one thread's.
     """
@@ -210,7 +182,7 @@ def convergence_experiment(
     if not steps:
         raise ValueError("need at least one sample time")
     # the grid points grow with N: the largest grids go to the pool first
-    runs = _kernels._pool_map(lambda N: _defect_at(p, N, steps, sigma, dt), N_list[::-1])[::-1]
+    runs = _kernels._pool_map(lambda N: _defect_at(p, N, steps, dt), N_list[::-1])[::-1]
     defects = [best for best, _, _ in runs]
     wall = max(frac for _, frac, _ in runs)
     h1 = runs[0][2]
@@ -276,30 +248,28 @@ def second_moment_points(p: Potential) -> float:
 
 def second_moment_check(
     chi: CenterProfile,
-    g: RadialWavepacket,
-    p: Potential,
+    g: np.ndarray,
     transform: ScatteringTransform,
 ) -> SecondMomentResult:
-    """Quadratic-form energy inequality at N = 2 for chi(u) g(|v|).
+    """Quadratic-form energy inequality at N = 2 for chi(u) g(|v|), g given by its
+    radial samples on the grid of transform = second_moment_transform(p).
 
-    lhs = <psi, H^2 psi> with H = -(1/2) Lap_u - 2 Lap_v + V_N(v), computed
-    as ||H psi||^2 from 1-d Gaussian moments and radial quadratures.
-    rhs = <W* psi, ((1/4) Lap_u - Lap_v)^2 W* psi> via the scattering
-    transform of g (the multiplier k^2 plays Lap_v), which is
-    second_moment_transform(p).  The bound is lhs >= 2 rhs, so
-    slack = lhs - 2 rhs.
+    lhs = <psi, H^2 psi> with H = -(1/2) Lap_u - 2 Lap_v + V_N(v), V_N the
+    transform's potential, computed as ||H psi||^2 from 1-d Gaussian moments
+    and radial quadratures.  rhs = <W* psi, ((1/4) Lap_u - Lap_v)^2 W* psi>
+    via the scattering transform of g (the multiplier k^2 plays Lap_v).  The
+    bound is lhs >= 2 rhs, so slack = lhs - 2 rhs.
     """
-    pN = scale(p, 2)
     grid = transform.grid
-    if not np.array_equal(g.grid.r, grid.r):
-        raise ValueError("g must live on the transform grid")
-    u = np.real(g.u)
+    if np.shape(g) != (grid.n,):
+        raise ValueError(f"g must have the transform grid's {grid.n} samples, got shape {np.shape(g)}")
+    u = np.real(g)
 
     mu2 = chi.second_moment()
     mu4 = chi.fourth_moment()
 
     # radial pieces for the lhs
-    hv_u = apply_hamiltonian(grid, pN, u)
+    hv_u = apply_hamiltonian(grid, transform.potential, u)
     norm_g = np.sum(grid.weights * u**2)
     g_hv_g = float(np.sum(grid.weights * u * np.real(hv_u)))
     hv_sq = float(np.sum(grid.weights * np.abs(hv_u) ** 2))

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .potentials import PotentialError
+from .potentials import Potential, PotentialError
 from .radial import RadialGrid, build_grid, gauss_panels, gaussian_bump, grid_points, half_step_samples
 
 
@@ -273,7 +273,7 @@ class _SineKernel:
 
 @dataclass
 class ScatteringTransform:
-    """Generalized sine-basis pair for -d^2/dr^2 + V/2 on [0, rmax].
+    """Generalized sine-basis pair for -d^2/dr^2 + V/2 on [0, rmax], V = potential.
 
     states[i] is the regular solution at k[i] normalized to unit asymptotic
     amplitude; sines[i] is sin(k[i] r).  Forward maps take u(r) samples to
@@ -286,6 +286,7 @@ class ScatteringTransform:
     it states[i] is sin(k[i] r + delta0[i]).  sines has phase 0 and no head.
     """
 
+    potential: Potential
     grid: RadialGrid
     k: np.ndarray
     wk: np.ndarray
@@ -365,6 +366,7 @@ def build_transform(p, k_max: float, n_k: int, rmax: float | None = None) -> Sca
 
     sines = _SineKernel(k, np.zeros_like(k), grid.h, grid.n, head=np.empty((k.shape[0], 0)))
     t = ScatteringTransform(
+        potential=p,
         grid=grid,
         k=k,
         wk=wk,

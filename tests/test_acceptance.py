@@ -16,6 +16,7 @@ from condensate_lab import hierarchy as hr
 from condensate_lab import potentials as pot
 from condensate_lab import propagators as pr
 from condensate_lab import scattering as sc
+from condensate_lab.radial import gaussian_bump
 
 SOFT = pot.soft_sphere(2.0, 1.0)
 GAUSS = pot.gaussian(1.0, 1.0)
@@ -88,15 +89,13 @@ def test_criterion_05_wave_operator_unitarity_covariance(soft_transform):
 
     with _Budget(5, "wave operator round trip + dilation", 30.0):
         base = soft_transform
-        w = pr.gaussian_packet(base.grid, sigma=1.0, r0=2.0)
-        u = np.real(w.u)
+        u = gaussian_bump(base.grid, 1.0, r0=2.0)
         img = base.wave_operator(u)
         assert abs(base.grid.norm(img) - base.grid.norm(u)) <= 1e-6
         back = base.wave_operator_adjoint(img)
         assert base.grid.norm(back - u) <= 1e-5
 
-        w3 = pr.gaussian_packet(base.grid, sigma=1.0, r0=3.0)
-        u3 = np.real(w3.u)
+        u3 = gaussian_bump(base.grid, 1.0, r0=3.0)
         wg = base.wave_operator(u3)
         spl_u = CubicSpline(base.grid.r, u3)
         spl_w = CubicSpline(base.grid.r, wg)
@@ -121,10 +120,9 @@ def test_criterion_06_defect_rate():
             pot.gaussian(2.0, 1.0),
             [8, 16, 32, 64, 128, 256],
             times=(0.25, 0.5, 1.0),
-            sigma=1.0,
             dt=1e-3,
         )
-        assert curve.monotone_decreasing(), f"defects {curve.defects}"
+        assert np.max(np.diff(curve.defects)) < 0.0, f"defects {curve.defects}"
         assert curve.fitted_slope <= -1.0 / 6.0 + 0.05, f"slope {curve.fitted_slope:.3f}"
 
 
@@ -137,8 +135,8 @@ def test_criterion_07_second_moment_bound():
                 widths=tuple(rng.uniform(0.7, 1.5, 3)),
                 momenta=tuple(rng.uniform(-1.0, 1.0, 3)),
             )
-            g = pr.gaussian_packet(transform.grid, sigma=float(rng.uniform(0.8, 1.6)))
-            res = pr.second_moment_check(chi, g, SOFT, transform=transform)
+            g = gaussian_bump(transform.grid, float(rng.uniform(0.8, 1.6)))
+            res = pr.second_moment_check(chi, g, transform)
             assert res.slack >= -1e-6 * abs(res.lhs), f"state {i}: slack {res.slack:.3e}"
 
 

@@ -1307,11 +1307,9 @@ def test_every_shape_a_reader_accepts_is_taken_by_a_sample_config():
 _UNRUN_FUNCTIONS_KEPT = {
     # the exact V = 0 control, which the tests run (the vl1 extreme case among them)
     "potentials.zero_potential",
-    # the time-t entry to _cn_steps that the propagator tests run, and the benchmark's
-    # per-layer metrics name
+    # the time-t entry to _cn_steps, with its boundary guard, that the propagator tests
+    # run; the benchmark's per-layer metrics name it, so it goes with a benchmark change
     "propagators.evolve_interacting",
-    # the zero-step segment of _cn_steps, which a repeated or zero time takes
-    "propagators.RadialWavepacket.copy",
 }
 
 

@@ -1,5 +1,6 @@
 """Free/interacting propagators, the defect experiment, the N=2 energy bound."""
 
+import dataclasses
 import os
 import threading
 import tracemalloc
@@ -15,7 +16,7 @@ from condensate_lab import _kernels as K
 from condensate_lab import potentials as pot
 from condensate_lab import propagators as pr
 from condensate_lab import scattering as sc
-from condensate_lab.radial import RadialGrid, build_grid
+from condensate_lab.radial import RadialGrid, build_grid, gaussian_bump
 
 SOFT = pot.soft_sphere(2.0, 1.0)
 GAUSS = pot.gaussian(2.0, 1.0)
@@ -28,7 +29,7 @@ def grid():
 
 @pytest.fixture(scope="module")
 def packet(grid):
-    return pr.gaussian_packet(grid, sigma=1.0)
+    return gaussian_bump(grid, 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +38,7 @@ def n2_transform():
 
 
 def _dispersed_gaussian(grid, t):
-    """gaussian_packet(grid, sigma=1.0) under exp(i Laplacian t), in closed form."""
+    """gaussian_bump(grid, 1.0) under exp(i Laplacian t), in closed form."""
     s2 = 1.0 + 2j * t
     exact = grid.r * (1.0 / s2) ** 1.5 * np.exp(-grid.r**2 / (2.0 * s2)) * 2.0
     exact[0] = exact[-1] = 0.0
@@ -45,25 +46,32 @@ def _dispersed_gaussian(grid, t):
     return exact / grid.norm(u0)
 
 
-def test_free_identity_at_zero_time(packet):
-    out = pr.evolve_interacting(packet, pot.zero_potential(), 0.0, 1e-3)
-    assert np.max(np.abs(out.u - packet.u)) < 1e-13
+def test_free_identity_at_zero_time(grid, packet):
+    out = pr.evolve_interacting(grid, packet, pot.zero_potential(), 0.0, 1e-3)
+    assert np.max(np.abs(out - packet)) < 1e-13
 
 
 def test_free_norm_preservation(grid, packet):
-    out = pr.evolve_interacting(packet, pot.zero_potential(), 1.7, 1e-3)
-    assert abs(grid.norm_flat(out.u) ** 2 - grid.norm_flat(packet.u) ** 2) < 1e-12
+    out = pr.evolve_interacting(grid, packet, pot.zero_potential(), 1.7, 1e-3)
+    assert abs(grid.norm_flat(out) ** 2 - grid.norm_flat(packet) ** 2) < 1e-12
 
 
-def test_interacting_identity_at_zero_time(packet):
-    out = pr.evolve_interacting(packet, pot.scale(SOFT, 1), 0.0, 1e-3)
-    assert np.array_equal(out.u, packet.u)
+def test_interacting_identity_at_zero_time(grid, packet):
+    # zero steps return the state itself, which no caller writes into
+    out = pr.evolve_interacting(grid, packet, pot.scale(SOFT, 1), 0.0, 1e-3)
+    assert out is packet
+
+
+def test_a_step_returns_a_new_complex_state(grid, packet):
+    for q in (np.zeros(grid.n), 0.5 * sc.potential_node_samples(pot.scale(SOFT, 1), grid)):
+        out = pr._cn_steps(grid, packet, q, 1, 1e-3)
+        assert out.dtype == np.complex128 and out is not packet and packet.dtype == np.float64
 
 
 def test_interacting_unitarity_and_energy(grid, packet):
     p1 = pot.scale(SOFT, 1)
-    out = pr.evolve_interacting(packet, p1, 1.0, 1e-3)
-    assert abs(grid.norm_flat(out.u) ** 2 - grid.norm_flat(packet.u) ** 2) < 1e-10  # per unit time
+    out = pr.evolve_interacting(grid, packet, p1, 1.0, 1e-3)
+    assert abs(grid.norm_flat(out) ** 2 - grid.norm_flat(packet) ** 2) < 1e-10  # per unit time
     q = 0.5 * sc.potential_node_samples(p1, grid)
 
     def energy(u):
@@ -72,50 +80,49 @@ def test_interacting_unitarity_and_energy(grid, packet):
         lap[1:-1] = (2.0 * u[1:-1] - u[:-2] - u[2:]) / grid.h**2
         return float(np.real(np.sum(np.conj(u) * (lap + q * u))) * grid.h)
 
-    e0, e1 = energy(packet.u), energy(out.u)
+    e0, e1 = energy(packet), energy(out)
     assert abs(e1 - e0) / abs(e0) < 1e-8
 
 
 def test_free_limit_within_scheme_order(grid, packet):
     # the scheme's exact V = 0 propagator against the closed-form dispersion: halving h and dt cuts the error
-    a = pr._cn_steps(packet, np.zeros(grid.n), 500, 1e-3)
-    err = grid.norm(a.u - _dispersed_gaussian(grid, 0.5))
+    a = pr._cn_steps(grid, packet, np.zeros(grid.n), 500, 1e-3)
+    err = grid.norm(a - _dispersed_gaussian(grid, 0.5))
     assert err < 1e-3
     fine = build_grid(40.0, 0.005)
-    a2 = pr._cn_steps(pr.gaussian_packet(fine, sigma=1.0), np.zeros(fine.n), 1000, 5e-4)
-    assert fine.norm(a2.u - _dispersed_gaussian(fine, 0.5)) < 0.3 * err
+    a2 = pr._cn_steps(fine, gaussian_bump(fine, 1.0), np.zeros(fine.n), 1000, 5e-4)
+    assert fine.norm(a2 - _dispersed_gaussian(fine, 0.5)) < 0.3 * err
 
 
 def test_richardson_second_order(grid, packet):
     p1 = pot.scale(GAUSS, 1)
-    ref = pr.evolve_interacting(packet, p1, 0.5, 6.25e-5)
-    e1 = grid.norm(pr.evolve_interacting(packet, p1, 0.5, 1e-3).u - ref.u)
-    e2 = grid.norm(pr.evolve_interacting(packet, p1, 0.5, 5e-4).u - ref.u)
+    ref = pr.evolve_interacting(grid, packet, p1, 0.5, 6.25e-5)
+    e1 = grid.norm(pr.evolve_interacting(grid, packet, p1, 0.5, 1e-3) - ref)
+    e2 = grid.norm(pr.evolve_interacting(grid, packet, p1, 0.5, 5e-4) - ref)
     assert abs(e1 / e2 - 4.0) < 0.4
 
 
 def test_boundary_contamination_guard(grid):
-    w = pr.gaussian_packet(grid, sigma=1.0, r0=39.0)
+    w = gaussian_bump(grid, 1.0, r0=39.0)
     with pytest.raises(RuntimeError, match="boundary contamination"):
-        pr.evolve_interacting(w, pot.zero_potential(), 0.1, 1e-3)
+        pr.evolve_interacting(grid, w, pot.zero_potential(), 0.1, 1e-3)
 
 
 def test_boundary_contamination_warning_tier(grid):
-    w = pr.gaussian_packet(grid, sigma=1.0, r0=34.5)
-    frac = w.boundary_fraction()
+    w = gaussian_bump(grid, 1.0, r0=34.5)
+    frac = pr._boundary_fraction(w)
     assert 1e-8 < frac < 1e-4
     with pytest.warns(RuntimeWarning, match="boundary contamination"):
-        pr.evolve_interacting(w, pot.zero_potential(), 0.1, 1e-3)
+        pr.evolve_interacting(grid, w, pot.zero_potential(), 0.1, 1e-3)
 
 
-def test_zero_potential_takes_exact_free_scheme(packet, monkeypatch):
+def test_zero_potential_takes_exact_free_scheme(grid, packet, monkeypatch):
     def no_cn(*args):
         raise AssertionError("cn_evolve called for V = 0")
 
     monkeypatch.setattr(K, "cn_evolve", no_cn)
-    out = pr.evolve_interacting(packet, pot.zero_potential(), 0.5, 1e-3)
-    grid = packet.grid
-    assert abs(grid.norm_flat(out.u) ** 2 - grid.norm_flat(packet.u) ** 2) < 1e-12
+    out = pr.evolve_interacting(grid, packet, pot.zero_potential(), 0.5, 1e-3)
+    assert abs(grid.norm_flat(out) ** 2 - grid.norm_flat(packet) ** 2) < 1e-12
 
 
 def test_convergence_experiment_reports_boundary_fraction():
@@ -138,12 +145,12 @@ def test_defect_zero_potential_and_zero_time():
 
 def test_defect_monotone_soft_sphere():
     curve = pr.convergence_experiment(SOFT, [4, 8, 16, 32], times=(0.5,), dt=2e-3)
-    assert curve.monotone_decreasing()
+    assert np.max(np.diff(curve.defects)) < 0.0
 
 
 def test_convergence_experiment_gaussian_slope():
     curve = pr.convergence_experiment(GAUSS, [8, 16, 32, 64], times=(0.25, 0.5), dt=2e-3)
-    assert curve.monotone_decreasing()
+    assert np.max(np.diff(curve.defects)) < 0.0
     assert curve.fitted_slope <= -1.0 / 6.0 + 0.05
     # defect bound form with the constant fitted at the smallest N
     C = curve.defects[0] * curve.N_values[0] ** (1.0 / 6.0)
@@ -237,9 +244,9 @@ def test_second_moment_free_case_equals_dropped_cross_terms():
     z = pot.zero_potential()
     tr = sc.build_transform(pot.scale(z, 2), k_max=14.0, n_k=640)
     chi = pr.CenterProfile(widths=(1.0, 1.2, 0.9))
-    g = pr.gaussian_packet(tr.grid, sigma=1.0)
-    res = pr.second_moment_check(chi, g, z, transform=tr)
-    c = tr.grid.dst(np.real(g.u))
+    g = gaussian_bump(tr.grid, 1.0)
+    res = pr.second_moment_check(chi, g, tr)
+    c = tr.grid.dst(g)
     km = tr.grid.modes()
     c0 = np.sum(np.abs(c) ** 2)
     k2 = np.sum(km**2 * np.abs(c) ** 2)
@@ -256,26 +263,34 @@ def test_second_moment_random_states(n2_transform):
             widths=tuple(rng.uniform(0.7, 1.5, 3)),
             momenta=tuple(rng.uniform(-1.0, 1.0, 3)),
         )
-        g = pr.gaussian_packet(n2_transform.grid, sigma=float(rng.uniform(0.8, 1.6)))
-        res = pr.second_moment_check(chi, g, SOFT, transform=n2_transform)
+        g = gaussian_bump(n2_transform.grid, float(rng.uniform(0.8, 1.6)))
+        res = pr.second_moment_check(chi, g, n2_transform)
         assert res.slack >= -1e-6 * abs(res.lhs)
 
 
-def test_second_moment_refuses_a_packet_on_another_grid_of_the_same_length(n2_transform):
+def test_second_moment_refuses_a_state_of_another_length(n2_transform):
     grid = n2_transform.grid
-    half = build_grid(grid.rmax / 2, grid.h / 2)
-    assert half.n == grid.n and half.h != grid.h
     chi = pr.CenterProfile(widths=(1.0, 1.0, 1.0))
-    with pytest.raises(ValueError, match="transform grid"):
-        pr.second_moment_check(chi, pr.gaussian_packet(half), SOFT, n2_transform)
+    for other in (build_grid(grid.rmax, 2 * grid.h), build_grid(grid.rmax + 2 * grid.h, grid.h)):
+        with pytest.raises(ValueError, match="transform grid"):
+            pr.second_moment_check(chi, gaussian_bump(other, 1.0), n2_transform)
+
+
+def test_second_moment_check_reads_the_transform_potential(n2_transform):
+    # the same state against the transform of another potential: a different lhs
+    chi = pr.CenterProfile(widths=(1.0, 1.0, 1.0))
+    g = gaussian_bump(n2_transform.grid, 1.0)
+    assert n2_transform.potential == pot.scale(SOFT, 2)
+    other = dataclasses.replace(n2_transform, potential=pot.scale(pot.soft_sphere(4.0, 1.0), 2))
+    assert pr.second_moment_check(chi, g, other).lhs > pr.second_moment_check(chi, g, n2_transform).lhs
 
 
 def test_second_moment_broadening_decreases_both_sides(n2_transform):
     chi = pr.CenterProfile(widths=(1.0, 1.0, 1.0))
-    g1 = pr.gaussian_packet(n2_transform.grid, sigma=1.0)
-    g2 = pr.gaussian_packet(n2_transform.grid, sigma=2.0)
-    r1 = pr.second_moment_check(chi, g1, SOFT, transform=n2_transform)
-    r2 = pr.second_moment_check(chi, g2, SOFT, transform=n2_transform)
+    g1 = gaussian_bump(n2_transform.grid, 1.0)
+    g2 = gaussian_bump(n2_transform.grid, 2.0)
+    r1 = pr.second_moment_check(chi, g1, n2_transform)
+    r2 = pr.second_moment_check(chi, g2, n2_transform)
     assert r2.lhs < r1.lhs
     assert r2.rhs < r1.rhs
     assert r2.slack >= -1e-6 * abs(r2.lhs)
@@ -332,7 +347,7 @@ def _cn_refuses_short(u_interior, q_interior, h, dt, nsteps) -> bool:
 def test_exact_free_scheme_matches_cn_kernel(state, dt, nsteps):
     grid, u, _ = state
     u /= np.linalg.norm(u)
-    exact = pr._cn_steps(pr.RadialWavepacket(grid, u), np.zeros(grid.n), nsteps, dt).u
+    exact = pr._cn_steps(grid, u, np.zeros(grid.n), nsteps, dt)
     if _cn_refuses_short(u[1:-1], np.zeros(grid.n - 2), grid.h, dt, nsteps):
         return
     stepped = K.cn_evolve(u[1:-1], np.zeros(grid.n - 2), grid.h, dt, nsteps)

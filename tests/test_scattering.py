@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from condensate_lab import _kernels
 from condensate_lab import potentials as pot
+from condensate_lab import propagators
 from condensate_lab import scattering as sc
-from condensate_lab.propagators import gaussian_packet
-from condensate_lab.radial import build_grid, half_step_samples
+from condensate_lab.radial import build_grid, gaussian_bump, half_step_samples
 
 SOFT_A0 = 1.0 - np.tanh(1.0)  # interior sinh / exterior affine matching, kappa = 1
 
@@ -227,14 +227,33 @@ def test_three_route_agreement(soft, soft_solution):
         assert abs(x - y) / a_fit < 1e-5
 
 
+def _mod_pi(x):
+    """x taken into [-pi/2, pi/2) modulo pi, where a phase shift is defined."""
+    return (x + 0.5 * np.pi) % np.pi - 0.5 * np.pi
+
+
+def test_transform_phase_shifts_match_the_closed_form_and_the_phase_ode(soft):
+    # the second-moment task's transform, of V = 8 on r < 1/2: at every k node
+    # delta = arctan(k tan(k' R) / k') - k R with k' = sqrt(k^2 - V/2), imaginary
+    # below the barrier, where k tan(k' R) / k' stays real
+    t = propagators.second_moment_transform(soft)
+    v0, radius = t.potential.amplitude, t.potential.breakpoints[0]
+    k = t.k
+    kp = np.sqrt((k**2 - 0.5 * v0).astype(complex))
+    closed = np.arctan(np.real(k * np.tan(kp * radius) / kp)) - k * radius
+    assert np.max(np.abs(_mod_pi(t.delta0 - closed))) <= 1e-6
+    every = slice(None, None, 40)
+    ode = np.array([sc.phase_shift(t.potential, kk) for kk in k[every]])
+    assert np.max(np.abs(_mod_pi(t.delta0[every] - ode))) <= 1e-6
+
+
 def test_transform_completeness_recorded(soft_transform):
     assert soft_transform.completeness_defect < 1e-5
 
 
 def test_transform_free_case_is_sine_basis():
     tr = sc.build_transform(pot.zero_potential(), k_max=8.0, n_k=256)
-    w = gaussian_packet(tr.grid, sigma=1.0, r0=3.0)
-    u = np.real(w.u)
+    u = gaussian_bump(tr.grid, 1.0, r0=3.0)
     out = tr.wave_operator(u)
     assert tr.grid.norm(out - u) < 1e-9
     # states equal sines up to the RK4 phase error of the marched segment; e_i @ M
@@ -244,22 +263,19 @@ def test_transform_free_case_is_sine_basis():
 
 
 def test_wave_operator_unitarity(soft_transform):
-    w = gaussian_packet(soft_transform.grid, sigma=1.0, r0=3.0)
-    u = np.real(w.u)
+    u = gaussian_bump(soft_transform.grid, 1.0, r0=3.0)
     img = soft_transform.wave_operator(u)
     assert abs(soft_transform.grid.norm(img) - soft_transform.grid.norm(u)) < 1e-6
 
 
 def test_wave_operator_round_trip(soft_transform):
-    w = gaussian_packet(soft_transform.grid, sigma=1.0, r0=2.0)
-    u = np.real(w.u)
+    u = gaussian_bump(soft_transform.grid, 1.0, r0=2.0)
     back = soft_transform.wave_operator_adjoint(soft_transform.wave_operator(u))
     assert soft_transform.grid.norm(back - u) < 1e-5
 
 
 def test_intertwining_multiplier(soft, soft_transform):
-    w = gaussian_packet(soft_transform.grid, sigma=1.0, r0=0.0)
-    u = np.real(w.u)
+    u = gaussian_bump(soft_transform.grid, 1.0, r0=0.0)
     hg = sc.apply_hamiltonian(soft_transform.grid, soft, u)
     c1 = soft_transform.forward_interacting(hg)
     c2 = soft_transform.k**2 * soft_transform.forward_interacting(u)
@@ -272,8 +288,7 @@ def test_dilation_covariance(soft, soft_transform):
     from scipy.interpolate import CubicSpline
 
     base = soft_transform
-    w = gaussian_packet(base.grid, sigma=1.0, r0=3.0)
-    u = np.real(w.u)
+    u = gaussian_bump(base.grid, 1.0, r0=3.0)
     wg = base.wave_operator(u)
     spl_u = CubicSpline(base.grid.r, u)
     spl_w = CubicSpline(base.grid.r, wg)
