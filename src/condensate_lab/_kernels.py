@@ -8,20 +8,20 @@ Kernels:
     propagators call it only for q != 0; the q = 0 scheme is diagonal in the
     DST-I basis and is applied there exactly (propagators._cn_steps).
 
-Both stacks run on pool_size() threads.  Each CN step's solve calls LAPACK
-zgttrs through the function pointer that scipy.linalg.cython_lapack exports,
-by ctypes, which releases the GIL for the call; scipy's f2py lapack.zgttrs
-holds it.  So CN runs on two threads overlap, and _pool_map runs them:
-convergence_experiment maps its N values over pool_size() threads.  gp's
-split-step on large 3-d grids shares its slabs between the calling thread and
-a pinned worker through _pinned_split.  Every thread does the same arithmetic
-on the same data as one thread would, so results do not change by a bit.
+Both stacks run on pool_size() threads.  Each CN step's solve is scipy's
+f2py lapack.zgttrs, which releases the GIL for the call (tests/test_kernels.py
+checks that a Python thread advances during one).  So CN runs on two threads
+overlap, and _pool_map runs them: convergence_experiment maps its N values
+over pool_size() threads.  gp's split-step on large 3-d grids shares its slabs
+between the calling thread and a pinned worker through _pinned_split.  Every
+thread does the same arithmetic on the same data as one thread would, so
+results do not change by a bit.
 OpenBLAS's own threads do not keep that promise for a GEMM or a QR, so the
 scattering transform's products, hierarchy's zgeqrf and every _pinned_split
 run under _one_blas_thread.
 
 scipy loads where it is first used, never on import: here at the first CN
-solve (_tridiagonal_lapack), in gp at the entry of a solver that transforms,
+solve (cn_evolve), in gp at the entry of a solver that transforms,
 elsewhere inside the functions that call it.  The RK4 sweeps need numpy
 alone, so the scatter task, which runs only them, never loads scipy; nor do
 the vl1, vl12 and theta checks.
@@ -241,34 +241,10 @@ def rk4_phase(q_half, k, h, r0=0.0, d0=0.0):
 # is one solve with those factors.
 # ---------------------------------------------------------------------------
 
-# (lapack.zgttrf, zgttrs), bound by _tridiagonal_lapack
-_tridiagonal = None
-
-
-def _tridiagonal_lapack():
-    """scipy's f2py zgttrf and, by ctypes, cython_lapack's zgttrs pointer, bound at the
-    first call: importing _kernels loads no scipy module.
-
-    zgttrs(trans, n, nrhs, dl, d, du, du2, ipiv, b, ldb, info) takes every argument
-    as a pointer.  A scipy that stops exporting it fails here, at the first CN solve.
-    """
-    global _tridiagonal
-    if _tridiagonal is None:
-        from scipy.linalg import cython_lapack, lapack
-
-        name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
-        pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-            ("PyCapsule_GetPointer", ctypes.pythonapi)
-        )
-        capsule = cython_lapack.__pyx_capi__["zgttrs"]
-        zgttrs = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 11)(pointer(capsule, name(capsule)))
-        _tridiagonal = lapack.zgttrf, zgttrs
-    return _tridiagonal
-
-
 def cn_evolve(u_interior, q_interior, h, dt, nsteps):
     """Advance interior Dirichlet values by nsteps Crank-Nicolson steps."""
-    zgttrf, zgttrs = _tridiagonal_lapack()
+    from scipy.linalg import lapack
+
     q = np.ascontiguousarray(q_interior, dtype=np.float64)
     u = np.array(u_interior, dtype=np.complex128)
     if u.shape[0] < 3:
@@ -278,15 +254,10 @@ def cn_evolve(u_interior, q_interior, h, dt, nsteps):
     theta = 0.5 * float(dt)
     off = 1j * theta * (-1.0 / h**2) * np.ones(m - 1, dtype=np.complex128)
     diag = 1.0 + 1j * theta * (2.0 / h**2 + q).astype(np.complex128)
-    dl, dd, du, du2, ipiv, info = zgttrf(off, diag, off)
+    dl, dd, du, du2, ipiv, info = lapack.zgttrf(off, diag, off)
     if info != 0:
         raise RuntimeError("tridiagonal factorization failed")
-    # y is zgttrs's right-hand side b, overwritten by the solution
     y = np.empty_like(u)
-    trans, n, nrhs, status = ctypes.c_char(b"N"), ctypes.c_int(m), ctypes.c_int(1), ctypes.c_int(0)
-    args = [ctypes.addressof(c) for c in (trans, n, nrhs)]
-    args += [a.ctypes.data for a in (dl, dd, du, du2, ipiv, y)]
-    args += [ctypes.addressof(n), ctypes.addressof(status)]
     for _ in range(int(nsteps)):
         # Cayley map in resolvent form: u+ = 2 (I + i theta A)^{-1} u - u.
         # No amplifying matvec appears, so roundoff stays at the eps level:
@@ -294,8 +265,10 @@ def cn_evolve(u_interior, q_interior, h, dt, nsteps):
         # relative, and the state stayed within 1.2e-12 of the exact
         # propagator of the same matrix.
         np.copyto(y, u)
-        zgttrs(*args)
-        if status.value != 0:
+        # zgttrs solves in place into y and returns it; the returned array is
+        # used, so a wrapper that copied instead would still be read right
+        y, info = lapack.zgttrs(dl, dd, du, du2, ipiv, y, overwrite_b=True)
+        if info != 0:
             raise RuntimeError("tridiagonal solve failed")
         y *= 2.0
         np.subtract(y, u, out=u)

@@ -365,8 +365,8 @@ def _read_initial(spec, shape: tuple[int, ...], box: tuple[float, ...]) -> dict:
 # Grid fields (complex128 arrays of the grid's shape) an evolve or groundstate run holds
 # at its peak.  An evolve in a trap holds the most: the state, gp_evolve's copy of it,
 # its rotation buffer and the kinetic factor, one field each, and the phase buffer and
-# the trap, half a field each.  A groundstate holds at most four: the initial state,
-# the trap, the minimiser, and gp_energy's spectrum and |spectrum|^2 (1 + 1/2).
+# the trap, half a field each.  A groundstate holds at most 3.7 (3.65 traced at 24^3):
+# the initial state and the trap beside _harmonic_minimiser's real and complex arrays.
 _GP_RUN_FIELDS = 5
 
 

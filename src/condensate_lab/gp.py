@@ -485,5 +485,6 @@ def gp_ground_state(cfg: GPConfig, init: Field) -> dict:
         raise ValueError("no minimizer solved for this trap: only g = 0 in the trap |x|^2 is")
     energies = [gp_energy(init, cfg)["total"]]  # before the minimiser, so the two do not stack
     f = _harmonic_minimiser(init)
+    del init  # read no further, so the minimiser's energy runs without it
     energies.append(gp_energy(f, cfg)["total"])
     return {"field": f, "energy": energies[-1], "iterations": 1, "energies": energies}

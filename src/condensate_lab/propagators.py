@@ -12,9 +12,9 @@ diagonalises.
 
 convergence_experiment runs its N values on the threads of
 _kernels._pool_map, largest grid first.  The runs share no state, and each
-CN solve goes through a LAPACK call that releases the GIL
-(see _kernels), so two of them take both cores; every defect is the one a
-single thread computes, bit for bit.
+CN solve is scipy's f2py zgttrs, which releases the GIL (see _kernels), so
+two of them take both cores; every defect is the one a single thread
+computes, bit for bit.
 """
 
 from __future__ import annotations

@@ -515,6 +515,9 @@ def test_a_gp_run_holds_the_fields_its_memory_refusal_counts(tmp_path):
     assert max(peaks) <= cli._GP_RUN_FIELDS * field + 32 * 1024, [p / field for p in peaks]
     # and the count is not loose by half a field: the trapped evolve holds 5.04
     assert max(peaks) > (cli._GP_RUN_FIELDS - 0.5) * field, [p / field for p in peaks]
+    # the groundstate's minimiser energy runs without the initial state, which
+    # gp_ground_state reads only up to the minimiser: 3.65 fields, 4.03 with it
+    assert peaks[2] <= 3.7 * field, peaks[2] / field
 
 
 def test_a_gp_grid_whose_run_does_not_fit_is_refused_at_parse_time(monkeypatch, tmp_path):

@@ -3,6 +3,7 @@
 import os
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -45,8 +46,8 @@ def test_cn_zero_steps_identity():
 
 
 def test_cn_evolve_equals_a_loop_over_scipys_f2py_zgttrs():
-    # cn_evolve solves through the zgttrs pointer of scipy.linalg.cython_lapack, which
-    # releases the GIL; it must give the bits of scipy's f2py wrapper, here on a soft core
+    # cn_evolve's in-place solve into one reused buffer must give the bits of a loop
+    # that takes each step's solution as a new array, here on a soft core
     m, h, dt, nsteps = 1200, 0.02, 1e-3, 200
     r = h * np.arange(1, m + 1)
     q = np.where(r <= 0.5, 8.0, 0.0)
@@ -62,6 +63,44 @@ def test_cn_evolve_equals_a_loop_over_scipys_f2py_zgttrs():
         assert info == 0
         ref = 2.0 * y - ref
     assert np.array_equal(K.cn_evolve(u0, q, h, dt, nsteps), ref)
+
+
+def test_scipys_f2py_zgttrs_lets_another_python_thread_run():
+    # convergence_experiment's pool overlaps two CN runs only because each solve releases
+    # the GIL.  Beside one zgttrs call of over 50 ms a spinning thread must advance by more
+    # than ten switch intervals of its free rate, taken while this thread sleeps.  A call
+    # that holds the GIL lets it run for a few: in place of this call,
+    # ctypes.PyDLL(None).usleep(50000) read 0.7-5.8 intervals and failed, CDLL's, which
+    # releases it, 50-73; this call, of 0.1-0.2 s, 95-110
+    m, nrhs, interval = 100_000, 48, 1e-3
+    off = np.full(m - 1, -1.0 + 0.5j)
+    dl, dd, du, du2, ipiv, info = lapack.zgttrf(off, np.full(m, 4.0 + 1j), off)
+    assert info == 0
+    b = np.ones((m, nrhs), dtype=np.complex128, order="F")
+    count, run = [0], [True]
+
+    def spin():
+        while run[0]:
+            count[0] += 1
+
+    spinner = threading.Thread(target=spin)
+    before = sys.getswitchinterval()
+    sys.setswitchinterval(interval)
+    spinner.start()
+    try:
+        n0, t0 = count[0], time.perf_counter()
+        time.sleep(0.05)
+        n1, t1 = count[0], time.perf_counter()
+        lapack.zgttrs(dl, dd, du, du2, ipiv, b, overwrite_b=True)
+        n2, t2 = count[0], time.perf_counter()
+    finally:
+        run[0] = False
+        spinner.join(timeout=10)
+        sys.setswitchinterval(before)
+    assert not spinner.is_alive()
+    rate = (n1 - n0) / (t1 - t0)
+    assert t2 - t1 > 0.05
+    assert n2 - n1 > 10 * rate * interval, (n2 - n1, t2 - t1, rate)
 
 
 def test_pinned_split_covers_the_range_raises_either_halfs_error_and_cleans_up():
