@@ -252,24 +252,31 @@ def cn_evolve(u_interior, q_interior, h, dt, nsteps):
         raise ValueError(f"Crank-Nicolson needs at least 3 interior points, got {u.shape[0]}")
     m = u.shape[0]
     theta = 0.5 * float(dt)
-    off = 1j * theta * (-1.0 / h**2) * np.ones(m - 1, dtype=np.complex128)
-    diag = 1.0 + 1j * theta * (2.0 / h**2 + q).astype(np.complex128)
-    dl, dd, du, du2, ipiv, info = lapack.zgttrf(off, diag, off)
+    # the bands of I + i theta A, built in the arrays zgttrf factors in place; the
+    # off-diagonal holds the bits of 1j * theta * (-1 / h^2) times a complex one,
+    # whose real part is +0.0
+    dl = np.full(m - 1, complex(0.0, theta * (-1.0 / h**2)))
+    du = dl.copy()
+    diag = np.empty(m, dtype=np.complex128)
+    diag.real = 1.0
+    np.add(2.0 / h**2, q, out=diag.imag)
+    diag.imag *= theta
+    dl, dd, du, du2, ipiv, info = lapack.zgttrf(dl, diag, du, overwrite_dl=True, overwrite_d=True, overwrite_du=True)
     if info != 0:
         raise RuntimeError("tridiagonal factorization failed")
     y = np.empty_like(u)
     for _ in range(int(nsteps)):
-        # Cayley map in resolvent form: u+ = 2 (I + i theta A)^{-1} u - u.
+        # Cayley map in resolvent form: u+ = (I + i theta A)^{-1} (2 u) - u.
         # No amplifying matvec appears, so roundoff stays at the eps level:
         # over 1000 steps on ~1200-point grids the norm drifted by 4e-14
         # relative, and the state stayed within 1.2e-12 of the exact
-        # propagator of the same matrix.
-        np.copyto(y, u)
+        # propagator of the same matrix.  Doubling is exact, so solving for
+        # 2 u gives the bits of twice the solution for u.
+        np.multiply(u, 2.0, out=y)
         # zgttrs solves in place into y and returns it; the returned array is
         # used, so a wrapper that copied instead would still be read right
         y, info = lapack.zgttrs(dl, dd, du, du2, ipiv, y, overwrite_b=True)
         if info != 0:
             raise RuntimeError("tridiagonal solve failed")
-        y *= 2.0
         np.subtract(y, u, out=u)
     return u

@@ -571,6 +571,8 @@ def _run_two_body(outdir: Path, seed: int, *, potential, n_list, times, dt):
 def _read_second_moment(params: dict) -> dict:
     potential = _read_potential(params, "second-moment")
     samples = _integer("samples", params.get("samples", 10), 1)
+    need = propagators.second_moment_bytes(potential)
+    _refuse_beyond(_physical_memory(), need, "second-moment needs about {:.3g} GB for its scattering transform")
     # each sample's check makes one transform product, two GEMMs of k nodes x grid nodes each
     _refuse_work(samples * propagators.second_moment_points(potential), "second-moment", "transform points x samples")
     return {"potential": potential, "samples": samples}

@@ -28,7 +28,7 @@ from . import _kernels
 from .potentials import Potential, scale
 from .radial import RadialGrid, build_grid, gaussian_bump, grid_points
 from .scattering import ScatteringTransform, apply_hamiltonian, build_transform, potential_node_samples
-from .scattering import transform_points
+from .scattering import transform_bytes, transform_points
 
 
 def _h1_norm(grid: RadialGrid, u: np.ndarray) -> float:
@@ -234,6 +234,13 @@ class SecondMomentResult:
 _SECOND_MOMENT_K_MAX = 14.0
 _SECOND_MOMENT_N_K = 640
 
+# Bytes a second-moment run holds per radial node beside its transform's tables and
+# head at its peak: the grid, the calibration probes and their round trips, the
+# sample state and the check's arrays.  tracemalloc read 65 on 1.2e6 and 2.4e6 nodes,
+# and a run's ru_maxrss grew by up to 103: the rest is scipy's FFT work arrays, which
+# tracemalloc does not see.
+_SECOND_MOMENT_NODE_BYTES = 104
+
 
 def second_moment_transform(p: Potential) -> ScatteringTransform:
     """The transform of scale(p, 2) that second_moment_check takes."""
@@ -244,6 +251,12 @@ def second_moment_points(p: Potential) -> float:
     """About k nodes x grid nodes of second_moment_transform(p), without building it:
     the multiply-adds of each GEMM in one second_moment_check's transform product."""
     return transform_points(scale(p, 2), k_max=_SECOND_MOMENT_K_MAX, n_k=_SECOND_MOMENT_N_K)
+
+
+def second_moment_bytes(p: Potential) -> float:
+    """About the most bytes a second-moment run on p holds at once, without building
+    second_moment_transform(p)."""
+    return transform_bytes(scale(p, 2), _SECOND_MOMENT_K_MAX, _SECOND_MOMENT_N_K, _SECOND_MOMENT_NODE_BYTES)
 
 
 def second_moment_check(

@@ -49,13 +49,15 @@ class RadialGrid:
         import scipy.fft
 
         # scipy's DST-I carries an extra factor 2 relative to sum_j u_j sin.
-        scale = 0.5 * self.h * np.sqrt(2.0 / self.rmax)
-        return scale * scipy.fft.dst(u[1:-1], type=1)
+        c = scipy.fft.dst(u[1:-1], type=1)
+        c *= 0.5 * self.h * np.sqrt(2.0 / self.rmax)
+        return c
 
     def idst(self, c: np.ndarray) -> np.ndarray:
         import scipy.fft
 
-        interior = np.sqrt(2.0 / self.rmax) * 0.5 * scipy.fft.dst(c, type=1)
+        interior = scipy.fft.dst(c, type=1)
+        interior *= np.sqrt(2.0 / self.rmax) * 0.5
         out = np.zeros(self.n, dtype=interior.dtype)
         out[1:-1] = interior
         return out

@@ -219,6 +219,21 @@ def phase_shift(p, k: float) -> float:
 # Gauss-Legendre nodes per panel of the transform's k grid
 _PER_PANEL = 16
 
+# k rows of M @ x, and block columns of d @ M, that a _SineKernel product forms at
+# once.  Each block starts at a multiple of _BLOCK and the last takes the remainder
+# too, so OpenBLAS tiles and sums every entry as in the whole-array product (bit for
+# bit on the transforms of tests/test_scattering.py); blocks of 64, or a short last
+# block, changed the last bits of some entries.  OpenBLAS packs the operand the
+# blocks share once a block: blocks of 48 held half the temporaries of 96 but made a
+# 1.2e6-node product 35% slower than the whole one, against 9% for 96.
+_BLOCK = 96
+
+
+def _blocks(n: int) -> list[slice]:
+    """range(n) as slices of _BLOCK from 0, the last taking the remainder too."""
+    starts = range(0, max(n - _BLOCK, 0) + 1, _BLOCK)
+    return [slice(i, i + _BLOCK) for i in starts[:-1]] + [slice(starts[-1], n)]
+
 
 class _SineKernel:
     """The nk x n matrix M[i, j] = sin(k[i] j h + phase[i]), its first columns
@@ -230,6 +245,8 @@ class _SineKernel:
     SB, CB of the block b: O(nk sqrt(n)) floats, and a product is two GEMMs
     with x laid out as the B x nb array X[m, b] = x[b B + m], run on one
     OpenBLAS thread so that its bits do not depend on the machine's CPUs.
+    M @ x runs in blocks of k rows and d @ M in blocks of b (see _BLOCK), so a
+    product's temporaries hold about _BLOCK x nb and nk x _BLOCK floats, not nk x nb.
 
     A kernel built like another on the same k, h and n shares its C and S.
     nbytes counts the head and the tables this kernel made, so the nbytes of
@@ -260,12 +277,23 @@ class _SineKernel:
         X[j0 : self.n] = x[j0:]
         X = X.reshape(nb, B).T
         with _kernels._one_blas_thread():
-            rows = self.SB * (self.C @ X) + self.CB * (self.S @ X)
-            return self.head @ x[:j0] + rows.sum(axis=1)
+            out = self.head @ x[:j0]
+            for rows in _blocks(out.shape[0]):
+                first = self.C[rows] @ X
+                np.multiply(self.SB[rows], first, out=first)
+                second = self.S[rows] @ X
+                np.multiply(self.CB[rows], second, out=second)
+                first += second
+                out[rows] += first.sum(axis=1)
+        return out
 
     def __rmatmul__(self, d: np.ndarray) -> np.ndarray:
+        nb = self.SB.shape[1]
+        Y = np.empty((nb, self.C.shape[1]), dtype=np.result_type(d, self.C))
         with _kernels._one_blas_thread():
-            Y = (d[:, None] * self.SB).T @ self.C + (d[:, None] * self.CB).T @ self.S
+            for cols in _blocks(nb):
+                np.matmul((d[:, None] * self.SB[:, cols]).T, self.C, out=Y[cols])
+                Y[cols] += (d[:, None] * self.CB[:, cols]).T @ self.S
             out = Y.reshape(-1)[: self.n]
             out[: self.head.shape[1]] = d @ self.head
         return out
@@ -329,12 +357,30 @@ def _k_nodes(k_max: float, n_k: int, rmax: float) -> float:
     return _PER_PANEL * max(1.0, np.ceil(n_k / _PER_PANEL))
 
 
+def _transform_sizes(p, k_max: float, n_k: int) -> tuple[float, float, float]:
+    """About the k nodes, grid nodes and marched head columns of build_transform(p,
+    k_max, n_k), from the rules it builds by but without building anything."""
+    rng, rmax, h = _radial_extent(p, k_max)
+    n = grid_points(rmax, h, p.breakpoints)
+    r_match = rng if p.breakpoints else min(1.3 * rng, 0.8 * rmax)
+    return _k_nodes(k_max, n_k, rmax), n, min(r_match / rmax * (n - 1.0) + 1.0, n)
+
+
 def transform_points(p, k_max: float, n_k: int) -> float:
     """About k nodes x grid nodes of build_transform(p, k_max, n_k), the multiply-adds
     of each of the two GEMMs one of its products makes, from the rules it builds by
     but without building anything."""
-    _, rmax, h = _radial_extent(p, k_max)
-    return float(_k_nodes(k_max, n_k, rmax) * (rmax / h + 1.0))
+    nk, n, _ = _transform_sizes(p, k_max, n_k)
+    return float(nk * n)
+
+
+def transform_bytes(p, k_max: float, n_k: int, node_bytes: float) -> float:
+    """About the most bytes build_transform(p, k_max, n_k) and its products hold at
+    once, without building anything (inf past float range): the _SineKernel tables,
+    with B and nb at most sqrt(n) + 1, the marched head twice over (the march's array
+    and the RK4 block it copies in), and node_bytes per grid node."""
+    nk, n, head = _transform_sizes(p, k_max, n_k)
+    return float(8.0 * nk * (6.0 * (np.sqrt(n) + 1.0) + 2.0 * head) + node_bytes * n)
 
 
 def build_transform(p, k_max: float, n_k: int, rmax: float | None = None) -> ScatteringTransform:
@@ -393,8 +439,20 @@ def build_transform(p, k_max: float, n_k: int, rmax: float | None = None) -> Sca
 
 
 def apply_hamiltonian(grid: RadialGrid, p, u: np.ndarray) -> np.ndarray:
-    """(-d^2/dr^2 + V/2) u via the sine-spectral second derivative."""
+    """(-d^2/dr^2 + V/2) u via the sine-spectral second derivative.
+
+    Built in place, in the operation order of -upp + 0.5 * V * u with
+    upp = idst(-(k^2) * dst(u)): w - upp is w + (-upp) bit for bit.
+    """
     c = grid.dst(u)
-    k = grid.modes()
-    upp = grid.idst(-(k**2) * c)
-    return -upp + 0.5 * potential_node_samples(p, grid) * u
+    k2 = grid.modes()
+    np.square(k2, out=k2)
+    np.negative(k2, out=k2)
+    np.multiply(k2, c, out=c)
+    del k2
+    upp = grid.idst(c)
+    del c
+    out = potential_node_samples(p, grid).astype(upp.dtype, copy=False)
+    out *= 0.5
+    out *= u
+    return np.subtract(out, upp, out=out)

@@ -65,6 +65,33 @@ def test_cn_evolve_equals_a_loop_over_scipys_f2py_zgttrs():
     assert np.array_equal(K.cn_evolve(u0, q, h, dt, nsteps), ref)
 
 
+def test_cn_evolve_solving_for_twice_u_equals_the_copy_then_double_step():
+    # cn_evolve builds its bands in place and solves for 2 u in one buffer; doubling is
+    # exact in the normal range, so each step must keep the bits of the step that built
+    # the bands from whole-array expressions, copied u, solved and doubled the solution
+    rng = np.random.default_rng(5)
+    for m in (3, 17, 400, 1201):
+        h, dt = rng.uniform(0.005, 0.1), rng.uniform(1e-5, 1e-2)
+        q = np.where(rng.random(m) < 0.3, rng.uniform(0.0, 1e4, m), rng.uniform(-1.0, 5.0, m))
+        u = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        theta = 0.5 * dt
+        off = 1j * theta * (-1.0 / h**2) * np.ones(m - 1, dtype=np.complex128)
+        diag = 1.0 + 1j * theta * (2.0 / h**2 + q).astype(np.complex128)
+        dl, dd, du, du2, ipiv, info = lapack.zgttrf(off, diag, off)
+        assert info == 0
+        ref = u.copy()
+        y = np.empty_like(ref)
+        for _ in range(40):
+            np.copyto(y, ref)
+            y, info = lapack.zgttrs(dl, dd, du, du2, ipiv, y, overwrite_b=True)
+            assert info == 0
+            y *= 2.0
+            np.subtract(y, ref, out=ref)
+        out = K.cn_evolve(u, q, h, dt, 40)
+        # equal as bit patterns, so a signed zero would count too
+        assert np.array_equal(out.view(np.uint64), ref.view(np.uint64)), m
+
+
 def test_scipys_f2py_zgttrs_lets_another_python_thread_run():
     # convergence_experiment's pool overlaps two CN runs only because each solve releases
     # the GIL.  Beside one zgttrs call of over 50 ms a spinning thread must advance by more
