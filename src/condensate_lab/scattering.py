@@ -449,6 +449,7 @@ def apply_hamiltonian(grid: RadialGrid, p, u: np.ndarray) -> np.ndarray:
     np.square(k2, out=k2)
     np.negative(k2, out=k2)
     np.multiply(k2, c, out=c)
+    # each n-length array goes before the next is made
     del k2
     upp = grid.idst(c)
     del c

@@ -552,7 +552,7 @@ def test_a_second_moment_run_holds_the_bytes_its_memory_refusal_counts(tmp_path)
         tracemalloc.stop()
     need = pr.second_moment_bytes(cfg.arguments["potential"])
     # the count leaves room for scipy's FFT work arrays, which tracemalloc does not
-    # see: 0.83 of it measured
+    # see: 0.86 of it measured
     assert 0.7 * need < peak <= need, peak / need
 
 
